@@ -33,6 +33,14 @@ class RankType:
         return digest[:16]
 
 
+def _mask(points: tuple[int, ...], rel: frozenset, arity: int) -> int:
+    mask = 0
+    for idx, combo in enumerate(itertools.product(points, repeat=arity)):
+        if combo in rel:
+            mask |= 1 << idx
+    return mask
+
+
 def _atomic_key(A: Structure, points: tuple[int, ...]) -> tuple:
     eq_bits = 0
     bit = 1
@@ -41,35 +49,110 @@ def _atomic_key(A: Structure, points: tuple[int, ...]) -> tuple:
             if points[i] == points[j]:
                 eq_bits |= bit
             bit <<= 1
-    masks = []
+    masks = tuple(_mask(points, A.relations[name], arity) for name, arity in A.vocab.predicates)
+    return (len(points), eq_bits, masks)
+
+
+# Stands for the point a leaf adds: it equals no element and lies in no
+# relation, so ``_atomic_key(A, pts + (_NEW,))`` holds exactly the facts among
+# ``pts``, already in the bit layout of ``len(pts) + 1`` points.
+_NEW = -1
+
+# ``_rt_cache`` key of the per-structure fact tables; type entries are keyed
+# ``(tuple, rank)``.
+_TABLES = "tables"
+
+
+def _fact_tables(A: Structure) -> list:
+    """Per-predicate lookups for the facts that involve one new point.
+
+    Arity 1: the members. Arity 2: successor and predecessor lists, filled
+    per point on first use (a dense order would make an eager build cost
+    ``|rel|`` even where no prefix point needs them), and the loops.
+    Arity 3 and up: nothing; those facts are looked up per tuple.
+    """
+    tables = []
     for name, arity in A.vocab.predicates:
         rel = A.relations[name]
-        mask = 0
-        bit = 1
-        for combo in itertools.product(points, repeat=arity):
-            if combo in rel:
-                mask |= bit
-            bit <<= 1
-        masks.append(mask)
-    return (len(points), eq_bits, tuple(masks))
+        if arity == 1:
+            tables.append([e for e in range(A.size) if (e,) in rel])
+        elif arity == 2:
+            loops = [e for e in range(A.size) if (e, e) in rel]
+            tables.append(([None] * A.size, [None] * A.size, loops))
+        else:
+            tables.append(None)
+    return tables
+
+
+def _leaf_keys(A: Structure, tables: list, pts: tuple[int, ...]) -> set:
+    """The atomic keys of ``pts + (b,)`` over every element ``b``.
+
+    The facts among ``pts`` are computed once; each ``b`` then adds only the
+    facts that involve it, as one column per predicate indexed by ``b``.
+    """
+    size = A.size
+    n = len(pts)
+    N = n + 1
+    _, eq, prefix_masks = _atomic_key(A, pts + (_NEW,))
+    eqcol = [eq] * size
+    start = 0  # bit of the pair (i, i + 1); the pair (i, n) follows n - i - 1 bits later
+    for i, p in enumerate(pts):
+        eqcol[p] |= 1 << (start + n - i - 1)
+        start += n - i
+    cols = []
+    for (name, arity), table, prefix in zip(A.vocab.predicates, tables, prefix_masks):
+        rel = A.relations[name]
+        if arity > 2:
+            cols.append([_mask(pts + (b,), rel, arity) for b in range(size)])
+            continue
+        col = [prefix] * size
+        if arity == 1:
+            bit = 1 << n
+            for b in table:
+                col[b] |= bit
+        else:
+            succ, pred, loops = table
+            for i, a in enumerate(pts):
+                out = succ[a]
+                if out is None:
+                    out = succ[a] = [b for b in range(size) if (a, b) in rel]
+                bit = 1 << (i * N + n)
+                for b in out:
+                    col[b] |= bit
+                into = pred[a]
+                if into is None:
+                    into = pred[a] = [b for b in range(size) if (b, a) in rel]
+                bit = 1 << (n * N + i)
+                for b in into:
+                    col[b] |= bit
+            bit = 1 << (n * N + n)
+            for b in loops:
+                col[b] |= bit
+        cols.append(col)
+    masks = zip(*cols) if cols else itertools.repeat(())
+    return set(zip(itertools.repeat(N), eqcol, masks))
 
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
-    """Rank-``m`` type of ``tup`` in ``A``; memoized on the structure."""
+    """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the structure."""
     for e in tup:
         if not 0 <= e < A.size:
             raise ValueError(f"tuple component {e} outside the universe")
-    if A._rt_cache is None:
-        object.__setattr__(A, "_rt_cache", {})
-    cache = A._rt_cache
     consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    if m == 0:
+        return RankType(0, _atomic_key(A, consts + tuple(tup)))
+    cache = A._rt_cache
+    if cache is None:
+        cache = {_TABLES: _fact_tables(A)}
+        object.__setattr__(A, "_rt_cache", cache)
+    tables = cache[_TABLES]
 
     def rec(t: tuple[int, ...], r: int) -> tuple:
         hit = cache.get((t, r))
         if hit is not None:
             return hit
-        if r == 0:
-            key = _atomic_key(A, consts + t)
+        if r == 1:
+            key = tuple(sorted(_leaf_keys(A, tables, consts + t)))
         else:
             key = tuple(sorted({rec(t + (b,), r - 1) for b in range(A.size)}))
         cache[(t, r)] = key
@@ -112,6 +195,17 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
     preds = [(name, arity, A.relations[name], B.relations[name])
              for name, arity in A.vocab.predicates]
 
+    new_combos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def combos_with(n: int, arity: int) -> list[tuple[int, ...]]:
+        # index combos over 0..n that contain n: the facts involving the new pair
+        combos = new_combos.get((n, arity))
+        if combos is None:
+            combos = new_combos[(n, arity)] = [
+                c for c in itertools.product(range(n + 1), repeat=arity) if n in c
+            ]
+        return combos
+
     def extension_ok(xs: tuple[int, ...], ys: tuple[int, ...], a: int, b: int) -> bool:
         # xs -> ys extended with a -> b stays a partial isomorphism
         for x, y in zip(xs, ys):
@@ -120,9 +214,7 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
         pool = xs + (a,)
         image = ys + (b,)
         for name, arity, rel_a, rel_b in preds:
-            for combo in itertools.product(range(len(pool)), repeat=arity):
-                if len(pool) - 1 not in combo:
-                    continue  # only facts involving the new pair
+            for combo in combos_with(len(xs), arity):
                 ta = tuple(pool[i] for i in combo)
                 tb = tuple(image[i] for i in combo)
                 if (ta in rel_a) != (tb in rel_b):

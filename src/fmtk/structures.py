@@ -132,7 +132,13 @@ class Structure:
         )
 
     def __eq__(self, other):
-        return isinstance(other, Structure) and self._key() == other._key()
+        return (
+            isinstance(other, Structure)
+            and self.vocab == other.vocab
+            and self.size == other.size
+            and self.relations == other.relations
+            and self.constant_interp == other.constant_interp
+        )
 
     def __hash__(self):
         if self._hash is None:
@@ -606,7 +612,12 @@ def parse_structures(text: str) -> dict[str, Structure]:
             raise
         except Exception as exc:
             raise StructureFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
-    flush()
+    try:
+        flush()
+    except StructureFormatError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise StructureFormatError(f"structure {name}: {exc}") from exc
     if not result:
         raise StructureFormatError("no structures in input")
     return result

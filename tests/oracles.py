@@ -87,6 +87,45 @@ def game_evaluate(A: Structure, f, assignment=None) -> bool:
     return wins(f, True)
 
 
+def _reference_atomic_key(A: Structure, points: tuple[int, ...]) -> tuple:
+    eq_bits = 0
+    bit = 1
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[i] == points[j]:
+                eq_bits |= bit
+            bit <<= 1
+    masks = []
+    for name, arity in A.vocab.predicates:
+        rel = A.relations[name]
+        mask = 0
+        bit = 1
+        for combo in itertools.product(points, repeat=arity):
+            if combo in rel:
+                mask |= bit
+            bit <<= 1
+        masks.append(mask)
+    return (len(points), eq_bits, tuple(masks))
+
+
+def reference_rank_type_key(A: Structure, tup: tuple[int, ...], m: int) -> tuple:
+    """Rank-type key built leaf by leaf: every leaf's atomic facts are derived
+    in full from its points, with a private memo (the structure's cache is
+    never read)."""
+    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    memo: dict = {}
+
+    def rec(t: tuple[int, ...], r: int) -> tuple:
+        if (t, r) not in memo:
+            if r == 0:
+                memo[(t, r)] = _reference_atomic_key(A, consts + t)
+            else:
+                memo[(t, r)] = tuple(sorted({rec(t + (b,), r - 1) for b in range(A.size)}))
+        return memo[(t, r)]
+
+    return rec(tuple(tup), m)
+
+
 # ---------------------------------------------------------------------------
 # generators
 

@@ -238,3 +238,15 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "verdict: equivalent" in proc.stdout
+
+    def test_bad_structure_file_exits_1_without_traceback(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("structure A\nvocab: E/2\nuniverse: 2\nF: (0,1)\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", "equiv", "--file-a", str(f),
+             "--file-b", str(f), "--m", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")

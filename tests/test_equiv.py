@@ -12,6 +12,7 @@ from fmtk.equiv import (
 )
 from fmtk.shrink import SigmaTree, join_at, to_structure, trees_equivalent
 from fmtk.structures import (
+    Structure,
     Vocabulary,
     bowtie,
     cartesian_product,
@@ -27,6 +28,7 @@ from oracles import (
     permuted_copy,
     random_structure,
     random_tree,
+    reference_rank_type_key,
 )
 
 V = Vocabulary.make({"E": 2})
@@ -60,6 +62,33 @@ class TestRankType:
         # frozen value: guards the canonical serialization against drift
         assert class_fingerprint(make_cycle(4), (), 2) == "a1f421973a416df0"
         assert class_fingerprint(make_cycle(5), (), 2) == "a1f421973a416df0"
+
+
+    def test_keys_match_leaf_by_leaf_reference(self):
+        # keys must be tuple-for-tuple those of the leaf-by-leaf recursion;
+        # descending m and the repeat pass read entries cached by earlier calls
+        rng = random.Random(41)
+        preds = [{"U": 1}, {"E": 2}, {"T": 3}, {"U": 1, "E": 2, "T": 3}]
+        for pred in preds:
+            for consts in ((), ("c",), ("c", "d")):
+                vocab = Vocabulary.make(pred, consts)
+                for size in range(1, 7):
+                    A = random_structure(rng, vocab, size, density=rng.choice([0.2, 0.5, 0.8]))
+                    cases = [
+                        (tuple(rng.randrange(size) for _ in range(length)), m)
+                        for m in (3, 2, 1, 0) for length in (0, 1, 2)
+                    ]
+                    for _ in range(2):
+                        for tup, m in cases:
+                            assert rank_type(A, tup, m).key == reference_rank_type_key(A, tup, m)
+
+    def test_keys_match_reference_with_loops_and_no_predicates(self):
+        looped = Structure(V, 4, {"E": {(0, 0), (0, 1), (2, 2), (3, 1)}})
+        bare = Structure(Vocabulary.make({}, ["c"]), 3, {}, {"c": 1})
+        for A in (looped, bare):
+            for m in range(4):
+                for tup in ((), (1,), (2, 2)):
+                    assert rank_type(A, tup, m).key == reference_rank_type_key(A, tup, m)
 
 
 class TestMEquivalent:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fmtk.errors import StructureFormatError
 from fmtk.structures import (
     MarkedStructure,
     Structure,
@@ -67,6 +68,31 @@ class TestStructureBasics:
         assert digraph(2, [(0, 1)]) == digraph(2, [(0, 1)])
         assert hash(digraph(2, [(0, 1)])) == hash(digraph(2, [(0, 1)]))
         assert digraph(2, [(0, 1)]) != digraph(2, [(1, 0)])
+
+    def test_equality_ignores_insertion_order_and_sees_one_tuple(self):
+        rng = random.Random(16)
+        vocab = Vocabulary.make({"E": 2, "Q": 1}, ["c1", "c2"])
+        for _ in range(20):
+            A = random_structure(rng, vocab, rng.randint(1, 5))
+            rels = list(A.relations.items())
+            rng.shuffle(rels)
+            shuffled = {}
+            for name, tuples in rels:
+                tuples = list(tuples)
+                rng.shuffle(tuples)
+                shuffled[name] = tuples
+            consts = dict(reversed(list(A.constant_interp.items())))
+            B = Structure(vocab, A.size, shuffled, consts)
+            assert A == B and hash(A) == hash(B)
+            for name, arity in vocab.predicates:
+                t = tuple(rng.randrange(A.size) for _ in range(arity))
+                flipped = dict(A.relations)
+                flipped[name] = A.relations[name] ^ {t}
+                assert A != Structure(vocab, A.size, flipped, A.constant_interp)
+            if A.size > 1:
+                moved = dict(A.constant_interp)
+                moved["c1"] = (moved["c1"] + 1) % A.size
+                assert A != Structure(vocab, A.size, A.relations, moved)
 
 
 class TestInducedSubstructure:
@@ -369,3 +395,12 @@ class TestTextFormat:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_structures("structure x\nvocab: E/2\nuniverse: 1\nE: (0,1")
+
+    def test_bad_last_block_is_a_format_error(self):
+        # the last block is built after the line loop; its errors must still
+        # come out as format errors, not as a raw KeyError or ValueError
+        unknown = "structure A\nvocab: E/2\nuniverse: 2\nF: (0,1)\n"
+        wrong_arity = "structure A\nvocab: E/2\nuniverse: 2\nE: (0,1,1)\n"
+        for text in (unknown, wrong_arity):
+            with pytest.raises(StructureFormatError):
+                parse_structures(text)
