@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .equiv import class_fingerprint, rank_type
 from .errors import GuardExceeded, StructureFormatError, VerificationFailed
-from .shrink import SigmaTree, shrink_tree
+from .shrink import ShrinkReport, SigmaTree, shrink_tree
 from .structures import (
     MarkedStructure,
     Structure,
@@ -26,6 +26,7 @@ from .structures import (
     disjoint_union,
     find_embedding,
     induced_substructure,
+    induced_supersets,
     tensor_product,
     tree_of_structures,
     word_of_structures,
@@ -103,6 +104,17 @@ def eval_expression_tree(s: ExprNode) -> Structure:
     if s.op == COMPLEMENT:
         return complement(eval_expression_tree(s.children[0]))
     return _EVAL[s.op](*(eval_expression_tree(c) for c in s.children))
+
+
+def evaluated_size(s: ExprNode) -> int:
+    """Universe size of :func:`eval_expression_tree`'s result, read off the
+    tree without evaluating it."""
+    if s.op == LEAF:
+        return s.base.size
+    sizes = [evaluated_size(c) for c in s.children]
+    if s.op in (CARTESIAN, TENSOR):
+        return sizes[0] * sizes[1]
+    return sum(sizes)
 
 
 def eval_with_provenance(s: ExprNode) -> tuple[Structure, tuple[tuple[int, int], ...]]:
@@ -267,18 +279,10 @@ def exhaustive_leaf_shrinker(max_size: int = 12):
             raise GuardExceeded(
                 f"structure of size {B.size} exceeds the exhaustive-shrink guard {max_size}"
             )
-        marks = set(marks)
-        required = marks | set(B.constant_interp.values())
         target = rank_type(B, (), m)
-        free = [e for e in range(B.size) if e not in required]
-        for extra in range(B.size - len(required) + 1):
-            for combo in itertools.combinations(free, extra):
-                keep = tuple(sorted(required | set(combo)))
-                if not keep:
-                    continue
-                sub, _ = induced_substructure(B, keep)
-                if rank_type(sub, (), m) == target:
-                    return sub, keep
+        for keep, sub in induced_supersets(B, marks):
+            if rank_type(sub, (), m) == target:
+                return sub, keep
         return B, tuple(range(B.size))
 
     return shrinker
@@ -324,30 +328,9 @@ def shrink_leaves(
     return out, new_pairs, kept_maps
 
 
-@dataclass
-class AlgebraReport:
-    """Verification log of a composition shrink run."""
-
-    input_size: int
-    output_size: int
-    phases: list[tuple[str, int, int]] = field(default_factory=list)
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    certificate: str = ""
-
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
-
-
-def _raise_if_failed(report) -> None:
-    if not report.ok():
-        exc = VerificationFailed(f"shrink verification failed: {report.verdicts}")
-        exc.report = report
-        raise exc
-
-
 def shrink_algebraic(
     s: ExprNode, W, m: int, k: int, leaf_shrinker=None
-) -> tuple[Structure, AlgebraReport]:
+) -> tuple[Structure, ShrinkReport]:
     """Shrink the evaluation of a union/complement tree around the marked
     elements ``W`` (element indices of the evaluation).
 
@@ -387,8 +370,8 @@ def shrink_algebraic(
         "equivalent": rank_type(out, (), m) == rank_type(original, (), m),
         "certificate_evaluates_back": eval_expression_tree(reexpand_bowties(t2)) == out,
     }
-    report = AlgebraReport(original.size, out.size, phases, verdicts, certificate)
-    _raise_if_failed(report)
+    report = ShrinkReport(original.size, out.size, phases, verdicts, certificate)
+    report.raise_if_failed()
     return out, report
 
 
@@ -398,7 +381,7 @@ def shrink_algebraic(
 
 def shrink_word_of_structures(
     parts: list[Structure], W, m: int, k: int, leaf_shrinker=None
-) -> tuple[Structure, AlgebraReport]:
+) -> tuple[Structure, ShrinkReport]:
     """Shrink a block word: first each block through the leaf shrinker, then
     the block sequence as a word whose letters are block rank fingerprints."""
     return _shrink_blocks(
@@ -410,7 +393,7 @@ def shrink_word_of_structures(
 def shrink_tree_of_structures(
     shape: dict[int, int | None], parts: list[Structure], W, m: int, k: int,
     leaf_shrinker=None,
-) -> tuple[Structure, AlgebraReport]:
+) -> tuple[Structure, ShrinkReport]:
     """Tree-shaped analogue of :func:`shrink_word_of_structures`."""
     return _shrink_blocks(shape, parts, W, m, k, leaf_shrinker)
 
@@ -483,8 +466,8 @@ def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
         "equivalent": rank_type(out, (), m) == rank_type(original, (), m),
         "sequence_verified": seq_report.ok(),
     }
-    report = AlgebraReport(original.size, out.size, phases, verdicts)
-    _raise_if_failed(report)
+    report = ShrinkReport(original.size, out.size, phases, verdicts)
+    report.raise_if_failed()
     return out, report
 
 

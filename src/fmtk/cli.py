@@ -27,15 +27,11 @@ from .structures import (
     serialize_structure,
 )
 
-DEFAULT_SEED = 20240901
-
-
 @dataclass
 class RunConfig:
     command: str
     m: int | None = None
     k: int | None = None
-    seed: int = DEFAULT_SEED
     max_size: int = 64
     out: str | None = None
     extras: dict[str, str] = field(default_factory=dict)
@@ -46,7 +42,6 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None:
                 lines.append(f"{key}: {value}")
-        lines.append(f"seed: {self.seed}")
         lines.append(f"max-size: {self.max_size}")
         for key in sorted(self.extras):
             lines.append(f"{key}: {self.extras[key]}")
@@ -75,8 +70,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _emit(report: Report, out: str | None):
-    text = report.render()
+def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -104,10 +98,10 @@ def _parse_marks(text: str | None) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _check_size(A: Structure, config: RunConfig):
-    if A.size > config.max_size:
+def _check_size(size: int, config: RunConfig):
+    if size > config.max_size:
         raise GuardExceeded(
-            f"structure of size {A.size} exceeds --max-size {config.max_size}"
+            f"structure of size {size} exceeds --max-size {config.max_size}"
         )
 
 
@@ -146,8 +140,8 @@ def _sample_from_spec(spec: str) -> tuple[translate.ClassSample, str]:
 def cmd_equiv(args, config: RunConfig) -> int:
     name_a, A = _pick(_load_structures(args.file_a), args.name_a, args.file_a)
     name_b, B = _pick(_load_structures(args.file_b), args.name_b, args.file_b)
-    _check_size(A, config)
-    _check_size(B, config)
+    _check_size(A.size, config)
+    _check_size(B.size, config)
     config.extras.update({"file-a": args.file_a, "file-b": args.file_b,
                           "name-a": name_a, "name-b": name_b})
     verdict = equiv.m_equivalent(A, B, config.m)
@@ -160,7 +154,7 @@ def cmd_equiv(args, config: RunConfig) -> int:
     report.put("verdict", word)
     report.put("fingerprint-a", equiv.class_fingerprint(A, (), config.m))
     report.put("fingerprint-b", equiv.class_fingerprint(B, (), config.m))
-    _emit(report, config.out)
+    _emit(report.render(), config.out)
     return 0
 
 
@@ -191,13 +185,8 @@ def cmd_shrink(args, config: RunConfig) -> int:
     for key in sorted(rep.verdicts):
         report.put(f"verified-{key.replace('_', '-')}", rep.verdicts[key])
     report.put("tree", "")
-    _emit(report, config.out)
-    text = shrink.serialize_tree(name + "_shrunk", out, sorted(set(marks)))
-    if config.out:
-        with open(config.out, "a") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    tree_text = shrink.serialize_tree(name + "_shrunk", out, sorted(set(marks)))
+    _emit(report.render() + tree_text, config.out)
     return 0
 
 
@@ -225,7 +214,7 @@ def cmd_translate(args, config: RunConfig) -> int:
     report.put("p-used", p_used)
     report.put("sentence", sentence)
     report.put("sample-agreement", verified)
-    _emit(report, config.out)
+    _emit(report.render(), config.out)
     return 0 if verified else 3
 
 
@@ -246,7 +235,7 @@ def cmd_cores(args, config: RunConfig) -> int:
         report.put(f"cores-{names[id(cert.structure)]}", sets)
     report.put("models-checked", len(certs))
     report.put("every-model-has-core", ok)
-    _emit(report, config.out)
+    _emit(report.render(), config.out)
     return 0
 
 
@@ -270,7 +259,7 @@ def cmd_wqo_scan(args, config: RunConfig) -> int:
     else:
         report.say("No embedding pair: the sequence is an antichain.")
         report.put("pair", "none")
-    _emit(report, config.out)
+    _emit(report.render(), config.out)
     return 0
 
 
@@ -285,20 +274,14 @@ def cmd_algebra_eval(args, config: RunConfig) -> int:
     named = _load_structures(args.structs)
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
+    _check_size(algebra.evaluated_size(tree), config)
     out = algebra.eval_expression_tree(tree)
-    _check_size(out, config)
     config.extras.update({"structs": args.structs, "expr": expr_text})
     report = Report(config)
     report.say(f"Evaluated the expression to a structure with {out.size} elements.")
     report.put("output-size", out.size)
     report.put("structure", "")
-    _emit(report, config.out)
-    text = serialize_structure("result", out)
-    if config.out:
-        with open(config.out, "a") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.render() + serialize_structure("result", out), config.out)
     return 0
 
 
@@ -329,13 +312,7 @@ def cmd_algebra_shrink(args, config: RunConfig) -> int:
         report.put(f"verified-{key.replace('_', '-')}", rep.verdicts[key])
     report.put("certificate", rep.certificate)
     report.put("structure", "")
-    _emit(report, config.out)
-    text = serialize_structure("result", out)
-    if config.out:
-        with open(config.out, "a") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.render() + serialize_structure("result", out), config.out)
     return 0
 
 
@@ -368,12 +345,7 @@ def cmd_gen(args, config: RunConfig) -> int:
     name = name or args.klass
     if marks:
         A = MarkedStructure(A, tuple(marks)).expand()
-    text = serialize_structure(name, A)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(serialize_structure(name, A), config.out)
     return 0
 
 
@@ -385,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--m", type=int, default=None, help="quantifier-rank bound")
     common.add_argument("--k", type=int, default=None, help="mark-set size bound")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--max-size", type=int, default=64)
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -459,7 +430,6 @@ def main(argv=None) -> int:
         command=args.command,
         m=args.m,
         k=args.k,
-        seed=args.seed,
         max_size=args.max_size,
         out=args.out,
     )

@@ -135,6 +135,8 @@ def _leaf_keys(A: Structure, tables: list, pts: tuple[int, ...]) -> set:
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the structure."""
+    if m < 0:
+        raise ValueError(f"quantifier rank must be nonnegative, got {m}")
     for e in tup:
         if not 0 <= e < A.size:
             raise ValueError(f"tuple component {e} outside the universe")
@@ -187,6 +189,8 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
     answers on the other side; the matcher survives iff the chosen pairs
     (together with the constants) always form a partial isomorphism.
     """
+    if m < 0:
+        raise ValueError(f"quantifier rank must be nonnegative, got {m}")
     if A.vocab != B.vocab:
         raise ValueError("equivalence requires identical vocabularies")
 

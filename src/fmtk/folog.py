@@ -360,13 +360,6 @@ def _constants_of(f: Formula) -> set[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def relativize_check(A: Structure, f: Formula, values: tuple[int, ...]) -> bool:
-    """Truth of ``f`` relativized to ``values``, evaluated directly."""
-    xs = tuple(f"x{i + 1}" for i in range(len(values)))
-    rel = relativize(f, xs)
-    return evaluate(A, rel, dict(zip(xs, values)))
-
-
 # ---------------------------------------------------------------------------
 # size-bound sentence and prefix sentences
 

@@ -482,15 +482,28 @@ def reduce_W_distances(s: SigmaTree, W, m: int,
 
 @dataclass
 class ShrinkReport:
-    """Per-run log of a shrink pipeline with its verification verdicts."""
+    """Per-run log of a shrink pipeline with its verification verdicts.
+
+    ``certificate`` is the union/complement expression of an algebraic
+    shrink's output; other pipelines leave it empty.
+    """
 
     input_size: int
     output_size: int
     phases: list[tuple[str, int, int]] = field(default_factory=list)
     verdicts: dict[str, bool] = field(default_factory=dict)
+    certificate: str = ""
 
     def ok(self) -> bool:
         return all(self.verdicts.values())
+
+    def raise_if_failed(self) -> None:
+        """Raise :class:`VerificationFailed`, carrying this report as
+        ``.report``, unless every verdict holds."""
+        if not self.ok():
+            exc = VerificationFailed(f"shrink verification failed: {self.verdicts}")
+            exc.report = self
+            raise exc
 
 
 def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkReport]:
@@ -538,10 +551,7 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
         "equivalent": classes.of(frozenset(t3.nodes)) == classes.of(frozenset(s.nodes)),
     }
     report = ShrinkReport(s.size, t3.size, phases, verdicts)
-    if not report.ok():
-        exc = VerificationFailed(f"shrink verification failed: {verdicts}")
-        exc.report = report
-        raise exc
+    report.raise_if_failed()
     return t3, report
 
 
@@ -611,7 +621,12 @@ def parse_trees(text: str) -> dict[str, tuple[SigmaTree, tuple[int, ...]]]:
             raise
         except Exception as exc:
             raise StructureFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
-    flush()
+    try:
+        flush()
+    except StructureFormatError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise StructureFormatError(f"tree {name}: {exc}") from exc
     if not result:
         raise StructureFormatError("no trees in input")
     return result

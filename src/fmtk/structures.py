@@ -24,7 +24,11 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """A finite relational signature: named predicates plus constant names."""
+    """A finite relational signature: named predicates plus constant names.
+
+    Both are stored sorted by name, so equal signatures compare equal however
+    they were built.
+    """
 
     predicates: tuple[tuple[str, int], ...]
     constants: tuple[str, ...] = ()
@@ -39,10 +43,12 @@ class Vocabulary:
         for name, arity in self.predicates:
             if arity < 1:
                 raise ValueError(f"predicate {name} has non-positive arity {arity}")
+        object.__setattr__(self, "predicates", tuple(sorted(self.predicates)))
+        object.__setattr__(self, "constants", tuple(sorted(self.constants)))
 
     @staticmethod
     def make(predicates: dict[str, int], constants=()) -> "Vocabulary":
-        return Vocabulary(tuple(sorted(predicates.items())), tuple(constants))
+        return Vocabulary(tuple(predicates.items()), tuple(constants))
 
     def arity(self, name: str) -> int:
         for pred, arity in self.predicates:
@@ -61,14 +67,7 @@ class Vocabulary:
         return Vocabulary(self.predicates, self.constants + tuple(names))
 
     def with_predicate(self, name: str, arity: int) -> "Vocabulary":
-        return Vocabulary(
-            tuple(sorted(self.predicates + ((name, arity),))), self.constants
-        )
-
-    def drop_predicate(self, name: str) -> "Vocabulary":
-        return Vocabulary(
-            tuple(p for p in self.predicates if p[0] != name), self.constants
-        )
+        return Vocabulary(self.predicates + ((name, arity),), self.constants)
 
     def fresh_name(self, base: str) -> str:
         name = base
@@ -152,9 +151,6 @@ class Structure:
     def holds(self, pred: str, t: tuple[int, ...]) -> bool:
         return t in self.relations[pred]
 
-    def elements(self) -> range:
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class MarkedStructure:
@@ -219,6 +215,21 @@ def induced_substructure(A: Structure, subset) -> tuple[Structure, dict[int, int
     }
     consts = {c: renumber[e] for c, e in A.constant_interp.items()}
     return Structure(A.vocab, len(subset), relations, consts), renumber
+
+
+def induced_supersets(A: Structure, required=()):
+    """Every induced substructure of ``A`` that keeps ``required`` and the
+    constants, as ``(kept ids, substructure)``.
+
+    Smallest first; within one size, in lexicographic order of the kept ids.
+    """
+    fixed = set(required) | set(A.constant_interp.values())
+    free = [e for e in range(A.size) if e not in fixed]
+    for extra in range(len(free) + 1):
+        for combo in itertools.combinations(free, extra):
+            kept = tuple(sorted(fixed.union(combo)))
+            if kept:
+                yield kept, induced_substructure(A, kept)[0]
 
 
 def check_embedding_witness(A: Structure, B: Structure, mapping: dict[int, int]) -> bool:
@@ -404,18 +415,17 @@ def cartesian_product(A: Structure, B: Structure) -> Structure:
     _require_constant_free(A, B)
     nb = B.size
     relations = {}
-    for name, arity in A.vocab.predicates:
-        rel_a, rel_b = A.relations[name], B.relations[name]
-        tuples = set()
-        for pairs in itertools.product(
-            itertools.product(range(A.size), range(nb)), repeat=arity
-        ):
-            firsts = tuple(p[0] for p in pairs)
-            seconds = tuple(p[1] for p in pairs)
-            if (len(set(firsts)) == 1 and seconds in rel_b) or (
-                firsts in rel_a and len(set(seconds)) == 1
-            ):
-                tuples.add(tuple(p[0] * nb + p[1] for p in pairs))
+    for name, _ in A.vocab.predicates:
+        tuples = {
+            tuple(a * nb + b for b in tb)
+            for a in range(A.size)
+            for tb in B.relations[name]
+        }
+        tuples.update(
+            tuple(a * nb + b for a in ta)
+            for ta in A.relations[name]
+            for b in range(nb)
+        )
         relations[name] = frozenset(tuples)
     return Structure(A.vocab, A.size * nb, relations)
 
@@ -452,12 +462,6 @@ def word_of_structures(parts: list[Structure]) -> Structure:
     """
     if not parts:
         raise ValueError("a word needs at least one part")
-    vocab = parts[0].vocab
-    for p in parts:
-        _require_same_vocab(parts[0], p)
-    _require_constant_free(*parts)
-    if vocab.has_predicate(ORDER_PRED):
-        raise ValueError(f"vocabulary already uses the order predicate {ORDER_PRED!r}")
     # chain shape: block i is the parent of block i+1
     shape = {i: (None if i == 0 else i - 1) for i in range(len(parts))}
     return tree_of_structures(shape, parts)
@@ -495,12 +499,7 @@ def tree_of_structures(shape: dict[int, int | None], parts: list[Structure]) -> 
             j = shape[j]
         ancestors[i] = chain
 
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.size
-
+    offsets = block_offsets(parts)
     new_vocab = vocab.with_predicate(ORDER_PRED, 2)
     relations = {name: set() for name, _ in new_vocab.predicates}
     for i, p in enumerate(parts):
@@ -517,7 +516,9 @@ def tree_of_structures(shape: dict[int, int | None], parts: list[Structure]) -> 
                 for b in range(parts[j].size):
                     relations[ORDER_PRED].add((a + offsets[i], b + offsets[j]))
     return Structure(
-        new_vocab, total, {n: frozenset(ts) for n, ts in relations.items()}
+        new_vocab,
+        sum(p.size for p in parts),
+        {n: frozenset(ts) for n, ts in relations.items()},
     )
 
 
@@ -570,7 +571,7 @@ def parse_structures(text: str) -> dict[str, Structure]:
         if vocab is None or size is None:
             raise StructureFormatError(f"structure {name} is missing vocab or universe")
         if consts:
-            vocab = vocab.with_constants(sorted(consts))
+            vocab = vocab.with_constants(consts)
         result[name] = Structure(vocab, size, relations, consts)
         name, vocab, size, relations, consts = None, None, None, {}, {}
 

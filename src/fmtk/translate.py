@@ -32,8 +32,14 @@ from .folog import (
     _implies,
 )
 from .shrink import from_structure
-from .structures import Structure, Vocabulary, find_embedding, induced_substructure
-from .wqo import _order_positions
+from .structures import (
+    Structure,
+    Vocabulary,
+    find_embedding,
+    induced_substructure,
+    induced_supersets,
+)
+from .wqo import _components, _degrees, _is_cycle_component, _order_positions
 
 CORE_GUARD = 12  # exhaustive subset enumeration bound
 MINIMAL_MODEL_GUARD = 64
@@ -57,18 +63,14 @@ class ClassSample:
     def validate_closed(self) -> bool:
         reps = _iso_dedupe(self.structures)
         for A in self.structures:
-            for size in range(1, A.size + 1):
-                for combo in itertools.combinations(range(A.size), size):
-                    if not set(A.constant_interp.values()) <= set(combo):
-                        continue
-                    sub, _ = induced_substructure(A, combo)
-                    if not self.member(sub):
-                        continue
-                    if not any(
-                        sub.size == R.size and find_embedding(sub, R) is not None
-                        for R in reps
-                    ):
-                        return False
+            for _, sub in induced_supersets(A):
+                if not self.member(sub):
+                    continue
+                if not any(
+                    sub.size == R.size and find_embedding(sub, R) is not None
+                    for R in reps
+                ):
+                    return False
         return True
 
 
@@ -124,28 +126,15 @@ def find_cores(A: Structure, crit, k: int, sample: ClassSample) -> list[tuple[in
     if not sample.member(A):
         raise ValueError("the structure is not in the sample's class")
     in_target = _as_class_test(crit)
-    const_mask = 0
-    for e in A.constant_interp.values():
-        const_mask |= 1 << e
-
-    bad_masks: list[int] = []
-    for size in range(1, A.size + 1):
-        for combo in itertools.combinations(range(A.size), size):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            if mask & const_mask != const_mask:
-                continue
-            B, _ = induced_substructure(A, combo)
-            if sample.member(B) and not in_target(B):
-                bad_masks.append(mask)
-
+    bad_masks = [
+        sum(1 << e for e in kept)
+        for kept, B in induced_supersets(A)
+        if sample.member(B) and not in_target(B)
+    ]
     cores: list[tuple[int, ...]] = []
     for size in range(k + 1):
         for combo in itertools.combinations(range(A.size), size):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
+            mask = sum(1 << e for e in combo)
             if all(mask & bad != mask for bad in bad_masks):
                 cores.append(combo)
     return cores
@@ -339,13 +328,6 @@ def enumerate_structures(vocab: Vocabulary, max_size: int) -> list[Structure]:
     return out
 
 
-def _degrees(A: Structure) -> list[int]:
-    return [
-        sum(1 for (a, b) in A.relations["E"] if a == v and b != v)
-        for v in range(A.size)
-    ]
-
-
 def _is_symmetric_loopfree(A: Structure) -> bool:
     E = A.relations.get("E")
     if E is None:
@@ -353,16 +335,10 @@ def _is_symmetric_loopfree(A: Structure) -> bool:
     return all(a != b and (b, a) in E for (a, b) in E)
 
 
-def _component_count(A: Structure) -> int:
-    from .wqo import _components
-
-    return len(_components(A))
-
-
 def is_cycle_graph(A: Structure) -> bool:
     if not _is_symmetric_loopfree(A) or A.size < 3:
         return False
-    return all(d == 2 for d in _degrees(A)) and _component_count(A) == 1
+    return all(d == 2 for d in _degrees(A)) and len(_components(A)) == 1
 
 
 def is_path_graph(A: Structure) -> bool:
@@ -374,14 +350,12 @@ def is_path_graph(A: Structure) -> bool:
     return (
         max(degs) <= 2
         and degs.count(1) == 2
-        and _component_count(A) == 1
+        and len(_components(A)) == 1
         and len(A.relations["E"]) == 2 * (A.size - 1)
     )
 
 
 def is_path_union(A: Structure) -> bool:
-    from .wqo import _components
-
     if not _is_symmetric_loopfree(A):
         return False
     for comp in _components(A):
@@ -416,12 +390,11 @@ def is_sigma_word(A: Structure) -> bool:
 
 def is_paths_cycle_family(A: Structure) -> bool:
     """Member of the paths-plus-one-cycle example family."""
-    from .wqo import _components, _is_cycle_component
-
     if not _is_symmetric_loopfree(A):
         return False
     comps = _components(A)
-    cycles = [c for c in comps if _is_cycle_component(A, c)]
+    degs = _degrees(A)
+    cycles = [c for c in comps if _is_cycle_component(degs, c)]
     if len(cycles) > 1:
         return False
     lengths: dict[int, int] = {}

@@ -326,6 +326,15 @@ def shrink_cycle_with_W(
     return shrunk, composed
 
 
+def _degrees(A: Structure) -> list[int]:
+    """Out-degree of each vertex over ``E``, loops not counted."""
+    degs = [0] * A.size
+    for a, b in A.relations["E"]:
+        if a != b:
+            degs[a] += 1
+    return degs
+
+
 def _components(A: Structure) -> list[list[int]]:
     seen: set[int] = set()
     comps = []
@@ -349,11 +358,9 @@ def _components(A: Structure) -> list[list[int]]:
     return comps
 
 
-def _is_cycle_component(A: Structure, comp: list[int]) -> bool:
-    degs = []
-    for v in comp:
-        degs.append(sum(1 for (a, b) in A.relations["E"] if a == v and b != v))
-    return len(comp) >= 3 and all(d == 2 for d in degs)
+def _is_cycle_component(degs: list[int], comp: list[int]) -> bool:
+    """``comp`` is a cycle, given the vertex degrees from :func:`_degrees`."""
+    return len(comp) >= 3 and all(degs[v] == 2 for v in comp)
 
 
 def witness_HnGn(
@@ -370,10 +377,11 @@ def witness_HnGn(
     if len(W) > k:
         raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
     comps = _components(A)
-    cycles = [c for c in comps if _is_cycle_component(A, c)]
+    degs = _degrees(A)
+    cycles = [c for c in comps if _is_cycle_component(degs, c)]
     if len(cycles) > 1:
         raise ValueError("expected at most one cycle component")
-    paths = [c for c in comps if not _is_cycle_component(A, c)]
+    paths = [c for c in comps if c not in cycles]
     if n is None:
         # infer n: the number of copies of the longest path length present
         longest = max(len(c) for c in paths) - 1

@@ -126,6 +126,27 @@ def reference_rank_type_key(A: Structure, tup: tuple[int, ...], m: int) -> tuple
     return rec(tuple(tup), m)
 
 
+def reference_cartesian_product(A: Structure, B: Structure) -> Structure:
+    """Cartesian product by its definition: every tuple of pairs is tested,
+    and holds iff one coordinate is constant and the other tuple holds."""
+    nb = B.size
+    relations = {}
+    for name, arity in A.vocab.predicates:
+        rel_a, rel_b = A.relations[name], B.relations[name]
+        tuples = set()
+        for pairs in itertools.product(
+            itertools.product(range(A.size), range(nb)), repeat=arity
+        ):
+            firsts = tuple(p[0] for p in pairs)
+            seconds = tuple(p[1] for p in pairs)
+            if (len(set(firsts)) == 1 and seconds in rel_b) or (
+                firsts in rel_a and len(set(seconds)) == 1
+            ):
+                tuples.add(tuple(p[0] * nb + p[1] for p in pairs))
+        relations[name] = frozenset(tuples)
+    return Structure(A.vocab, A.size * nb, relations)
+
+
 # ---------------------------------------------------------------------------
 # generators
 

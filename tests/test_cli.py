@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from fmtk import algebra
 from fmtk.cli import main
 from fmtk.shrink import parse_trees, serialize_tree
 from fmtk.structures import parse_structures, serialize_structure
@@ -202,6 +203,16 @@ class TestAlgebraCommands:
         capsys.readouterr()
         assert code == 1
 
+    def test_eval_guard_fires_before_the_product(self, structs_file, capsys, monkeypatch):
+        def product_not_allowed(A, B):
+            raise AssertionError("the product ran before the size guard")
+
+        monkeypatch.setitem(algebra._EVAL, algebra.CARTESIAN, product_not_allowed)
+        code = main(["algebra-eval", "--structs", structs_file, "--expr", "(x A B)",
+                     "--max-size", "1"])
+        assert code == 2
+        assert "exceeds --max-size 1" in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_gen_cycle_parses_back(self, tmp_path):
@@ -245,6 +256,25 @@ class TestConsoleEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "fmtk.cli", "equiv", "--file-a", str(f),
              "--file-b", str(f), "--m", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["equiv", "shrink", "algebra-shrink"])
+    def test_negative_rank_exits_1_without_traceback(self, tmp_path, command):
+        s = tmp_path / "s.txt"
+        s.write_text(serialize_structure("A", make_cycle(3)))
+        t = tmp_path / "t.txt"
+        t.write_text("tree t\nalphabet: a\nnode 0 label a root\nnode 1 label a parent 0\n")
+        args = {
+            "equiv": ["--file-a", str(s), "--file-b", str(s)],
+            "shrink": ["--file", str(t), "--k", "0"],
+            "algebra-shrink": ["--structs", str(s), "--expr", "(u A A)", "--k", "0"],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", command, *args, "--m", "-1"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 1

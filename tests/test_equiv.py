@@ -12,12 +12,15 @@ from fmtk.equiv import (
 )
 from fmtk.shrink import SigmaTree, join_at, to_structure, trees_equivalent
 from fmtk.structures import (
+    MarkedStructure,
     Structure,
     Vocabulary,
     bowtie,
     cartesian_product,
     complement,
     disjoint_union,
+    parse_structures,
+    serialize_structure,
     tensor_product,
 )
 from fmtk.wqo import make_cycle, make_linear_order, make_path
@@ -57,6 +60,10 @@ class TestRankType:
     def test_tuple_validation(self):
         with pytest.raises(ValueError):
             rank_type(make_cycle(3), (7,), 1)
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError):
+            rank_type(make_cycle(3), (), -1)
 
     def test_fingerprint_is_stable(self):
         # frozen value: guards the canonical serialization against drift
@@ -106,6 +113,11 @@ class TestMEquivalent:
         with pytest.raises(ValueError):
             m_equivalent(make_path(1), make_linear_order(2), 1)
 
+    def test_ten_marks_against_parsed_copy(self):
+        A = MarkedStructure(make_cycle(12), tuple(range(10))).expand()
+        B = parse_structures(serialize_structure("A", A))["A"]
+        assert m_equivalent(A, B, 1)
+
     def test_monotone_in_rank(self):
         rng = random.Random(32)
         for _ in range(40):
@@ -125,6 +137,10 @@ class TestEfGame:
 
     def test_cycles(self):
         assert ef_game_equivalent(make_cycle(4), make_cycle(5), 2)
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError):
+            ef_game_equivalent(make_cycle(3), make_cycle(3), -1)
 
     def test_exhaustive_agreement_small(self):
         reps = iso_representatives(all_structures(V, (1, 2)))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fmtk.errors import StructureFormatError
 from fmtk.shrink import (
     SigmaTree,
     from_structure,
@@ -336,3 +337,10 @@ class TestTreeTextFormat:
     def test_unknown_line_rejected(self):
         with pytest.raises(ValueError):
             parse_trees("tree x\nnonsense here\n")
+
+    def test_bad_last_block_is_a_format_error(self):
+        two_roots = "tree T\nalphabet: a\nnode 1 label a root\nnode 2 label a root\n"
+        foreign_label = "tree T\nalphabet: a\nnode 1 label b root\n"
+        for text in (two_roots, foreign_label):
+            with pytest.raises(StructureFormatError):
+                parse_trees(text)

@@ -25,7 +25,12 @@ from fmtk.structures import (
 )
 from fmtk.wqo import make_cycle, make_linear_order, make_path
 
-from oracles import brute_force_embedding, permuted_copy, random_structure
+from oracles import (
+    brute_force_embedding,
+    permuted_copy,
+    random_structure,
+    reference_cartesian_product,
+)
 
 V = Vocabulary.make({"E": 2})
 
@@ -48,6 +53,13 @@ class TestVocabulary:
     def test_fresh_name(self):
         v = Vocabulary.make({"R": 1})
         assert v.fresh_name("R") == "R_"
+
+    def test_symbols_stored_sorted(self):
+        v = Vocabulary((("Q", 1), ("E", 2)), ("c2", "c10", "c1"))
+        assert v.predicates == (("E", 2), ("Q", 1))
+        assert v.constants == ("c1", "c10", "c2")
+        assert v == Vocabulary.make({"E": 2, "Q": 1}, ["c1", "c2", "c10"])
+        assert v.with_predicate("A", 1).predicates[0] == ("A", 1)
 
 
 class TestStructureBasics:
@@ -262,6 +274,15 @@ class TestProducts:
         B = digraph(2, [])
         assert not tensor_product(A, B).relations["E"]
 
+    def test_cartesian_matches_reference(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            arity = rng.randint(1, 3)
+            vocab = Vocabulary.make({"R": arity, "S": 1})
+            A = random_structure(rng, vocab, rng.randint(1, 4), rng.random())
+            B = random_structure(rng, vocab, rng.randint(1, 4), rng.random())
+            assert cartesian_product(A, B) == reference_cartesian_product(A, B)
+
     def test_products_commutative_up_to_isomorphism(self):
         rng = random.Random(8)
         for op in (cartesian_product, tensor_product):
@@ -404,3 +425,9 @@ class TestTextFormat:
         for text in (unknown, wrong_arity):
             with pytest.raises(StructureFormatError):
                 parse_structures(text)
+
+    def test_ten_marks_round_trip(self):
+        # constants c1 .. c10: parsing must not reorder them against expand()
+        A = MarkedStructure(make_cycle(12), tuple(range(10))).expand()
+        parsed = parse_structures(serialize_structure("A", A))["A"]
+        assert parsed == A
