@@ -35,6 +35,8 @@ from .structures import (
 UNION, COMPLEMENT, CARTESIAN, TENSOR, BOWTIE, LEAF = "u", "!", "x", "t", "bw", "leaf"
 _ARITY = {UNION: 2, COMPLEMENT: 1, CARTESIAN: 2, TENSOR: 2, BOWTIE: 2}
 
+EXHAUSTIVE_SHRINK_GUARD = 12  # largest leaf the exhaustive leaf shrinker searches
+
 _ids = itertools.count()
 
 
@@ -270,7 +272,7 @@ def sigma_tree_leaf_shrinker(B: Structure, marks, m: int):
     return sub, kept
 
 
-def exhaustive_leaf_shrinker(max_size: int = 12):
+def exhaustive_leaf_shrinker(max_size: int = EXHAUSTIVE_SHRINK_GUARD):
     """Smallest equivalent mark-containing induced substructure, by direct
     enumeration over subsets; only usable at desk scale."""
 

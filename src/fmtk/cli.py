@@ -108,10 +108,18 @@ def _check_size(size: int, config: RunConfig):
 GEN_CLASSES = ("linorder", "path", "cycle", "hn", "gn", "grid")
 
 
-def _sample_from_spec(spec: str) -> tuple[translate.ClassSample, str]:
-    """``cycles:3:8``-style ranges over generators, or ``file:PATH``."""
+def _load_checked(path: str, config: RunConfig) -> dict[str, Structure]:
+    named = _load_structures(path)
+    for A in named.values():
+        _check_size(A.size, config)
+    return named
+
+
+def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSample, str]:
+    """``cycles:3:8``-style ranges over generators, or ``file:PATH``; every
+    structure is held to ``--max-size`` before any evaluation."""
     if spec.startswith("file:"):
-        named = _load_structures(spec[len("file:"):])
+        named = _load_checked(spec[len("file:"):], config)
         return translate.ClassSample(list(named.values())), spec
     parts = spec.split(":")
     if len(parts) != 3:
@@ -119,14 +127,17 @@ def _sample_from_spec(spec: str) -> tuple[translate.ClassSample, str]:
             "sample spec must be CLASS:LO:HI (cycles, paths, linorders) or file:PATH"
         )
     kind, lo, hi = parts[0], int(parts[1]), int(parts[2])
+    # generator, membership test, and the extra elements of a structure
+    # beyond its parameter (a path of length n has n + 1 vertices)
     makers = {
-        "cycles": (wqo.make_cycle, translate.is_cycle_graph),
-        "paths": (wqo.make_path, translate.is_path_graph),
-        "linorders": (wqo.make_linear_order, translate.is_linear_order),
+        "cycles": (wqo.make_cycle, translate.is_cycle_graph, 0),
+        "paths": (wqo.make_path, translate.is_path_graph, 1),
+        "linorders": (wqo.make_linear_order, translate.is_linear_order, 0),
     }
     if kind not in makers:
         raise StructureFormatError(f"unknown sample class {kind!r}")
-    maker, member = makers[kind]
+    maker, member, extra = makers[kind]
+    _check_size(hi + extra, config)
     return (
         translate.ClassSample([maker(n) for n in range(lo, hi + 1)], membership=member),
         spec,
@@ -191,7 +202,7 @@ def cmd_shrink(args, config: RunConfig) -> int:
 
 
 def cmd_translate(args, config: RunConfig) -> int:
-    sample, spec = _sample_from_spec(args.sample)
+    sample, spec = _sample_from_spec(args.sample, config)
     vocab = sample.structures[0].vocab
     phi = folog.parse(vocab, args.formula)
     config.extras.update({"sample": spec, "formula": args.formula, "p": args.p})
@@ -219,7 +230,7 @@ def cmd_translate(args, config: RunConfig) -> int:
 
 
 def cmd_cores(args, config: RunConfig) -> int:
-    named = _load_structures(args.file)
+    named = _load_checked(args.file, config)
     member = translate.CLASS_TESTS[args.klass]
     sample = translate.ClassSample(list(named.values()), membership=member)
     vocab = sample.structures[0].vocab
@@ -240,7 +251,7 @@ def cmd_cores(args, config: RunConfig) -> int:
 
 
 def cmd_wqo_scan(args, config: RunConfig) -> int:
-    named = _load_structures(args.file)
+    named = _load_checked(args.file, config)
     items = []
     for name, A in named.items():
         consts = sorted(A.vocab.constants)
@@ -293,7 +304,9 @@ def cmd_algebra_shrink(args, config: RunConfig) -> int:
     shrinker = (
         algebra.identity_leaf_shrinker
         if args.leaf_shrinker == "identity"
-        else algebra.exhaustive_leaf_shrinker(config.max_size)
+        else algebra.exhaustive_leaf_shrinker(
+            min(config.max_size, algebra.EXHAUSTIVE_SHRINK_GUARD)
+        )
     )
     config.extras.update({
         "structs": args.structs, "expr": expr_text,

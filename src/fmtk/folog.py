@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import FormulaSyntaxError
 from .structures import Structure, Vocabulary
@@ -175,56 +176,188 @@ def eliminate_implications(f: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# A formula is compiled once per vocabulary into a tree of closures, each
+# called as ``node(A, env)``. ``env`` is a list of variable slots: the free
+# variables first, in sorted order, then one slot per binder occurrence, so an
+# inner binder never overwrites an outer binding of the same name. Atoms are
+# resolved against the vocabulary when compiled; a symbol the vocabulary lacks
+# compiles to a node that raises only when evaluation reaches it, so
+# short-circuiting decides whether the error shows, as it would for a walk of
+# the syntax tree.
+
+_COMPILED_LIMIT = 256
+# (id(formula), vocabulary) -> (formula, free variables, slot count, root node).
+# The entry holds the formula, so its id cannot be reused while cached.
+_compiled: dict[tuple[int, Vocabulary], tuple] = {}
 
 
 def evaluate(A: Structure, f: Formula, assignment: dict[str, int] | None = None) -> bool:
-    """Tarskian truth of ``f`` in ``A`` under ``assignment``."""
-    assignment = dict(assignment or {})
-    missing = free_vars(f) - set(assignment)
-    if missing:
-        raise ValueError(f"unassigned free variables: {sorted(missing)}")
-    return _eval(A, eliminate_implications(f), assignment)
+    """Tarskian truth of ``f`` in ``A`` under ``assignment``.
+
+    The compiled form of ``f`` is cached per formula object and vocabulary,
+    so evaluating one formula on many structures or assignments compiles it
+    once.
+    """
+    key = (id(f), A.vocab)
+    entry = _compiled.get(key)
+    if entry is None or entry[0] is not f:
+        if len(_compiled) >= _COMPILED_LIMIT:
+            _compiled.clear()
+        entry = _compiled[key] = (f, *_compile(f, A.vocab))
+    _, free, n_slots, node = entry
+    env = [None] * n_slots
+    if free:
+        assignment = assignment or {}
+        missing = [v for v in free if v not in assignment]
+        if missing:
+            raise ValueError(f"unassigned free variables: {missing}")
+        env[: len(free)] = [assignment[v] for v in free]
+    return node(A, env)
 
 
-def _term_value(A: Structure, t: Term, assignment) -> int:
-    if isinstance(t, Var):
-        return assignment[t.name]
-    if t.name not in A.constant_interp:
-        raise ValueError(f"unknown constant {t.name}")
-    return A.constant_interp[t.name]
+def _raiser(message: str):
+    def node(A, env):
+        raise ValueError(message)
+
+    return node
 
 
-def _eval(A: Structure, f: Formula, assignment: dict[str, int]) -> bool:
-    if isinstance(f, Atom):
-        if not A.vocab.has_predicate(f.pred):
-            raise ValueError(f"unknown predicate {f.pred}")
-        if len(f.args) != A.vocab.arity(f.pred):
-            raise ValueError(f"arity mismatch for {f.pred}")
-        return A.holds(f.pred, tuple(_term_value(A, t, assignment) for t in f.args))
-    if isinstance(f, Eq):
-        return _term_value(A, f.lhs, assignment) == _term_value(A, f.rhs, assignment)
-    if isinstance(f, Not):
-        return not _eval(A, f.sub, assignment)
-    if isinstance(f, And):
-        return _eval(A, f.lhs, assignment) and _eval(A, f.rhs, assignment)
-    if isinstance(f, Or):
-        return _eval(A, f.lhs, assignment) or _eval(A, f.rhs, assignment)
-    if isinstance(f, (Exists, Forall)):
-        shortcut = isinstance(f, Exists)
-        outer = assignment.get(f.var)  # restore shadowed outer bindings
-        had_outer = f.var in assignment
-        result = not shortcut
-        for e in range(A.size):
-            assignment[f.var] = e
-            if _eval(A, f.body, assignment) == shortcut:
-                result = shortcut
-                break
-        if had_outer:
-            assignment[f.var] = outer
+def _compile(f: Formula, vocab: Vocabulary):
+    """Free variables (sorted), slot count and root node of ``f`` over ``vocab``."""
+    free = tuple(sorted(free_vars(f)))
+    arities = dict(vocab.predicates)
+    constants = frozenset(vocab.constants)
+    n_slots = len(free)
+
+    def unknown_constant(terms):
+        for t in terms:
+            if isinstance(t, Cst) and t.name not in constants:
+                return _raiser(f"unknown constant {t.name}")
+        return None
+
+    def term(t: Term, scope):
+        if isinstance(t, Var):
+            i = scope[t.name]
+            return lambda A, env: env[i]
+        name = t.name
+        return lambda A, env: A.constant_interp[name]
+
+    def atom(g: Atom, scope):
+        pred = g.pred
+        if pred not in arities:
+            return _raiser(f"unknown predicate {pred}")
+        if len(g.args) != arities[pred]:
+            return _raiser(f"arity mismatch for {pred}")
+        bad = unknown_constant(g.args)
+        if bad:
+            return bad
+        if not all(isinstance(t, Var) for t in g.args):
+            terms = [term(t, scope) for t in g.args]
+            return lambda A, env: tuple([t(A, env) for t in terms]) in A.relations[pred]
+        slots = [scope[t.name] for t in g.args]
+        if len(slots) == 1:
+            (i,) = slots
+            return lambda A, env: (env[i],) in A.relations[pred]
+        get = itemgetter(*slots)
+        return lambda A, env: get(env) in A.relations[pred]
+
+    def eq(g: Eq, scope):
+        bad = unknown_constant((g.lhs, g.rhs))
+        if bad:
+            return bad
+        if isinstance(g.lhs, Var) and isinstance(g.rhs, Var):
+            i, j = scope[g.lhs.name], scope[g.rhs.name]
+            return lambda A, env: env[i] == env[j]
+        lhs, rhs = term(g.lhs, scope), term(g.rhs, scope)
+        return lambda A, env: lhs(A, env) == rhs(A, env)
+
+    def negation(g: Not, scope):
+        sub = node(g.sub, scope)
+        return lambda A, env: not sub(A, env)
+
+    def junction(g: And | Or, scope):
+        # a chain of one connective becomes one node; operands keep their order
+        cls = type(g)
+        parts, stack = [], [g]
+        while stack:
+            h = stack.pop()
+            if type(h) is cls:
+                stack += (h.rhs, h.lhs)
+            else:
+                parts.append(node(h, scope))
+        if len(parts) == 2:
+            a, b = parts
+            if cls is And:
+                return lambda A, env: a(A, env) and b(A, env)
+            return lambda A, env: a(A, env) or b(A, env)
+        if cls is And:
+            def run(A, env):
+                for p in parts:
+                    if not p(A, env):
+                        return False
+                return True
         else:
-            assignment.pop(f.var, None)
-        return result
-    raise TypeError(f"not a formula: {f!r}")
+            def run(A, env):
+                for p in parts:
+                    if p(A, env):
+                        return True
+                return False
+
+        return run
+
+    def quantifier(g: Exists | Forall, scope):
+        # a block of one quantifier takes consecutive slots
+        nonlocal n_slots
+        cls = type(g)
+        start = n_slots
+        while type(g) is cls:
+            scope = {**scope, g.var: n_slots}
+            n_slots += 1
+            g = g.body
+        stop = n_slots
+        width = stop - start
+        body = node(g, scope)
+        if width == 1 and cls is Exists:
+            def run(A, env):
+                for env[start] in range(A.size):
+                    if body(A, env):
+                        return True
+                return False
+        elif width == 1:
+            def run(A, env):
+                for env[start] in range(A.size):
+                    if not body(A, env):
+                        return False
+                return True
+        elif cls is Exists:
+            def run(A, env):
+                for env[start:stop] in itertools.product(range(A.size), repeat=width):
+                    if body(A, env):
+                        return True
+                return False
+        else:
+            def run(A, env):
+                for env[start:stop] in itertools.product(range(A.size), repeat=width):
+                    if not body(A, env):
+                        return False
+                return True
+
+        return run
+
+    compilers = {
+        Atom: atom, Eq: eq, Not: negation, And: junction, Or: junction,
+        Exists: quantifier, Forall: quantifier,
+    }
+
+    def node(g: Formula, scope):
+        compiler = compilers.get(type(g))
+        if compiler is None:
+            raise TypeError(f"not a formula: {g!r}")
+        return compiler(g, scope)
+
+    root = node(eliminate_implications(f), {v: i for i, v in enumerate(free)})
+    return free, n_slots, root
 
 
 # ---------------------------------------------------------------------------

@@ -293,10 +293,13 @@ def forall_star_from_minimal_models(class_membership, sample: ClassSample) -> Fo
 
 
 def _verify_defines(sentence: Formula, class_membership, sample: ClassSample):
-    for A in sample.structures:
-        if evaluate(A, sentence) != bool(class_membership(A)):
+    for i, A in enumerate(sample.structures):
+        verdict = evaluate(A, sentence)
+        member = bool(class_membership(A))
+        if verdict != member:
             raise VerificationFailed(
-                "constructed sentence disagrees with the class on the sample"
+                f"constructed sentence disagrees with the class on sample structure {i}"
+                f" (size {A.size}): sentence {verdict}, class {member}"
             )
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and seeded generators for the test suite.
 
 Everything here deliberately avoids the library's optimized code paths: the
-embedding oracle tries every injection, and the game evaluator walks the
-verifier/falsifier move tree with explicit role bookkeeping.
+embedding oracle tries every injection, the game evaluator walks the
+verifier/falsifier move tree with explicit role bookkeeping, and the
+reference evaluator walks the syntax tree recursively.
 """
 
 from __future__ import annotations
@@ -10,7 +11,20 @@ from __future__ import annotations
 import itertools
 import random
 
-from fmtk.folog import And, Atom, Cst, Eq, Exists, Forall, Implies, Not, Or, Var
+from fmtk.folog import (
+    And,
+    Atom,
+    Cst,
+    Eq,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    Var,
+    eliminate_implications,
+    free_vars,
+)
 from fmtk.shrink import SigmaTree
 from fmtk.structures import Structure, Vocabulary
 
@@ -85,6 +99,61 @@ def game_evaluate(A: Structure, f, assignment=None) -> bool:
         raise TypeError(f"not a formula: {g!r}")
 
     return wins(f, True)
+
+
+def reference_evaluate(A: Structure, f, assignment=None) -> bool:
+    """Tarskian truth by a recursive walk of the syntax tree: implications
+    are eliminated and free variables checked on every call, and every atom
+    is looked up in the vocabulary when it is reached. Shares only the
+    syntax helpers ``free_vars`` and ``eliminate_implications`` with the
+    library, none of its compiled evaluator."""
+    assignment = dict(assignment or {})
+    missing = free_vars(f) - set(assignment)
+    if missing:
+        raise ValueError(f"unassigned free variables: {sorted(missing)}")
+    return _reference_eval(A, eliminate_implications(f), assignment)
+
+
+def _reference_term_value(A: Structure, t, assignment) -> int:
+    if isinstance(t, Var):
+        return assignment[t.name]
+    if t.name not in A.constant_interp:
+        raise ValueError(f"unknown constant {t.name}")
+    return A.constant_interp[t.name]
+
+
+def _reference_eval(A: Structure, f, assignment: dict[str, int]) -> bool:
+    if isinstance(f, Atom):
+        if not A.vocab.has_predicate(f.pred):
+            raise ValueError(f"unknown predicate {f.pred}")
+        if len(f.args) != A.vocab.arity(f.pred):
+            raise ValueError(f"arity mismatch for {f.pred}")
+        return A.holds(f.pred, tuple(_reference_term_value(A, t, assignment) for t in f.args))
+    if isinstance(f, Eq):
+        return (_reference_term_value(A, f.lhs, assignment)
+                == _reference_term_value(A, f.rhs, assignment))
+    if isinstance(f, Not):
+        return not _reference_eval(A, f.sub, assignment)
+    if isinstance(f, And):
+        return _reference_eval(A, f.lhs, assignment) and _reference_eval(A, f.rhs, assignment)
+    if isinstance(f, Or):
+        return _reference_eval(A, f.lhs, assignment) or _reference_eval(A, f.rhs, assignment)
+    if isinstance(f, (Exists, Forall)):
+        shortcut = isinstance(f, Exists)
+        outer = assignment.get(f.var)  # restore shadowed outer bindings
+        had_outer = f.var in assignment
+        result = not shortcut
+        for e in range(A.size):
+            assignment[f.var] = e
+            if _reference_eval(A, f.body, assignment) == shortcut:
+                result = shortcut
+                break
+        if had_outer:
+            assignment[f.var] = outer
+        else:
+            assignment.pop(f.var, None)
+        return result
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _reference_atomic_key(A: Structure, points: tuple[int, ...]) -> tuple:

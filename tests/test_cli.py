@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from fmtk import algebra
+from fmtk import algebra, wqo
 from fmtk.cli import main
 from fmtk.shrink import parse_trees, serialize_tree
 from fmtk.structures import parse_structures, serialize_structure
@@ -212,6 +212,61 @@ class TestAlgebraCommands:
                      "--max-size", "1"])
         assert code == 2
         assert "exceeds --max-size 1" in capsys.readouterr().err
+
+
+class TestSizeGuards:
+    @pytest.mark.parametrize("spec", ["cycles:3:65", "paths:0:64", "linorders:1:65"])
+    def test_translate_range_refused_before_generation(self, spec, capsys, monkeypatch):
+        def not_allowed(n):
+            raise AssertionError("a sample structure was built before the size guard")
+
+        for name in ("make_cycle", "make_path", "make_linear_order"):
+            monkeypatch.setattr(wqo, name, not_allowed)
+        code = main(["translate", "--formula", "forall x. x = x", "--sample", spec,
+                     "--k", "0", "--p", "1"])
+        assert code == 2
+        assert "exceeds --max-size 64" in capsys.readouterr().err
+
+    def test_translate_sample_file(self, cycle_files, capsys):
+        _, c5 = cycle_files
+        code = main(["translate", "--formula", "forall x. !E(x,x)",
+                     "--sample", f"file:{c5}", "--k", "0", "--p", "1", "--max-size", "4"])
+        assert code == 2
+        assert "exceeds --max-size 4" in capsys.readouterr().err
+
+    def test_cores(self, cycle_files, capsys):
+        _, c5 = cycle_files
+        code = main(["cores", "--file", c5, "--formula", "forall x. !E(x,x)",
+                     "--k", "1", "--max-size", "4"])
+        assert code == 2
+        assert "exceeds --max-size 4" in capsys.readouterr().err
+
+    def test_wqo_scan(self, tmp_path, capsys):
+        from fmtk.structures import MarkedStructure
+        from fmtk.wqo import make_linear_order
+
+        f = tmp_path / "orders.txt"
+        f.write_text("".join(
+            serialize_structure(f"o{n}", MarkedStructure(make_linear_order(n), (0,)).expand())
+            for n in (3, 5)
+        ))
+        code = main(["wqo-scan", "--file", str(f), "--k", "1", "--max-size", "4"])
+        assert code == 2
+        assert "exceeds --max-size 4" in capsys.readouterr().err
+
+    def test_algebra_shrink_leaf_past_the_exhaustive_guard(self, tmp_path):
+        # --max-size (64) is larger than the exhaustive shrinker's own guard;
+        # the smaller one decides, so the 2^13-subset search never starts
+        s = tmp_path / "s.txt"
+        s.write_text(serialize_structure("A", make_cycle(algebra.EXHAUSTIVE_SHRINK_GUARD + 1)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", "algebra-shrink", "--structs", str(s),
+             "--expr", "(u A A)", "--m", "1", "--k", "0"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "exhaustive-shrink guard 12" in proc.stderr
 
 
 class TestGenCommand:

@@ -2,15 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmtk.errors import FormulaSyntaxError
 from fmtk.folog import (
     And,
     Atom,
     Cst,
+    Eq,
     Exists,
     Forall,
     Implies,
+    Not,
     Or,
     PrefixSentence,
     Var,
@@ -29,12 +33,79 @@ from fmtk.equiv import m_equivalent
 from fmtk.structures import Structure, Vocabulary, induced_substructure
 from fmtk.wqo import make_cycle
 
-from oracles import all_structures, game_evaluate, random_formula, random_structure
+from oracles import (
+    all_structures,
+    game_evaluate,
+    random_formula,
+    random_structure,
+    reference_evaluate,
+)
 
 V = Vocabulary.make({"E": 2})
 VC = Vocabulary.make({"E": 2}, ["c"])
 
 WITNESS_EXAMPLE = Structure(V, 2, {"E": {(0, 0), (0, 1), (1, 1)}})
+
+# property tests: 150 examples each, the same ones on every run
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+VH = Vocabulary.make({"E": 2, "P": 1}, ["c"])
+_terms = st.sampled_from([Var("x"), Var("y"), Cst("c")])
+_formulas = st.recursive(
+    st.one_of(
+        st.builds(lambda a, b: Atom("E", (a, b)), _terms, _terms),
+        st.builds(lambda a: Atom("P", (a,)), _terms),
+        st.builds(Eq, _terms, _terms),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Exists, st.sampled_from(["x", "y"]), sub),
+        st.builds(Forall, st.sampled_from(["x", "y"]), sub),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _structures(draw):
+    n = draw(st.integers(1, 3))
+    pairs = list(itertools.product(range(n), repeat=2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    points = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return Structure(VH, n, {"E": edges, "P": {(e,) for e in points}},
+                     {"c": draw(st.integers(0, n - 1))})
+
+
+def _shadowing(f, rng, pool=("a", "b")):
+    """``f`` with every bound variable renamed to a name from ``pool``, so
+    binders shadow the free variables and each other."""
+    names = {}
+
+    def t(x):
+        return Var(names.get(x.name, x.name)) if isinstance(x, Var) else x
+
+    def walk(g):
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(t(x) for x in g.args))
+        if isinstance(g, Eq):
+            return Eq(t(g.lhs), t(g.rhs))
+        if isinstance(g, Not):
+            return Not(walk(g.sub))
+        if isinstance(g, (And, Or, Implies)):
+            return type(g)(walk(g.lhs), walk(g.rhs))
+        names[g.var] = rng.choice(pool)
+        return type(g)(names[g.var], walk(g.body))
+
+    return walk(f)
+
+
+def _outcome(evaluator, A, f, assignment=None):
+    try:
+        return evaluator(A, f, assignment)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestParsePrint:
@@ -116,6 +187,94 @@ class TestEvaluate:
         for _ in range(40):
             f = random_formula(rng, V, rng.randint(1, 2))
             assert evaluate(c4, f) == evaluate(c5, f)
+
+
+class TestCompiledEvaluate:
+    """The compiled evaluator against the recursive reference evaluator and
+    the game evaluator."""
+
+    VOCABS = [
+        Vocabulary.make({"P": 1}),
+        Vocabulary.make({"P": 1}, ["c"]),
+        V,
+        VC,
+        Vocabulary.make({"T": 3, "P": 1}),
+        Vocabulary.make({"T": 3, "P": 1}, ["c", "d"]),
+    ]
+
+    def test_agrees_with_reference_and_game(self):
+        rng = random.Random(23)
+        for vocab in self.VOCABS:
+            for i in range(40):
+                f = random_formula(rng, vocab, rng.randint(0, 3), scope=("a", "b"))
+                if i % 2:
+                    f = _shadowing(f, rng)
+                for _ in range(3):
+                    A = random_structure(rng, vocab, rng.randint(1, 4))
+                    env = {"a": rng.randrange(A.size), "b": rng.randrange(A.size)}
+                    got = evaluate(A, f, env)
+                    assert got == reference_evaluate(A, f, env) == game_evaluate(A, f, env)
+
+    def test_shadowed_binder_restores_the_outer_value(self):
+        A = Structure(V, 2, {"E": {(0, 0)}})
+        x = Var("x")
+        f = And(Exists("x", Not(Atom("E", (x, x)))), Atom("E", (x, x)))
+        assert evaluate(A, f, {"x": 0})
+        assert not evaluate(A, f, {"x": 1})
+
+    def test_one_formula_on_several_vocabularies(self):
+        # each vocabulary compiles its own plan; a missing symbol or a wrong
+        # arity surfaces as the reference's error, and only where reached
+        rng = random.Random(24)
+        others = [
+            Vocabulary.make({"E": 2, "P": 1}, ["c"]),
+            Vocabulary.make({"E": 3}),
+            Vocabulary.make({"P": 1}),
+            Vocabulary.make({"E": 2}, ["d"]),
+        ]
+        for _ in range(40):
+            f = random_formula(rng, VC, rng.randint(1, 2), scope=("a",))
+            for vocab in [VC] + others + [VC]:
+                if "c" not in vocab.constants:
+                    vocab = vocab.with_constants(["c"]) if rng.random() < 0.5 else vocab
+                A = random_structure(rng, vocab, rng.randint(1, 3))
+                env = {"a": rng.randrange(A.size)}
+                assert _outcome(evaluate, A, f, env) == _outcome(reference_evaluate, A, f, env)
+
+    def test_errors_are_raised_only_when_reached(self):
+        x = Var("x")
+        known, unknown = Eq(x, x), Atom("Q", (x,))
+        A = Structure(V, 2, {"E": {(0, 1)}})
+        assert evaluate(A, Or(known, unknown), {"x": 0})
+        with pytest.raises(ValueError, match="unknown predicate Q"):
+            evaluate(A, Or(unknown, known), {"x": 0})
+        assert not evaluate(A, And(Not(known), Atom("E", (x,))), {"x": 0})
+        with pytest.raises(ValueError, match="arity mismatch for E"):
+            evaluate(A, And(Atom("E", (x,)), Not(known)), {"x": 0})
+        assert evaluate(A, Or(known, Eq(Cst("z"), x)), {"x": 0})
+        with pytest.raises(ValueError, match="unknown constant z"):
+            evaluate(A, Or(Eq(x, Cst("z")), known), {"x": 0})
+
+    def test_unassigned_error_matches_reference(self):
+        f = parse(V, "E(x,y) & E(z,x)")
+        with pytest.raises(ValueError) as got:
+            evaluate(WITNESS_EXAMPLE, f, {"x": 0})
+        with pytest.raises(ValueError) as want:
+            reference_evaluate(WITNESS_EXAMPLE, f, {"x": 0})
+        assert str(got.value) == str(want.value) == "unassigned free variables: ['y', 'z']"
+
+
+class TestProperties:
+    @PROPERTY
+    @given(_formulas)
+    def test_print_parse_round_trip(self, f):
+        assert parse(VH, print_formula(f)) == f
+
+    @PROPERTY
+    @given(_formulas, _structures(), st.integers(0, 2), st.integers(0, 2))
+    def test_evaluate_matches_game(self, f, A, x, y):
+        env = {"x": x % A.size, "y": y % A.size}
+        assert evaluate(A, f, env) == game_evaluate(A, f, env)
 
 
 class TestRelativize:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fmtk.errors import GuardExceeded
+from fmtk.errors import GuardExceeded, VerificationFailed
 from fmtk.folog import (
     Implies,
     evaluate,
@@ -264,6 +264,17 @@ class TestMinimalModels:
                 forall_star_from_minimal_models(lambda s: not s.relations["E"], sample)
         finally:
             tr.MINIMAL_MODEL_GUARD = old
+
+    def test_verification_names_the_first_disagreement(self):
+        # "more than one element" is not closed under substructures: the
+        # sentence built from its one outside minimal model rejects every
+        # structure, and the class accepts the second one
+        sample = all_sample([make_linear_order(n) for n in (1, 2, 3)])
+        with pytest.raises(
+            VerificationFailed,
+            match=r"sample structure 1 \(size 2\): sentence False, class True$",
+        ):
+            forall_star_from_minimal_models(lambda s: s.size != 1, sample)
 
     def test_downward_closed_output(self):
         from fmtk.structures import induced_substructure
