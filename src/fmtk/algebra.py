@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .equiv import class_fingerprint, rank_type
-from .errors import GuardExceeded, StructureFormatError, VerificationFailed
+from .errors import StructureFormatError, VerificationFailed, check_guard
 from .shrink import ShrinkReport, SigmaTree, shrink_tree
 from .structures import (
     MarkedStructure,
@@ -272,22 +272,16 @@ def sigma_tree_leaf_shrinker(B: Structure, marks, m: int):
     return sub, kept
 
 
-def exhaustive_leaf_shrinker(max_size: int = EXHAUSTIVE_SHRINK_GUARD):
+def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     """Smallest equivalent mark-containing induced substructure, by direct
-    enumeration over subsets; only usable at desk scale."""
-
-    def shrinker(B: Structure, marks, m: int):
-        if B.size > max_size:
-            raise GuardExceeded(
-                f"structure of size {B.size} exceeds the exhaustive-shrink guard {max_size}"
-            )
-        target = rank_type(B, (), m)
-        for keep, sub in induced_supersets(B, marks):
-            if rank_type(sub, (), m) == target:
-                return sub, keep
-        return B, tuple(range(B.size))
-
-    return shrinker
+    enumeration over subsets; guarded at ``EXHAUSTIVE_SHRINK_GUARD``."""
+    check_guard("structure of size", B.size, EXHAUSTIVE_SHRINK_GUARD,
+                "the exhaustive-shrink guard")
+    target = rank_type(B, (), m)
+    for keep, sub in induced_supersets(B, marks):
+        if rank_type(sub, (), m) == target:
+            return sub, keep
+    return B, tuple(range(B.size))
 
 
 def _apply_leaf_shrinker(B: Structure, marks, m: int, leaf_shrinker):
@@ -344,7 +338,7 @@ def shrink_algebraic(
     W = set(W)
     if len(W) > k:
         raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
-    leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker()
+    leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     pushed = push_complement_to_leaves(s)
     original, prov0 = eval_with_provenance(pushed)
     if not W <= set(range(original.size)):
@@ -404,7 +398,7 @@ def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
     W = set(W)
     if len(W) > k:
         raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
-    leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker()
+    leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     original = tree_of_structures(shape, parts)
     if not W <= set(range(original.size)):
         raise ValueError("marks must be elements of the block composition")

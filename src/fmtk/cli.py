@@ -19,6 +19,7 @@ from .errors import (
     GuardExceeded,
     StructureFormatError,
     VerificationFailed,
+    check_guard,
 )
 from .structures import (
     MarkedStructure,
@@ -98,11 +99,8 @@ def _parse_marks(text: str | None) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _check_size(size: int, config: RunConfig):
-    if size > config.max_size:
-        raise GuardExceeded(
-            f"structure of size {size} exceeds --max-size {config.max_size}"
-        )
+def _check_size(size: int, config: RunConfig, what: str = "structure"):
+    check_guard(f"{what} of size", size, config.max_size, "--max-size")
 
 
 GEN_CLASSES = ("linorder", "path", "cycle", "hn", "gn", "grid")
@@ -137,6 +135,8 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
     if kind not in makers:
         raise StructureFormatError(f"unknown sample class {kind!r}")
     maker, member, extra = makers[kind]
+    if lo > hi:
+        raise StructureFormatError(f"sample range {lo}..{hi} is empty")
     _check_size(hi + extra, config)
     return (
         translate.ClassSample([maker(n) for n in range(lo, hi + 1)], membership=member),
@@ -180,25 +180,29 @@ def cmd_shrink(args, config: RunConfig) -> int:
         raise StructureFormatError(f"no tree named {args.name!r} in {args.file}")
     tree, file_marks = trees[name]
     marks = _parse_marks(args.marks) if args.marks else list(file_marks)
-    if tree.size > config.max_size:
-        raise GuardExceeded(f"tree of size {tree.size} exceeds --max-size {config.max_size}")
+    _check_size(tree.size, config, "tree")
     config.extras.update({"file": args.file, "name": name,
                           "marks": " ".join(map(str, sorted(marks))) or "-"})
     out, rep = shrink.shrink_tree(tree, marks, config.m, config.k)
     report = Report(config)
     report.say(f"Shrunk tree {name} from {rep.input_size} to {rep.output_size} nodes.")
-    for phase, before, after in rep.phases:
-        report.say(f"  {phase}: {before} -> {after}")
+    _put_shrink(report, rep)
     report.say("All postconditions re-verified: "
                + ", ".join(sorted(k for k, v in rep.verdicts.items() if v)))
-    report.put("input-size", rep.input_size)
-    report.put("output-size", rep.output_size)
-    for key in sorted(rep.verdicts):
-        report.put(f"verified-{key.replace('_', '-')}", rep.verdicts[key])
     report.put("tree", "")
     tree_text = shrink.serialize_tree(name + "_shrunk", out, sorted(set(marks)))
     _emit(report.render() + tree_text, config.out)
     return 0
+
+
+def _put_shrink(report: Report, rep: shrink.ShrinkReport):
+    """A shrink's phase lines, then its sizes and ``verified-*`` verdicts."""
+    for phase, before, after in rep.phases:
+        report.say(f"  {phase}: {before} -> {after}")
+    report.put("input-size", rep.input_size)
+    report.put("output-size", rep.output_size)
+    for key in sorted(rep.verdicts):
+        report.put(f"verified-{key.replace('_', '-')}", rep.verdicts[key])
 
 
 def cmd_translate(args, config: RunConfig) -> int:
@@ -300,13 +304,13 @@ def cmd_algebra_shrink(args, config: RunConfig) -> int:
     named = _load_structures(args.structs)
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
+    for leaf in tree.leaves():
+        _check_size(leaf.base.size, config)
     marks = _parse_marks(args.marks)
     shrinker = (
         algebra.identity_leaf_shrinker
         if args.leaf_shrinker == "identity"
-        else algebra.exhaustive_leaf_shrinker(
-            min(config.max_size, algebra.EXHAUSTIVE_SHRINK_GUARD)
-        )
+        else algebra.exhaustive_leaf_shrinker
     )
     config.extras.update({
         "structs": args.structs, "expr": expr_text,
@@ -316,13 +320,8 @@ def cmd_algebra_shrink(args, config: RunConfig) -> int:
     out, rep = algebra.shrink_algebraic(tree, marks, config.m, config.k, shrinker)
     report = Report(config)
     report.say(f"Shrunk the evaluation from {rep.input_size} to {rep.output_size} elements.")
-    for phase, before, after in rep.phases:
-        report.say(f"  {phase}: {before} -> {after}")
+    _put_shrink(report, rep)
     report.say(f"Certificate expression: {rep.certificate}")
-    report.put("input-size", rep.input_size)
-    report.put("output-size", rep.output_size)
-    for key in sorted(rep.verdicts):
-        report.put(f"verified-{key.replace('_', '-')}", rep.verdicts[key])
     report.put("certificate", rep.certificate)
     report.put("structure", "")
     _emit(report.render() + serialize_structure("result", out), config.out)
@@ -346,9 +345,9 @@ def cmd_gen(args, config: RunConfig) -> int:
     elif args.klass == "cycle":
         A = wqo.make_cycle(args.n)
     elif args.klass == "hn":
-        A = wqo.make_Hn(args.n, override_guard=args.force)
+        A = wqo.make_Hn(args.n)
     elif args.klass == "gn":
-        A = wqo.make_Gn(args.n, override_guard=args.force)
+        A = wqo.make_Gn(args.n)
     elif args.klass == "grid":
         dims = [int(d) for d in args.dims.split("x")]
         A = wqo.make_grid(*dims)
@@ -426,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="3x4", help="grid dimensions, e.g. 3x4")
     p.add_argument("--marks", default=None)
     p.add_argument("--name", default=None)
-    p.add_argument("--force", action="store_true", help="override desk-scale guards")
     p.set_defaults(fn=cmd_gen)
 
     return parser

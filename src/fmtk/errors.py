@@ -14,7 +14,18 @@ class StructureFormatError(ValueError):
 
 
 class GuardExceeded(RuntimeError):
-    """A desk-scale size guard was hit; raise the guard explicitly to proceed."""
+    """A desk-scale guard refused a request before the work it bounds began.
+
+    Library guards are the ``*_GUARD`` module constants; to raise one, assign
+    a larger value to it. The CLI's bound is ``--max-size``.
+    """
+
+
+def check_guard(what: str, value: int, limit: int, guard: str) -> None:
+    """Raise :class:`GuardExceeded` as ``"<what> <value> exceeds <guard>
+    <limit>"`` when ``value`` is past ``limit``."""
+    if value > limit:
+        raise GuardExceeded(f"{what} {value} exceeds {guard} {limit}")
 
 
 class VerificationFailed(RuntimeError):

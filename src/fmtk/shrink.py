@@ -281,16 +281,14 @@ class TreeClasses:
     def __init__(self, base: SigmaTree, m: int):
         self.base = base
         self.m = m
-        self._cache: dict[tuple[frozenset[int], tuple[int, ...]], tuple] = {}
+        self._cache: dict[frozenset[int], tuple] = {}
 
-    def of(self, nodes: frozenset[int], marks: tuple[int, ...] = ()) -> tuple:
-        key = (nodes, tuple(marks))
-        hit = self._cache.get(key)
+    def of(self, nodes: frozenset[int]) -> tuple:
+        hit = self._cache.get(nodes)
         if hit is None:
-            sub = self.base.induced(nodes)
-            S, renum = to_structure(sub)
-            hit = rank_type(S, tuple(renum[v] for v in marks), self.m).key
-            self._cache[key] = hit
+            S, _ = to_structure(self.base.induced(nodes))
+            hit = rank_type(S, (), self.m).key
+            self._cache[nodes] = hit
         return hit
 
 
@@ -381,14 +379,6 @@ def shrink_word(w: SigmaTree, m: int) -> SigmaTree:
     return reduce_height_no_W(w, m)
 
 
-def _flagged_word_class(letters: list[tuple[tuple, int]], m: int, vocab_letters) -> tuple:
-    """Rank type of a chain whose letters are (class-key, flag) pairs."""
-    names = {letter: f"p{idx}" for idx, letter in enumerate(sorted(vocab_letters))}
-    word = make_word([names[x] for x in letters], tuple(sorted(names.values())))
-    S, _ = to_structure(word)
-    return rank_type(S, (), m).key
-
-
 def reduce_root_distance(s: SigmaTree, b: int, m: int,
                          classes: TreeClasses | None = None) -> SigmaTree:
     """Pull ``b`` closer to the root while preserving the marked class of
@@ -411,12 +401,11 @@ def reduce_root_distance(s: SigmaTree, b: int, m: int,
         letters = [(classes.of(z), 0) for z in zsets]
         letters[0] = (letters[0][0], 1)
         letters[-1] = (letters[-1][0], 2)
-        vocab_letters = set(letters)
-
-        def suffix_class(p: int) -> tuple:
-            return _flagged_word_class(letters[p:], m, vocab_letters)
-
-        suffix = {p: suffix_class(p) for p in range(len(letters))}
+        names = {letter: f"p{idx}" for idx, letter in enumerate(sorted(set(letters)))}
+        word = make_word([names[x] for x in letters], tuple(sorted(names.values())))
+        flagged = TreeClasses(word, m)
+        # suffix p of the flagged word: its positions p+1 .. end
+        suffix = {p: flagged.of(frozenset(word.nodes[p:])) for p in range(1, len(letters))}
         best: tuple | None = None  # (-q, q, p)
         for q in range(2, len(letters)):
             for p in range(1, q):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import GuardExceeded, VerificationFailed
+from .errors import VerificationFailed, check_guard
 from .folog import (
     And,
     Atom,
@@ -43,6 +43,7 @@ from .wqo import _components, _degrees, _is_cycle_component, _order_positions
 
 CORE_GUARD = 12  # exhaustive subset enumeration bound
 MINIMAL_MODEL_GUARD = 64
+PREFIX_EVAL_GUARD = 10**6  # prefix assignments, summed over a sample
 
 
 @dataclass
@@ -121,8 +122,7 @@ def find_cores(A: Structure, crit, k: int, sample: ClassSample) -> list[tuple[in
     ``sample.membership`` decides which substructures count at all. Exhaustive
     over subsets, so guarded at ``|A| <= 12``.
     """
-    if A.size > CORE_GUARD:
-        raise GuardExceeded(f"|A| = {A.size} exceeds the core-search guard {CORE_GUARD}")
+    check_guard("|A| =", A.size, CORE_GUARD, "the core-search guard")
     if not sample.member(A):
         raise ValueError("the structure is not in the sample's class")
     in_target = _as_class_test(crit)
@@ -193,7 +193,17 @@ class TranslationResult:
 
 
 def sample_agreement(phi: Formula, ps: PrefixSentence, sample: ClassSample) -> list[int]:
-    """Indices of sample structures where the translation disagrees with ``phi``."""
+    """Indices of sample structures where the translation disagrees with ``phi``.
+
+    The prefix of ``k + p`` variables ranges over |A|^(k+p) assignments on
+    each structure; their sum over the sample is held to
+    ``PREFIX_EVAL_GUARD`` before anything is evaluated.
+    """
+    width = len(ps.exist_vars) + len(ps.univ_vars)
+    check_guard(
+        "prefix assignments", sum(A.size**width for A in sample.structures),
+        PREFIX_EVAL_GUARD, "the prefix-evaluation guard",
+    )
     translated = to_formula(ps)
     return [
         i
@@ -207,7 +217,8 @@ def translate_auto(
     constants: tuple[str, ...] = (),
 ) -> TranslationResult:
     """Try ``p = 1, 2, 4, ...`` up to ``max_p`` until the translation agrees
-    with ``phi`` across the sample; reports failure past the cap."""
+    with ``phi`` across the sample; reports failure past the cap. A try
+    whose prefix is past ``PREFIX_EVAL_GUARD`` raises before it runs."""
     p = 1
     last = None
     while p <= max_p:
@@ -280,10 +291,7 @@ def forall_star_from_minimal_models(class_membership, sample: ClassSample) -> Fo
         _verify_defines(out, class_membership, sample)
         return out
     minima = minimal_models(outside)
-    if len(minima) > MINIMAL_MODEL_GUARD:
-        raise GuardExceeded(
-            f"{len(minima)} minimal models exceed the guard {MINIMAL_MODEL_GUARD}"
-        )
+    check_guard("minimal models", len(minima), MINIMAL_MODEL_GUARD, "the minimal-model guard")
     disjunction: Formula = atomic_diagram_sentence(minima[0])
     for A in minima[1:]:
         disjunction = Or(disjunction, atomic_diagram_sentence(A))

@@ -15,9 +15,8 @@ witness, so no generator is provided.
 from __future__ import annotations
 
 import itertools
-import warnings
 
-from .errors import GuardExceeded
+from .errors import check_guard
 from .structures import (
     MarkedStructure,
     Structure,
@@ -69,9 +68,9 @@ def make_cycle(n: int) -> Structure:
     return Structure(GRAPH_VOCAB, n, {"E": frozenset(edges)})
 
 
-def make_Hn(n: int, override_guard: bool = False) -> Structure:
+def make_Hn(n: int) -> Structure:
     """``n`` copies of every path of length 0 .. 3**n, disjointly."""
-    _check_hn_guard(n, override_guard)
+    _check_hn_guard(n)
     parts = [make_path(i) for i in range(3**n + 1) for _ in range(n)]
     out = parts[0]
     for p in parts[1:]:
@@ -79,21 +78,16 @@ def make_Hn(n: int, override_guard: bool = False) -> Structure:
     return out
 
 
-def make_Gn(n: int, override_guard: bool = False) -> Structure:
+def make_Gn(n: int) -> Structure:
     """A cycle on ``3**n`` vertices next to ``make_Hn(n)``."""
-    _check_hn_guard(n, override_guard)
-    return disjoint_union(make_cycle(3**n), make_Hn(n, override_guard))
+    _check_hn_guard(n)
+    return disjoint_union(make_cycle(3**n), make_Hn(n))
 
 
-def _check_hn_guard(n: int, override: bool):
+def _check_hn_guard(n: int):
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > HN_GUARD:
-        if not override:
-            raise GuardExceeded(
-                f"n={n} exceeds the default guard {HN_GUARD}; pass override_guard=True"
-            )
-        warnings.warn(f"building a large instance (n={n}); this may be slow")
+    check_guard("n =", n, HN_GUARD, "the H_n guard")
 
 
 def make_grid(*dims: int) -> Structure:

@@ -177,12 +177,12 @@ class TestLeafShrinkers:
 
     def test_exhaustive_finds_smallest(self):
         B = disjoint_union(disjoint_union(VERTEX, VERTEX), VERTEX)
-        sub, kept = exhaustive_leaf_shrinker()(B, set(), 1)
+        sub, kept = exhaustive_leaf_shrinker(B, set(), 1)
         assert sub.size == 1
 
     def test_exhaustive_respects_marks(self):
         B = disjoint_union(disjoint_union(VERTEX, VERTEX), VERTEX)
-        sub, kept = exhaustive_leaf_shrinker()(B, {2}, 1)
+        sub, kept = exhaustive_leaf_shrinker(B, {2}, 1)
         assert 2 in kept
 
     def test_bad_shrinker_caught(self):

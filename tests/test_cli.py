@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from fmtk import algebra, wqo
+from fmtk import algebra, translate, wqo
 from fmtk.cli import main
 from fmtk.shrink import parse_trees, serialize_tree
 from fmtk.structures import parse_structures, serialize_structure
@@ -267,6 +267,66 @@ class TestSizeGuards:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "exhaustive-shrink guard 12" in proc.stderr
+
+    def test_algebra_shrink_leaf_past_max_size_refused_before_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def not_allowed(t):
+            raise AssertionError("the shrink started before the size guard")
+
+        monkeypatch.setattr(algebra, "push_complement_to_leaves", not_allowed)
+        s = tmp_path / "s.txt"
+        s.write_text(serialize_structure("A", make_cycle(5)))
+        code = main(["algebra-shrink", "--structs", str(s), "--expr", "(u A A)",
+                     "--m", "1", "--k", "0", "--max-size", "4"])
+        assert code == 2
+        assert "exceeds --max-size 4" in capsys.readouterr().err
+
+
+# every sum over paths:1:6 of |A|^(1 + p) past p = 4 is beyond the guard
+PREFIX_FOUND = ["translate", "--formula", "forall x. exists y. E(x,y)",
+                "--sample", "paths:1:6", "--k", "1"]
+
+
+class TestPrefixEvaluationGuard:
+    def test_fixed_p_refused_before_evaluation(self, capsys, monkeypatch):
+        def not_allowed(*args):
+            raise AssertionError("a formula was evaluated before the prefix guard")
+
+        monkeypatch.setattr(translate, "evaluate", not_allowed)
+        assert main([*PREFIX_FOUND, "--p", "16"]) == 2
+        assert "exceeds the prefix-evaluation guard" in capsys.readouterr().err
+
+    def test_auto_p_refused_as_a_subprocess(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", *PREFIX_FOUND, "--p", "auto"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "exceeds the prefix-evaluation guard" in proc.stderr
+
+
+class TestEmptySample:
+    def test_reversed_range_refused_before_generation(self, capsys, monkeypatch):
+        def not_allowed(n):
+            raise AssertionError("a sample structure was built for an empty range")
+
+        monkeypatch.setattr(wqo, "make_cycle", not_allowed)
+        code = main(["translate", "--formula", "forall x. x = x", "--sample", "cycles:5:3",
+                     "--k", "0", "--p", "1"])
+        assert code == 1
+        assert "empty" in capsys.readouterr().err
+
+    def test_reversed_range_as_a_subprocess(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", "translate", "--formula", "forall x. x = x",
+             "--sample", "cycles:5:3", "--k", "0", "--p", "1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
 
 
 class TestGenCommand:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fmtk import wqo
 from fmtk.equiv import m_equivalent
 from fmtk.errors import GuardExceeded
 from fmtk.structures import (
@@ -165,11 +166,11 @@ class TestGenerators:
             make_linear_order(3), make_linear_order(4)
         )
 
-    def test_hn_guard(self):
+    def test_hn_guard(self, monkeypatch):
         with pytest.raises(GuardExceeded):
             make_Hn(3)
-        with pytest.warns(UserWarning):
-            make_Hn(3, override_guard=True)
+        monkeypatch.setattr(wqo, "HN_GUARD", 3)
+        assert make_Hn(3).size == 3 * sum(range(1, 3**3 + 2))
 
     def test_path_convention(self):
         assert make_path(0).size == 1
