@@ -94,7 +94,7 @@ class SigmaTree:
 
     def leq(self, a: int, b: int) -> bool:
         """Ancestor-or-equal order."""
-        return a == b or a in set(self.ancestors(b))
+        return a == b or a in self.ancestors(b)
 
     def descendants(self, v: int) -> frozenset[int]:
         out = {v}
@@ -256,15 +256,26 @@ def join_at(s: SigmaTree, e: int, graft: "SigmaTree | list[SigmaTree]") -> Sigma
     return SigmaTree(parent, label, tuple(sorted(alphabet)))
 
 
+def _down_sets(tree: SigmaTree, within: set[int]) -> dict[int, frozenset[int]]:
+    """For every node ``b`` of ``tree``, the nodes ``a`` of ``within`` with ``a <= b``."""
+    out: dict[int, frozenset[int]] = {}
+    for v in sorted(tree.nodes, key=tree.depth):
+        p = tree.parent[v]
+        above = frozenset() if p is None else out[p]
+        out[v] = above | {v} if v in within else above
+    return out
+
+
 def is_subtree(t: SigmaTree, s: SigmaTree) -> bool:
-    """Node subset with the induced order and labels."""
-    if not set(t.nodes) <= set(s.nodes):
+    """Node subset with the induced order and labels: for every node ``b`` of
+    ``t``, the nodes of ``t`` below-or-equal ``b`` are the same in both."""
+    nodes = set(t.nodes)
+    if not nodes <= set(s.nodes):
         return False
     if any(t.label[v] != s.label[v] for v in t.nodes):
         return False
-    return all(
-        t.leq(a, b) == s.leq(a, b) for a in t.nodes for b in t.nodes
-    )
+    in_t, in_s = _down_sets(t, nodes), _down_sets(s, nodes)
+    return all(in_t[b] == in_s[b] for b in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +283,74 @@ def is_subtree(t: SigmaTree, s: SigmaTree) -> bool:
 
 
 class TreeClasses:
-    """Rank-type fingerprints of sub-posets of one base tree, cached by node set.
+    """Rank-``m`` classes of subtrees, composed bottom-up from a table.
 
-    Any subtree of a subtree of the base induces the same order as the base
-    restricted to its nodes, so one cache serves a whole shrink pipeline.
+    A node's *signature* is its label together with the multiset of its
+    children's class ids, each multiplicity capped at ``m``. By
+    Feferman-Vaught composition the signature fixes the rank-``m`` class of
+    the node's subtree, and ``m`` disjoint copies of a tree are rank-``m``
+    equivalent to any larger number of copies, so the cap loses nothing
+    (Makowsky, APAL 2004; Libkin, *Elements of Finite Model Theory*, ch. 3).
+
+    Each new signature gets one small *representative* tree: a root with the
+    label over ``min(count, m)`` copies of each child class's representative.
+    Only that representative is encoded and given a full :func:`rank_type`;
+    no real subtree is ever encoded. Class ids are small ints, and signatures
+    whose representatives have equal keys share one id, so equal ids mean
+    equal rank-``m`` keys at every ``m``, including ``m = 0``.
+
+    The table lives as long as the instance: one per shrink pipeline, over
+    the alphabet of ``base``; any tree over that alphabet may be classified.
+    :func:`shrink_tree` does not read the table for its final ``equivalent``
+    verdict, which compares full rank types of the encoded input and output,
+    so the route that checks the reducers shares nothing with them.
     """
 
     def __init__(self, base: SigmaTree, m: int):
         self.base = base
         self.m = m
-        self._cache: dict[frozenset[int], tuple] = {}
+        self._ids: dict[tuple, int] = {}  # signature -> class id
+        self._by_key: dict[tuple, int] = {}  # rank key -> class id
+        self._keys: list[tuple] = []  # class id -> rank key
+        self._reps: list[SigmaTree] = []  # class id -> representative tree
 
     def of(self, nodes: frozenset[int]) -> tuple:
-        hit = self._cache.get(nodes)
-        if hit is None:
-            S, _ = to_structure(self.base.induced(nodes))
-            hit = rank_type(S, (), self.m).key
-            self._cache[nodes] = hit
-        return hit
+        """Rank-``m`` key of the sub-poset of ``base`` on ``nodes``."""
+        t = self.base.induced(nodes)
+        return self._keys[self.classify(t)[t.root]]
+
+    def classify(self, t: SigmaTree) -> dict[int, int]:
+        """The class id of every node's subtree in ``t``, in one bottom-up pass."""
+        ids: dict[int, int] = {}
+        for v in sorted(t.nodes, key=t.depth, reverse=True):
+            ids[v] = self.compose(t.label[v], [ids[c] for c in t.children(v)])
+        return ids
+
+    def compose(self, letter: str, child_ids) -> int:
+        """The class id of a ``letter`` root over children of the given classes."""
+        counts: dict[int, int] = {}
+        if self.m:
+            for c in child_ids:
+                counts[c] = min(counts.get(c, 0) + 1, self.m)
+        sig = (letter, tuple(sorted(counts.items())))
+        cid = self._ids.get(sig)
+        if cid is None:
+            cid = self._ids[sig] = self._intern(sig)
+        return cid
+
+    def _intern(self, sig: tuple) -> int:
+        """The class id of a signature not seen before, from its representative."""
+        letter, counts = sig
+        root = SigmaTree({0: None}, {0: letter}, self.base.alphabet)
+        copies = [self._reps[c] for c, n in counts for _ in range(n)]
+        rep = join_at(root, 0, copies) if copies else root
+        key = rank_type(to_structure(rep)[0], (), self.m).key
+        cid = self._by_key.get(key)
+        if cid is None:
+            cid = self._by_key[key] = len(self._keys)
+            self._keys.append(key)
+            self._reps.append(rep)
+        return cid
 
 
 def trees_equivalent(t1: SigmaTree, t2: SigmaTree, m: int,
@@ -321,15 +382,15 @@ def reduce_degree(s: SigmaTree, W, m: int, k: int,
     classes = classes or TreeClasses(s, m)
     cap = m + k
     kept = set(s.nodes)
+    # deepest first, so a child's kept subtree is final when its parent is visited
+    ids: dict[int, int] = {}
     for a in sorted(s.nodes, key=lambda v: (-s.depth(v), v)):
         if a not in kept:
             continue
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for b in s.children(a):
-            if b not in kept:
-                continue
-            sub = frozenset(s.descendants(b) & kept)
-            groups.setdefault(classes.of(sub), []).append(b)
+            if b in kept:
+                groups.setdefault(ids[b], []).append(b)
         for members in groups.values():
             if len(members) <= cap:
                 continue
@@ -344,6 +405,7 @@ def reduce_degree(s: SigmaTree, W, m: int, k: int,
                 if s.descendants(b) & W:
                     raise AssertionError("mark-covering child ranked past the cap")
                 kept -= s.descendants(b) & kept
+        ids[a] = classes.compose(s.label[a], [ids[b] for b in s.children(a) if b in kept])
     return s.induced(kept)
 
 
@@ -354,7 +416,7 @@ def reduce_height_no_W(s: SigmaTree, m: int,
     classes = classes or TreeClasses(s, m)
     cur = s
     while True:
-        fp = {v: classes.of(cur.descendants(v)) for v in cur.nodes}
+        fp = classes.classify(cur)
         best: tuple | None = None  # (-depth_b, b, depth_a, a)
         for b in cur.nodes:
             for a in cur.ancestors(b):
@@ -393,30 +455,29 @@ def reduce_root_distance(s: SigmaTree, b: int, m: int,
         if b == a:
             return cur
         path = cur.path_down(a, b)
-        n = len(path) - 1
-        zsets = []
-        for i in range(n):
-            zsets.append(cur.descendants(path[i]) - cur.descendants(path[i + 1]))
-        zsets.append(cur.descendants(b))
-        letters = [(classes.of(z), 0) for z in zsets]
+        ids = classes.classify(cur)
+        # segment i is path[i] with every child subtree but the one on the path
+        letters = [
+            (classes.compose(cur.label[u], [ids[c] for c in cur.children(u) if c != below]), 0)
+            for u, below in zip(path, path[1:])
+        ]
+        letters.append((ids[b], 0))
         letters[0] = (letters[0][0], 1)
         letters[-1] = (letters[-1][0], 2)
         names = {letter: f"p{idx}" for idx, letter in enumerate(sorted(set(letters)))}
         word = make_word([names[x] for x in letters], tuple(sorted(names.values())))
-        flagged = TreeClasses(word, m)
-        # suffix p of the flagged word: its positions p+1 .. end
-        suffix = {p: flagged.of(frozenset(word.nodes[p:])) for p in range(1, len(letters))}
-        best: tuple | None = None  # (-q, q, p)
-        for q in range(2, len(letters)):
-            for p in range(1, q):
-                if suffix[p] == suffix[q]:
-                    cand = (-q, q, p)
-                    if best is None or cand < best:
-                        best = cand
-        if best is None:
+        # suffix p of the flagged word, its positions p+1 .. end, is the
+        # subtree of node p+1
+        flagged = TreeClasses(word, m).classify(word)
+        first: dict[int, int] = {}
+        for p in range(1, len(letters)):
+            first.setdefault(flagged[p + 1], p)
+        # the latest suffix q that repeats an earlier one, and its earliest p
+        q = next((q for q in range(len(letters) - 1, 1, -1) if first[flagged[q + 1]] < q), None)
+        if q is None:
             return cur
-        _, q, p = best
-        removed = set().union(*zsets[p:q])
+        p = first[flagged[q + 1]]
+        removed = cur.descendants(path[p]) - cur.descendants(path[q])
         cur = cur.induced(set(cur.nodes) - removed)
 
 
@@ -445,14 +506,16 @@ def reduce_W_distances(s: SigmaTree, W, m: int,
     changed = True
     while changed:
         changed = False
+        # the nodes whose subtree holds a mark
+        marked = {u for w in W for u in (w, *cur.ancestors(w))}
         for a, b in _consecutive_mark_pairs(cur, W):
             path = cur.path_down(a, b)
-            n = len(path) - 1
-            zsets = []
-            for i in range(n):
-                zsets.append(cur.descendants(path[i]) - cur.descendants(path[i + 1]))
-            zsets.append(cur.descendants(b))
-            carrying = [i for i, z in enumerate(zsets) if z & W]
+            on_path = set(path)
+            # segment i is path[i] with its subtrees off the path
+            carrying = [
+                i for i, u in enumerate(path)
+                if u in W or any(c in marked and c not in on_path for c in cur.children(u))
+            ]
             for i_prev, i_next in zip(carrying, carrying[1:]):
                 if i_next - i_prev < 2:
                     continue
@@ -518,12 +581,9 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
         t2 = reduce_height_no_W(t1, m, classes)
     else:
         kept = set(t1.nodes)
-        hanging = [
-            v
-            for v in t1.nodes
-            if not (t1.descendants(v) & w1)
-            and (t1.parent[v] is None or t1.descendants(t1.parent[v]) & w1)
-        ]
+        # w1 holds the root, so the mark-carrying nodes form a rooted subtree
+        carrying = {u for v in w1 for u in (v, *t1.ancestors(v))}
+        hanging = [v for v in t1.nodes if v not in carrying and t1.parent[v] in carrying]
         for h in hanging:
             sub = t1.induced(t1.descendants(h))
             reduced = reduce_height_no_W(sub, m, classes)
@@ -537,7 +597,8 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     verdicts = {
         "contains_marks": W <= set(t3.nodes),
         "is_subtree": is_subtree(t3, s),
-        "equivalent": classes.of(frozenset(t3.nodes)) == classes.of(frozenset(s.nodes)),
+        # full rank types of both encodings, never the reducers' class table
+        "equivalent": trees_equivalent(t3, s, m),
     }
     report = ShrinkReport(s.size, t3.size, phases, verdicts)
     report.raise_if_failed()
@@ -587,11 +648,17 @@ def parse_trees(text: str) -> dict[str, tuple[SigmaTree, tuple[int, ...]]]:
             words = line.split()
             if words[0] == "tree":
                 flush()
+                if words[1] in result:
+                    raise StructureFormatError(f"duplicate tree name {words[1]!r}")
                 name = words[1]
             elif words[0] == "alphabet:":
                 alphabet = tuple(words[1:])
+                if len(set(alphabet)) != len(alphabet):
+                    raise StructureFormatError(f"alphabet repeats a letter: {' '.join(alphabet)}")
             elif words[0] == "node":
                 v = int(words[1])
+                if v in parent:
+                    raise StructureFormatError(f"node {v} is given twice")
                 if words[2] != "label":
                     raise StructureFormatError("expected 'label'")
                 letter = words[3]

@@ -316,6 +316,16 @@ def random_formula(rng: random.Random, vocab: Vocabulary, rank: int,
     return gen(rank, terms, fuel=8)
 
 
+def reference_is_subtree(t: SigmaTree, s: SigmaTree) -> bool:
+    """Induced subtree by definition: a node subset whose labels agree and on
+    which the two ancestor-or-equal orders agree pair by pair."""
+    if not set(t.nodes) <= set(s.nodes):
+        return False
+    if any(t.label[v] != s.label[v] for v in t.nodes):
+        return False
+    return all(t.leq(a, b) == s.leq(a, b) for a in t.nodes for b in t.nodes)
+
+
 def random_tree(rng: random.Random, size: int, sigma: tuple[str, ...]) -> SigmaTree:
     parent = {0: None}
     label = {0: rng.choice(sigma)}

@@ -97,6 +97,20 @@ class TestShrinkCommand:
             main(["shrink", "--file", str(f), "--k", "0"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text, reason", [
+        ("tree t\nalphabet: a b\nnode 1 label a root\nnode 2 label a parent 1\n"
+         "node 2 label b parent 1\n", "node 2 is given twice"),
+        ("tree t\nalphabet: a a\nnode 1 label a root\n", "alphabet repeats a letter"),
+    ], ids=["node", "alphabet"])
+    def test_duplicate_lines_exit_1(self, tmp_path, capsys, text, reason):
+        f = tmp_path / "t.txt"
+        f.write_text(text)
+        code = main(["shrink", "--file", str(f), "--m", "1", "--k", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert reason in captured.err and "Traceback" not in captured.err
+
 
 class TestTranslateCommand:
     def test_cycles_fixed_p(self, capsys):

@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmtk.errors import StructureFormatError
+from fmtk import shrink
+from fmtk.equiv import rank_type
+from fmtk.errors import StructureFormatError, VerificationFailed
 from fmtk.shrink import (
     SigmaTree,
+    TreeClasses,
     from_structure,
     is_subtree,
     join_at,
@@ -23,7 +28,7 @@ from fmtk.shrink import (
 )
 from fmtk.structures import find_embedding
 
-from oracles import random_tree, random_word
+from oracles import random_tree, random_word, reference_is_subtree
 
 
 def chain(n, letter="a"):
@@ -113,6 +118,103 @@ class TestJoin:
     def test_invalid_attach_point(self):
         with pytest.raises(ValueError):
             join_at(chain(2), 99, chain(1))
+
+
+@st.composite
+def _ab_trees(draw, max_size=12):
+    n = draw(st.integers(1, max_size))
+    parent = {0: None, **{v: draw(st.integers(0, v - 1)) for v in range(1, n)}}
+    label = {v: draw(st.sampled_from("ab")) for v in range(n)}
+    return SigmaTree(parent, label, ("a", "b"))
+
+
+def _count_rank_types(monkeypatch) -> list:
+    calls = []
+    real = shrink.rank_type
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shrink, "rank_type", counting)
+    return calls
+
+
+class TestTreeClasses:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_ab_trees(), st.integers(0, 2))
+    def test_table_class_is_the_direct_rank_type(self, t, m):
+        classes = TreeClasses(t, m)
+        for v in t.nodes:
+            sub = t.descendants(v)
+            S, _ = to_structure(t.induced(sub))
+            assert classes.of(sub) == rank_type(S, (), m).key
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_child_multiplicities_are_capped_at_m(self, m, monkeypatch):
+        def fan(leaves):  # an a-root over b-leaves
+            parent = {0: None, **{i: 0 for i in range(1, leaves + 1)}}
+            return SigmaTree(parent, {0: "a", **{i: "b" for i in range(1, leaves + 1)}}, ("a", "b"))
+
+        classes = TreeClasses(fan(m), m)
+        below = classes.classify(fan(m - 1))[0]
+        at = classes.classify(fan(m))[0]
+        calls = _count_rank_types(monkeypatch)
+        above = classes.classify(fan(m + 1))[0]
+        assert below != at
+        assert above == at
+        assert calls == []  # m + 1 leaves have the signature of m leaves
+
+    def test_verdict_does_not_read_the_table(self, monkeypatch):
+        word = make_word("ab")
+        out, report = shrink_tree(word, set(), 1, 0)
+        assert out == word and report.ok()
+        real = TreeClasses._intern
+
+        def merged(self, sig):
+            cid = real(self, sig)
+            return 0 if cid == 1 else cid  # classes 0 and 1 become one
+
+        monkeypatch.setattr(TreeClasses, "_intern", merged)
+        # "ab" now looks like a repeat of its own suffix "b" and is cut to it
+        with pytest.raises(VerificationFailed) as info:
+            shrink_tree(word, set(), 1, 0)
+        assert info.value.report.verdicts == {
+            "contains_marks": True, "is_subtree": True, "equivalent": False,
+        }
+        assert info.value.report.output_size == 1
+
+    def test_long_word_computes_few_rank_types(self, monkeypatch):
+        calls = _count_rank_types(monkeypatch)
+        out, report = shrink_tree(make_word("a" * 480), set(), 1, 0)
+        assert report.ok() and out.size == 1
+        assert len(calls) < 10
+
+
+class TestIsSubtree:
+    def test_agrees_with_the_pairwise_definition(self):
+        rng = random.Random(63)
+        verdicts = []
+        for _ in range(120):
+            s = random_tree(rng, rng.randint(2, 16), ("a", "b"))
+            keep = {s.root} | set(rng.sample(list(s.nodes), rng.randint(0, s.size - 1)))
+            t = s.induced(keep)
+            parent, label = dict(t.parent), dict(t.label)
+            v = rng.choice(t.nodes)
+            wrong_label = {**label, v: "b" if label[v] == "a" else "a"}
+            candidates = [t, SigmaTree(parent, wrong_label, t.alphabet),
+                          SigmaTree({**parent, max(s.nodes) + 1: v},
+                                    {**label, max(s.nodes) + 1: "a"}, t.alphabet)]
+            movable = [u for u in t.nodes if u != t.root]
+            if movable:
+                u = rng.choice(movable)
+                hosts = [h for h in t.nodes if h not in t.descendants(u) and h != t.parent[u]]
+                if hosts:
+                    candidates.append(SigmaTree({**parent, u: rng.choice(hosts)}, label, t.alphabet))
+            for c in candidates:
+                verdicts.append(is_subtree(c, s))
+                assert verdicts[-1] == reference_is_subtree(c, s)
+        assert True in verdicts and False in verdicts
 
 
 class TestReduceDegree:
@@ -337,6 +439,16 @@ class TestTreeTextFormat:
     def test_unknown_line_rejected(self):
         with pytest.raises(ValueError):
             parse_trees("tree x\nnonsense here\n")
+
+    @pytest.mark.parametrize("text", [
+        "tree T\nalphabet: a\nnode 1 label a root\nnode 2 label a parent 1\nnode 2 label a parent 1\n",
+        "tree T\nalphabet: a b\nnode 1 label a root\nnode 1 label b root\n",
+        "tree T\nalphabet: a a\nnode 1 label a root\n",
+        "tree T\nalphabet: a\nnode 1 label a root\ntree T\nalphabet: a\nnode 1 label a root\n",
+    ], ids=["child-node", "root-node", "alphabet", "tree-name"])
+    def test_duplicates_are_format_errors(self, text):
+        with pytest.raises(StructureFormatError):
+            parse_trees(text)
 
     def test_bad_last_block_is_a_format_error(self):
         two_roots = "tree T\nalphabet: a\nnode 1 label a root\nnode 2 label a root\n"
