@@ -184,15 +184,19 @@ def to_structure(t: SigmaTree) -> tuple[Structure, dict[int, int]]:
     vocab = Vocabulary.make(
         {ORDER_PRED: 2, **{label_predicate(a): 1 for a in t.alphabet}}
     )
-    le = set()
-    for v in t.nodes:
-        le.add((renum[v], renum[v]))
-        for u in t.ancestors(v):
-            le.add((renum[u], renum[v]))
-    rels = {label_predicate(a): set() for a in t.alphabet}
-    for v in t.nodes:
-        rels[label_predicate(t.label[v])].add((renum[v],))
-    rels[ORDER_PRED] = le
+    le = []
+    chain: list[int] = []  # elements from the root down to the current node
+    stack = [t.root]
+    while stack:  # depth first: a node's chain is its parent's chain plus itself
+        v = stack.pop()
+        del chain[t.depth(v):]
+        chain.append(i := renum[v])
+        le += [(u, i) for u in chain]
+        stack += t.children(v)
+    rels = {label_predicate(a): [] for a in t.alphabet}
+    for v, i in renum.items():
+        rels[label_predicate(t.label[v])].append((i,))
+    rels[ORDER_PRED] = frozenset(le)
     return Structure(vocab, len(t.nodes), rels), renum
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .errors import StructureFormatError
@@ -81,7 +82,10 @@ class Structure:
     """A finite interpretation of a :class:`Vocabulary`.
 
     Immutable after construction; equality and hashing are by content, so
-    structures can key caches and sets.
+    structures can key caches and sets. The constructor is the only way to
+    build one, and it validates every structure it builds, user input and
+    derived structures alike, checking each relation in bulk
+    (:func:`_checked_relation`).
     """
 
     __slots__ = ("vocab", "size", "relations", "constant_interp", "_hash", "_rt_cache")
@@ -94,12 +98,8 @@ class Structure:
         for name, _ in vocab.predicates:
             relations.setdefault(name, frozenset())
         for name, tuples in relations.items():
-            arity = vocab.arity(name)  # raises on unknown predicate
-            for t in tuples:
-                if len(t) != arity:
-                    raise ValueError(f"tuple {t} has wrong arity for {name}/{arity}")
-                if not all(0 <= e < size for e in t):
-                    raise ValueError(f"tuple {t} out of range for universe of size {size}")
+            # vocab.arity raises on an unknown predicate
+            relations[name] = _checked_relation(name, vocab.arity(name), size, tuples)
         for c in vocab.constants:
             if c not in constant_interp:
                 raise ValueError(f"constant {c} is not interpreted")
@@ -110,25 +110,13 @@ class Structure:
                 raise ValueError(f"interpretation given for unknown constant {c}")
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "size", size)
-        object.__setattr__(
-            self,
-            "relations",
-            {name: frozenset(map(tuple, tuples)) for name, tuples in relations.items()},
-        )
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "constant_interp", constant_interp)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_rt_cache", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Structure is immutable")
-
-    def _key(self):
-        return (
-            self.vocab,
-            self.size,
-            tuple(sorted((n, tuple(sorted(ts))) for n, ts in self.relations.items())),
-            tuple(sorted(self.constant_interp.items())),
-        )
 
     def __eq__(self, other):
         return (
@@ -141,7 +129,12 @@ class Structure:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key()))
+            object.__setattr__(self, "_hash", hash((
+                self.vocab,
+                self.size,
+                frozenset(self.relations.items()),
+                frozenset(self.constant_interp.items()),
+            )))
         return self._hash
 
     def __repr__(self):
@@ -150,6 +143,35 @@ class Structure:
 
     def holds(self, pred: str, t: tuple[int, ...]) -> bool:
         return t in self.relations[pred]
+
+
+def _checked_relation(name: str, arity: int, size: int, tuples) -> frozenset:
+    """``tuples`` as a frozenset of tuples, once every tuple has ``arity``
+    elements, each in ``0 .. size-1``. A frozenset is kept as it is.
+
+    The checks are whole-relation passes: the set of tuple lengths, and the
+    set of elements used (at most ``size`` of them, not a copy of the
+    tuples). Only a relation that fails them is walked tuple by tuple, so
+    that the error names the first bad tuple in input order.
+    """
+    if not tuples:
+        return frozenset()
+    if not isinstance(tuples, (frozenset, Collection)):
+        tuples = list(tuples)  # a one-shot iterator: the slow path reads it again
+    try:
+        rel = tuples if isinstance(tuples, frozenset) else frozenset(map(tuple, tuples))
+        if set(map(len, rel)) == {arity}:
+            elements = set(itertools.chain.from_iterable(rel))
+            if min(elements) >= 0 and max(elements) < size:
+                return rel
+    except TypeError:
+        pass  # an element that is unhashable or not comparable: the loop reports it
+    for t in tuples:
+        if len(t) != arity:
+            raise ValueError(f"tuple {t} has wrong arity for {name}/{arity}")
+        if not all(0 <= e < size for e in t):
+            raise ValueError(f"tuple {t} out of range for universe of size {size}")
+    return frozenset(map(tuple, tuples))
 
 
 @dataclass(frozen=True)
@@ -200,20 +222,27 @@ def induced_substructure(A: Structure, subset) -> tuple[Structure, dict[int, int
     subset = sorted(set(subset))
     if not subset:
         raise ValueError("cannot induce on an empty subset")
-    if not all(0 <= e < A.size for e in subset):
+    if subset[0] < 0 or subset[-1] >= A.size:
         raise ValueError("subset contains elements outside the universe")
+    new_id: list[int | None] = [None] * A.size  # None: the element is dropped
+    for new, old in enumerate(subset):
+        new_id[old] = new
     for c, e in A.constant_interp.items():
-        if e not in subset:
+        if new_id[e] is None:
             raise ValueError(f"subset drops the interpretation of constant {c}")
-    renumber = {old: new for new, old in enumerate(subset)}
-    keep = set(subset)
-    relations = {
-        name: frozenset(
-            tuple(renumber[e] for e in t) for t in tuples if all(e in keep for e in t)
-        )
-        for name, tuples in A.relations.items()
-    }
-    consts = {c: renumber[e] for c, e in A.constant_interp.items()}
+    relations = {}
+    for name, arity in A.vocab.predicates:
+        tuples = A.relations[name]
+        if arity == 1:
+            kept = [(x,) for (a,) in tuples if (x := new_id[a]) is not None]
+        elif arity == 2:
+            kept = [(x, y) for a, b in tuples
+                    if (x := new_id[a]) is not None and (y := new_id[b]) is not None]
+        else:
+            kept = [u for u in (tuple([new_id[e] for e in t]) for t in tuples) if None not in u]
+        relations[name] = frozenset(kept)
+    consts = {c: new_id[e] for c, e in A.constant_interp.items()}
+    renumber = dict(zip(subset, range(len(subset))))
     return Structure(A.vocab, len(subset), relations, consts), renumber
 
 
@@ -386,24 +415,30 @@ def disjoint_union(A: Structure, B: Structure) -> Structure:
     """Side-by-side copies; no tuple mixing elements of both blocks holds."""
     _require_same_vocab(A, B)
     _require_constant_free(A, B)
-    shift = A.size
     relations = {
-        name: A.relations[name]
-        | frozenset(tuple(e + shift for e in t) for t in B.relations[name])
-        for name, _ in A.vocab.predicates
+        name: A.relations[name].union(_shifted(B.relations[name], arity, A.size))
+        for name, arity in A.vocab.predicates
     }
     return Structure(A.vocab, A.size + B.size, relations)
+
+
+def _shifted(tuples, arity: int, shift: int) -> list[tuple[int, ...]]:
+    """``tuples`` with ``shift`` added to every element."""
+    if arity == 1:
+        return [(a + shift,) for (a,) in tuples]
+    if arity == 2:
+        return [(a + shift, b + shift) for a, b in tuples]
+    return [tuple([e + shift for e in t]) for t in tuples]
 
 
 def complement(A: Structure) -> Structure:
     """Flip membership of every full tuple over the universe, per predicate."""
     _require_constant_free(A)
+    # filtered as they are generated: the full product is never held at once
     relations = {
-        name: frozenset(
-            t
-            for t in itertools.product(range(A.size), repeat=arity)
-            if t not in A.relations[name]
-        )
+        name: frozenset(itertools.filterfalse(
+            A.relations[name].__contains__, itertools.product(range(A.size), repeat=arity)
+        ))
         for name, arity in A.vocab.predicates
     }
     return Structure(A.vocab, A.size, relations)
@@ -500,26 +535,19 @@ def tree_of_structures(shape: dict[int, int | None], parts: list[Structure]) -> 
         ancestors[i] = chain
 
     offsets = block_offsets(parts)
-    new_vocab = vocab.with_predicate(ORDER_PRED, 2)
-    relations = {name: set() for name, _ in new_vocab.predicates}
-    for i, p in enumerate(parts):
-        off = offsets[i]
-        for name, _ in vocab.predicates:
-            for t in p.relations[name]:
-                relations[name].add(tuple(e + off for e in t))
-    for i in range(len(parts)):
-        for j in range(len(parts)):
-            if i not in ancestors[j]:  # i must be an ancestor of j, or i == j
-                continue
-            # i == j puts the whole block in both directions: a block pre-order
-            for a in range(parts[i].size):
-                for b in range(parts[j].size):
-                    relations[ORDER_PRED].add((a + offsets[i], b + offsets[j]))
-    return Structure(
-        new_vocab,
-        sum(p.size for p in parts),
-        {n: frozenset(ts) for n, ts in relations.items()},
+    relations = {
+        name: frozenset().union(
+            *(_shifted(p.relations[name], arity, off) for p, off in zip(parts, offsets))
+        )
+        for name, arity in vocab.predicates
+    }
+    blocks = [range(off, off + p.size) for p, off in zip(parts, offsets)]
+    # every block against itself and each descendant block; i == j puts the
+    # whole block in both directions: a block pre-order
+    relations[ORDER_PRED] = frozenset().union(
+        *(itertools.product(blocks[i], blocks[j]) for j in shape for i in ancestors[j])
     )
+    return Structure(vocab.with_predicate(ORDER_PRED, 2), sum(p.size for p in parts), relations)
 
 
 def block_offsets(parts: list[Structure]) -> list[int]:
@@ -556,24 +584,44 @@ def serialize_structures(named: dict[str, Structure]) -> str:
 
 
 def parse_structures(text: str) -> dict[str, Structure]:
-    """Parse the block text format; returns structures keyed by name, in order."""
+    """Parse the block text format; returns structures keyed by name, in order.
+
+    Within a block, the ``vocab:`` and ``universe:`` lines, each predicate's
+    line and each constant's line may appear once, and the vocabulary may
+    list a predicate once. A repeat, or a predicate line the vocabulary does
+    not declare, is a format error naming the line and the symbol.
+    """
     result: dict[str, Structure] = {}
     name = None
     vocab: Vocabulary | None = None
     size = None
     relations: dict[str, set] = {}
     consts: dict[str, int] = {}
+    given: dict[str, int] = {}  # what a line gave -> its line number
+
+    def once(what: str, lineno: int):
+        if what in given:
+            raise StructureFormatError(
+                f"line {lineno}: {what} is given on two lines (first on line {given[what]})"
+            )
+        given[what] = lineno
 
     def flush():
-        nonlocal name, vocab, size, relations, consts
+        nonlocal name, vocab, size, relations, consts, given
         if name is None:
             return
         if vocab is None or size is None:
             raise StructureFormatError(f"structure {name} is missing vocab or universe")
+        for pred in relations:
+            if not vocab.has_predicate(pred):
+                raise StructureFormatError(
+                    f"line {given[f'predicate {pred!r}']}: predicate {pred!r} "
+                    f"is not in the vocabulary of structure {name}"
+                )
         if consts:
             vocab = vocab.with_constants(consts)
         result[name] = Structure(vocab, size, relations, consts)
-        name, vocab, size, relations, consts = None, None, None, {}, {}
+        name, vocab, size, relations, consts, given = None, None, None, {}, {}, {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -586,22 +634,31 @@ def parse_structures(text: str) -> dict[str, Structure]:
                 if name in result:
                     raise StructureFormatError(f"duplicate structure name {name!r}")
             elif line.startswith("vocab:"):
+                once("'vocab:'", lineno)
                 preds = {}
                 for item in line[len("vocab:"):].split(","):
                     item = item.strip()
                     if not item:
                         continue
                     pred, arity = item.split("/")
-                    preds[pred.strip()] = int(arity)
+                    pred = pred.strip()
+                    if pred in preds:
+                        raise StructureFormatError(
+                            f"line {lineno}: predicate {pred!r} is listed twice in the vocabulary"
+                        )
+                    preds[pred] = int(arity)
                 vocab = Vocabulary.make(preds)
             elif line.startswith("universe:"):
+                once("'universe:'", lineno)
                 size = int(line[len("universe:"):].strip())
             elif line.startswith("const "):
                 lhs, rhs = line[len("const "):].split("=")
+                once(f"constant {lhs.strip()!r}", lineno)
                 consts[lhs.strip()] = int(rhs)
             else:
                 pred, rest = line.split(":", 1)
                 pred = pred.strip()
+                once(f"predicate {pred!r}", lineno)
                 tuples = set()
                 for chunk in rest.split():
                     if not (chunk.startswith("(") and chunk.endswith(")")):

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's optimized code paths: the
 embedding oracle tries every injection, the game evaluator walks the
-verifier/falsifier move tree with explicit role bookkeeping, and the
-reference evaluator walks the syntax tree recursively.
+verifier/falsifier move tree with explicit role bookkeeping, the
+reference evaluator walks the syntax tree recursively, and the structure
+building references check and build one tuple at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from fmtk.folog import (
     eliminate_implications,
     free_vars,
 )
-from fmtk.shrink import SigmaTree
-from fmtk.structures import Structure, Vocabulary
+from fmtk.shrink import SigmaTree, label_predicate
+from fmtk.structures import ORDER_PRED, Structure, Vocabulary
 
 GRAPH_VOCAB = Vocabulary.make({"E": 2})
 
@@ -214,6 +215,136 @@ def reference_cartesian_product(A: Structure, B: Structure) -> Structure:
                 tuples.add(tuple(p[0] * nb + p[1] for p in pairs))
         relations[name] = frozenset(tuples)
     return Structure(A.vocab, A.size * nb, relations)
+
+
+# ---------------------------------------------------------------------------
+# structure building, one tuple at a time
+
+
+def reference_check_structure(vocab: Vocabulary, size: int, relations=None,
+                              constant_interp=None) -> dict[str, frozenset]:
+    """The constructor's checks, tuple by tuple in input order: raises what
+    ``Structure(...)`` must raise, else returns the relations it must store."""
+    if size < 1:
+        raise ValueError("structures must be nonempty")
+    relations = dict(relations or {})
+    constant_interp = dict(constant_interp or {})
+    for name, _ in vocab.predicates:
+        relations.setdefault(name, frozenset())
+    for name, tuples in relations.items():
+        arity = vocab.arity(name)  # raises on unknown predicate
+        for t in tuples:
+            if len(t) != arity:
+                raise ValueError(f"tuple {t} has wrong arity for {name}/{arity}")
+            if not all(0 <= e < size for e in t):
+                raise ValueError(f"tuple {t} out of range for universe of size {size}")
+    for c in vocab.constants:
+        if c not in constant_interp:
+            raise ValueError(f"constant {c} is not interpreted")
+        if not 0 <= constant_interp[c] < size:
+            raise ValueError(f"constant {c} interpreted outside the universe")
+    for c in constant_interp:
+        if c not in vocab.constants:
+            raise ValueError(f"interpretation given for unknown constant {c}")
+    return {name: frozenset(map(tuple, tuples)) for name, tuples in relations.items()}
+
+
+def reference_induced_substructure(A: Structure, subset):
+    """Keep the tuples whose every element is kept, renumbered through a map."""
+    subset = sorted(set(subset))
+    renumber = {old: new for new, old in enumerate(subset)}
+    keep = set(subset)
+    relations = {
+        name: frozenset(
+            tuple(renumber[e] for e in t) for t in tuples if all(e in keep for e in t)
+        )
+        for name, tuples in A.relations.items()
+    }
+    consts = {c: renumber[e] for c, e in A.constant_interp.items()}
+    return Structure(A.vocab, len(subset), relations, consts), renumber
+
+
+def reference_disjoint_union(A: Structure, B: Structure) -> Structure:
+    shift = A.size
+    relations = {
+        name: A.relations[name]
+        | frozenset(tuple(e + shift for e in t) for t in B.relations[name])
+        for name, _ in A.vocab.predicates
+    }
+    return Structure(A.vocab, A.size + B.size, relations)
+
+
+def reference_complement(A: Structure) -> Structure:
+    relations = {
+        name: frozenset(
+            t
+            for t in itertools.product(range(A.size), repeat=arity)
+            if t not in A.relations[name]
+        )
+        for name, arity in A.vocab.predicates
+    }
+    return Structure(A.vocab, A.size, relations)
+
+
+def reference_tensor_product(A: Structure, B: Structure) -> Structure:
+    """Tensor product by its definition: every tuple of pairs is tested, and
+    holds iff both coordinate tuples hold."""
+    nb = B.size
+    relations = {}
+    for name, arity in A.vocab.predicates:
+        rel_a, rel_b = A.relations[name], B.relations[name]
+        relations[name] = frozenset(
+            tuple(a * nb + b for a, b in pairs)
+            for pairs in itertools.product(
+                itertools.product(range(A.size), range(nb)), repeat=arity
+            )
+            if tuple(p[0] for p in pairs) in rel_a and tuple(p[1] for p in pairs) in rel_b
+        )
+    return Structure(A.vocab, A.size * nb, relations)
+
+
+def reference_tree_of_structures(shape: dict[int, int | None],
+                                 parts: list[Structure]) -> Structure:
+    """Block tree by its definition: each part shifted into place, and the
+    order relating every pair of elements whose blocks are ancestor-or-equal."""
+    offsets = [sum(p.size for p in parts[:i]) for i in range(len(parts))]
+
+    def ancestors(j):
+        while j is not None:
+            yield j
+            j = shape[j]
+
+    relations = {name: set() for name, _ in parts[0].vocab.predicates}
+    for p, off in zip(parts, offsets):
+        for name in relations:
+            relations[name].update(tuple(e + off for e in t) for t in p.relations[name])
+    relations[ORDER_PRED] = {
+        (a + offsets[i], b + offsets[j])
+        for j in range(len(parts))
+        for i in ancestors(j)
+        for a in range(parts[i].size)
+        for b in range(parts[j].size)
+    }
+    return Structure(parts[0].vocab.with_predicate(ORDER_PRED, 2),
+                     sum(p.size for p in parts), relations)
+
+
+def reference_to_structure(t: SigmaTree):
+    """Tree encoding from every node's ancestor walk."""
+    renum = {v: i for i, v in enumerate(t.nodes)}
+    vocab = Vocabulary.make(
+        {ORDER_PRED: 2, **{label_predicate(a): 1 for a in t.alphabet}}
+    )
+    le = set()
+    for v in t.nodes:
+        le.add((renum[v], renum[v]))
+        for u in t.ancestors(v):
+            le.add((renum[u], renum[v]))
+    rels = {label_predicate(a): set() for a in t.alphabet}
+    for v in t.nodes:
+        rels[label_predicate(t.label[v])].add((renum[v],))
+    rels[ORDER_PRED] = le
+    return Structure(vocab, len(t.nodes), rels), renum
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmtk.algebra import (
     BOWTIE,
@@ -43,6 +45,13 @@ V = Vocabulary.make({"E": 2})
 VERTEX = Structure(V, 1)
 LOOP = Structure(V, 1, {"E": {(0, 0)}})
 EDGE = make_path(1)
+
+
+@st.composite
+def _graphs(draw, max_size=5):
+    n = draw(st.integers(1, max_size))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    return Structure(V, n, {"E": edges})
 
 
 def balanced_union(n, base=VERTEX):
@@ -132,6 +141,18 @@ class TestPushComplement:
             assert is_isomorphic(
                 eval_expression_tree(pushed), eval_expression_tree(t)
             )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.recursive(
+        _graphs().map(leaf),
+        lambda sub: st.one_of(
+            st.builds(lambda c: node(COMPLEMENT, c), sub),
+            st.builds(lambda a, b: node(UNION, a, b), sub, sub),
+        ),
+        max_leaves=5,
+    ))
+    def test_random_trees_preserve_evaluation(self, t):
+        assert eval_expression_tree(push_complement_to_leaves(t)) == eval_expression_tree(t)
 
     def test_reexpansion_restores_union_complement_form(self):
         t = node(COMPLEMENT, node(UNION, leaf(VERTEX), leaf(EDGE)))

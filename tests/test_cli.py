@@ -112,6 +112,29 @@ class TestShrinkCommand:
         assert reason in captured.err and "Traceback" not in captured.err
 
 
+class TestStructureFileErrors:
+    @pytest.mark.parametrize("text, reason", [
+        ("structure A\nvocab: E/2\nuniverse: 3\nE: (0,1)\nE: (1,2)\n",
+         "line 5: predicate 'E' is given on two lines"),
+        ("structure A\nvocab: E/2\nuniverse: 3\nuniverse: 3\n",
+         "line 4: 'universe:' is given on two lines"),
+        ("structure A\nvocab: E/2, E/1\nuniverse: 3\n",
+         "line 2: predicate 'E' is listed twice in the vocabulary"),
+        ("structure A\nvocab: E/2\nuniverse: 2\nF: (0,1)\n",
+         "line 4: predicate 'F' is not in the vocabulary of structure A"),
+    ], ids=["predicate", "universe", "vocab-entry", "undeclared"])
+    def test_repeated_or_undeclared_symbols_exit_1(self, tmp_path, capsys, text, reason):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text(text)
+        b.write_text(serialize_structure("B", make_path(1)))
+        code = main(["equiv", "--file-a", str(a), "--file-b", str(b), "--m", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert reason in captured.err and "Traceback" not in captured.err
+
+
 class TestTranslateCommand:
     def test_cycles_fixed_p(self, capsys):
         code, out = run([

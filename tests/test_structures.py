@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmtk.errors import StructureFormatError
+from fmtk.shrink import make_word, to_structure
 from fmtk.structures import (
     MarkedStructure,
     Structure,
@@ -29,10 +32,21 @@ from oracles import (
     brute_force_embedding,
     permuted_copy,
     random_structure,
+    random_tree,
     reference_cartesian_product,
+    reference_check_structure,
+    reference_complement,
+    reference_disjoint_union,
+    reference_induced_substructure,
+    reference_tensor_product,
+    reference_to_structure,
+    reference_tree_of_structures,
 )
 
 V = Vocabulary.make({"E": 2})
+# one predicate of each arity 1-3
+V123 = Vocabulary.make({"P": 1, "E": 2, "T": 3})
+V123C = V123.with_constants(["c"])
 
 
 def digraph(n, edges):
@@ -105,6 +119,138 @@ class TestStructureBasics:
                 moved = dict(A.constant_interp)
                 moved["c1"] = (moved["c1"] + 1) % A.size
                 assert A != Structure(vocab, A.size, A.relations, moved)
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkChecks:
+    """The constructor's bulk checks against the per-tuple loop."""
+
+    KINDS = ("valid", "wrong arity", "mixed arities", "negative", "equal to size", "unknown")
+
+    def _relations(self, rng, size, kind):
+        rels = {}
+        for name, arity in V123.predicates:
+            tuples = [t for t in itertools.product(range(size), repeat=arity)
+                      if rng.random() < 0.4]
+            rels[name] = tuples
+        name, arity = rng.choice(V123.predicates)
+        tuples = rels[name]
+        pos = rng.randint(0, len(tuples))
+        if kind == "wrong arity":
+            tuples.insert(pos, tuple(rng.randrange(size) for _ in range(rng.choice(
+                [a for a in (arity - 1, arity + 1) if a >= 1]))))
+        elif kind == "mixed arities":
+            other = 2 if arity != 2 else 3
+            tuples[pos:pos] = [tuple(rng.randrange(size) for _ in range(other))
+                               for _ in range(rng.randint(1, 3))]
+        elif kind in ("negative", "equal to size"):
+            bad = list(rng.choice(tuples)) if tuples else [0] * arity
+            bad[rng.randrange(arity)] = -1 if kind == "negative" else size
+            tuples.insert(pos, tuple(bad))
+        elif kind == "unknown":
+            rels["F"] = [(0,)]
+        container = rng.choice((list, set, frozenset))
+        return {n: container(ts) for n, ts in rels.items()}
+
+    def test_accepts_and_rejects_like_the_per_tuple_loop(self):
+        rng = random.Random(71)
+        rejected = {kind: 0 for kind in self.KINDS}
+        for _ in range(600):
+            size = rng.randint(1, 7)
+            kind = rng.choice(self.KINDS)
+            rels = self._relations(rng, size, kind)
+            got = _outcome(lambda: Structure(V123, size, rels).relations)
+            assert got == _outcome(lambda: reference_check_structure(V123, size, rels)), kind
+            if isinstance(got, tuple):
+                rejected[kind] += 1
+        assert rejected["valid"] == 0
+        assert all(rejected[kind] > 50 for kind in self.KINDS[1:]), rejected
+
+    def test_frozenset_is_kept_and_other_inputs_copied(self):
+        edges = frozenset({(0, 1)})
+        assert Structure(V, 2, {"E": edges}).relations["E"] is edges
+        assert Structure(V, 2, {"E": [[0, 1]]}).relations["E"] == edges
+        assert Structure(V, 2, {"E": iter([(0, 1)])}).relations["E"] == edges
+        with pytest.raises(ValueError, match=r"tuple \(0, 2\) out of range"):
+            Structure(V, 2, {"E": iter([(0, 1), (0, 2)])})
+
+
+class TestHash:
+    def test_equal_structures_built_differently_hash_alike(self):
+        VP = Vocabulary.make({"E": 2, "P": 1})
+        A = parse_structures(
+            "structure A\nvocab: E/2, P/1\nuniverse: 3\nE: (0,1) (1,2)\nP: (2)\n")["A"]
+        single = Structure(VP, 1)
+        builds = [
+            Structure(VP, 3, {"E": [(0, 1), (1, 2)], "P": [(2,)]}),
+            Structure(VP, 3, {"P": {(2,)}, "E": frozenset({(1, 2), (0, 1)})}),
+            Structure(VP, 3, {"E": [[1, 2], [0, 1], [0, 1]], "P": [[2]]}),
+            complement(complement(A)),
+            induced_substructure(disjoint_union(A, single), range(3))[0],
+            induced_substructure(disjoint_union(single, A), range(1, 4))[0],
+        ]
+        for B in builds:
+            assert B == A and hash(B) == hash(A)
+        VC = VP.with_constants(["c1", "c2"])
+        B = Structure(VC, 3, A.relations, {"c1": 0, "c2": 2})
+        C = Structure(VC, 3, dict(reversed(A.relations.items())), {"c2": 2, "c1": 0})
+        assert B == C and hash(B) == hash(C)
+
+
+class TestOperationsAgainstOracles:
+    """Each operation's output equals its tuple-by-tuple reference."""
+
+    def test_induced_substructure(self):
+        rng = random.Random(72)
+        for _ in range(200):
+            size = rng.randint(1, 7)
+            A = random_structure(rng, V123C, size, density=rng.random())
+            subset = {A.constant_interp["c"]} | {e for e in range(size) if rng.random() < 0.6}
+            assert induced_substructure(A, subset) == reference_induced_substructure(A, subset)
+
+    def test_disjoint_union_and_complement(self):
+        rng = random.Random(73)
+        for _ in range(150):
+            A = random_structure(rng, V123, rng.randint(1, 7), density=rng.random())
+            B = random_structure(rng, V123, rng.randint(1, 7), density=rng.random())
+            assert disjoint_union(A, B) == reference_disjoint_union(A, B)
+            assert complement(A) == reference_complement(A)
+
+    def test_to_structure(self):
+        rng = random.Random(74)
+        for _ in range(150):
+            sigma = ("a", "b", "c")[:rng.randint(1, 3)]
+            t = random_tree(rng, rng.randint(1, 30), sigma)
+            if rng.random() < 0.3:
+                t = make_word([rng.choice(sigma) for _ in range(rng.randint(1, 30))], sigma)
+            assert to_structure(t) == reference_to_structure(t)
+
+    def test_derived_structures_serialize_as_their_references(self):
+        rng = random.Random(75)
+        for _ in range(60):
+            A = random_structure(rng, V123, rng.randint(1, 4), density=rng.random())
+            B = random_structure(rng, V123, rng.randint(1, 4), density=rng.random())
+            for got, want in [
+                (bowtie(A, B), reference_complement(reference_disjoint_union(
+                    reference_complement(A), reference_complement(B)))),
+                (cartesian_product(A, B), reference_cartesian_product(A, B)),
+                (tensor_product(A, B), reference_tensor_product(A, B)),
+            ]:
+                assert serialize_structure("S", got) == serialize_structure("S", want)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            order = rng.sample(range(n), n)  # order[0] is the root block
+            shape = {order[0]: None, **{order[i]: order[rng.randrange(i)] for i in range(1, n)}}
+            parts = [random_structure(rng, V123, rng.randint(1, 3)) for _ in range(n)]
+            assert (serialize_structure("S", tree_of_structures(shape, parts))
+                    == serialize_structure("S", reference_tree_of_structures(shape, parts)))
 
 
 class TestInducedSubstructure:
@@ -425,6 +571,47 @@ class TestTextFormat:
         for text in (unknown, wrong_arity):
             with pytest.raises(StructureFormatError):
                 parse_structures(text)
+
+    @pytest.mark.parametrize("text, where", [
+        ("structure A\nvocab: E/2\nuniverse: 3\nE: (0,1)\nE: (1,2)\n",
+         "line 5: predicate 'E' is given on two lines"),
+        ("structure A\nvocab: E/2\nvocab: E/2\nuniverse: 3\n",
+         "line 3: 'vocab:' is given on two lines"),
+        ("structure A\nvocab: E/2\nuniverse: 3\nuniverse: 4\n",
+         "line 4: 'universe:' is given on two lines"),
+        ("structure A\nvocab: E/2\nuniverse: 3\nconst c = 0\nconst c = 1\n",
+         "line 5: constant 'c' is given on two lines"),
+        ("structure A\nvocab: E/2, E/1\nuniverse: 3\n",
+         "line 2: predicate 'E' is listed twice in the vocabulary"),
+        ("structure A\nvocab: E/2\nuniverse: 2\nF: (0,1)\nstructure B\nvocab: E/2\nuniverse: 1\n",
+         "line 4: predicate 'F' is not in the vocabulary of structure A"),
+    ], ids=["predicate", "vocab", "universe", "const", "vocab-entry", "undeclared"])
+    def test_repeated_or_undeclared_symbols_rejected(self, text, where):
+        with pytest.raises(StructureFormatError, match=where):
+            parse_structures(text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_serialize_parse_round_trip(self, data):
+        names = data.draw(st.lists(st.sampled_from(["A", "g2", "Left_1", "x_"]),
+                                   min_size=1, max_size=3, unique=True))
+        named = {}
+        for name in names:
+            preds = data.draw(st.sets(st.sampled_from(V123.predicates)))
+            consts = data.draw(st.sets(st.sampled_from(["c1", "c2", "c10"])))
+            vocab = Vocabulary(tuple(preds), tuple(consts))
+            size = data.draw(st.integers(1, 5))
+            rels = {
+                pred: data.draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity),
+                                        max_size=12))
+                for pred, arity in vocab.predicates
+            }
+            interp = {c: data.draw(st.integers(0, size - 1)) for c in consts}
+            named[name] = Structure(vocab, size, rels, interp)
+        text = serialize_structures(named)
+        parsed = parse_structures(text)
+        assert list(parsed) == names and parsed == named
+        assert serialize_structures(parsed) == text
 
     def test_ten_marks_round_trip(self):
         # constants c1 .. c10: parsing must not reorder them against expand()
