@@ -346,12 +346,12 @@ def shrink_algebraic(
     phases: list[tuple[str, int, int]] = []
     w_pairs = {prov0[e] for e in W}
     t1 = reduce_expression_height(pushed, w_pairs, m, k)
-    mid = eval_expression_tree(t1)
-    phases.append(("expression-height", original.size, mid.size))
+    mid_size = evaluated_size(t1)
+    phases.append(("expression-height", original.size, mid_size))
 
     t2, new_pairs, kept_maps = shrink_leaves(t1, w_pairs, m, leaf_shrinker)
     out, prov_out = eval_with_provenance(t2)
-    phases.append(("leaf-shrink", mid.size, out.size))
+    phases.append(("leaf-shrink", mid_size, out.size))
 
     pair_to_original = {pair: idx for idx, pair in enumerate(prov0)}
     witness = {}
@@ -422,8 +422,8 @@ def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
         sub, kept = _apply_leaf_shrinker(part, marks_per_block[i], m, leaf_shrinker)
         shrunk.append(sub)
         kept_maps.append(kept)
-    stage1 = tree_of_structures(shape, shrunk)
-    phases.append(("block-shrink", original.size, stage1.size))
+    stage1_size = sum(b.size for b in shrunk)
+    phases.append(("block-shrink", original.size, stage1_size))
 
     letters = [class_fingerprint(b, (), m) for b in shrunk]
     # block tree over 1-based node ids, letters are the block classes
@@ -445,7 +445,7 @@ def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
         for i in kept_blocks
     }
     out = tree_of_structures(new_shape, [shrunk[i] for i in kept_blocks])
-    phases.append(("block-sequence", stage1.size, out.size))
+    phases.append(("block-sequence", stage1_size, out.size))
 
     new_offsets = block_offsets([shrunk[i] for i in kept_blocks])
     witness = {}

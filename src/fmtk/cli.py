@@ -79,17 +79,19 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _load_structures(path: str) -> dict[str, Structure]:
+def _load(path: str, parse=parse_structures) -> dict:
+    """Read a block file: structures by default, or trees with
+    ``shrink.parse_trees``."""
     with open(path) as fh:
-        return parse_structures(fh.read())
+        return parse(fh.read())
 
 
-def _pick(named: dict[str, Structure], name: str | None, what: str) -> tuple[str, Structure]:
+def _pick(named: dict, name: str | None, what: str, kind: str = "structure") -> tuple:
     if name is None:
         first = next(iter(named))
         return first, named[first]
     if name not in named:
-        raise StructureFormatError(f"no structure named {name!r} in {what}")
+        raise StructureFormatError(f"no {kind} named {name!r} in {what}")
     return name, named[name]
 
 
@@ -107,7 +109,7 @@ GEN_CLASSES = ("linorder", "path", "cycle", "hn", "gn", "grid")
 
 
 def _load_checked(path: str, config: RunConfig) -> dict[str, Structure]:
-    named = _load_structures(path)
+    named = _load(path)
     for A in named.values():
         _check_size(A.size, config)
     return named
@@ -149,8 +151,8 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
 
 
 def cmd_equiv(args, config: RunConfig) -> int:
-    name_a, A = _pick(_load_structures(args.file_a), args.name_a, args.file_a)
-    name_b, B = _pick(_load_structures(args.file_b), args.name_b, args.file_b)
+    name_a, A = _pick(_load(args.file_a), args.name_a, args.file_a)
+    name_b, B = _pick(_load(args.file_b), args.name_b, args.file_b)
     _check_size(A.size, config)
     _check_size(B.size, config)
     config.extras.update({"file-a": args.file_a, "file-b": args.file_b,
@@ -170,15 +172,8 @@ def cmd_equiv(args, config: RunConfig) -> int:
 
 
 def cmd_shrink(args, config: RunConfig) -> int:
-    with open(args.file) as fh:
-        trees = shrink.parse_trees(fh.read())
-    if args.name is None:
-        name = next(iter(trees))
-    elif args.name in trees:
-        name = args.name
-    else:
-        raise StructureFormatError(f"no tree named {args.name!r} in {args.file}")
-    tree, file_marks = trees[name]
+    trees = _load(args.file, shrink.parse_trees)
+    name, (tree, file_marks) = _pick(trees, args.name, args.file, "tree")
     marks = _parse_marks(args.marks) if args.marks else list(file_marks)
     _check_size(tree.size, config, "tree")
     config.extras.update({"file": args.file, "name": name,
@@ -286,7 +281,7 @@ def _strip_constants(A: Structure) -> Structure:
 
 
 def cmd_algebra_eval(args, config: RunConfig) -> int:
-    named = _load_structures(args.structs)
+    named = _load(args.structs)
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
     _check_size(algebra.evaluated_size(tree), config)
@@ -301,7 +296,7 @@ def cmd_algebra_eval(args, config: RunConfig) -> int:
 
 
 def cmd_algebra_shrink(args, config: RunConfig) -> int:
-    named = _load_structures(args.structs)
+    named = _load(args.structs)
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
     for leaf in tree.leaves():
@@ -329,7 +324,9 @@ def cmd_algebra_shrink(args, config: RunConfig) -> int:
 
 
 def _expression_text(args) -> str:
-    if args.expr:
+    if (args.expr is None) == (args.expr_file is None):
+        raise StructureFormatError("give exactly one of --expr and --expr-file")
+    if args.expr is not None:
         return args.expr
     with open(args.expr_file) as fh:
         return fh.read().strip()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .equiv import rank_type
 from .errors import StructureFormatError, VerificationFailed
-from .structures import ORDER_PRED, Structure, Vocabulary
+from .structures import ORDER_PRED, Structure, Vocabulary, format_errors, read_blocks
 
 
 def label_predicate(letter: str) -> str:
@@ -627,66 +627,39 @@ def serialize_tree(name: str, t: SigmaTree, marks=()) -> str:
 def parse_trees(text: str) -> dict[str, tuple[SigmaTree, tuple[int, ...]]]:
     """Parse the block tree format; returns ``name -> (tree, marks)``."""
     result: dict[str, tuple[SigmaTree, tuple[int, ...]]] = {}
-    name = None
-    alphabet: tuple[str, ...] | None = None
-    parent: dict[int, int | None] = {}
-    label: dict[int, str] = {}
-    marks: tuple[int, ...] = ()
-
-    def flush():
-        nonlocal name, alphabet, parent, label, marks
-        if name is None:
-            return
-        tree = SigmaTree(parent, label, alphabet)
+    for name, lines in read_blocks(text, "tree").items():
+        alphabet: tuple[str, ...] | None = None
+        parent: dict[int, int | None] = {}
+        label: dict[int, str] = {}
+        marks: tuple[int, ...] = ()
+        for lineno, line, raw in lines:
+            with format_errors(f"line {lineno}: {raw.strip()!r}"):
+                words = line.split()
+                if words[0] == "alphabet:":
+                    alphabet = tuple(words[1:])
+                    if len(set(alphabet)) != len(alphabet):
+                        raise ValueError(f"alphabet repeats a letter: {' '.join(alphabet)}")
+                elif words[0] == "node":
+                    v = int(words[1])
+                    if v in parent:
+                        raise ValueError(f"node {v} is given twice")
+                    if words[2] != "label":
+                        raise ValueError("expected 'label'")
+                    if words[4] == "root":
+                        parent[v] = None
+                    elif words[4] == "parent":
+                        parent[v] = int(words[5])
+                    else:
+                        raise ValueError("expected 'root' or 'parent N'")
+                    label[v] = words[3]
+                elif words[0] == "marks:":
+                    marks = tuple(int(x) for x in words[1:])
+                else:
+                    raise ValueError("unrecognized line")
+        with format_errors(f"tree {name}"):
+            tree = SigmaTree(parent, label, alphabet)
         for v in marks:
             if v not in tree.parent:
                 raise StructureFormatError(f"mark {v} is not a node of {name}")
         result[name] = (tree, marks)
-        name, alphabet, parent, label, marks = None, None, {}, {}, ()
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            words = line.split()
-            if words[0] == "tree":
-                flush()
-                if words[1] in result:
-                    raise StructureFormatError(f"duplicate tree name {words[1]!r}")
-                name = words[1]
-            elif words[0] == "alphabet:":
-                alphabet = tuple(words[1:])
-                if len(set(alphabet)) != len(alphabet):
-                    raise StructureFormatError(f"alphabet repeats a letter: {' '.join(alphabet)}")
-            elif words[0] == "node":
-                v = int(words[1])
-                if v in parent:
-                    raise StructureFormatError(f"node {v} is given twice")
-                if words[2] != "label":
-                    raise StructureFormatError("expected 'label'")
-                letter = words[3]
-                if words[4] == "root":
-                    parent[v] = None
-                elif words[4] == "parent":
-                    parent[v] = int(words[5])
-                else:
-                    raise StructureFormatError("expected 'root' or 'parent N'")
-                label[v] = letter
-            elif words[0] == "marks:":
-                marks = tuple(int(x) for x in words[1:])
-            else:
-                raise StructureFormatError(f"unrecognized line {line!r}")
-        except StructureFormatError:
-            raise
-        except Exception as exc:
-            raise StructureFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
-    try:
-        flush()
-    except StructureFormatError:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise StructureFormatError(f"tree {name}: {exc}") from exc
-    if not result:
-        raise StructureFormatError("no trees in input")
     return result

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Collection
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import StructureFormatError
@@ -583,6 +584,50 @@ def serialize_structures(named: dict[str, Structure]) -> str:
     return "\n".join(serialize_structure(n, A) for n, A in named.items())
 
 
+@contextmanager
+def format_errors(where: str):
+    """Re-raise any error but a :class:`StructureFormatError` as one, prefixed
+    with ``where`` (``line N: '<raw>'``, ``structure A``, ``tree A``)."""
+    try:
+        yield
+    except StructureFormatError:
+        raise
+    except Exception as exc:
+        raise StructureFormatError(f"{where}: {exc}") from exc
+
+
+def read_blocks(text: str, keyword: str) -> dict[str, list[tuple[int, str, str]]]:
+    """Split ``text`` into its ``<keyword> NAME`` blocks, in order.
+
+    Returns ``name -> [(line number, line, raw line)]`` for the lines below
+    each header, with ``#`` comments and blank lines dropped. Every line
+    belongs to the block above it, so a line before the first header is a
+    format error, as are a header without a name and a repeated name.
+    """
+    blocks: dict[str, list[tuple[int, str, str]]] = {}
+    body = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, *name = line.split(None, 1)
+        if head == keyword:
+            if not name:
+                raise StructureFormatError(f"line {lineno}: {keyword} line without a name")
+            if name[0] in blocks:
+                raise StructureFormatError(f"line {lineno}: duplicate {keyword} name {name[0]!r}")
+            body = blocks[name[0]] = []
+        elif body is None:
+            raise StructureFormatError(
+                f"line {lineno}: {raw.strip()!r} comes before the first {keyword} line"
+            )
+        else:
+            body.append((lineno, line, raw))
+    if not blocks:
+        raise StructureFormatError(f"no {keyword}s in input")
+    return blocks
+
+
 def parse_structures(text: str) -> dict[str, Structure]:
     """Parse the block text format; returns structures keyed by name, in order.
 
@@ -592,24 +637,45 @@ def parse_structures(text: str) -> dict[str, Structure]:
     not declare, is a format error naming the line and the symbol.
     """
     result: dict[str, Structure] = {}
-    name = None
-    vocab: Vocabulary | None = None
-    size = None
-    relations: dict[str, set] = {}
-    consts: dict[str, int] = {}
-    given: dict[str, int] = {}  # what a line gave -> its line number
-
-    def once(what: str, lineno: int):
-        if what in given:
-            raise StructureFormatError(
-                f"line {lineno}: {what} is given on two lines (first on line {given[what]})"
-            )
-        given[what] = lineno
-
-    def flush():
-        nonlocal name, vocab, size, relations, consts, given
-        if name is None:
-            return
+    for name, lines in read_blocks(text, "structure").items():
+        vocab: Vocabulary | None = None
+        size = None
+        relations: dict[str, set] = {}
+        consts: dict[str, int] = {}
+        given: dict[str, int] = {}  # what a line gave -> its line number
+        for lineno, line, raw in lines:
+            with format_errors(f"line {lineno}: {raw.strip()!r}"):
+                if line.startswith("vocab:"):
+                    _once(given, "'vocab:'", lineno)
+                    preds = {}
+                    for item in line[len("vocab:"):].split(","):
+                        item = item.strip()
+                        if not item:
+                            continue
+                        pred, arity = item.split("/")
+                        pred = pred.strip()
+                        if pred in preds:
+                            raise StructureFormatError(f"line {lineno}: predicate {pred!r} "
+                                                       "is listed twice in the vocabulary")
+                        preds[pred] = int(arity)
+                    vocab = Vocabulary.make(preds)
+                elif line.startswith("universe:"):
+                    _once(given, "'universe:'", lineno)
+                    size = int(line[len("universe:"):].strip())
+                elif line.startswith("const "):
+                    lhs, rhs = line[len("const "):].split("=")
+                    _once(given, f"constant {lhs.strip()!r}", lineno)
+                    consts[lhs.strip()] = int(rhs)
+                else:
+                    pred, rest = line.split(":", 1)
+                    pred = pred.strip()
+                    _once(given, f"predicate {pred!r}", lineno)
+                    tuples = set()
+                    for chunk in rest.split():
+                        if not (chunk.startswith("(") and chunk.endswith(")")):
+                            raise ValueError(f"bad tuple {chunk!r}")
+                        tuples.add(tuple(int(x) for x in chunk[1:-1].split(",") if x != ""))
+                    relations[pred] = tuples
         if vocab is None or size is None:
             raise StructureFormatError(f"structure {name} is missing vocab or universe")
         for pred in relations:
@@ -618,64 +684,16 @@ def parse_structures(text: str) -> dict[str, Structure]:
                     f"line {given[f'predicate {pred!r}']}: predicate {pred!r} "
                     f"is not in the vocabulary of structure {name}"
                 )
-        if consts:
-            vocab = vocab.with_constants(consts)
-        result[name] = Structure(vocab, size, relations, consts)
-        name, vocab, size, relations, consts, given = None, None, None, {}, {}, {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("structure "):
-                flush()
-                name = line.split(None, 1)[1].strip()
-                if name in result:
-                    raise StructureFormatError(f"duplicate structure name {name!r}")
-            elif line.startswith("vocab:"):
-                once("'vocab:'", lineno)
-                preds = {}
-                for item in line[len("vocab:"):].split(","):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    pred, arity = item.split("/")
-                    pred = pred.strip()
-                    if pred in preds:
-                        raise StructureFormatError(
-                            f"line {lineno}: predicate {pred!r} is listed twice in the vocabulary"
-                        )
-                    preds[pred] = int(arity)
-                vocab = Vocabulary.make(preds)
-            elif line.startswith("universe:"):
-                once("'universe:'", lineno)
-                size = int(line[len("universe:"):].strip())
-            elif line.startswith("const "):
-                lhs, rhs = line[len("const "):].split("=")
-                once(f"constant {lhs.strip()!r}", lineno)
-                consts[lhs.strip()] = int(rhs)
-            else:
-                pred, rest = line.split(":", 1)
-                pred = pred.strip()
-                once(f"predicate {pred!r}", lineno)
-                tuples = set()
-                for chunk in rest.split():
-                    if not (chunk.startswith("(") and chunk.endswith(")")):
-                        raise StructureFormatError(f"bad tuple {chunk!r}")
-                    inner = chunk[1:-1]
-                    tuples.add(tuple(int(x) for x in inner.split(",") if x != ""))
-                relations[pred] = tuples
-        except StructureFormatError:
-            raise
-        except Exception as exc:
-            raise StructureFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
-    try:
-        flush()
-    except StructureFormatError:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise StructureFormatError(f"structure {name}: {exc}") from exc
-    if not result:
-        raise StructureFormatError("no structures in input")
+        with format_errors(f"structure {name}"):
+            vocab = vocab.with_constants(consts) if consts else vocab
+            result[name] = Structure(vocab, size, relations, consts)
     return result
+
+
+def _once(given: dict[str, int], what: str, lineno: int):
+    """Record that line ``lineno`` gave ``what``; a second such line is an error."""
+    if what in given:
+        raise StructureFormatError(
+            f"line {lineno}: {what} is given on two lines (first on line {given[what]})"
+        )
+    given[what] = lineno

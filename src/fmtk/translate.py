@@ -50,12 +50,11 @@ PREFIX_EVAL_GUARD = 10**6  # prefix assignments, summed over a sample
 class ClassSample:
     """Finite stand-in for a class: listed structures plus a membership test.
 
-    ``closed`` records that the listed structures are closed under induced
-    substructures (within the class); :meth:`validate_closed` checks it.
+    :meth:`validate_closed` checks that the listed structures are closed under
+    induced substructures (within the class).
     """
 
     structures: list[Structure]
-    closed: bool = False
     membership: "callable | None" = None
 
     def member(self, A: Structure) -> bool:

@@ -101,7 +101,9 @@ class TestShrinkCommand:
         ("tree t\nalphabet: a b\nnode 1 label a root\nnode 2 label a parent 1\n"
          "node 2 label b parent 1\n", "node 2 is given twice"),
         ("tree t\nalphabet: a a\nnode 1 label a root\n", "alphabet repeats a letter"),
-    ], ids=["node", "alphabet"])
+        ("alphabet: a\ntree t\nnode 0 label a root\n",
+         "line 1: 'alphabet: a' comes before the first tree line"),
+    ], ids=["node", "alphabet", "before-first-header"])
     def test_duplicate_lines_exit_1(self, tmp_path, capsys, text, reason):
         f = tmp_path / "t.txt"
         f.write_text(text)
@@ -110,6 +112,25 @@ class TestShrinkCommand:
         assert code == 1
         assert captured.out == ""
         assert reason in captured.err and "Traceback" not in captured.err
+
+
+class TestShrinkPicksByName:
+    def test_named_tree(self, tmp_path, capsys):
+        f = tmp_path / "t.txt"
+        f.write_text("tree s\nalphabet: a\nnode 0 label a root\n"
+                     "tree t\nalphabet: b\nnode 5 label b root\nnode 6 label b parent 5\n")
+        code, out = run(["shrink", "--file", str(f), "--name", "t", "--m", "1", "--k", "0"],
+                        capsys)
+        assert code == 0
+        assert "name: t" in out and "tree t_shrunk" in out
+
+    def test_unknown_name_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "t.txt"
+        f.write_text("tree s\nalphabet: a\nnode 0 label a root\n")
+        code = main(["shrink", "--file", str(f), "--name", "u", "--m", "1", "--k", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"no tree named 'u' in {f}" in captured.err
 
 
 class TestStructureFileErrors:
@@ -122,7 +143,9 @@ class TestStructureFileErrors:
          "line 2: predicate 'E' is listed twice in the vocabulary"),
         ("structure A\nvocab: E/2\nuniverse: 2\nF: (0,1)\n",
          "line 4: predicate 'F' is not in the vocabulary of structure A"),
-    ], ids=["predicate", "universe", "vocab-entry", "undeclared"])
+        ("vocab: E/2\nuniverse: 2\nE: (0,1)\nstructure A\n",
+         "line 1: 'vocab: E/2' comes before the first structure line"),
+    ], ids=["predicate", "universe", "vocab-entry", "undeclared", "before-first-header"])
     def test_repeated_or_undeclared_symbols_exit_1(self, tmp_path, capsys, text, reason):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -239,6 +262,32 @@ class TestAlgebraCommands:
         code = main(["algebra-eval", "--structs", structs_file, "--expr", "(u A"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["algebra-eval", "algebra-shrink"])
+    @pytest.mark.parametrize("flags", ["neither", "both"])
+    def test_exactly_one_expression_flag(self, structs_file, tmp_path, capsys, command, flags):
+        expr_file = tmp_path / "e.txt"
+        expr_file.write_text("(u A B)\n")
+        given = [] if flags == "neither" else ["--expr", "(u A A)", "--expr-file", str(expr_file)]
+        args = [command, "--structs", structs_file, *given, "--m", "1", "--k", "0"]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "exactly one of --expr and --expr-file" in captured.err
+        proc = subprocess.run([sys.executable, "-m", "fmtk.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+    def test_expression_file(self, structs_file, tmp_path, capsys):
+        expr_file = tmp_path / "e.txt"
+        expr_file.write_text("(bw A B)\n")
+        code, out = run(["algebra-eval", "--structs", structs_file,
+                         "--expr-file", str(expr_file)], capsys)
+        assert code == 0
+        assert "expr: (bw A B)" in out and "output-size: 3" in out
 
     def test_eval_guard_fires_before_the_product(self, structs_file, capsys, monkeypatch):
         def product_not_allowed(A, B):

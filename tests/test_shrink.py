@@ -128,6 +128,25 @@ def _ab_trees(draw, max_size=12):
     return SigmaTree(parent, label, ("a", "b"))
 
 
+@st.composite
+def _tree_files(draw):
+    """1 to 3 named trees with arbitrary node ids, alphabets and sorted marks."""
+    names = draw(st.lists(st.sampled_from(["T", "w2", "Left_1", "x_"]),
+                          min_size=1, max_size=3, unique=True))
+    trees = {}
+    for name in names:
+        alphabet = draw(st.lists(st.sampled_from(["a", "b", "c10", "x_y"]),
+                                 min_size=1, unique=True))
+        ids = draw(st.lists(st.integers(-20, 60), min_size=1, max_size=10, unique=True))
+        parent = {ids[0]: None}
+        for i, v in enumerate(ids[1:], start=1):
+            parent[v] = ids[draw(st.integers(0, i - 1))]
+        label = {v: draw(st.sampled_from(alphabet)) for v in ids}
+        marks = draw(st.sets(st.sampled_from(ids), max_size=3))
+        trees[name] = (SigmaTree(parent, label, alphabet), tuple(sorted(marks)))
+    return trees
+
+
 def _count_rank_types(monkeypatch) -> list:
     calls = []
     real = shrink.rank_type
@@ -456,3 +475,28 @@ class TestTreeTextFormat:
         for text in (two_roots, foreign_label):
             with pytest.raises(StructureFormatError):
                 parse_trees(text)
+
+    @pytest.mark.parametrize("text", [
+        "alphabet: a\ntree T\nnode 0 label a root\n",
+        "node 0 label a root\ntree T\nalphabet: a\n",
+        "marks: 0\ntree T\nalphabet: a\nnode 0 label a root\n",
+    ], ids=["alphabet", "node", "marks"])
+    def test_line_before_first_header_rejected(self, text):
+        first = text.splitlines()[0]
+        with pytest.raises(StructureFormatError,
+                           match=f"line 1: '{first}' comes before the first tree line"):
+            parse_trees(text)
+
+    def test_error_in_an_earlier_block_names_that_block(self):
+        text = ("tree T\nalphabet: a\nnode 1 label b root\n"
+                "tree U\nalphabet: a\nnode 1 label a root\n")
+        with pytest.raises(StructureFormatError, match="^tree T: labels must come from"):
+            parse_trees(text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_tree_files())
+    def test_serialize_parse_round_trip(self, trees):
+        text = "\n".join(serialize_tree(n, t, marks) for n, (t, marks) in trees.items())
+        parsed = parse_trees(text)
+        assert list(parsed) == list(trees) and parsed == trees
+        assert "\n".join(serialize_tree(n, t, m) for n, (t, m) in parsed.items()) == text

@@ -1,4 +1,5 @@
 import itertools
+import re
 import random
 
 import pytest
@@ -588,6 +589,27 @@ class TestTextFormat:
     ], ids=["predicate", "vocab", "universe", "const", "vocab-entry", "undeclared"])
     def test_repeated_or_undeclared_symbols_rejected(self, text, where):
         with pytest.raises(StructureFormatError, match=where):
+            parse_structures(text)
+
+    @pytest.mark.parametrize("text", [
+        "vocab: E/2\nuniverse: 2\nE: (0,1)\nstructure A\n",
+        "E: (0,1)\nstructure A\nvocab: E/2\nuniverse: 2\n",
+    ], ids=["vocab", "predicate"])
+    def test_line_before_first_header_rejected(self, text):
+        first = text.splitlines()[0]
+        with pytest.raises(StructureFormatError,
+                           match=rf"line 1: '{re.escape(first)}' comes before the first structure line"):
+            parse_structures(text)
+
+    def test_error_in_an_earlier_block_names_that_block(self):
+        text = ("structure A\nvocab: E/2\nuniverse: 2\nE: (0,5)\n"
+                "structure B\nvocab: E/2\nuniverse: 1\n")
+        with pytest.raises(StructureFormatError, match=r"^structure A: tuple \(0, 5\)"):
+            parse_structures(text)
+
+    def test_line_errors_name_their_line(self):
+        text = "structure A\nvocab: E/2\nuniverse: 2\nE: (0,1\nstructure B\n"
+        with pytest.raises(StructureFormatError, match=r"^line 4: 'E: \(0,1': bad tuple"):
             parse_structures(text)
 
     @settings(max_examples=150, deadline=None, derandomize=True)

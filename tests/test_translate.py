@@ -321,8 +321,8 @@ class TestClassTests:
 
     def test_closed_sample_validation(self):
         sample = ClassSample(
-            enumerate_structures(V, 2), closed=True, membership=lambda s: True
+            enumerate_structures(V, 2), membership=lambda s: True
         )
         assert sample.validate_closed()
-        gap = ClassSample([make_path(2)], closed=True, membership=lambda s: True)
+        gap = ClassSample([make_path(2)], membership=lambda s: True)
         assert not gap.validate_closed()
