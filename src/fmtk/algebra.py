@@ -10,6 +10,7 @@ of new element ``i``). That witness routes marks and certifies containment.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .equiv import class_fingerprint, rank_type
@@ -22,6 +23,7 @@ from .structures import (
     bowtie,
     cartesian_product,
     check_embedding_witness,
+    checked_marks,
     complement,
     disjoint_union,
     find_embedding,
@@ -121,17 +123,13 @@ def evaluated_size(s: ExprNode) -> int:
 
 def eval_with_provenance(s: ExprNode) -> tuple[Structure, tuple[tuple[int, int], ...]]:
     """Evaluation plus, per element, the ``(leaf id, leaf element)`` it came
-    from. Defined for complement/union/bowtie trees, where universes stack."""
-    if s.op == LEAF:
-        return s.structure, tuple((s.node_id, e) for e in range(s.base.size))
-    if s.op == COMPLEMENT:
-        inner, prov = eval_with_provenance(s.children[0])
-        return complement(inner), prov
-    if s.op in (UNION, BOWTIE):
-        la, pa = eval_with_provenance(s.children[0])
-        rb, pb = eval_with_provenance(s.children[1])
-        return _EVAL[s.op](la, rb), pa + pb
-    raise ValueError(f"provenance undefined for operation {s.op!r}")
+    from. Defined for complement/union/bowtie trees, where universes stack
+    leaf by leaf in leaf order."""
+    bad = s.ops_used() - {COMPLEMENT, UNION, BOWTIE}
+    if bad:
+        raise ValueError(f"provenance undefined for operation {min(bad)!r}")
+    prov = tuple((lf.node_id, e) for lf in s.leaves() for e in range(lf.base.size))
+    return eval_expression_tree(s), prov
 
 
 def push_complement_to_leaves(s: ExprNode) -> ExprNode:
@@ -209,8 +207,9 @@ def reduce_expression_height(
 ) -> ExprNode:
     """Splice out nested subexpressions that evaluate into the same rank class
     and cover the same number of marked leaves; marked leaves survive."""
-    if len(w_pairs) > k:
-        raise ValueError(f"|W| = {len(w_pairs)} exceeds k = {k}")
+    w_pairs = checked_marks(
+        w_pairs, k, {(lf.node_id, e) for lf in s.leaves() for e in range(lf.base.size)}
+    )
     bad = s.ops_used() - {UNION, BOWTIE}
     if bad:
         raise ValueError(f"height reduction expects a union/bowtie tree, found {sorted(bad)}")
@@ -284,18 +283,27 @@ def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     return B, tuple(range(B.size))
 
 
+def shrink_verdicts(original: Structure, out: Structure, witness, W, m: int) -> dict[str, bool]:
+    """The postconditions every structure shrink re-checks. ``witness[i]`` is
+    the element of ``original`` behind element ``i`` of ``out``: ``out`` must
+    hold every mark of ``W`` (elements of ``original``), be the induced
+    substructure of ``original`` that ``witness`` names, and have its rank-``m``
+    type."""
+    return {
+        "contains_marks": set(W) <= set(witness),
+        "substructure": check_embedding_witness(out, original, dict(enumerate(witness))),
+        "equivalent": rank_type(out, (), m) == rank_type(original, (), m),
+    }
+
+
 def _apply_leaf_shrinker(B: Structure, marks, m: int, leaf_shrinker):
     sub, kept = leaf_shrinker(B, set(marks), m)
     kept = tuple(kept)
     if list(kept) != sorted(set(kept)):
         raise VerificationFailed("leaf shrinker must return kept ids sorted and distinct")
-    witness = {new: old for new, old in enumerate(kept)}
-    if not check_embedding_witness(sub, B, witness):
-        raise VerificationFailed("leaf shrinker output is not the induced substructure it claims")
-    if not set(marks) <= set(kept):
-        raise VerificationFailed("leaf shrinker dropped a marked element")
-    if rank_type(sub, (), m) != rank_type(B, (), m):
-        raise VerificationFailed("leaf shrinker output is not equivalent at the requested rank")
+    failed = [name for name, ok in shrink_verdicts(B, sub, kept, marks, m).items() if not ok]
+    if failed:
+        raise VerificationFailed(f"leaf shrinker output fails {', '.join(failed)}")
     return sub, kept
 
 
@@ -324,6 +332,16 @@ def shrink_leaves(
     return out, new_pairs, kept_maps
 
 
+def _marks_by_part(W: set[int], offsets: list[int]) -> list[set[int]]:
+    """Route marks of a stack of parts (``offsets`` from ``block_offsets``) to
+    their parts: entry ``i`` holds part ``i``'s marks, as its own element ids."""
+    per_part: list[set[int]] = [set() for _ in offsets]
+    for e in W:
+        i = bisect_right(offsets, e) - 1
+        per_part[i].add(e - offsets[i])
+    return per_part
+
+
 def shrink_algebraic(
     s: ExprNode, W, m: int, k: int, leaf_shrinker=None
 ) -> tuple[Structure, ShrinkReport]:
@@ -331,42 +349,37 @@ def shrink_algebraic(
     elements ``W`` (element indices of the evaluation).
 
     Pipeline: push complements to the leaves, splice repeated classes out of
-    the expression, shrink each leaf. The result is re-verified to contain
-    ``W``, embed into the original evaluation, and match its rank class; the
-    re-expanded union/complement certificate is attached to the report.
+    the expression, shrink each leaf. The result is re-verified by
+    :func:`shrink_verdicts` and its re-expanded union/complement certificate
+    must evaluate back to it; the certificate is attached to the report.
     """
-    W = set(W)
-    if len(W) > k:
-        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
+    W = checked_marks(W, k, range(evaluated_size(s)))
     leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     pushed = push_complement_to_leaves(s)
-    original, prov0 = eval_with_provenance(pushed)
-    if not W <= set(range(original.size)):
-        raise ValueError("marks must be elements of the evaluation")
-    phases: list[tuple[str, int, int]] = []
-    w_pairs = {prov0[e] for e in W}
+    original = eval_expression_tree(pushed)
+    # the evaluation stacks the leaves' universes in leaf order
+    leaves = pushed.leaves()
+    offsets = block_offsets([lf.base for lf in leaves])
+    offset_of = {lf.node_id: off for lf, off in zip(leaves, offsets)}
+    w_pairs = {
+        (lf.node_id, e)
+        for lf, marks in zip(leaves, _marks_by_part(W, offsets))
+        for e in marks
+    }
     t1 = reduce_expression_height(pushed, w_pairs, m, k)
     mid_size = evaluated_size(t1)
-    phases.append(("expression-height", original.size, mid_size))
+    t2, _, kept_maps = shrink_leaves(t1, w_pairs, m, leaf_shrinker)
+    out = eval_expression_tree(t2)
+    phases = [("expression-height", original.size, mid_size), ("leaf-shrink", mid_size, out.size)]
 
-    t2, new_pairs, kept_maps = shrink_leaves(t1, w_pairs, m, leaf_shrinker)
-    out, prov_out = eval_with_provenance(t2)
-    phases.append(("leaf-shrink", mid_size, out.size))
-
-    pair_to_original = {pair: idx for idx, pair in enumerate(prov0)}
-    witness = {}
-    for idx, (lid, e) in enumerate(prov_out):
-        witness[idx] = pair_to_original[(lid, kept_maps[lid][e])]
-    w_out = {idx for idx, pair in enumerate(prov_out) if pair in new_pairs}
-
-    certificate = serialize_expression(reexpand_bowties(t2))
-    verdicts = {
-        "contains_marks": {witness[i] for i in w_out} == W,
-        "substructure": check_embedding_witness(out, original, witness),
-        "equivalent": rank_type(out, (), m) == rank_type(original, (), m),
-        "certificate_evaluates_back": eval_expression_tree(reexpand_bowties(t2)) == out,
-    }
-    report = ShrinkReport(original.size, out.size, phases, verdicts, certificate)
+    # spliced and shrunk leaves keep their leaf order, so ``out`` is a stack
+    # of the surviving leaves' kept elements
+    witness = [offset_of[lf.node_id] + old for lf in t2.leaves() for old in kept_maps[lf.node_id]]
+    certificate_tree = reexpand_bowties(t2)
+    verdicts = shrink_verdicts(original, out, witness, W, m)
+    verdicts["certificate_evaluates_back"] = eval_expression_tree(certificate_tree) == out
+    report = ShrinkReport(original.size, out.size, phases, verdicts,
+                          serialize_expression(certificate_tree))
     report.raise_if_failed()
     return out, report
 
@@ -395,73 +408,28 @@ def shrink_tree_of_structures(
 
 
 def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
-    W = set(W)
-    if len(W) > k:
-        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
+    W = checked_marks(W, k, range(sum(p.size for p in parts)))
     leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     original = tree_of_structures(shape, parts)
-    if not W <= set(range(original.size)):
-        raise ValueError("marks must be elements of the block composition")
     offsets = block_offsets(parts)
-    phases: list[tuple[str, int, int]] = []
-
-    def block_of(e: int) -> int:
-        for i in reversed(range(len(parts))):
-            if e >= offsets[i]:
-                return i
-        raise AssertionError
-
-    marks_per_block: dict[int, set[int]] = {i: set() for i in range(len(parts))}
-    for e in W:
-        i = block_of(e)
-        marks_per_block[i].add(e - offsets[i])
-
-    shrunk: list[Structure] = []
-    kept_maps: list[tuple[int, ...]] = []
-    for i, part in enumerate(parts):
-        sub, kept = _apply_leaf_shrinker(part, marks_per_block[i], m, leaf_shrinker)
-        shrunk.append(sub)
-        kept_maps.append(kept)
+    marks = _marks_by_part(W, offsets)
+    shrunk, kept = zip(*(
+        _apply_leaf_shrinker(part, marks[i], m, leaf_shrinker) for i, part in enumerate(parts)
+    ))
     stage1_size = sum(b.size for b in shrunk)
-    phases.append(("block-shrink", original.size, stage1_size))
 
-    letters = [class_fingerprint(b, (), m) for b in shrunk]
-    # block tree over 1-based node ids, letters are the block classes
-    seq_parent = {
-        i + 1: (None if shape[i] is None else shape[i] + 1) for i in range(len(parts))
-    }
-    seq_tree = SigmaTree(seq_parent, {i + 1: letters[i] for i in range(len(parts))})
-    carrying = {i + 1 for i in range(len(parts)) if marks_per_block[i]}
-    seq_out, seq_report = shrink_tree(seq_tree, carrying, m, k)
+    # the block tree over the block indices, lettered by the block classes
+    seq_tree = SigmaTree(shape, {i: class_fingerprint(b, (), m) for i, b in enumerate(shrunk)})
+    seq_out, seq_report = shrink_tree(seq_tree, {i for i, ms in enumerate(marks) if ms}, m, k)
+    kept_shape, renum = seq_out.renumbered()
+    kept_blocks = list(renum)  # old block index of each new block, in order
+    out = tree_of_structures(kept_shape.parent, [shrunk[i] for i in kept_blocks])
+    phases = [("block-shrink", original.size, stage1_size),
+              ("block-sequence", stage1_size, out.size)]
 
-    kept_blocks = sorted(i - 1 for i in seq_out.nodes)
-    renum_blocks = {old: new for new, old in enumerate(kept_blocks)}
-    new_shape = {
-        renum_blocks[i]: (
-            None
-            if seq_out.parent[i + 1] is None
-            else renum_blocks[seq_out.parent[i + 1] - 1]
-        )
-        for i in kept_blocks
-    }
-    out = tree_of_structures(new_shape, [shrunk[i] for i in kept_blocks])
-    phases.append(("block-sequence", stage1_size, out.size))
-
-    new_offsets = block_offsets([shrunk[i] for i in kept_blocks])
-    witness = {}
-    for new_i, old_i in enumerate(kept_blocks):
-        for new_e in range(shrunk[old_i].size):
-            witness[new_offsets[new_i] + new_e] = (
-                offsets[old_i] + kept_maps[old_i][new_e]
-            )
-    w_out = {n for n, old in witness.items() if old in W}
-
-    verdicts = {
-        "contains_marks": {witness[n] for n in w_out} == W,
-        "substructure": check_embedding_witness(out, original, witness),
-        "equivalent": rank_type(out, (), m) == rank_type(original, (), m),
-        "sequence_verified": seq_report.ok(),
-    }
+    witness = [offsets[i] + old for i in kept_blocks for old in kept[i]]
+    verdicts = shrink_verdicts(original, out, witness, W, m)
+    verdicts["sequence_verified"] = seq_report.ok()
     report = ShrinkReport(original.size, out.size, phases, verdicts)
     report.raise_if_failed()
     return out, report

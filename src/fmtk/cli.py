@@ -105,7 +105,19 @@ def _check_size(size: int, config: RunConfig, what: str = "structure"):
     check_guard(f"{what} of size", size, config.max_size, "--max-size")
 
 
-GEN_CLASSES = ("linorder", "path", "cycle", "hn", "gn", "grid")
+# class name -> its ``wqo`` generator, looked up when called; a class that
+# ``translate`` samples (named in the plural there) also has its membership
+# test and the elements a structure has beyond its parameter (a path of
+# length n has n + 1 vertices)
+_CLASSES = {
+    "linorder": ("make_linear_order", translate.is_linear_order, 0),
+    "path": ("make_path", translate.is_path_graph, 1),
+    "cycle": ("make_cycle", translate.is_cycle_graph, 0),
+    "hn": ("make_Hn", None, 0),
+    "gn": ("make_Gn", None, 0),
+    "grid": ("make_grid", None, 0),
+}
+GEN_CLASSES = tuple(_CLASSES)
 
 
 def _load_checked(path: str, config: RunConfig) -> dict[str, Structure]:
@@ -127,23 +139,15 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
             "sample spec must be CLASS:LO:HI (cycles, paths, linorders) or file:PATH"
         )
     kind, lo, hi = parts[0], int(parts[1]), int(parts[2])
-    # generator, membership test, and the extra elements of a structure
-    # beyond its parameter (a path of length n has n + 1 vertices)
-    makers = {
-        "cycles": (wqo.make_cycle, translate.is_cycle_graph, 0),
-        "paths": (wqo.make_path, translate.is_path_graph, 1),
-        "linorders": (wqo.make_linear_order, translate.is_linear_order, 0),
-    }
-    if kind not in makers:
+    entry = _CLASSES.get(kind[:-1]) if kind.endswith("s") else None
+    if entry is None or entry[1] is None:
         raise StructureFormatError(f"unknown sample class {kind!r}")
-    maker, member, extra = makers[kind]
+    maker, member, extra = entry
     if lo > hi:
         raise StructureFormatError(f"sample range {lo}..{hi} is empty")
     _check_size(hi + extra, config)
-    return (
-        translate.ClassSample([maker(n) for n in range(lo, hi + 1)], membership=member),
-        spec,
-    )
+    make = getattr(wqo, maker)
+    return translate.ClassSample([make(n) for n in range(lo, hi + 1)], membership=member), spec
 
 
 # ---------------------------------------------------------------------------
@@ -334,27 +338,11 @@ def _expression_text(args) -> str:
 
 def cmd_gen(args, config: RunConfig) -> int:
     marks = _parse_marks(args.marks)
-    name = args.name
-    if args.klass == "linorder":
-        A = wqo.make_linear_order(args.n)
-    elif args.klass == "path":
-        A = wqo.make_path(args.n)
-    elif args.klass == "cycle":
-        A = wqo.make_cycle(args.n)
-    elif args.klass == "hn":
-        A = wqo.make_Hn(args.n)
-    elif args.klass == "gn":
-        A = wqo.make_Gn(args.n)
-    elif args.klass == "grid":
-        dims = [int(d) for d in args.dims.split("x")]
-        A = wqo.make_grid(*dims)
-        name = name or "grid"
-    else:
-        raise StructureFormatError(f"unknown class {args.klass!r}")
-    name = name or args.klass
+    params = [int(d) for d in args.dims.split("x")] if args.klass == "grid" else [args.n]
+    A = getattr(wqo, _CLASSES[args.klass][0])(*params)
     if marks:
         A = MarkedStructure(A, tuple(marks)).expand()
-    _emit(serialize_structure(name, A), config.out)
+    _emit(serialize_structure(args.name or args.klass, A), config.out)
     return 0
 
 
@@ -451,6 +439,9 @@ def main(argv=None) -> int:
         return 3
     except (StructureFormatError, FormulaSyntaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 1
 
 

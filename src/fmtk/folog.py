@@ -530,13 +530,14 @@ class PrefixSentence:
             raise ValueError("matrix has free variables outside the prefix")
 
 
+def prefix_vars(k: int, p: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The canonical prefix variables: ``x1..xk`` and ``y1..yp``."""
+    return tuple(f"x{i + 1}" for i in range(k)), tuple(f"y{i + 1}" for i in range(p))
+
+
 def assemble_prefix(k: int, p: int, matrix: Formula) -> PrefixSentence:
-    """Wrap ``matrix`` in the canonical prefix ``x1..xk`` / ``y1..yp``."""
-    return PrefixSentence(
-        tuple(f"x{i + 1}" for i in range(k)),
-        tuple(f"y{i + 1}" for i in range(p)),
-        matrix,
-    )
+    """Wrap ``matrix`` in the canonical prefix :func:`prefix_vars`."""
+    return PrefixSentence(*prefix_vars(k, p), matrix)
 
 
 def to_formula(ps: PrefixSentence) -> Formula:

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 from .equiv import rank_type
 from .errors import StructureFormatError, VerificationFailed
-from .structures import ORDER_PRED, Structure, Vocabulary, format_errors, read_blocks
+from .structures import (
+    ORDER_PRED, Structure, Vocabulary, _once, checked_marks, format_errors, read_blocks,
+)
 
 
 def label_predicate(letter: str) -> str:
@@ -378,11 +380,7 @@ def reduce_degree(s: SigmaTree, W, m: int, k: int,
                   classes: TreeClasses | None = None) -> SigmaTree:
     """Keep at most ``m + k`` children per realized subtree class under every
     node; mark-covering children are always among the kept."""
-    W = set(W)
-    if len(W) > k:
-        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
-    if not W <= set(s.nodes):
-        raise ValueError("marks must be nodes")
+    W = checked_marks(W, k, s.parent)
     classes = classes or TreeClasses(s, m)
     cap = m + k
     kept = set(s.nodes)
@@ -502,9 +500,7 @@ def reduce_W_distances(s: SigmaTree, W, m: int,
                        classes: TreeClasses | None = None) -> SigmaTree:
     """Shorten the mark-free stretches between order-consecutive marks until
     no stretch can be reduced further."""
-    W = set(W)
-    if not W <= set(s.nodes):
-        raise ValueError("marks must be nodes")
+    W = checked_marks(W, None, s.parent)
     classes = classes or TreeClasses(s, m)
     cur = s
     changed = True
@@ -569,11 +565,7 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     Raises :class:`VerificationFailed` (with the report attached) if any of
     containment / subtree / equivalence fails. The output contains ``W``.
     """
-    W = set(W)
-    if len(W) > k:
-        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
-    if not W <= set(s.nodes):
-        raise ValueError("marks must be nodes")
+    W = checked_marks(W, k, s.parent)
     classes = TreeClasses(s, m)
     phases: list[tuple[str, int, int]] = []
 
@@ -632,9 +624,12 @@ def parse_trees(text: str) -> dict[str, tuple[SigmaTree, tuple[int, ...]]]:
         parent: dict[int, int | None] = {}
         label: dict[int, str] = {}
         marks: tuple[int, ...] = ()
+        given: dict[str, int] = {}  # 'alphabet:' / 'marks:' -> its line number
         for lineno, line, raw in lines:
             with format_errors(f"line {lineno}: {raw.strip()!r}"):
                 words = line.split()
+                if words[0] in ("alphabet:", "marks:"):
+                    _once(given, repr(words[0]), lineno)
                 if words[0] == "alphabet:":
                     alphabet = tuple(words[1:])
                     if len(set(alphabet)) != len(alphabet):

@@ -218,6 +218,19 @@ class MarkedStructure:
         return MarkedStructure(self.base, tuple(sorted(set(self.marks))), ordered=False)
 
 
+def checked_marks(W, k: int | None, universe) -> set:
+    """The marks ``W`` as a set, checked before any work is done on them: at
+    most ``k`` marks (``None``: no bound), each an element of ``universe``
+    (any container: a range of element ids, a tree's nodes, leaf pairs)."""
+    W = set(W)
+    if k is not None and len(W) > k:
+        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
+    outside = [w for w in W if w not in universe]
+    if outside:
+        raise ValueError(f"mark {min(outside)} outside the universe")
+    return W
+
+
 def induced_substructure(A: Structure, subset) -> tuple[Structure, dict[int, int]]:
     """Restrict ``A`` to ``subset``; returns the restriction and the old->new map."""
     subset = sorted(set(subset))

@@ -25,7 +25,9 @@ from .folog import (
     Or,
     PrefixSentence,
     Var,
+    assemble_prefix,
     evaluate,
+    prefix_vars,
     relativize,
     size_bound_sentence,
     to_formula,
@@ -171,16 +173,14 @@ def translate_to_exists_forall(
     """
     if p < 1:
         raise ValueError("the universal block needs at least one variable")
-    xs = tuple(f"x{i + 1}" for i in range(k))
-    ys = tuple(f"y{i + 1}" for i in range(p))
+    xs, ys = prefix_vars(k, p)
     allvars = xs + ys
     truth = Eq(Var(allvars[0]), Var(allvars[0]))
     if constants:
         bound = relativize(size_bound_sentence(k + p), allvars, constants)
     else:
         bound = truth
-    matrix = _implies(bound, relativize(phi, allvars, constants), truth)
-    return PrefixSentence(xs, ys, matrix)
+    return assemble_prefix(k, p, _implies(bound, relativize(phi, allvars, constants), truth))
 
 
 @dataclass

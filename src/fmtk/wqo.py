@@ -21,6 +21,7 @@ from .structures import (
     MarkedStructure,
     Structure,
     Vocabulary,
+    checked_marks,
     disjoint_union,
     find_embedding,
     induced_substructure,
@@ -269,9 +270,7 @@ def shrink_path_with_W(
     Returns the substructure and its old->new renumbering. With no marks a
     single leading segment of length at most ``3**(m+k+2)`` is kept.
     """
-    W = sorted(set(W))
-    if len(W) > k:
-        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
+    W = sorted(checked_marks(W, k, range(P.size)))
     layout = _path_layout(P)
     pos_of = {v: i for i, v in enumerate(layout)}
     span = 3 ** (m + k + 2)
@@ -308,9 +307,7 @@ def shrink_cycle_with_W(
     C: Structure, W, m: int, k: int
 ) -> tuple[Structure, dict[int, int]]:
     """Open the cycle at a non-mark vertex and shrink the resulting path."""
-    W = sorted(set(W))
-    if len(W) > k:
-        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
+    W = sorted(checked_marks(W, k, range(C.size)))
     if k >= C.size:
         raise ValueError("k must be smaller than the cycle")
     drop = min(v for v in range(C.size) if v not in W)
@@ -367,9 +364,7 @@ def witness_HnGn(
 
     Returns the substructure and the old->new renumbering.
     """
-    W = sorted(set(W))
-    if len(W) > k:
-        raise ValueError(f"|W| = {len(W)} exceeds k = {k}")
+    W = sorted(checked_marks(W, k, range(A.size)))
     comps = _components(A)
     degs = _degrees(A)
     cycles = [c for c in comps if _is_cycle_component(degs, c)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,17 +30,27 @@ from fmtk.algebra import (
 from fmtk.equiv import m_equivalent
 from fmtk.errors import VerificationFailed
 from fmtk.shrink import make_word
+from fmtk import algebra
 from fmtk.structures import (
+    MarkedStructure,
     Structure,
     Vocabulary,
     complement,
     disjoint_union,
+    induced_substructure,
     is_isomorphic,
     word_of_structures,
 )
 from fmtk.wqo import make_path
 
-from oracles import random_structure
+from oracles import (
+    brute_force_embedding,
+    random_structure,
+    reference_complement,
+    reference_disjoint_union,
+    reference_rank_type_key,
+    reference_tree_of_structures,
+)
 
 V = Vocabulary.make({"E": 2})
 VERTEX = Structure(V, 1)
@@ -316,6 +327,136 @@ class TestBlockWords:
         parts = [EDGE, VERTEX, VERTEX, EDGE]  # six elements, indices 0..5
         out, report = shrink_tree_of_structures(shape, parts, [0, 5], 1, 2)
         assert report.ok()
+
+
+def _reference_eval(t):
+    if t.op == "leaf":
+        return t.base
+    if t.op == COMPLEMENT:
+        return reference_complement(_reference_eval(t.children[0]))
+    return reference_disjoint_union(*(_reference_eval(c) for c in t.children))
+
+
+def _embeds_onto_marks(out: Structure, original: Structure, W) -> bool:
+    """Some induced embedding of ``out`` into ``original`` has every mark of
+    ``W`` in its image: ``out``, marked on some ``|W|`` of its elements,
+    embeds into ``original`` marked on ``W``, marks onto marks."""
+    marked = MarkedStructure(original, tuple(sorted(W)), ordered=False).expand()
+    return any(
+        brute_force_embedding(MarkedStructure(out, S, ordered=False).expand(), marked)
+        is not None
+        for S in itertools.combinations(range(out.size), len(W))
+    )
+
+
+def _check_shrink(out, report, original, W, m):
+    assert report.ok()
+    assert (report.input_size, report.output_size) == (original.size, out.size)
+    assert _embeds_onto_marks(out, original, W)
+    assert reference_rank_type_key(out, (), m) == reference_rank_type_key(original, (), m)
+
+
+_tiny_graphs = _graphs(max_size=2)
+
+
+@st.composite
+def _marks(draw, size):
+    k = draw(st.integers(0, 2))
+    W = draw(st.sets(st.integers(0, size - 1), max_size=min(k, size)))
+    return W, k
+
+
+class TestShrinkContract:
+    """Structure shrinks against the oracles: brute-force containment with the
+    marks, and the reference rank type. Inputs stay at six elements or fewer."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.recursive(
+            _tiny_graphs.map(leaf),
+            lambda sub: st.one_of(
+                st.builds(lambda c: node(COMPLEMENT, c), sub),
+                st.builds(lambda a, b: node(UNION, a, b), sub, sub),
+            ),
+            max_leaves=4,
+        ).filter(lambda t: algebra.evaluated_size(t) <= 6),
+        st.integers(0, 2),
+        st.data(),
+    )
+    def test_algebraic(self, t, m, data):
+        original = _reference_eval(t)
+        W, k = data.draw(_marks(original.size))
+        out, report = shrink_algebraic(t, W, m, k)
+        _check_shrink(out, report, original, W, m)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(_tiny_graphs, min_size=1, max_size=4)
+           .filter(lambda ps: sum(p.size for p in ps) <= 6),
+           st.booleans(), st.integers(0, 2), st.data())
+    def test_blocks(self, parts, as_word, m, data):
+        if as_word:
+            shape = {i: (None if i == 0 else i - 1) for i in range(len(parts))}
+        else:
+            shape = {0: None} | {
+                i: data.draw(st.integers(0, i - 1)) for i in range(1, len(parts))
+            }
+        original = reference_tree_of_structures(shape, parts)
+        W, k = data.draw(_marks(original.size))
+        if as_word:
+            out, report = shrink_word_of_structures(parts, W, m, k)
+        else:
+            out, report = shrink_tree_of_structures(shape, parts, W, m, k)
+        _check_shrink(out, report, original, W, m)
+
+
+def _drops_marks(B, marks, m):
+    # an honest induced substructure that leaves the marks out
+    keep = [e for e in range(B.size) if e not in marks]
+    return induced_substructure(B, keep)[0], tuple(keep)
+
+
+def _claims_a_vertex(B, marks, m):
+    return VERTEX, (0,)  # not the substructure of a looped vertex
+
+
+def _keeps_one(B, marks, m):
+    return induced_substructure(B, [0])[0], (0,)
+
+
+class TestLyingLeafShrinker:
+    TWO = disjoint_union(VERTEX, VERTEX)
+
+    @pytest.mark.parametrize("shrinker, B, W, m, verdict", [
+        (_drops_marks, TWO, {1}, 1, "contains_marks"),
+        (_claims_a_vertex, LOOP, set(), 0, "substructure"),
+        (_keeps_one, TWO, set(), 2, "equivalent"),
+    ], ids=["contains_marks", "substructure", "equivalent"])
+    def test_failed_verdict_named(self, shrinker, B, W, m, verdict):
+        for run in (lambda: shrink_algebraic(leaf(B), W, m, 1, shrinker),
+                    lambda: shrink_word_of_structures([B], W, m, 1, shrinker)):
+            with pytest.raises(VerificationFailed) as info:
+                run()
+            assert str(info.value) == f"leaf shrinker output fails {verdict}"
+
+
+class TestMarkCheck:
+    def test_fires_before_evaluation(self, monkeypatch):
+        def not_allowed(*_):
+            raise AssertionError("evaluated before the marks were checked")
+
+        monkeypatch.setattr(algebra, "eval_expression_tree", not_allowed)
+        monkeypatch.setattr(algebra, "tree_of_structures", not_allowed)
+        with pytest.raises(ValueError, match=r"\|W\| = 2 exceeds k = 1"):
+            shrink_algebraic(balanced_union(4), [0, 1], 1, 1)
+        with pytest.raises(ValueError, match="mark 4 outside the universe"):
+            shrink_algebraic(balanced_union(4), [4], 1, 1)
+        with pytest.raises(ValueError, match="mark 4 outside the universe"):
+            shrink_word_of_structures([VERTEX] * 4, [4], 1, 1)
+
+    def test_pairs_checked_in_height_reduction(self):
+        t = balanced_union(2)
+        with pytest.raises(ValueError, match="outside the universe"):
+            reduce_expression_height(t, {(t.children[0].node_id, 1)}, 1, 1)
 
 
 class TestWqoScanWords:

@@ -103,7 +103,11 @@ class TestShrinkCommand:
         ("tree t\nalphabet: a a\nnode 1 label a root\n", "alphabet repeats a letter"),
         ("alphabet: a\ntree t\nnode 0 label a root\n",
          "line 1: 'alphabet: a' comes before the first tree line"),
-    ], ids=["node", "alphabet", "before-first-header"])
+        ("tree T\nalphabet: a\nalphabet: b\nnode 0 label b root\n",
+         "line 3: 'alphabet:' is given on two lines (first on line 2)"),
+        ("tree T\nalphabet: a\nnode 0 label a root\nmarks: 0\nmarks:\n",
+         "line 5: 'marks:' is given on two lines (first on line 4)"),
+    ], ids=["node", "alphabet", "before-first-header", "alphabet-line", "marks-line"])
     def test_duplicate_lines_exit_1(self, tmp_path, capsys, text, reason):
         f = tmp_path / "t.txt"
         f.write_text(text)
@@ -481,3 +485,20 @@ class TestConsoleEntry:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("argv", [
+        ["translate", "--formula", "!" * 3000 + "forall x. x = x", "--sample", "cycles:3:4",
+         "--k", "0", "--p", "1"],
+        ["algebra-eval", "--structs", "{one}", "--expr", "(! " * 2000 + "A" + ")" * 2000],
+        ["equiv", "--file-a", "{one}", "--file-b", "{one}", "--m", "1500"],
+    ], ids=["formula", "expression", "rank"])
+    def test_exits_1(self, tmp_path, capsys, argv):
+        one = tmp_path / "one.txt"
+        one.write_text("structure A\nvocab: E/2\nuniverse: 1\n")
+        code = main([a.replace("{one}", str(one)) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: input nested too deeply\n"

@@ -306,3 +306,16 @@ class TestWitnessHnGn:
         witness = {new: old for old, new in renum.items()}
         assert check_embedding_witness(out, G2, witness)
         assert m_equivalent(out, G2, 1)
+
+
+class TestMarkCheck:
+    @pytest.mark.parametrize("shrinker, A", [
+        (shrink_path_with_W, make_path(3)),
+        (shrink_cycle_with_W, make_cycle(4)),
+        (witness_HnGn, make_path(3)),
+    ], ids=["path", "cycle", "HnGn"])
+    def test_out_of_range_mark_is_a_value_error(self, shrinker, A):
+        with pytest.raises(ValueError, match="mark 9 outside the universe"):
+            shrinker(A, {9}, 1, 1)
+        with pytest.raises(ValueError, match=r"\|W\| = 2 exceeds k = 1"):
+            shrinker(A, {0, 1}, 1, 1)
