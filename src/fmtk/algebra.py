@@ -13,9 +13,9 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .equiv import class_fingerprint, rank_type
+from .equiv import check_rank_type_cost, class_fingerprint, rank_type
 from .errors import StructureFormatError, VerificationFailed, check_guard
-from .shrink import ShrinkReport, SigmaTree, shrink_tree
+from .shrink import ClassTable, ShrinkReport, SigmaTree, deepest_repeat, shrink_tree
 from .structures import (
     MarkedStructure,
     Structure,
@@ -175,7 +175,56 @@ def reexpand_bowties(t: ExprNode) -> ExprNode:
 # height reduction and leaf shrinking
 
 
-def _w_leaf_counts(t: ExprNode, w_leaf_ids: set[int]) -> dict[int, int]:
+class ExpressionClasses(ClassTable):
+    """Rank-``m`` classes of the subexpressions of union/bowtie trees,
+    composed bottom-up; one table serves one height reduction.
+
+    A leaf's signature is its structure and complement flag, and its class is
+    the rank-``m`` type of that structure, complement applied. An inner
+    node's signature is its operation and its children's class ids, sorted:
+    disjoint union ``u`` and bowtie are commutative up to isomorphism. The
+    signature fixes the class. For ``u`` this is Feferman-Vaught composition:
+    the rank-``m`` type of a disjoint union follows from the rank-``m`` types
+    of its parts. Bowtie is ``!(!A u !B)``, and complement maps rank-``m``
+    classes to rank-``m`` classes, since a sentence about ``!A`` is one of
+    the same rank about ``A`` with every atom negated. So a new signature
+    evaluates its operation over its children's small representatives, and
+    only that structure gets a :func:`rank_type`; no real subexpression is
+    evaluated.
+    """
+
+    def classify(self, t: ExprNode) -> dict[int, int]:
+        """The class id of every node's subexpression in ``t``, by node id."""
+        ids: dict[int, int] = {}
+
+        def walk(n: ExprNode) -> int:
+            if n.op == LEAF:
+                sig = (LEAF, n.base, n.complemented)
+            else:
+                sig = (n.op, *sorted(walk(c) for c in n.children))
+            cid = self._ids.get(sig)
+            if cid is None:
+                cid = self._intern(sig)
+            ids[n.node_id] = cid
+            return cid
+
+        walk(t)
+        return ids
+
+    def _representative(self, sig: tuple) -> tuple:
+        op = sig[0]
+        if op == LEAF:
+            rep = complement(sig[1]) if sig[2] else sig[1]
+        elif op in (UNION, BOWTIE):
+            rep = _EVAL[op](*(self._reps[c] for c in sig[1:]))
+        else:
+            raise ValueError(f"classes compose over union and bowtie, not {op!r}")
+        return rep, rank_type(rep, (), self.m).key
+
+
+def _index(t: ExprNode, w_leaf_ids: set[int]) -> tuple[dict[int, ExprNode], dict[int, int]]:
+    """Every node of ``t`` by node id, and how many marked leaves it covers."""
+    nodes: dict[int, ExprNode] = {}
     counts: dict[int, int] = {}
 
     def walk(n: ExprNode) -> int:
@@ -183,11 +232,12 @@ def _w_leaf_counts(t: ExprNode, w_leaf_ids: set[int]) -> dict[int, int]:
             c = 1 if n.node_id in w_leaf_ids else 0
         else:
             c = sum(walk(ch) for ch in n.children)
+        nodes[n.node_id] = n
         counts[n.node_id] = c
         return c
 
     walk(t)
-    return counts
+    return nodes, counts
 
 
 def _replace(t: ExprNode, target_id: int, replacement: ExprNode) -> ExprNode:
@@ -206,7 +256,20 @@ def reduce_expression_height(
     s: ExprNode, w_pairs: set[tuple[int, int]], m: int, k: int
 ) -> ExprNode:
     """Splice out nested subexpressions that evaluate into the same rank class
-    and cover the same number of marked leaves; marked leaves survive."""
+    and cover the same number of marked leaves; marked leaves survive.
+
+    Each round splices the pair :func:`~fmtk.shrink.deepest_repeat` picks: the
+    deepest node ``b`` whose (class, marked-leaf count) repeats at an
+    ancestor ``a``, and ``b``'s subexpression takes the place of ``a``'s.
+    Classes come from one :class:`ExpressionClasses` table for the whole
+    call, so a round is one walk with dictionary lookups, and a rank type is
+    computed once per new signature, on a small representative. The table's
+    ids are equal exactly when the rank-``m`` keys of the evaluated
+    subexpressions are (see :class:`ExpressionClasses` for why composing
+    classes is sound). :func:`shrink_algebraic`'s ``equivalent`` verdict
+    does not read the table: it compares full rank types of the evaluated
+    input and output.
+    """
     w_pairs = checked_marks(
         w_pairs, k, {(lf.node_id, e) for lf in s.leaves() for e in range(lf.base.size)}
     )
@@ -214,44 +277,19 @@ def reduce_expression_height(
     if bad:
         raise ValueError(f"height reduction expects a union/bowtie tree, found {sorted(bad)}")
     w_leaf_ids = {lid for lid, _ in w_pairs}
+    classes = ExpressionClasses(m)
     cur = s
     while True:
-        counts = _w_leaf_counts(cur, w_leaf_ids)
-        evals: dict[int, Structure] = {}
-
-        def fill(n: ExprNode) -> Structure:
-            if n.op == LEAF:
-                out = n.structure
-            else:
-                out = _EVAL[n.op](*(fill(c) for c in n.children))
-            evals[n.node_id] = out
-            return out
-
-        fill(cur)
-        g = {
-            nid: (rank_type(evals[nid], (), m).key, counts[nid]) for nid in evals
-        }
-
-        best: tuple | None = None  # (-depth_b, b_id, depth_a, a_id, b_node)
-
-        def scan(n: ExprNode, depth: int, chain: list[tuple[int, int]]):
-            nonlocal best
-            for a_id, a_depth in chain:
-                if g[a_id] == g[n.node_id]:
-                    cand = (-depth, n.node_id, a_depth, a_id, n)
-                    if best is None or cand[:4] < best[:4]:
-                        best = cand
-            for c in n.children:
-                scan(c, depth + 1, chain + [(n.node_id, depth)])
-
-        scan(cur, 0, [])
-        if best is None:
+        ids = classes.classify(cur)
+        nodes, counts = _index(cur, w_leaf_ids)
+        g = {nid: (cid, counts[nid]) for nid, cid in ids.items()}
+        found = deepest_repeat(
+            cur.node_id, lambda nid: [c.node_id for c in nodes[nid].children], g
+        )
+        if found is None:
             return cur
-        _, _, _, a_id, b_node = best
-        if a_id == cur.node_id:
-            cur = b_node
-        else:
-            cur = _replace(cur, a_id, b_node)
+        a_id, b_id = found
+        cur = nodes[b_id] if a_id == cur.node_id else _replace(cur, a_id, nodes[b_id])
 
 
 def identity_leaf_shrinker(B: Structure, marks, m: int):
@@ -353,7 +391,9 @@ def shrink_algebraic(
     :func:`shrink_verdicts` and its re-expanded union/complement certificate
     must evaluate back to it; the certificate is attached to the report.
     """
-    W = checked_marks(W, k, range(evaluated_size(s)))
+    size = evaluated_size(s)
+    W = checked_marks(W, k, range(size))
+    check_rank_type_cost(size, m)
     leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     pushed = push_complement_to_leaves(s)
     original = eval_expression_tree(pushed)
@@ -408,7 +448,9 @@ def shrink_tree_of_structures(
 
 
 def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
-    W = checked_marks(W, k, range(sum(p.size for p in parts)))
+    size = sum(p.size for p in parts)
+    W = checked_marks(W, k, range(size))
+    check_rank_type_cost(size, m)
     leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     original = tree_of_structures(shape, parts)
     offsets = block_offsets(parts)

@@ -11,7 +11,10 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 
+from .errors import check_guard
 from .structures import Structure
+
+RANK_TYPE_GUARD = 2 * 10**6  # |A|^m, the positions a rank-m type of A visits
 
 
 @dataclass(frozen=True)
@@ -133,10 +136,26 @@ def _leaf_keys(A: Structure, tables: list, pts: tuple[int, ...]) -> set:
     return set(zip(itertools.repeat(N), eqcol, masks))
 
 
+def check_rank_type_cost(size: int, m: int) -> None:
+    """Refuse a rank-``m`` type over ``size`` elements, before any of it is
+    computed, when its cost ``size ** m`` is past ``RANK_TYPE_GUARD``. The
+    power is multiplied out only until it passes the guard, so a huge ``m``
+    costs nothing."""
+    cost = 1
+    for _ in range(m if size > 1 else 0):
+        cost *= size
+        if cost > RANK_TYPE_GUARD:
+            break
+    check_guard("rank type of cost |A|^m =", cost, RANK_TYPE_GUARD, "the rank-type guard",
+                shown=f"{size}^{m}")
+
+
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
-    """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the structure."""
+    """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the
+    structure. Held to ``RANK_TYPE_GUARD`` first."""
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
+    check_rank_type_cost(A.size, m)
     for e in tup:
         if not 0 <= e < A.size:
             raise ValueError(f"tuple component {e} outside the universe")

@@ -21,11 +21,12 @@ class GuardExceeded(RuntimeError):
     """
 
 
-def check_guard(what: str, value: int, limit: int, guard: str) -> None:
+def check_guard(what: str, value: int, limit: int, guard: str, shown: str | None = None) -> None:
     """Raise :class:`GuardExceeded` as ``"<what> <value> exceeds <guard>
-    <limit>"`` when ``value`` is past ``limit``."""
+    <limit>"`` when ``value`` is past ``limit``; ``shown``, when given, is
+    printed in place of ``value``."""
     if value > limit:
-        raise GuardExceeded(f"{what} {value} exceeds {guard} {limit}")
+        raise GuardExceeded(f"{what} {value if shown is None else shown} exceeds {guard} {limit}")
 
 
 class VerificationFailed(RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .equiv import rank_type
+from .equiv import check_rank_type_cost, rank_type
 from .errors import StructureFormatError, VerificationFailed
 from .structures import (
     ORDER_PRED, Structure, Vocabulary, _once, checked_marks, format_errors, read_blocks,
@@ -288,7 +288,43 @@ def is_subtree(t: SigmaTree, s: SigmaTree) -> bool:
 # realized-class bookkeeping
 
 
-class TreeClasses:
+class ClassTable:
+    """Rank-``m`` classes of objects composed from parts, interned bottom-up.
+
+    A *signature* says how an object is put together from parts whose class
+    ids are known. By Feferman-Vaught composition (Feferman & Vaught 1959;
+    Makowsky, APAL 2004) the signature fixes the object's rank-``m`` class,
+    so each new signature needs the rank type of one small *representative*
+    only, which a subclass builds in ``_representative``. Class ids are small
+    ints, and signatures whose representatives have equal keys share one id,
+    so equal ids mean equal rank-``m`` keys at every ``m``, including
+    ``m = 0``. Look a signature up in ``_ids`` first; on a miss, ``_intern``.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self._ids: dict[tuple, int] = {}  # signature -> class id
+        self._by_key: dict[tuple, int] = {}  # rank key -> class id
+        self._keys: list[tuple] = []  # class id -> rank key
+        self._reps: list = []  # class id -> representative
+
+    def _representative(self, sig: tuple) -> tuple:
+        """``(representative, rank key)`` of a signature not seen before."""
+        raise NotImplementedError
+
+    def _intern(self, sig: tuple) -> int:
+        """The class id of a signature not seen before, from its representative."""
+        rep, key = self._representative(sig)
+        cid = self._by_key.get(key)
+        if cid is None:
+            cid = self._by_key[key] = len(self._keys)
+            self._keys.append(key)
+            self._reps.append(rep)
+        self._ids[sig] = cid
+        return cid
+
+
+class TreeClasses(ClassTable):
     """Rank-``m`` classes of subtrees, composed bottom-up from a table.
 
     A node's *signature* is its label together with the multiset of its
@@ -301,9 +337,7 @@ class TreeClasses:
     Each new signature gets one small *representative* tree: a root with the
     label over ``min(count, m)`` copies of each child class's representative.
     Only that representative is encoded and given a full :func:`rank_type`;
-    no real subtree is ever encoded. Class ids are small ints, and signatures
-    whose representatives have equal keys share one id, so equal ids mean
-    equal rank-``m`` keys at every ``m``, including ``m = 0``.
+    no real subtree is ever encoded. Ids are interned by :class:`ClassTable`.
 
     The table lives as long as the instance: one per shrink pipeline, over
     the alphabet of ``base``; any tree over that alphabet may be classified.
@@ -313,12 +347,8 @@ class TreeClasses:
     """
 
     def __init__(self, base: SigmaTree, m: int):
+        super().__init__(m)
         self.base = base
-        self.m = m
-        self._ids: dict[tuple, int] = {}  # signature -> class id
-        self._by_key: dict[tuple, int] = {}  # rank key -> class id
-        self._keys: list[tuple] = []  # class id -> rank key
-        self._reps: list[SigmaTree] = []  # class id -> representative tree
 
     def of(self, nodes: frozenset[int]) -> tuple:
         """Rank-``m`` key of the sub-poset of ``base`` on ``nodes``."""
@@ -341,22 +371,47 @@ class TreeClasses:
         sig = (letter, tuple(sorted(counts.items())))
         cid = self._ids.get(sig)
         if cid is None:
-            cid = self._ids[sig] = self._intern(sig)
+            cid = self._intern(sig)
         return cid
 
-    def _intern(self, sig: tuple) -> int:
-        """The class id of a signature not seen before, from its representative."""
+    def _representative(self, sig: tuple) -> tuple:
         letter, counts = sig
         root = SigmaTree({0: None}, {0: letter}, self.base.alphabet)
         copies = [self._reps[c] for c, n in counts for _ in range(n)]
         rep = join_at(root, 0, copies) if copies else root
-        key = rank_type(to_structure(rep)[0], (), self.m).key
-        cid = self._by_key.get(key)
-        if cid is None:
-            cid = self._by_key[key] = len(self._keys)
-            self._keys.append(key)
-            self._reps.append(rep)
-        return cid
+        return rep, rank_type(to_structure(rep)[0], (), self.m).key
+
+
+def deepest_repeat(root, children, cls) -> tuple | None:
+    """The next splice of a height reducer: a node ``b`` and its shallowest
+    strict ancestor ``a`` of the same class ``cls[b] == cls[a]``, for the
+    deepest such ``b`` (the smallest on ties); ``(a, b)``, or ``None`` when
+    no root-to-leaf path repeats a class.
+
+    That is the least ``(-depth b, b, depth a, a)`` over all such pairs, in
+    one depth-first walk that keeps, for each class on the current path, its
+    shallowest node there. Nodes are comparable ids; ``children(v)`` lists
+    the children of ``v``.
+    """
+    best: tuple | None = None  # (-depth_b, b, depth_a, a)
+    shallowest: dict = {}  # class -> (depth, node), on the current path
+    entered: list = []  # (class, depth) of the path nodes that set an entry
+    stack = [(root, 0)]
+    while stack:
+        v, d = stack.pop()
+        while entered and entered[-1][1] >= d:  # leave the finished subtrees
+            del shallowest[entered.pop()[0]]
+        c = cls[v]
+        top = shallowest.get(c)
+        if top is None:
+            shallowest[c] = (d, v)
+            entered.append((c, d))
+        else:
+            cand = (-d, v, *top)
+            if best is None or cand < best:
+                best = cand
+        stack.extend((u, d + 1) for u in children(v))
+    return None if best is None else (best[3], best[1])
 
 
 def trees_equivalent(t1: SigmaTree, t2: SigmaTree, m: int,
@@ -418,17 +473,10 @@ def reduce_height_no_W(s: SigmaTree, m: int,
     classes = classes or TreeClasses(s, m)
     cur = s
     while True:
-        fp = classes.classify(cur)
-        best: tuple | None = None  # (-depth_b, b, depth_a, a)
-        for b in cur.nodes:
-            for a in cur.ancestors(b):
-                if fp[a] == fp[b]:
-                    cand = (-cur.depth(b), b, cur.depth(a), a)
-                    if best is None or cand < best:
-                        best = cand
-        if best is None:
+        found = deepest_repeat(cur.root, cur.children, classes.classify(cur))
+        if found is None:
             return cur
-        _, b, _, a = best
+        a, b = found
         if a == cur.root:
             kept = set(cur.descendants(b))
         else:
@@ -566,6 +614,7 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     containment / subtree / equivalence fails. The output contains ``W``.
     """
     W = checked_marks(W, k, s.parent)
+    check_rank_type_cost(s.size, m)
     classes = TreeClasses(s, m)
     phases: list[tuple[str, int, int]] = []
 

@@ -286,6 +286,74 @@ def reference_complement(A: Structure) -> Structure:
     return Structure(A.vocab, A.size, relations)
 
 
+def reference_eval_expression(t) -> Structure:
+    """Evaluate a union/complement/bowtie expression tree through the
+    reference operations, node by node."""
+    if t.op == "leaf":
+        return reference_complement(t.base) if t.complemented else t.base
+    parts = [reference_eval_expression(c) for c in t.children]
+    if t.op == "!":
+        return reference_complement(parts[0])
+    if t.op == "u":
+        return reference_disjoint_union(*parts)
+    if t.op == "bw":
+        return reference_complement(
+            reference_disjoint_union(*(reference_complement(p) for p in parts))
+        )
+    raise ValueError(f"no reference evaluation for {t.op!r}")
+
+
+def reference_reduce_expression_height(s, w_pairs, m: int, k: int):
+    """Height reduction of a union/bowtie tree as first written: every round
+    evaluates every subexpression afresh, gives each a full rank type, and
+    compares every node with every ancestor; the deepest repeat (smallest
+    node id on ties) is spliced onto its shallowest equal ancestor. Marks
+    are ``(leaf id, element)`` pairs, assumed valid."""
+    from fmtk.algebra import ExprNode
+    from fmtk.equiv import rank_type
+
+    w_leaf_ids = {lid for lid, _ in w_pairs}
+
+    def replace(t, target_id, replacement):
+        if t.node_id == target_id:
+            return replacement
+        if t.op == "leaf":
+            return t
+        return ExprNode(t.op, tuple(replace(c, target_id, replacement) for c in t.children),
+                        node_id=t.node_id)
+
+    cur = s
+    while True:
+        g = {}
+
+        def fill(n):
+            if n.op == "leaf":
+                count = 1 if n.node_id in w_leaf_ids else 0
+            else:
+                count = sum(fill(c) for c in n.children)
+            g[n.node_id] = (rank_type(reference_eval_expression(n), (), m).key, count)
+            return count
+
+        fill(cur)
+        best = None  # (-depth_b, b_id, depth_a, a_id, b_node)
+
+        def scan(n, depth, chain):
+            nonlocal best
+            for a_id, a_depth in chain:
+                if g[a_id] == g[n.node_id]:
+                    cand = (-depth, n.node_id, a_depth, a_id, n)
+                    if best is None or cand[:4] < best[:4]:
+                        best = cand
+            for c in n.children:
+                scan(c, depth + 1, chain + [(n.node_id, depth)])
+
+        scan(cur, 0, [])
+        if best is None:
+            return cur
+        _, _, _, a_id, b_node = best
+        cur = b_node if a_id == cur.node_id else replace(cur, a_id, b_node)
+
+
 def reference_tensor_product(A: Structure, B: Structure) -> Structure:
     """Tensor product by its definition: every tuple of pairs is tested, and
     holds iff both coordinate tuples hold."""

@@ -2,14 +2,18 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmtk.algebra import (
     BOWTIE,
     CARTESIAN,
     COMPLEMENT,
+    LEAF,
+    TENSOR,
     UNION,
+    ExpressionClasses,
+    ExprNode,
     eval_expression_tree,
     eval_with_provenance,
     exhaustive_leaf_shrinker,
@@ -48,7 +52,9 @@ from oracles import (
     random_structure,
     reference_complement,
     reference_disjoint_union,
+    reference_eval_expression,
     reference_rank_type_key,
+    reference_reduce_expression_height,
     reference_tree_of_structures,
 )
 
@@ -199,6 +205,98 @@ class TestReduceExpressionHeight:
         out = reduce_expression_height(t, marked, 1, 1)
         surviving = {l.node_id for l in out.leaves()}
         assert prov[7][0] in surviving
+
+
+def _random_uc_tree(rng, depth, leaves):
+    """A union/complement tree of height at most ``depth`` over ``leaves``."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.1:
+        return leaf(rng.choice(leaves))
+    if roll < 0.3:
+        return node(COMPLEMENT, _random_uc_tree(rng, depth - 1, leaves))
+    return node(UNION, *(_random_uc_tree(rng, depth - 1, leaves) for _ in range(2)))
+
+
+def _subexpressions(t):
+    return [t] + [n for c in t.children for n in _subexpressions(c)]
+
+
+def _check_against_reference(t, n_marks, m, pick):
+    """Height reduction of the pushed ``t`` against the reference, and the
+    class table's ids against reference rank keys, pair by pair."""
+    pushed = push_complement_to_leaves(t)
+    pairs = sorted({(lf.node_id, e) for lf in pushed.leaves() for e in range(lf.base.size)})
+    w_pairs = set(pick(pairs, n_marks))
+    k = len(w_pairs)
+    out = reduce_expression_height(pushed, w_pairs, m, k)
+    ref = reference_reduce_expression_height(pushed, w_pairs, m, k)
+    assert serialize_expression(out) == serialize_expression(ref)
+    assert [n.node_id for n in _subexpressions(out)] == [n.node_id for n in _subexpressions(ref)]
+
+    ids = ExpressionClasses(m).classify(pushed)
+    subs = _subexpressions(pushed)
+    keys = {n.node_id: reference_rank_type_key(reference_eval_expression(n), (), m) for n in subs}
+    for a, b in itertools.combinations(subs, 2):
+        assert (ids[a.node_id] == ids[b.node_id]) == (keys[a.node_id] == keys[b.node_id])
+
+
+@st.composite
+def _uc_trees(draw, depth, leaves):
+    kind = draw(st.sampled_from(["u", "u", "u", "!", "leaf"])) if depth else "leaf"
+    if kind == "leaf":
+        return leaf(draw(st.sampled_from(leaves)))
+    if kind == "!":
+        return node(COMPLEMENT, draw(_uc_trees(depth - 1, leaves)))
+    return node(UNION, draw(_uc_trees(depth - 1, leaves)), draw(_uc_trees(depth - 1, leaves)))
+
+
+class TestExpressionClasses:
+    """The class table against the reference height reduction (a fresh
+    rank type of every evaluated subexpression in every round)."""
+
+    def test_seeded_against_reference(self):
+        rng = random.Random(1010)
+        for _ in range(60):
+            leaves = [random_structure(rng, V, rng.randint(1, 3)) for _ in range(3)]
+            t = _random_uc_tree(rng, rng.randint(1, 5), leaves)
+            _check_against_reference(t, rng.randint(0, 2), rng.choice((1, 2)),
+                                     lambda pairs, n: rng.sample(pairs, min(n, len(pairs))))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(_graphs(max_size=3), min_size=1, max_size=3), st.integers(1, 5),
+           st.integers(1, 2), st.integers(0, 2), st.data())
+    def test_property_against_reference(self, leaves, depth, m, n_marks, data):
+        t = data.draw(_uc_trees(depth, leaves))
+        _check_against_reference(t, n_marks, m, lambda pairs, n: data.draw(
+            st.lists(st.sampled_from(pairs), max_size=n, unique=True)))
+
+    def test_one_rank_type_per_new_signature(self, monkeypatch):
+        rng = random.Random(32)
+        leaves = [random_structure(rng, V, 3) for _ in range(3)]
+
+        def tree(d):
+            if d == 0:
+                return leaf(rng.choice(leaves))
+            right = tree(d - 1)
+            return node(UNION, tree(d - 1), node(COMPLEMENT, right) if d % 2 else right)
+
+        t = push_complement_to_leaves(tree(5))
+        assert len(t.leaves()) == 32
+        tables, calls = [], []
+
+        class Recording(ExpressionClasses):
+            def __init__(self, m):
+                super().__init__(m)
+                tables.append(self)
+
+        real = algebra.rank_type
+        monkeypatch.setattr(algebra, "ExpressionClasses", Recording)
+        monkeypatch.setattr(algebra, "rank_type", lambda *a: calls.append(a) or real(*a))
+        out = reduce_expression_height(t, set(), 2, 0)
+        assert out is not t  # some round spliced
+        assert len(tables) == 1
+        assert len(calls) <= len(tables[0]._ids)
+        assert len(calls) < len(_subexpressions(t))
 
 
 class TestLeafShrinkers:
@@ -481,12 +579,52 @@ class TestWqoScanWords:
         assert wqo_scan_marked_words(items, 2) == (1, 2)
 
 
+# leaf names: any token the expression reader splits out whole
+_names = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="()"),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def _named_trees(draw):
+    """A tree over all five operations, its leaves' names, and the named
+    structures; complemented leaves included, evaluations kept small."""
+    pool = draw(st.dictionaries(_names, _graphs(max_size=2), min_size=1, max_size=3))
+    names: dict[int, str] = {}
+
+    def tree(depth):
+        kind = draw(st.sampled_from(["leaf", UNION, COMPLEMENT, CARTESIAN, TENSOR, BOWTIE]))
+        if depth == 0 or kind == "leaf":
+            name = draw(st.sampled_from(sorted(pool)))
+            t = ExprNode(LEAF, base=pool[name], complemented=draw(st.booleans()))
+            names[t.node_id] = name
+            return t
+        if kind == COMPLEMENT:
+            return node(COMPLEMENT, tree(depth - 1))
+        return node(kind, tree(depth - 1), tree(depth - 1))
+
+    t = tree(3)
+    assume(algebra.evaluated_size(t) <= 16)
+    return t, names, pool
+
+
 class TestExpressionText:
     def test_round_trip(self):
         named = {"A": VERTEX, "B": EDGE}
         t = parse_expression("(u A (! B))", named)
         assert serialize_expression(t, {t.children[0].node_id: "A"}) == "(u A (! s0))"
         assert eval_expression_tree(t).size == 3
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_named_trees())
+    def test_round_trip_property(self, case):
+        t, names, pool = case
+        text = serialize_expression(t, names)
+        back = parse_expression(text, pool)
+        back_names = {b.node_id: names[a.node_id] for a, b in zip(t.leaves(), back.leaves())}
+        assert serialize_expression(back, back_names) == text
+        assert eval_expression_tree(back) == eval_expression_tree(t)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -487,11 +487,29 @@ class TestConsoleEntry:
         assert proc.stderr.startswith("error:")
 
 
+class TestRankTypeGuard:
+    def test_c12_c13_at_rank_7_refused(self, tmp_path):
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        fa.write_text(serialize_structure("a", make_cycle(12)))
+        fb.write_text(serialize_structure("b", make_cycle(13)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", "equiv", "--file-a", str(fa),
+             "--file-b", str(fb), "--m", "7"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "guard exceeded: rank type of cost |A|^m = 12^7 exceeds the rank-type guard 2000000\n"
+        )
+
+
 class TestDeepNesting:
     @pytest.mark.parametrize("argv", [
         ["translate", "--formula", "!" * 3000 + "forall x. x = x", "--sample", "cycles:3:4",
          "--k", "0", "--p", "1"],
         ["algebra-eval", "--structs", "{one}", "--expr", "(! " * 2000 + "A" + ")" * 2000],
+        # 1^1500 passes the rank-type guard
         ["equiv", "--file-a", "{one}", "--file-b", "{one}", "--m", "1500"],
     ], ids=["formula", "expression", "rank"])
     def test_exits_1(self, tmp_path, capsys, argv):

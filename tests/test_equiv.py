@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from fmtk import algebra, equiv, shrink
 from fmtk.equiv import (
+    RANK_TYPE_GUARD,
+    check_rank_type_cost,
     class_fingerprint,
     ef_game_equivalent,
     m_equivalent,
@@ -10,7 +13,8 @@ from fmtk.equiv import (
     rank_type,
     realized_classes,
 )
-from fmtk.shrink import SigmaTree, join_at, to_structure, trees_equivalent
+from fmtk.errors import GuardExceeded
+from fmtk.shrink import SigmaTree, join_at, make_word, to_structure, trees_equivalent
 from fmtk.structures import (
     MarkedStructure,
     Structure,
@@ -96,6 +100,46 @@ class TestRankType:
             for m in range(4):
                 for tup in ((), (1,), (2, 2)):
                     assert rank_type(A, tup, m).key == reference_rank_type_key(A, tup, m)
+
+
+def _not_allowed(*_):
+    raise AssertionError("work began before the rank-type guard")
+
+
+class TestRankTypeGuard:
+    def test_value_admits_L33_at_rank_4_and_refuses_C12_at_rank_6(self):
+        assert 33**4 <= RANK_TYPE_GUARD < 12**6
+        check_rank_type_cost(33, 4)
+        with pytest.raises(GuardExceeded):
+            check_rank_type_cost(12, 6)
+
+    def test_refused_before_any_type(self, monkeypatch):
+        monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
+        monkeypatch.setattr(equiv, "_atomic_key", _not_allowed)
+        with pytest.raises(GuardExceeded) as info:
+            rank_type(make_cycle(12), (), 7)
+        assert str(info.value) == (
+            "rank type of cost |A|^m = 12^7 exceeds the rank-type guard 2000000"
+        )
+
+    def test_huge_rank_costs_nothing_to_refuse(self):
+        # the power is never multiplied out past the guard
+        with pytest.raises(GuardExceeded, match=r"2\^1000000000 exceeds"):
+            check_rank_type_cost(2, 10**9)
+        check_rank_type_cost(1, 10**9)
+
+    def test_shrinks_refuse_before_work(self, monkeypatch):
+        monkeypatch.setattr(shrink, "TreeClasses", _not_allowed)
+        monkeypatch.setattr(algebra, "push_complement_to_leaves", _not_allowed)
+        monkeypatch.setattr(algebra, "tree_of_structures", _not_allowed)
+        big = make_cycle(50)
+        with pytest.raises(GuardExceeded, match=r"60\^4 exceeds"):
+            shrink.shrink_tree(make_word("a" * 60), set(), 4, 0)
+        with pytest.raises(GuardExceeded, match=r"100\^4 exceeds"):
+            algebra.shrink_algebraic(
+                algebra.node(algebra.UNION, algebra.leaf(big), algebra.leaf(big)), [], 4, 0)
+        with pytest.raises(GuardExceeded, match=r"100\^4 exceeds"):
+            algebra.shrink_word_of_structures([big, big], [], 4, 0)
 
 
 class TestMEquivalent:
