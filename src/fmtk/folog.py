@@ -15,8 +15,6 @@ from operator import itemgetter
 from .errors import FormulaSyntaxError
 from .structures import Structure, Vocabulary
 
-RESERVED_PREFIX = "_q"  # hygienic bound-variable names; user variables may not start with it
-
 
 # ---------------------------------------------------------------------------
 # terms and formulas
@@ -118,46 +116,6 @@ def quantifier_rank(f: Formula) -> int:
 
 def is_quantifier_free(f: Formula) -> bool:
     return quantifier_rank(f) == 0
-
-
-def substitute(f: Formula, var: str, term: Term) -> Formula:
-    """Replace free occurrences of ``var``; assumes hygienic bound names."""
-
-    def sub_term(t: Term) -> Term:
-        return term if isinstance(t, Var) and t.name == var else t
-
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(sub_term(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(sub_term(f.lhs), sub_term(f.rhs))
-    if isinstance(f, Not):
-        return Not(substitute(f.sub, var, term))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(substitute(f.lhs, var, term), substitute(f.rhs, var, term))
-    if isinstance(f, (Exists, Forall)):
-        if f.var == var:
-            return f
-        return type(f)(f.var, substitute(f.body, var, term))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def rename_bound(f: Formula, counter=None) -> Formula:
-    """Give every bound variable a fresh reserved name; capture becomes impossible."""
-    counter = counter if counter is not None else itertools.count()
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Atom, Eq)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.sub))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.lhs), walk(g.rhs))
-        if isinstance(g, (Exists, Forall)):
-            fresh = f"{RESERVED_PREFIX}{next(counter)}"
-            return type(g)(fresh, walk(substitute(g.body, g.var, Var(fresh))))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
 
 
 def eliminate_implications(f: Formula) -> Formula:
@@ -442,9 +400,6 @@ def relativize(f: Formula, xs: tuple[str, ...], constants: tuple[str, ...] = ())
     """
     if not xs:
         raise ValueError("relativization needs at least one variable")
-    for x in xs:
-        if x.startswith(RESERVED_PREFIX):
-            raise ValueError(f"variable {x} uses the reserved prefix {RESERVED_PREFIX}")
     if not is_sentence(f):
         raise ValueError("relativization is defined for sentences")
 
@@ -456,27 +411,33 @@ def relativize(f: Formula, xs: tuple[str, ...], constants: tuple[str, ...] = ())
     witnesses.extend(Cst(c) for c in all_constants)
     truth = Eq(Var(xs[0]), Var(xs[0]))
 
-    def rel(g: Formula) -> Formula:
+    def term(t: Term, env: dict[str, Term]) -> Term:
+        return env[t.name] if isinstance(t, Var) else t
+
+    def rel(g: Formula, env: dict[str, Term]) -> Formula:
+        # env maps each bound variable to its witness; a witness is never
+        # looked up again, so no binder can capture it
         if isinstance(g, Eq):
-            return truth if g.lhs == g.rhs else g
+            lhs, rhs = term(g.lhs, env), term(g.rhs, env)
+            return truth if lhs == rhs else Eq(lhs, rhs)
         if isinstance(g, Atom):
-            return g
+            return Atom(g.pred, tuple(term(t, env) for t in g.args))
         if isinstance(g, Not):
-            return _not(rel(g.sub))
+            return _not(rel(g.sub, env))
         if isinstance(g, And):
-            return _and_all([rel(g.lhs), rel(g.rhs)], truth)
+            return _and_all([rel(g.lhs, env), rel(g.rhs, env)], truth)
         if isinstance(g, Or):
-            return _or_all([rel(g.lhs), rel(g.rhs)], truth)
+            return _or_all([rel(g.lhs, env), rel(g.rhs, env)], truth)
         if isinstance(g, Implies):
-            return _implies(rel(g.lhs), rel(g.rhs), truth)
+            return _implies(rel(g.lhs, env), rel(g.rhs, env), truth)
         if isinstance(g, Exists):
-            return _or_all([rel(substitute(g.body, g.var, w)) for w in witnesses], truth)
+            return _or_all([rel(g.body, {**env, g.var: w}) for w in witnesses], truth)
         if isinstance(g, Forall):
             # de-Morgan-folded form of the negated-existential rewrite
-            return _and_all([rel(substitute(g.body, g.var, w)) for w in witnesses], truth)
+            return _and_all([rel(g.body, {**env, g.var: w}) for w in witnesses], truth)
         raise TypeError(f"not a formula: {g!r}")
 
-    return rel(rename_bound(f))
+    return rel(f, {})
 
 
 def _constants_of(f: Formula) -> set[str]:

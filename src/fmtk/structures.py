@@ -214,9 +214,6 @@ class MarkedStructure:
         rels[pred] = frozenset((e,) for e in self.marks)
         return Structure(vocab, A.size, rels, A.constant_interp)
 
-    def as_unordered(self) -> "MarkedStructure":
-        return MarkedStructure(self.base, tuple(sorted(set(self.marks))), ordered=False)
-
 
 def checked_marks(W, k: int | None, universe) -> set:
     """The marks ``W`` as a set, checked before any work is done on them: at

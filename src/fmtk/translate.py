@@ -38,10 +38,9 @@ from .structures import (
     Structure,
     Vocabulary,
     find_embedding,
-    induced_substructure,
     induced_supersets,
 )
-from .wqo import _components, _degrees, _is_cycle_component, _order_positions
+from .wqo import graph_components, order_positions
 
 CORE_GUARD = 12  # exhaustive subset enumeration bound
 MINIMAL_MODEL_GUARD = 64
@@ -338,46 +337,27 @@ def enumerate_structures(vocab: Vocabulary, max_size: int) -> list[Structure]:
     return out
 
 
-def _is_symmetric_loopfree(A: Structure) -> bool:
-    E = A.relations.get("E")
-    if E is None:
-        return False
-    return all(a != b and (b, a) in E for (a, b) in E)
+def _component_kinds(A: Structure) -> list[str] | None:
+    comps = graph_components(A)
+    return None if comps is None else [kind for kind, _ in comps]
 
 
 def is_cycle_graph(A: Structure) -> bool:
-    if not _is_symmetric_loopfree(A) or A.size < 3:
-        return False
-    return all(d == 2 for d in _degrees(A)) and len(_components(A)) == 1
+    return _component_kinds(A) == ["cycle"]
 
 
 def is_path_graph(A: Structure) -> bool:
-    if not _is_symmetric_loopfree(A):
-        return False
-    if A.size == 1:
-        return not A.relations["E"]
-    degs = _degrees(A)
-    return (
-        max(degs) <= 2
-        and degs.count(1) == 2
-        and len(_components(A)) == 1
-        and len(A.relations["E"]) == 2 * (A.size - 1)
-    )
+    return _component_kinds(A) == ["path"]
 
 
 def is_path_union(A: Structure) -> bool:
-    if not _is_symmetric_loopfree(A):
-        return False
-    for comp in _components(A):
-        sub, _ = induced_substructure(A, comp)
-        if not is_path_graph(sub):
-            return False
-    return True
+    kinds = _component_kinds(A)
+    return kinds is not None and set(kinds) == {"path"}
 
 
 def is_linear_order(A: Structure) -> bool:
     try:
-        _order_positions(A)
+        order_positions(A)
         return True
     except (ValueError, KeyError):
         return False
@@ -400,32 +380,21 @@ def is_sigma_word(A: Structure) -> bool:
 
 def is_paths_cycle_family(A: Structure) -> bool:
     """Member of the paths-plus-one-cycle example family."""
-    if not _is_symmetric_loopfree(A):
+    comps = graph_components(A)
+    if comps is None:
         return False
-    comps = _components(A)
-    degs = _degrees(A)
-    cycles = [c for c in comps if _is_cycle_component(degs, c)]
-    if len(cycles) > 1:
-        return False
+    cycles = [len(c) for kind, c in comps if kind == "cycle"]
     lengths: dict[int, int] = {}
-    for comp in comps:
-        if comp in cycles:
-            continue
-        sub, _ = induced_substructure(A, comp)
-        if not is_path_graph(sub):
+    for kind, c in comps:
+        if kind == "other":
             return False
-        lengths[sub.size - 1] = lengths.get(sub.size - 1, 0) + 1
-    if not lengths:
-        return False
+        if kind == "path":
+            lengths[len(c) - 1] = lengths.get(len(c) - 1, 0) + 1
     counts = set(lengths.values())
-    if len(counts) != 1:
+    if len(cycles) > 1 or len(counts) != 1:
         return False
     n = counts.pop()
-    if n < 1 or sorted(lengths) != list(range(3**n + 1)):
-        return False
-    if cycles and len(cycles[0]) != 3**n:
-        return False
-    return True
+    return sorted(lengths) == list(range(3**n + 1)) and cycles in ([], [3**n])
 
 
 CLASS_TESTS = {

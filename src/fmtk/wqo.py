@@ -119,7 +119,7 @@ def dickson_pair(tuples: list[tuple[int, ...]]) -> tuple[int, int] | None:
     return None
 
 
-def _order_positions(A: Structure) -> list[int]:
+def order_positions(A: Structure) -> list[int]:
     """Rank of each element in a reflexive linear order; validates the input."""
     le = A.relations.get("le")
     if le is None:
@@ -142,7 +142,7 @@ def _order_positions(A: Structure) -> list[int]:
 def order_type_tuple(A: Structure, marks: tuple[int, ...]) -> tuple[int, ...]:
     """Counts of elements between consecutive marks, inclusive at both ends,
     padded with the minimum and maximum of the order."""
-    pos = _order_positions(A)
+    pos = order_positions(A)
     bounds = [0] + sorted(pos[a] for a in marks) + [A.size - 1]
     return tuple(
         sum(1 for p in pos if bounds[r - 1] <= p <= bounds[r])
@@ -151,7 +151,7 @@ def order_type_tuple(A: Structure, marks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _mark_order_type(A: Structure, marks: tuple[int, ...]) -> tuple:
-    pos = _order_positions(A)
+    pos = order_positions(A)
     return tuple(
         (pos[a] > pos[b]) - (pos[a] < pos[b]) for a in marks for b in marks
     )
@@ -233,32 +233,84 @@ def antichain_certificate(
 # path / cycle / H-G shrinkers
 
 
-def _path_layout(P: Structure) -> list[int]:
-    """Vertices of a path graph in end-to-end order; validates the input."""
-    adj: dict[int, list[int]] = {v: [] for v in range(P.size)}
-    for a, b in P.relations["E"]:
-        if a == b:
-            raise ValueError("paths have no loops")
-        if a < b:
-            adj[a].append(b)
-            adj[b].append(a)
-    for a, b in P.relations["E"]:
-        if (b, a) not in P.relations["E"]:
-            raise ValueError("paths are undirected; edges must be symmetric")
-    if P.size == 1:
-        return [0]
-    ends = [v for v, ns in adj.items() if len(set(ns)) == 1]
-    if len(ends) != 2 or any(len(set(ns)) > 2 for ns in adj.values()):
-        raise ValueError("structure is not a path")
-    order = [min(ends)]
-    prev = None
-    while len(order) < P.size:
-        nxt = [u for u in set(adj[order[-1]]) if u != prev]
-        if len(nxt) != 1:
-            raise ValueError("structure is not a path")
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+def graph_components(A: Structure) -> list[tuple[str, list[int]]] | None:
+    """The components of the undirected graph ``E``, in the order of their
+    smallest vertices; ``None`` unless ``E`` is binary, symmetric and
+    loop-free.
+
+    Each component is ``("path", vertices)`` listed end to end from its
+    smaller end (an isolated vertex is a path of length 0), ``("cycle",
+    vertices)`` listed around from its smallest vertex toward that vertex's
+    smaller neighbour, or ``("other", sorted vertices)``.
+    """
+    if ("E", 2) not in A.vocab.predicates:
+        return None
+    E = A.relations["E"]
+    if any(a == b or (b, a) not in E for a, b in E):
+        return None
+    adj: list[list[int]] = [[] for _ in range(A.size)]
+    for a, b in sorted(E):
+        adj[a].append(b)
+    seen = [False] * A.size
+    out: list[tuple[str, list[int]]] = []
+    for v in range(A.size):
+        if seen[v]:
+            continue
+        comp = [v]
+        seen[v] = True
+        for u in comp:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comp.sort()
+        if any(len(adj[u]) > 2 for u in comp):
+            out.append(("other", comp))
+            continue
+        ends = [u for u in comp if len(adj[u]) < 2]
+        order, prev = [ends[0] if ends else comp[0]], -1
+        while len(order) < len(comp):
+            ns = adj[order[-1]]
+            nxt = ns[1] if ns[0] == prev else ns[0]
+            prev = order[-1]
+            order.append(nxt)
+        out.append(("path" if ends else "cycle", order))
+    return out
+
+
+def _only_component(A: Structure, kind: str) -> list[int]:
+    """The vertex order of ``A``, which must be a single path or cycle."""
+    comps = graph_components(A)
+    if comps is None or len(comps) != 1 or comps[0][0] != kind:
+        raise ValueError(f"structure is not a {kind}")
+    return comps[0][1]
+
+
+def _kept_runs(order: list[int], marks, m: int, k: int) -> list[list[int]]:
+    """The runs of a path's vertex ``order`` its shrink keeps: with no marks
+    one leading run of length at most ``3**(m+k+2)``, otherwise a run from
+    the first to the last mark of each group of marks, a new group starting
+    wherever consecutive marks sit more than ``3**(m+1)`` apart."""
+    if not marks:
+        return [order[: 3 ** (m + k + 2) + 1]]
+    pos = sorted(order.index(v) for v in marks)
+    runs, lo = [], pos[0]
+    for a, b in zip(pos, pos[1:]):
+        if b - a > 3 ** (m + 1):
+            runs.append(order[lo : a + 1])
+            lo = b
+    runs.append(order[lo : pos[-1] + 1])
+    return runs
+
+
+def _opened_cycle(cycle: list[int], marks, k: int) -> list[int]:
+    """The path left when ``cycle`` loses its smallest unmarked vertex,
+    listed from its smaller end."""
+    if k >= len(cycle):
+        raise ValueError("k must be smaller than the cycle")
+    drop = cycle.index(min(v for v in cycle if v not in marks))
+    path = cycle[drop + 1 :] + cycle[:drop]
+    return path if path[0] < path[-1] else path[::-1]
 
 
 def shrink_path_with_W(
@@ -270,88 +322,19 @@ def shrink_path_with_W(
     Returns the substructure and its old->new renumbering. With no marks a
     single leading segment of length at most ``3**(m+k+2)`` is kept.
     """
-    W = sorted(checked_marks(W, k, range(P.size)))
-    layout = _path_layout(P)
-    pos_of = {v: i for i, v in enumerate(layout)}
-    span = 3 ** (m + k + 2)
-
-    if not W:
-        kept = layout[: span + 1]
-        return induced_substructure(P, kept)
-
-    def segments(lo: int, hi: int, marks: list[int]) -> list[tuple[int, int]]:
-        # marks: positions, sorted, all within [lo, hi]
-        if not marks:
-            return []
-        if len(marks) == 1:
-            return [(marks[0], marks[0])]
-        boundaries = [lo] + marks + [hi]
-        for j in range(len(boundaries) - 1):
-            if boundaries[j + 1] - boundaries[j] > 3 ** (m + 1):
-                b1 = boundaries[j] + 3**m
-                b2 = boundaries[j + 1] - 3**m
-                left = segments(lo, b1, marks[:j])
-                right = segments(b2, hi, marks[j:])
-                return left + right
-        return [(marks[0], marks[-1])]
-
-    mark_positions = sorted(pos_of[v] for v in W)
-    kept_positions: set[int] = set()
-    for lo, hi in segments(0, len(layout) - 1, mark_positions):
-        kept_positions.update(range(lo, hi + 1))
-    kept = [layout[p] for p in sorted(kept_positions)]
-    return induced_substructure(P, kept)
+    W = checked_marks(W, k, range(P.size))
+    runs = _kept_runs(_only_component(P, "path"), W, m, k)
+    return induced_substructure(P, [v for run in runs for v in run])
 
 
 def shrink_cycle_with_W(
     C: Structure, W, m: int, k: int
 ) -> tuple[Structure, dict[int, int]]:
-    """Open the cycle at a non-mark vertex and shrink the resulting path."""
-    W = sorted(checked_marks(W, k, range(C.size)))
-    if k >= C.size:
-        raise ValueError("k must be smaller than the cycle")
-    drop = min(v for v in range(C.size) if v not in W)
-    path, renum = induced_substructure(C, [v for v in range(C.size) if v != drop])
-    shrunk, renum2 = shrink_path_with_W(path, [renum[w] for w in W], m, k)
-    composed = {old: renum2[new] for old, new in renum.items() if new in renum2}
-    return shrunk, composed
-
-
-def _degrees(A: Structure) -> list[int]:
-    """Out-degree of each vertex over ``E``, loops not counted."""
-    degs = [0] * A.size
-    for a, b in A.relations["E"]:
-        if a != b:
-            degs[a] += 1
-    return degs
-
-
-def _components(A: Structure) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    adj: dict[int, set[int]] = {v: set() for v in range(A.size)}
-    for a, b in A.relations["E"]:
-        adj[a].add(b)
-        adj[b].add(a)
-    for v in range(A.size):
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _is_cycle_component(degs: list[int], comp: list[int]) -> bool:
-    """``comp`` is a cycle, given the vertex degrees from :func:`_degrees`."""
-    return len(comp) >= 3 and all(degs[v] == 2 for v in comp)
+    """Open the cycle at its smallest non-mark vertex and shrink the
+    resulting path."""
+    W = checked_marks(W, k, range(C.size))
+    path = _opened_cycle(_only_component(C, "cycle"), W, k)
+    return induced_substructure(C, [v for run in _kept_runs(path, W, m, k) for v in run])
 
 
 def witness_HnGn(
@@ -362,19 +345,25 @@ def witness_HnGn(
     span, route marks into them, and replace long paths or the cycle by
     their shrunken segments of matching lengths.
 
+    ``A`` must be a disjoint union of paths and at most one cycle; with
+    ``n`` omitted it is the number of copies of the longest path.
     Returns the substructure and the old->new renumbering.
     """
-    W = sorted(checked_marks(W, k, range(A.size)))
-    comps = _components(A)
-    degs = _degrees(A)
-    cycles = [c for c in comps if _is_cycle_component(degs, c)]
+    W = checked_marks(W, k, range(A.size))
+    comps = graph_components(A)
+    if comps is None:
+        raise ValueError("E is not symmetric and loop-free")
+    if any(kind == "other" for kind, _ in comps):
+        raise ValueError("a component is neither a path nor a cycle")
+    paths = [c for kind, c in comps if kind == "path"]
+    cycles = [c for kind, c in comps if kind == "cycle"]
     if len(cycles) > 1:
         raise ValueError("expected at most one cycle component")
-    paths = [c for c in comps if c not in cycles]
     if n is None:
-        # infer n: the number of copies of the longest path length present
-        longest = max(len(c) for c in paths) - 1
-        n = sum(1 for c in paths if len(c) - 1 == longest)
+        if not paths:
+            raise ValueError("n cannot be inferred: there is no path component")
+        longest = max(len(c) for c in paths)
+        n = sum(1 for c in paths if len(c) == longest)
     if cycles and n < m:
         # the cycle is only dispensable once it is invisible at rank m
         return induced_substructure(A, range(A.size))
@@ -385,39 +374,23 @@ def witness_HnGn(
     for c in paths:
         by_len.setdefault(len(c) - 1, []).append(c)
 
-    kept: set[int] = set()
-    swap_segments: list[list[int]] = []
-
     # long paths and the cycle contribute short segments around their marks
+    swap_segments: list[list[int]] = []
     for c in paths:
-        if len(c) - 1 <= span:
-            continue
-        marks_here = [v for v in W if v in c]
-        if not marks_here:
-            continue
-        sub, renum = induced_substructure(A, c)
-        back = {new: old for old, new in renum.items()}
-        shrunk, renum2 = shrink_path_with_W(sub, [renum[v] for v in marks_here], m, k)
-        keep_local = sorted(renum2)
-        for comp in _components_of_subset(sub, keep_local):
-            swap_segments.append(sorted(back[v] for v in comp))
-    if cycles:
-        cyc = cycles[0]
-        marks_here = [v for v in W if v in cyc]
+        marks_here = W.intersection(c)
+        if len(c) - 1 > span and marks_here:
+            swap_segments += _kept_runs(c, marks_here, m, k)
+    for c in cycles:
+        marks_here = W.intersection(c)
         if marks_here:
-            sub, renum = induced_substructure(A, cyc)
-            back = {new: old for old, new in renum.items()}
-            shrunk, renum2 = shrink_cycle_with_W(sub, [renum[v] for v in marks_here], m, k)
-            keep_local = sorted(renum2)
-            for comp in _components_of_subset(sub, keep_local):
-                swap_segments.append(sorted(back[v] for v in comp))
+            swap_segments += _kept_runs(_opened_cycle(c, marks_here, k), marks_here, m, k)
 
     # choose t short paths of each length, mark-carrying copies first
     chosen: dict[int, list[list[int]]] = {}
     for length in range(span + 1):
         copies = by_len.get(length, [])
-        carrying = [c for c in copies if any(v in c for v in W)]
-        free = [c for c in copies if not any(v in c for v in W)]
+        carrying = [c for c in copies if not W.isdisjoint(c)]
+        free = [c for c in copies if W.isdisjoint(c)]
         if len(carrying) > t:
             # not enough pattern slots; the whole structure is already small
             return induced_substructure(A, range(A.size))
@@ -425,22 +398,12 @@ def witness_HnGn(
 
     # swap segments in for free copies of the same length
     for seg in swap_segments:
-        length = len(seg) - 1
-        slots = chosen.get(length, [])
+        slots = chosen.get(len(seg) - 1, [])
         for idx, c in enumerate(slots):
-            if not any(v in c for v in W):
+            if W.isdisjoint(c):
                 slots[idx] = seg
                 break
         else:
             return induced_substructure(A, range(A.size))
 
-    for slots in chosen.values():
-        for c in slots:
-            kept.update(c)
-    return induced_substructure(A, sorted(kept))
-
-
-def _components_of_subset(A: Structure, subset: list[int]) -> list[list[int]]:
-    sub, renum = induced_substructure(A, subset)
-    back = {new: old for old, new in renum.items()}
-    return [[back[v] for v in comp] for comp in _components(sub)]
+    return induced_substructure(A, [v for slots in chosen.values() for c in slots for v in c])

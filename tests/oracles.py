@@ -416,6 +416,75 @@ def reference_to_structure(t: SigmaTree):
 
 
 # ---------------------------------------------------------------------------
+# graph kinds
+
+
+def reference_components(A: Structure) -> list[list[int]]:
+    """Vertex sets of the components of ``E`` read as undirected edges, by
+    flood fill; sorted, in the order of their smallest vertices."""
+    comps: list[list[int]] = []
+    seen: set[int] = set()
+    for v in range(A.size):
+        if v in seen:
+            continue
+        comp, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for edge in A.relations["E"]:
+                if u in edge:
+                    for w in edge:
+                        if w not in comp:
+                            comp.add(w)
+                            frontier.append(w)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def _reference_degrees(A: Structure) -> list[int]:
+    return [sum(1 for a, b in A.relations["E"] if a == v and b != v) for v in range(A.size)]
+
+
+def _reference_is_path(P: Structure) -> bool:
+    if P.size == 1:
+        return not P.relations["E"]
+    degs = _reference_degrees(P)
+    return (max(degs) <= 2 and degs.count(1) == 2 and len(reference_components(P)) == 1
+            and len(P.relations["E"]) == 2 * (P.size - 1))
+
+
+def _reference_is_cycle(C: Structure) -> bool:
+    return (C.size >= 3 and all(d == 2 for d in _reference_degrees(C))
+            and len(reference_components(C)) == 1)
+
+
+def reference_graph_classes(A: Structure) -> dict[str, bool]:
+    """The path/cycle entries of ``translate.CLASS_TESTS`` from vertex
+    degrees, edge counts and flood-filled components, each component
+    judged on its own induced substructure."""
+    names = ("cycles", "paths", "path-unions", "paths-cycle-family")
+    if ("E", 2) not in A.vocab.predicates or any(
+        a == b or (b, a) not in A.relations["E"] for a, b in A.relations["E"]
+    ):
+        return dict.fromkeys(names, False)
+    parts = [reference_induced_substructure(A, c)[0] for c in reference_components(A)]
+    paths = [P.size - 1 for P in parts if _reference_is_path(P)]
+    cycles = [C.size for C in parts if _reference_is_cycle(C)]
+    copies = {paths.count(length) for length in paths}
+    n = copies.pop() if len(copies) == 1 else 0
+    family = (
+        n >= 1 and len(paths) + len(cycles) == len(parts) and len(cycles) <= 1
+        and sorted(set(paths)) == list(range(3**n + 1)) and all(c == 3**n for c in cycles)
+    )
+    return {
+        "cycles": len(parts) == 1 and len(cycles) == 1,
+        "paths": len(parts) == 1 and len(paths) == 1,
+        "path-unions": len(paths) == len(parts),
+        "paths-cycle-family": family,
+    }
+
+
+# ---------------------------------------------------------------------------
 # generators
 
 
@@ -441,6 +510,38 @@ def permuted_copy(rng: random.Random, A: Structure) -> Structure:
     }
     consts = {c: perm[e] for c, e in A.constant_interp.items()}
     return Structure(A.vocab, A.size, relations, consts)
+
+
+def random_graph(rng: random.Random, size: int) -> Structure:
+    """A graph on ``size`` vertices: either random undirected edges, now and
+    then with one direction of an edge dropped or a loop added, or a
+    permuted disjoint union of paths and cycles."""
+    if rng.random() < 0.4:
+        edges = set()
+        for a, b in itertools.combinations(range(size), 2):
+            if rng.random() < 0.3:
+                edges |= {(a, b), (b, a)}
+        if edges and rng.random() < 0.15:
+            edges.discard(rng.choice(sorted(edges)))
+        if rng.random() < 0.1:
+            v = rng.randrange(size)
+            edges.add((v, v))
+        return Structure(GRAPH_VOCAB, size, {"E": frozenset(edges)})
+    runs = []  # (vertex count, closed into a cycle)
+    left = size
+    while left:
+        if left < 3 or rng.random() < 0.5:
+            runs.append((rng.randint(1, left), False))
+        else:
+            runs.append((rng.randint(3, left), True))
+        left -= runs[-1][0]
+    edges, start = set(), 0
+    for count, closed in runs:
+        vs = list(range(start, start + count))
+        pairs = list(zip(vs, vs[1:])) + ([(vs[-1], vs[0])] if closed else [])
+        edges |= {(a, b) for a, b in pairs} | {(b, a) for a, b in pairs}
+        start += count
+    return permuted_copy(rng, Structure(GRAPH_VOCAB, size, {"E": frozenset(edges)}))
 
 
 def all_structures(vocab: Vocabulary, sizes) -> list[Structure]:

@@ -216,6 +216,16 @@ class TestCoresCommand:
         assert "cores-witness:" in out
         assert "{0} {1}" in out
 
+    @pytest.mark.parametrize("vocab, facts", [("E/1", "(0) (1) (2)"), ("E/3", "(0,1,2) (2,1,0)")])
+    def test_non_graph_outside_cycles_exits_1(self, tmp_path, capsys, vocab, facts):
+        f = tmp_path / "u.txt"
+        f.write_text(f"structure u\nvocab: {vocab}\nuniverse: 3\nE: {facts}\n")
+        code = main(["cores", "--file", str(f), "--formula", "forall x. x = x",
+                     "--k", "1", "--class", "cycles"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "the structure is not in the sample's class" in captured.err
+
 
 class TestWqoScanCommand:
     def test_pair_found(self, tmp_path, capsys):

@@ -294,9 +294,22 @@ class TestRelativize:
         with pytest.raises(ValueError):
             relativize(parse(V, "exists x. E(x,x)"), ())
 
-    def test_reserved_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            relativize(parse(V, "exists x. E(x,x)"), ("_q0",))
+    def test_prefix_named_like_bound_variables(self):
+        # a binder named like a prefix variable must not capture it
+        rng = random.Random(22)
+        structures = all_structures(V, (1, 2)) + [random_structure(rng, V, 3) for _ in range(4)]
+        sentences = [parse(V, "exists x. forall y. (E(x,y) | (exists x. E(y,x)))"),
+                     parse(V, "forall _q0. exists _q1. E(_q0,_q1)")]
+        sentences += [random_formula(rng, V, rng.randint(1, 2)) for _ in range(12)]
+        for f in sentences:
+            bound = sorted(_bound_names(f))
+            for xs in (tuple(bound[:2]), tuple(bound[::-1][:2]), ("_q0",)):
+                rel = relativize(f, xs)
+                for A in rng.sample(structures, 4):
+                    for values in itertools.product(range(A.size), repeat=len(xs)):
+                        sub, _ = induced_substructure(A, set(values))
+                        got = reference_evaluate(A, rel, dict(zip(xs, values)))
+                        assert got == reference_evaluate(sub, f)
 
     def test_always_quantifier_free(self):
         rng = random.Random(19)
@@ -384,3 +397,13 @@ class TestPrefixSentence:
         f = to_formula(ps)
         assert quantifier_rank(f) == 2
         assert free_vars(f) == frozenset()
+
+
+def _bound_names(f) -> set[str]:
+    if isinstance(f, (Exists, Forall)):
+        return {f.var} | _bound_names(f.body)
+    if isinstance(f, Not):
+        return _bound_names(f.sub)
+    if isinstance(f, (And, Or, Implies)):
+        return _bound_names(f.lhs) | _bound_names(f.rhs)
+    return set()

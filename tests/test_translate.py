@@ -17,6 +17,7 @@ from fmtk.folog import (
 )
 from fmtk.structures import Structure, Vocabulary, find_embedding
 from fmtk.translate import (
+    CLASS_TESTS,
     ClassSample,
     atomic_diagram_sentence,
     core_formula,
@@ -33,9 +34,16 @@ from fmtk.translate import (
     translate_auto,
     translate_to_exists_forall,
 )
+from fmtk.structures import disjoint_union
 from fmtk.wqo import make_cycle, make_Gn, make_Hn, make_linear_order, make_path
 
-from oracles import random_formula, random_structure
+from oracles import (
+    permuted_copy,
+    random_formula,
+    random_graph,
+    random_structure,
+    reference_graph_classes,
+)
 
 V = Vocabulary.make({"E": 2})
 WITNESS_PHI = "exists x. forall y. E(x,y)"
@@ -318,6 +326,36 @@ class TestClassTests:
         assert is_paths_cycle_family(make_Hn(1))
         assert is_paths_cycle_family(make_Gn(2))
         assert not is_paths_cycle_family(make_path(2))
+
+    @pytest.mark.parametrize("A", [
+        Structure(Vocabulary.make({"E": 1}), 3, {"E": {(0,), (1,), (2,)}}),
+        Structure(Vocabulary.make({"E": 3}), 3, {"E": {(0, 1, 2), (2, 1, 0)}}),
+        Structure(Vocabulary.make({"F": 2}), 3, {"F": {(0, 1), (1, 0), (1, 2), (2, 1)}}),
+    ], ids=["E/1", "E/3", "no-E"])
+    @pytest.mark.parametrize("name", sorted(CLASS_TESTS))
+    def test_non_graph_vocabulary(self, A, name):
+        # a bool, never an exception; no graph class holds without a binary E
+        verdict = CLASS_TESTS[name](A)
+        assert isinstance(verdict, bool)
+        if name in ("cycles", "paths", "path-unions", "paths-cycle-family"):
+            assert verdict is False
+
+    def test_graph_classes_match_reference(self):
+        rng = random.Random(76)
+        graphs = [random_graph(rng, rng.randint(1, 9)) for _ in range(1500)]
+        family = [make_Hn(1), make_Gn(1), make_Hn(2), make_Gn(2)]
+        graphs += family + [permuted_copy(rng, A) for A in family]
+        extras = (make_path(0), make_cycle(3), make_cycle(9))
+        graphs += [disjoint_union(A, B) for A in family[:2] for B in extras]
+        graphs += [Structure(A.vocab, A.size, {"E": A.relations["E"] - {max(A.relations["E"])}})
+                   for A in family]
+        verdicts = []
+        for A in graphs:
+            want = reference_graph_classes(A)
+            assert {name: CLASS_TESTS[name](A) for name in want} == want
+            verdicts.append(tuple(want.values()))
+        # every class is hit, and missed
+        assert all(any(v) and not all(v) for v in zip(*verdicts))
 
     def test_closed_sample_validation(self):
         sample = ClassSample(

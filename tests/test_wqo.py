@@ -7,6 +7,8 @@ from fmtk.equiv import m_equivalent
 from fmtk.errors import GuardExceeded
 from fmtk.structures import (
     MarkedStructure,
+    Structure,
+    Vocabulary,
     check_embedding_witness,
     disjoint_union,
     find_embedding,
@@ -16,6 +18,7 @@ from fmtk.structures import (
 from fmtk.wqo import (
     antichain_certificate,
     dickson_pair,
+    graph_components,
     linear_order_embedding_pair,
     make_cycle,
     make_Gn,
@@ -31,6 +34,17 @@ from fmtk.wqo import (
     to_Sk_pred,
     witness_HnGn,
 )
+
+from oracles import permuted_copy, random_graph, reference_components
+
+GRAPH = Vocabulary.make({"E": 2})
+
+
+def _graph(size, pairs):
+    return Structure(GRAPH, size, {"E": frozenset(pairs) | {(b, a) for a, b in pairs}})
+
+
+STAR = _graph(5, [(0, leaf) for leaf in range(1, 5)])
 
 
 class TestDickson:
@@ -102,7 +116,7 @@ class TestMarkEncodings:
     def test_ordered_forgets_to_unordered(self):
         A = make_path(3)
         ms = to_Sk(A, (2, 0))
-        assert ms.as_unordered().marks == (0, 2)
+        assert to_Sk_pred(ms.base, ms.marks).marks == (0, 2)
 
     def test_predicate_embedding_lifts_to_some_ordering(self):
         # an unordered-mark embedding induces an ordered one after permuting
@@ -198,6 +212,50 @@ class TestPathsCyclesFacts:
             assert m_equivalent(make_Gn(n), make_Hn(n), m)
 
 
+class TestGraphComponents:
+    def test_listing_order(self):
+        # path 3-0-4-1, cycle 2-6-5-7, isolated vertex 8
+        A = _graph(9, [(3, 0), (0, 4), (4, 1), (2, 6), (6, 5), (5, 7), (7, 2)])
+        assert graph_components(A) == [
+            ("path", [1, 4, 0, 3]), ("cycle", [2, 6, 5, 7]), ("path", [8]),
+        ]
+
+    def test_other_components_are_sorted(self):
+        A = disjoint_union(make_path(1), STAR)
+        assert graph_components(A) == [("path", [0, 1]), ("other", [2, 3, 4, 5, 6])]
+
+    @pytest.mark.parametrize("A", [
+        Structure(GRAPH, 2, {"E": {(0, 1)}}),
+        Structure(GRAPH, 2, {"E": {(0, 1), (1, 0), (1, 1)}}),
+        Structure(Vocabulary.make({"E": 1}), 2, {"E": {(0,)}}),
+        Structure(Vocabulary.make({"E": 3}), 2, {"E": {(0, 1, 0)}}),
+        Structure(Vocabulary.make({"F": 2}), 2, {"F": {(0, 1), (1, 0)}}),
+    ], ids=["asymmetric", "loop", "E/1", "E/3", "no-E"])
+    def test_none_unless_symmetric_loopfree_binary(self, A):
+        assert graph_components(A) is None
+
+    def test_walks_match_flood_fill(self):
+        rng = random.Random(74)
+        for _ in range(300):
+            A = random_graph(rng, rng.randint(1, 9))
+            comps = graph_components(A)
+            if comps is None:
+                continue
+            assert [sorted(c) for _, c in comps] == reference_components(A)
+            E = A.relations["E"]
+            for kind, c in comps:
+                if kind == "other":
+                    assert c == sorted(c)
+                    continue
+                steps = list(zip(c, c[1:])) + ([(c[-1], c[0])] if kind == "cycle" else [])
+                assert all(step in E for step in steps)
+                assert len(E & {(a, b) for a in c for b in c}) == 2 * len(steps)
+                if kind == "path":
+                    assert c[0] <= c[-1]
+                else:
+                    assert c[0] == min(c) and c[1] < c[-1]
+
+
 class TestShrinkPath:
     def test_single_mark_gives_single_vertex(self):
         P = make_path(9)
@@ -214,9 +272,7 @@ class TestShrinkPath:
         out, renum = shrink_path_with_W(P, {0, 30}, 0, 2)
         assert {0, 30} <= set(renum)
         # two end segments, no middle
-        from fmtk.wqo import _components
-
-        assert len(_components(out)) == 2
+        assert len(reference_components(out)) == 2
         assert out.size < 31
 
     def test_empty_marks_leading_segment(self):
@@ -235,10 +291,7 @@ class TestShrinkPath:
             assert W <= set(renum)
             witness = {new: old for old, new in renum.items()}
             assert check_embedding_witness(out, P, witness)
-            from fmtk.wqo import _components
-
-            comps = _components(out)
-            assert len(comps) <= max(1, len(W))
+            assert len(reference_components(out)) <= max(1, len(W))
 
 
 class TestShrinkCycle:
@@ -262,6 +315,21 @@ class TestShrinkCycle:
             W = set(rng.sample(range(n), min(k, n - 1)))
             out, _ = shrink_cycle_with_W(make_cycle(n), W, rng.randint(0, 1), k)
             assert is_path_union(out)
+
+    def test_permuted_cycles_and_paths(self):
+        from fmtk.translate import is_path_union
+
+        rng = random.Random(75)
+        for _ in range(20):
+            n = rng.randint(4, 40)
+            k = rng.randint(0, 3)
+            for shrinker, make in ((shrink_cycle_with_W, make_cycle), (shrink_path_with_W, make_path)):
+                A = permuted_copy(rng, make(n))
+                W = set(rng.sample(range(A.size), k))
+                out, renum = shrinker(A, W, rng.randint(0, 1), k)
+                assert W <= set(renum) and is_path_union(out)
+                assert check_embedding_witness(out, A, {new: old for old, new in renum.items()})
+                assert len(reference_components(out)) <= max(1, len(W))
 
     def test_k_must_leave_a_spare_vertex(self):
         with pytest.raises(ValueError):
@@ -306,6 +374,25 @@ class TestWitnessHnGn:
         witness = {new: old for old, new in renum.items()}
         assert check_embedding_witness(out, G2, witness)
         assert m_equivalent(out, G2, 1)
+
+
+    def test_star_is_refused(self):
+        with pytest.raises(ValueError, match="neither a path nor a cycle"):
+            witness_HnGn(STAR, set(), 1, 0)
+
+    def test_paths_next_to_a_star_are_refused(self):
+        with pytest.raises(ValueError, match="neither a path nor a cycle"):
+            witness_HnGn(disjoint_union(make_Hn(1), STAR), set(), 0, 0, n=1)
+
+    def test_lone_cycle_needs_n(self):
+        with pytest.raises(ValueError, match="n cannot be inferred"):
+            witness_HnGn(make_cycle(9), set(), 1, 0)
+
+    def test_asymmetric_E_is_refused(self):
+        H1 = make_Hn(1)
+        E = H1.relations["E"] - {min(H1.relations["E"])}
+        with pytest.raises(ValueError, match="symmetric and loop-free"):
+            witness_HnGn(Structure(H1.vocab, H1.size, {"E": E}), set(), 0, 0, n=1)
 
 
 class TestMarkCheck:
