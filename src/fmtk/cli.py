@@ -10,6 +10,7 @@ exceeded, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -105,17 +106,23 @@ def _check_size(size: int, config: RunConfig, what: str = "structure"):
     check_guard(f"{what} of size", size, config.max_size, "--max-size")
 
 
-# class name -> its ``wqo`` generator, looked up when called; a class that
-# ``translate`` samples (named in the plural there) also has its membership
-# test and the elements a structure has beyond its parameter (a path of
-# length n has n + 1 vertices)
+def _hn_size(n: int) -> int:
+    """Vertices of H_n, ``n`` copies of each path on 1 .. 3**n + 1 vertices.
+    The H_n guard comes first, so a large ``n`` never reaches ``3**n``."""
+    wqo.check_hn_guard(n)
+    return n * (3**n + 1) * (3**n + 2) // 2
+
+
+# class name -> its ``wqo`` generator, looked up when called, a membership
+# test for a class that ``translate`` samples (named in the plural there),
+# and the number of elements the generator builds from its parameters
 _CLASSES = {
-    "linorder": ("make_linear_order", translate.is_linear_order, 0),
-    "path": ("make_path", translate.is_path_graph, 1),
-    "cycle": ("make_cycle", translate.is_cycle_graph, 0),
-    "hn": ("make_Hn", None, 0),
-    "gn": ("make_Gn", None, 0),
-    "grid": ("make_grid", None, 0),
+    "linorder": ("make_linear_order", translate.is_linear_order, lambda n: n),
+    "path": ("make_path", translate.is_path_graph, lambda n: n + 1),
+    "cycle": ("make_cycle", translate.is_cycle_graph, lambda n: n),
+    "hn": ("make_Hn", None, _hn_size),
+    "gn": ("make_Gn", None, lambda n: _hn_size(n) + 3**n),
+    "grid": ("make_grid", None, lambda *dims: math.prod(dims)),
 }
 GEN_CLASSES = tuple(_CLASSES)
 
@@ -142,10 +149,10 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
     entry = _CLASSES.get(kind[:-1]) if kind.endswith("s") else None
     if entry is None or entry[1] is None:
         raise StructureFormatError(f"unknown sample class {kind!r}")
-    maker, member, extra = entry
+    maker, member, size = entry
     if lo > hi:
         raise StructureFormatError(f"sample range {lo}..{hi} is empty")
-    _check_size(hi + extra, config)
+    _check_size(size(hi), config)
     make = getattr(wqo, maker)
     return translate.ClassSample([make(n) for n in range(lo, hi + 1)], membership=member), spec
 
@@ -339,7 +346,9 @@ def _expression_text(args) -> str:
 def cmd_gen(args, config: RunConfig) -> int:
     marks = _parse_marks(args.marks)
     params = [int(d) for d in args.dims.split("x")] if args.klass == "grid" else [args.n]
-    A = getattr(wqo, _CLASSES[args.klass][0])(*params)
+    maker, _, size = _CLASSES[args.klass]
+    _check_size(size(*params), config)
+    A = getattr(wqo, maker)(*params)
     if marks:
         A = MarkedStructure(A, tuple(marks)).expand()
     _emit(serialize_structure(args.name or args.klass, A), config.out)

@@ -312,28 +312,24 @@ def _element_profile(A: Structure):
 def find_embedding(A: Structure, B: Structure) -> dict[int, int] | None:
     """Search for an isomorphism of ``A`` onto an induced substructure of ``B``.
 
-    Backtracking over candidate targets, most-constrained source elements
-    first; candidate order is deterministic. Returns the element map, or
-    ``None`` after the search space is exhausted.
+    Backtracking over candidate targets: the elements that interpret a
+    constant first, each with the constant's image in ``B`` as its one
+    candidate, then the most-constrained source elements. Candidate order is
+    deterministic. Returns the element map, or ``None`` after the search
+    space is exhausted.
     """
     if A.vocab != B.vocab:
         raise ValueError("embedding requires identical vocabularies")
     if A.size > B.size:
         return None
+    forced: dict[int, int] = {}  # element of A -> its one candidate in B
+    for c in A.vocab.constants:
+        b = B.constant_interp[c]
+        if forced.setdefault(A.constant_interp[c], b) != b:
+            return None  # one element of A, two images
 
     mapping: dict[int, int] = {}
     used: set[int] = set()
-    for c in A.vocab.constants:
-        a, b = A.constant_interp[c], B.constant_interp[c]
-        if a in mapping:
-            if mapping[a] != b:
-                return None
-            continue
-        if b in used:
-            return None
-        mapping[a] = b
-        used.add(b)
-
     prof_a, prof_b = _element_profile(A), _element_profile(B)
     binary = [(name, A.relations[name], B.relations[name])
               for name, arity in A.vocab.predicates if arity == 2]
@@ -366,8 +362,8 @@ def find_embedding(A: Structure, B: Structure) -> dict[int, int] | None:
                         return False
         return True
 
-    order = sorted(
-        (e for e in range(A.size) if e not in mapping),
+    order = list(forced) + sorted(
+        (e for e in range(A.size) if e not in forced),
         key=lambda e: (-sum(prof_a[e][2]), e),
     )
 
@@ -375,7 +371,7 @@ def find_embedding(A: Structure, B: Structure) -> dict[int, int] | None:
         if i == len(order):
             return True
         a = order[i]
-        for b in range(B.size):
+        for b in (forced[a],) if a in forced else range(B.size):
             if b in used:
                 continue
             if not consistent(a, b):
@@ -388,19 +384,7 @@ def find_embedding(A: Structure, B: Structure) -> dict[int, int] | None:
             used.remove(b)
         return False
 
-    if not _partial_map_respects_relations(mapping, A, B):
-        return None
     return dict(mapping) if extend(0) else None
-
-
-def _partial_map_respects_relations(mapping: dict[int, int], A: Structure, B: Structure) -> bool:
-    # validates the pre-assigned (constant) part before the search starts
-    for name, arity in A.vocab.predicates:
-        rel_a, rel_b = A.relations[name], B.relations[name]
-        for t in itertools.product(list(mapping), repeat=arity):
-            if (t in rel_a) != (tuple(mapping[e] for e in t) in rel_b):
-                return False
-    return True
 
 
 def is_isomorphic(A: Structure, B: Structure) -> bool:
@@ -409,6 +393,22 @@ def is_isomorphic(A: Structure, B: Structure) -> bool:
     if A.vocab != B.vocab or A.size != B.size:
         return False
     return find_embedding(A, B) is not None
+
+
+def up_to_isomorphism(structures) -> list[Structure]:
+    """The first of each isomorphism class among ``structures``, in input order.
+
+    Structures are bucketed by vocabulary, size and sorted element profiles
+    (the search's own invariant), and compared only within a bucket.
+    """
+    buckets: dict[tuple, list[Structure]] = {}
+    reps: list[Structure] = []
+    for A in structures:
+        bucket = buckets.setdefault((A.vocab, A.size, tuple(sorted(_element_profile(A)))), [])
+        if not any(is_isomorphic(A, R) for R in bucket):
+            bucket.append(A)
+            reps.append(A)
+    return reps
 
 
 def _require_constant_free(*structures: Structure):

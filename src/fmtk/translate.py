@@ -39,6 +39,8 @@ from .structures import (
     Vocabulary,
     find_embedding,
     induced_supersets,
+    is_isomorphic,
+    up_to_isomorphism,
 )
 from .wqo import graph_components, order_positions
 
@@ -62,15 +64,10 @@ class ClassSample:
         return True if self.membership is None else bool(self.membership(A))
 
     def validate_closed(self) -> bool:
-        reps = _iso_dedupe(self.structures)
+        reps = up_to_isomorphism(self.structures)
         for A in self.structures:
             for _, sub in induced_supersets(A):
-                if not self.member(sub):
-                    continue
-                if not any(
-                    sub.size == R.size and find_embedding(sub, R) is not None
-                    for R in reps
-                ):
+                if self.member(sub) and not any(is_isomorphic(sub, R) for R in reps):
                     return False
         return True
 
@@ -87,27 +84,6 @@ class CoreCertificate:
         return bool(self.cores)
 
 
-def _iso_invariant(A: Structure) -> tuple:
-    counts = []
-    for name, _ in A.vocab.predicates:
-        rel = A.relations[name]
-        counts.append((name, len(rel), tuple(sorted(
-            sum(1 for t in rel if e in t) for e in range(A.size)
-        ))))
-    return (A.vocab, A.size, tuple(counts))
-
-
-def _iso_dedupe(structures: list[Structure]) -> list[Structure]:
-    buckets: dict[tuple, list[Structure]] = {}
-    reps: list[Structure] = []
-    for A in structures:
-        bucket = buckets.setdefault(_iso_invariant(A), [])
-        if not any(find_embedding(A, R) is not None for R in bucket):
-            bucket.append(A)
-            reps.append(A)
-    return reps
-
-
 def _as_class_test(crit):
     if callable(crit):
         return crit
@@ -122,6 +98,8 @@ def find_cores(A: Structure, crit, k: int, sample: ClassSample) -> list[tuple[in
     ``sample.membership`` decides which substructures count at all. Exhaustive
     over subsets, so guarded at ``|A| <= 12``.
     """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     check_guard("|A| =", A.size, CORE_GUARD, "the core-search guard")
     if not sample.member(A):
         raise ValueError("the structure is not in the sample's class")
@@ -172,6 +150,8 @@ def translate_to_exists_forall(
     """
     if p < 1:
         raise ValueError("the universal block needs at least one variable")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     xs, ys = prefix_vars(k, p)
     allvars = xs + ys
     truth = Eq(Var(allvars[0]), Var(allvars[0]))
@@ -217,6 +197,8 @@ def translate_auto(
     """Try ``p = 1, 2, 4, ...`` up to ``max_p`` until the translation agrees
     with ``phi`` across the sample; reports failure past the cap. A try
     whose prefix is past ``PREFIX_EVAL_GUARD`` raises before it runs."""
+    if max_p < 1:
+        raise ValueError(f"max_p must be at least 1, got {max_p}")
     p = 1
     last = None
     while p <= max_p:
@@ -269,7 +251,7 @@ def atomic_diagram_sentence(A: Structure) -> Formula:
 
 def minimal_models(structures: list[Structure]) -> list[Structure]:
     """Embedding-minimal members, up to isomorphism."""
-    reps = _iso_dedupe(structures)
+    reps = up_to_isomorphism(structures)
     return [
         A
         for A in reps

@@ -71,7 +71,7 @@ def make_cycle(n: int) -> Structure:
 
 def make_Hn(n: int) -> Structure:
     """``n`` copies of every path of length 0 .. 3**n, disjointly."""
-    _check_hn_guard(n)
+    check_hn_guard(n)
     parts = [make_path(i) for i in range(3**n + 1) for _ in range(n)]
     out = parts[0]
     for p in parts[1:]:
@@ -81,11 +81,11 @@ def make_Hn(n: int) -> Structure:
 
 def make_Gn(n: int) -> Structure:
     """A cycle on ``3**n`` vertices next to ``make_Hn(n)``."""
-    _check_hn_guard(n)
+    check_hn_guard(n)
     return disjoint_union(make_cycle(3**n), make_Hn(n))
 
 
-def _check_hn_guard(n: int):
+def check_hn_guard(n: int):
     if n < 1:
         raise ValueError("n must be at least 1")
     check_guard("n =", n, HN_GUARD, "the H_n guard")

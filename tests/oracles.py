@@ -55,6 +55,18 @@ def brute_force_embedding(A: Structure, B: Structure):
     return None
 
 
+def reference_up_to_isomorphism(structures: list[Structure]) -> list[Structure]:
+    """The first of each isomorphism class in input order: each structure is
+    tried against every kept one of its vocabulary and size with
+    :func:`brute_force_embedding`."""
+    reps: list[Structure] = []
+    for A in structures:
+        if not any(A.vocab == R.vocab and A.size == R.size
+                   and brute_force_embedding(A, R) is not None for R in reps):
+            reps.append(A)
+    return reps
+
+
 def game_evaluate(A: Structure, f, assignment=None) -> bool:
     """Truth via the verifier/falsifier move game, with role swapping at
     negations instead of boolean operators."""

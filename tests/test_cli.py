@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from fmtk import algebra, translate, wqo
+from fmtk import algebra, cli, translate, wqo
 from fmtk.cli import main
 from fmtk.shrink import parse_trees, serialize_tree
 from fmtk.structures import parse_structures, serialize_structure
@@ -452,6 +452,27 @@ class TestGenCommand:
         assert main(["gen", "--class", "hn", "--n", "4"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("klass, params", [
+        ("linorder", (4,)), ("path", (4,)), ("cycle", (5,)), ("grid", (2, 3, 2)),
+        ("hn", (1,)), ("hn", (2,)), ("gn", (1,)), ("gn", (2,)),
+    ])
+    def test_size_rule_is_the_generated_size(self, klass, params):
+        maker, _, size = cli._CLASSES[klass]
+        assert size(*params) == getattr(wqo, maker)(*params).size
+
+    def test_max_size_refused_before_building(self, capsys, monkeypatch):
+        def fail(*dims):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(wqo, "make_grid", fail)
+        assert main(["gen", "--class", "grid", "--dims", "40x40"]) == 2
+        assert "structure of size 1600 exceeds --max-size 64" in capsys.readouterr().err
+
+    def test_hn_2_needs_max_size_110(self, capsys):
+        assert main(["gen", "--class", "hn", "--n", "2"]) == 2
+        assert main(["gen", "--class", "hn", "--n", "2", "--max-size", "110"]) == 0
+        assert "universe: 110" in capsys.readouterr().out
+
 
 class TestConsoleEntry:
     def test_installed_script(self, tmp_path):
@@ -493,6 +514,59 @@ class TestConsoleEntry:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+
+# numbers out of range; each must be refused with nothing on stdout
+_NUMERIC_EDGES = {
+    "translate-k": ["translate", "--formula", "exists x. E(x,x)", "--sample", "cycles:3:5",
+                    "--k", "-1"],
+    "cores-k": ["cores", "--file", "{c4}", "--formula", "forall x. !E(x,x)", "--k", "-1"],
+    "shrink-k": ["shrink", "--file", "{tree}", "--m", "1", "--k", "-1"],
+    "wqo-scan-k": ["wqo-scan", "--file", "{orders}", "--k", "-1"],
+    "algebra-shrink-k": ["algebra-shrink", "--structs", "{c4}", "--expr", "(u A A)", "--m", "1",
+                         "--k", "-1", "--marks", "0"],
+    "max-p-0": ["translate", "--formula", "exists x. E(x,x)", "--sample", "cycles:3:5",
+                "--k", "0", "--max-p", "0"],
+    "max-p-neg": ["translate", "--formula", "exists x. E(x,x)", "--sample", "cycles:3:5",
+                  "--k", "0", "--max-p", "-3"],
+    "p-0": ["translate", "--formula", "exists x. E(x,x)", "--sample", "cycles:3:5",
+            "--k", "0", "--p", "0"],
+    "gen-max-size-0": ["gen", "--class", "cycle", "--max-size", "0"],
+}
+
+
+class TestNumericEdges:
+    @pytest.fixture
+    def files(self, tmp_path):
+        from fmtk.structures import MarkedStructure
+        from fmtk.wqo import make_linear_order
+
+        paths = {name: tmp_path / f"{name}.txt" for name in ("c4", "tree", "orders")}
+        # C4 has no loops, so it is a model of the cores formula
+        paths["c4"].write_text(serialize_structure("A", make_cycle(4)))
+        paths["tree"].write_text("tree t\nalphabet: a\nnode 0 label a root\n"
+                                 "node 1 label a parent 0\n")
+        paths["orders"].write_text(serialize_structure(
+            "o", MarkedStructure(make_linear_order(3), (0, 2)).expand()))
+        return {name: str(p) for name, p in paths.items()}
+
+    @pytest.mark.parametrize("case", sorted(_NUMERIC_EDGES))
+    def test_refused_without_output(self, case, files, capsys):
+        code = main([a.format(**files) for a in _NUMERIC_EDGES[case]])
+        captured = capsys.readouterr()
+        assert code in (1, 2)
+        assert captured.out == ""
+        assert captured.err.startswith(("error:", "guard exceeded:"))
+
+    def test_max_p_0_as_a_subprocess(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", *_NUMERIC_EDGES["max-p-0"]],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
 

@@ -25,8 +25,10 @@ from fmtk.structures import (
     serialize_structures,
     tensor_product,
     tree_of_structures,
+    up_to_isomorphism,
     word_of_structures,
 )
+from fmtk.translate import enumerate_structures
 from fmtk.wqo import make_cycle, make_linear_order, make_path
 
 from oracles import (
@@ -42,6 +44,7 @@ from oracles import (
     reference_tensor_product,
     reference_to_structure,
     reference_tree_of_structures,
+    reference_up_to_isomorphism,
 )
 
 V = Vocabulary.make({"E": 2})
@@ -315,14 +318,32 @@ class TestFindEmbedding:
                 assert check_embedding_witness(A, B, got)
 
     def test_constants_respected(self):
+        # one constant over E/2, then 0-3 constants over E/2 with P/1 or R/3;
+        # small universes put two constants on one element, and their images
+        # in B then often conflict
         rng = random.Random(9)
-        vc = Vocabulary.make({"E": 2}, ["c1"])
-        for _ in range(60):
+        vocabs = [Vocabulary.make({"E": 2}, ["c1"])] * 60 + [
+            Vocabulary.make(preds, [f"c{i + 1}" for i in range(n)])
+            for preds in ({"E": 2}, {"E": 2, "P": 1}, {"E": 2, "R": 3})
+            for n in range(4)
+        ] * 40
+        seen = {"found": 0, "shared": 0, "conflicting": 0}
+        for vc in vocabs:
             A = random_structure(rng, vc, rng.randint(1, 3))
             B = random_structure(rng, vc, rng.randint(1, 4))
             got = find_embedding(A, B)
             expected = brute_force_embedding(A, B)
             assert (got is None) == (expected is None)
+            if got is not None:
+                assert check_embedding_witness(A, B, got)
+                seen["found"] += 1
+            shared = [(c, d) for c, d in itertools.combinations(vc.constants, 2)
+                      if A.constant_interp[c] == A.constant_interp[d]]
+            seen["shared"] += bool(shared)
+            if any(B.constant_interp[c] != B.constant_interp[d] for c, d in shared):
+                seen["conflicting"] += 1
+                assert got is None
+        assert min(seen.values()) >= 20, seen
 
 
 class TestIsIsomorphic:
@@ -339,6 +360,27 @@ class TestIsIsomorphic:
     def test_double_complement(self):
         c4 = make_cycle(4)
         assert is_isomorphic(c4, complement(complement(c4)))
+
+
+class TestUpToIsomorphism:
+    @pytest.mark.parametrize("vocab, max_size", [(V, 3), (Vocabulary.make({"E": 2, "P": 1}), 2)])
+    def test_agrees_with_reference(self, vocab, max_size):
+        structures = enumerate_structures(vocab, max_size)
+        got = up_to_isomorphism(structures)
+        expected = reference_up_to_isomorphism(structures)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+
+    def test_constants_and_input_order(self):
+        rng = random.Random(4)
+        marked = [MarkedStructure(permuted_copy(rng, A), (a, b)).expand()
+                  for A in enumerate_structures(V, 2)
+                  for a, b in itertools.product(range(A.size), repeat=2)]
+        for structures in (marked, marked[::-1]):
+            got = up_to_isomorphism(structures)
+            expected = reference_up_to_isomorphism(structures)
+            assert len(got) == len(expected)
+            assert all(a is b for a, b in zip(got, expected))
 
 
 class TestDisjointUnion:
