@@ -289,7 +289,7 @@ def reduce_expression_height(
         if found is None:
             return cur
         a_id, b_id = found
-        cur = nodes[b_id] if a_id == cur.node_id else _replace(cur, a_id, nodes[b_id])
+        cur = _replace(cur, a_id, nodes[b_id])
 
 
 def identity_leaf_shrinker(B: Structure, marks, m: int):

@@ -361,65 +361,66 @@ def cmd_gen(args, config: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=int, default=None, help="quantifier-rank bound")
-    common.add_argument("--k", type=int, default=None, help="mark-set size bound")
     common.add_argument("--max-size", type=int, default=64)
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument("--m", type=int, required=True, help="quantifier-rank bound")
+    marks = argparse.ArgumentParser(add_help=False)
+    marks.add_argument("--k", type=int, required=True, help="mark-set size bound")
 
-    parser = argparse.ArgumentParser(prog="fmtk", description=__doc__)
+    parser = argparse.ArgumentParser(prog="fmtk", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("equiv", parents=[common], help="decide rank-m equivalence of two structures")
+    def command(name, fn, about, *flags):
+        p = sub.add_parser(name, parents=[common, *flags], help=about, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("equiv", cmd_equiv, "decide rank-m equivalence of two structures", rank)
     p.add_argument("--file-a", required=True)
     p.add_argument("--file-b", required=True)
     p.add_argument("--name-a", default=None)
     p.add_argument("--name-b", default=None)
-    p.set_defaults(fn=cmd_equiv, need_m=True)
 
-    p = sub.add_parser("shrink", parents=[common], help="shrink a labeled tree or word around marks")
+    p = command("shrink", cmd_shrink, "shrink a labeled tree or word around marks", rank, marks)
     p.add_argument("--file", required=True)
     p.add_argument("--name", default=None)
     p.add_argument("--marks", default=None, help="override the marks from the file")
-    p.set_defaults(fn=cmd_shrink, need_m=True, need_k=True)
 
-    p = sub.add_parser("translate", parents=[common], help="translate a sentence to prefix form over a sample")
+    p = command("translate", cmd_translate,
+                "translate a sentence to prefix form over a sample", marks)
     p.add_argument("--formula", required=True)
     p.add_argument("--sample", required=True, help="CLASS:LO:HI or file:PATH")
     p.add_argument("--p", default="auto", help="universal-block size, or 'auto'")
     p.add_argument("--max-p", type=int, default=16)
-    p.set_defaults(fn=cmd_translate, need_k=True)
 
-    p = sub.add_parser("cores", parents=[common], help="find cores of the sentence's models in a file")
+    p = command("cores", cmd_cores, "find cores of the sentence's models in a file", marks)
     p.add_argument("--file", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--class", dest="klass", default="all", choices=sorted(translate.CLASS_TESTS))
-    p.set_defaults(fn=cmd_cores, need_k=True)
 
-    p = sub.add_parser("wqo-scan", parents=[common], help="scan marked linear orders for an embedding pair")
+    p = command("wqo-scan", cmd_wqo_scan, "scan marked linear orders for an embedding pair", marks)
     p.add_argument("--file", required=True)
-    p.set_defaults(fn=cmd_wqo_scan, need_k=True)
 
-    p = sub.add_parser("algebra-eval", parents=[common], help="evaluate an operation expression")
+    p = command("algebra-eval", cmd_algebra_eval, "evaluate an operation expression")
     p.add_argument("--structs", required=True)
     p.add_argument("--expr", default=None)
     p.add_argument("--expr-file", default=None)
-    p.set_defaults(fn=cmd_algebra_eval)
 
-    p = sub.add_parser("algebra-shrink", parents=[common], help="shrink a union/complement expression around marks")
+    p = command("algebra-shrink", cmd_algebra_shrink,
+                "shrink a union/complement expression around marks", rank, marks)
     p.add_argument("--structs", required=True)
     p.add_argument("--expr", default=None)
     p.add_argument("--expr-file", default=None)
     p.add_argument("--marks", default=None)
     p.add_argument("--leaf-shrinker", default="exhaustive", choices=("exhaustive", "identity"))
-    p.set_defaults(fn=cmd_algebra_shrink, need_m=True, need_k=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate an example structure")
+    p = command("gen", cmd_gen, "generate an example structure")
     p.add_argument("--class", dest="klass", required=True, choices=GEN_CLASSES)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--dims", default="3x4", help="grid dimensions, e.g. 3x4")
     p.add_argument("--marks", default=None)
     p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_gen)
 
     return parser
 
@@ -427,14 +428,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "need_m", False) and args.m is None:
-        parser.error(f"{args.command} requires --m")
-    if getattr(args, "need_k", False) and args.k is None:
-        parser.error(f"{args.command} requires --k")
     config = RunConfig(
         command=args.command,
-        m=args.m,
-        k=args.k,
+        m=getattr(args, "m", None),
+        k=getattr(args, "k", None),
         max_size=args.max_size,
         out=args.out,
     )

@@ -221,20 +221,12 @@ def from_structure(S: Structure) -> SigmaTree:
             letters[v] = name[2:]
     if sorted(letters) != list(range(S.size)):
         raise ValueError("labels must partition the universe")
-    for v in range(S.size):
-        if (v, v) not in le:
-            raise ValueError("order must be reflexive")
     parent: dict[int, int | None] = {}
     for v in range(S.size):
         above = [u for u in range(S.size) if u != v and (u, v) in le]
-        for a in above:
-            for b in above:
-                if (a, b) not in le and (b, a) not in le:
-                    raise ValueError("predecessors of an element must form a chain")
-        if not above:
-            parent[v] = None
-            continue
-        parent[v] = max(above, key=lambda u: sum(1 for w in above if (w, u) in le))
+        # the deepest predecessor; the re-encoding below rejects every order
+        # that is not the ancestor order of the tree this builds
+        parent[v] = max(above, key=lambda u: sum(1 for w in above if (w, u) in le), default=None)
     t = SigmaTree(parent, letters, tuple(sorted(alphabet)))
     check, _ = to_structure(t)
     if check.relations[ORDER_PRED] != frozenset(le):
@@ -476,12 +468,8 @@ def reduce_height_no_W(s: SigmaTree, m: int,
         found = deepest_repeat(cur.root, cur.children, classes.classify(cur))
         if found is None:
             return cur
-        a, b = found
-        if a == cur.root:
-            kept = set(cur.descendants(b))
-        else:
-            kept = (set(cur.nodes) - cur.descendants(a)) | cur.descendants(b)
-        cur = cur.induced(kept)
+        a, b = found  # b's subtree takes the place of a's
+        cur = cur.induced((set(cur.nodes) - cur.descendants(a)) | cur.descendants(b))
 
 
 def shrink_word(w: SigmaTree, m: int) -> SigmaTree:
@@ -494,54 +482,58 @@ def shrink_word(w: SigmaTree, m: int) -> SigmaTree:
 def reduce_root_distance(s: SigmaTree, b: int, m: int,
                          classes: TreeClasses | None = None) -> SigmaTree:
     """Pull ``b`` closer to the root while preserving the marked class of
-    ``(tree, b)``: the root-to-``b`` path is decomposed into hanging segments,
-    and the segment word is shrunk with its end letters pinned."""
+    ``(tree, b)``: the path below the root is read as a word of hanging
+    segments, and a stretch whose suffix class repeats is spliced out."""
     if b not in s.parent:
         raise ValueError(f"{b} is not a node")
     classes = classes or TreeClasses(s, m)
-    cur = s
-    while True:
-        a = cur.root
-        if b == a:
-            return cur
-        path = cur.path_down(a, b)
+    cur, names, segments = s, None, None
+    while b != cur.root:
+        path = cur.path_down(cur.root, b)
         ids = classes.classify(cur)
-        # segment i is path[i] with every child subtree but the one on the path
+        # word position i is path[i]: its segment, path[i] with every child
+        # subtree but the one on the path; b's subtree is the flagged last letter
         letters = [
             (classes.compose(cur.label[u], [ids[c] for c in cur.children(u) if c != below]), 0)
-            for u, below in zip(path, path[1:])
+            for u, below in zip(path[1:], path[2:])
         ]
-        letters.append((ids[b], 0))
-        letters[0] = (letters[0][0], 1)
-        letters[-1] = (letters[-1][0], 2)
-        names = {letter: f"p{idx}" for idx, letter in enumerate(sorted(set(letters)))}
-        word = make_word([names[x] for x in letters], tuple(sorted(names.values())))
-        # suffix p of the flagged word, its positions p+1 .. end, is the
-        # subtree of node p+1
-        flagged = TreeClasses(word, m).classify(word)
-        first: dict[int, int] = {}
-        for p in range(1, len(letters)):
-            first.setdefault(flagged[p + 1], p)
-        # the latest suffix q that repeats an earlier one, and its earliest p
-        q = next((q for q in range(len(letters) - 1, 1, -1) if first[flagged[q + 1]] < q), None)
-        if q is None:
-            return cur
-        p = first[flagged[q + 1]]
-        removed = cur.descendants(path[p]) - cur.descendants(path[q])
-        cur = cur.induced(set(cur.nodes) - removed)
+        letters.append((ids[b], 1))
+        if names is None:  # a splice only drops segments: round 1 has every letter
+            names = {x: f"p{i}" for i, x in enumerate(sorted(set(letters)))}
+        word = make_word([names[x] for x in letters], tuple(names.values()))
+        segments = segments or TreeClasses(word, m)
+        found = deepest_repeat(1, word.children, segments.classify(word))
+        if found is None:
+            break
+        p, q = found  # path[q]'s subtree takes the place of path[p]'s
+        cur = cur.induced((set(cur.nodes) - cur.descendants(path[p])) | cur.descendants(path[q]))
+    return cur
 
 
 def _consecutive_mark_pairs(t: SigmaTree, W: set[int]) -> list[tuple[int, int]]:
-    pairs = []
-    for b in sorted(W):
-        between = None
-        for u in t.ancestors(b):
-            if u in W:
-                between = u
-                break
-        if between is not None:
-            pairs.append((between, b))
-    return sorted(pairs)
+    """``(a, b)`` for every mark ``b`` whose nearest marked ancestor is ``a``."""
+    nearest = ((next((u for u in t.ancestors(b) if u in W), None), b) for b in W)
+    return sorted(pair for pair in nearest if pair[0] is not None)
+
+
+def _stretches(t: SigmaTree, W: set[int]):
+    """The mark-free stretches between order-consecutive marks that could be
+    shortened: ``(nodes, target)``, where ``target`` is the stretch's deepest
+    path node, in mark-pair order."""
+    # the nodes whose subtree holds a mark
+    marked = {u for w in W for u in (w, *t.ancestors(w))}
+    for a, b in _consecutive_mark_pairs(t, W):
+        path = t.path_down(a, b)
+        on_path = set(path)
+        # segment i is path[i] with its subtrees off the path
+        carrying = [
+            i for i, u in enumerate(path)
+            if u in W or any(c in marked and c not in on_path for c in t.children(u))
+        ]
+        for i_prev, i_next in zip(carrying, carrying[1:]):
+            if i_next - i_prev >= 2:
+                zset = t.descendants(path[i_prev + 1]) - t.descendants(path[i_next])
+                yield zset, path[i_next - 1]
 
 
 def reduce_W_distances(s: SigmaTree, W, m: int,
@@ -551,33 +543,14 @@ def reduce_W_distances(s: SigmaTree, W, m: int,
     W = checked_marks(W, None, s.parent)
     classes = classes or TreeClasses(s, m)
     cur = s
-    changed = True
-    while changed:
-        changed = False
-        # the nodes whose subtree holds a mark
-        marked = {u for w in W for u in (w, *cur.ancestors(w))}
-        for a, b in _consecutive_mark_pairs(cur, W):
-            path = cur.path_down(a, b)
-            on_path = set(path)
-            # segment i is path[i] with its subtrees off the path
-            carrying = [
-                i for i, u in enumerate(path)
-                if u in W or any(c in marked and c not in on_path for c in cur.children(u))
-            ]
-            for i_prev, i_next in zip(carrying, carrying[1:]):
-                if i_next - i_prev < 2:
-                    continue
-                zset = cur.descendants(path[i_prev + 1]) - cur.descendants(path[i_next])
-                ztree = cur.induced(zset)
-                target = path[i_next - 1]
-                reduced = reduce_root_distance(ztree, target, m, classes)
-                if set(reduced.nodes) != zset:
-                    cur = cur.induced(set(cur.nodes) - (zset - set(reduced.nodes)))
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for zset, target in _stretches(cur, W):
+            reduced = reduce_root_distance(cur.induced(zset), target, m, classes)
+            if len(reduced.nodes) < len(zset):
+                cur = cur.induced(set(cur.nodes) - (zset - set(reduced.nodes)))
                 break
-    return cur
+        else:
+            return cur
 
 
 @dataclass

@@ -121,6 +121,8 @@ def find_cores(A: Structure, crit, k: int, sample: ClassSample) -> list[tuple[in
 def psc_check(phi: Formula, k: int, sample: ClassSample) -> tuple[bool, list[CoreCertificate]]:
     """Does every model of ``phi`` in the sample carry a core of size at most
     ``k``? Returns the verdict and one certificate per model."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     certificates: list[CoreCertificate] = []
     for A in sample.structures:
         if not evaluate(A, phi):

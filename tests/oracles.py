@@ -366,6 +366,48 @@ def reference_reduce_expression_height(s, w_pairs, m: int, k: int):
         cur = b_node if a_id == cur.node_id else replace(cur, a_id, b_node)
 
 
+def reference_reduce_root_distance(s: SigmaTree, b: int, m: int, classes=None) -> SigmaTree:
+    """Root-distance reduction as first written: every round reads the whole
+    root-to-``b`` path as a word of hanging segments with both end letters
+    flagged, builds a fresh segment table for it, and scans its suffixes for
+    the latest one that repeats an earlier one."""
+    from fmtk.shrink import TreeClasses, make_word
+
+    if b not in s.parent:
+        raise ValueError(f"{b} is not a node")
+    classes = classes or TreeClasses(s, m)
+    cur = s
+    while True:
+        a = cur.root
+        if b == a:
+            return cur
+        path = cur.path_down(a, b)
+        ids = classes.classify(cur)
+        # segment i is path[i] with every child subtree but the one on the path
+        letters = [
+            (classes.compose(cur.label[u], [ids[c] for c in cur.children(u) if c != below]), 0)
+            for u, below in zip(path, path[1:])
+        ]
+        letters.append((ids[b], 0))
+        letters[0] = (letters[0][0], 1)
+        letters[-1] = (letters[-1][0], 2)
+        names = {letter: f"p{idx}" for idx, letter in enumerate(sorted(set(letters)))}
+        word = make_word([names[x] for x in letters], tuple(sorted(names.values())))
+        # suffix p of the flagged word, its positions p+1 .. end, is the
+        # subtree of node p+1
+        flagged = TreeClasses(word, m).classify(word)
+        first: dict[int, int] = {}
+        for p in range(1, len(letters)):
+            first.setdefault(flagged[p + 1], p)
+        # the latest suffix q that repeats an earlier one, and its earliest p
+        q = next((q for q in range(len(letters) - 1, 1, -1) if first[flagged[q + 1]] < q), None)
+        if q is None:
+            return cur
+        p = first[flagged[q + 1]]
+        removed = cur.descendants(path[p]) - cur.descendants(path[q])
+        cur = cur.induced(set(cur.nodes) - removed)
+
+
 def reference_tensor_product(A: Structure, B: Structure) -> Structure:
     """Tensor product by its definition: every tuple of pairs is tested, and
     holds iff both coordinate tuples hold."""

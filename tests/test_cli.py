@@ -6,8 +6,10 @@ import pytest
 from fmtk import algebra, cli, translate, wqo
 from fmtk.cli import main
 from fmtk.shrink import parse_trees, serialize_tree
-from fmtk.structures import parse_structures, serialize_structure
-from fmtk.wqo import make_cycle, make_path
+from fmtk.structures import (
+    MarkedStructure, parse_structures, serialize_structure, serialize_structures,
+)
+from fmtk.wqo import make_cycle, make_linear_order, make_path
 
 from oracles import random_tree
 import random
@@ -283,7 +285,8 @@ class TestAlgebraCommands:
         expr_file = tmp_path / "e.txt"
         expr_file.write_text("(u A B)\n")
         given = [] if flags == "neither" else ["--expr", "(u A A)", "--expr-file", str(expr_file)]
-        args = [command, "--structs", structs_file, *given, "--m", "1", "--k", "0"]
+        ranks = ["--m", "1", "--k", "0"] if command == "algebra-shrink" else []
+        args = [command, "--structs", structs_file, *given, *ranks]
         code = main(args)
         captured = capsys.readouterr()
         assert code == 1
@@ -523,6 +526,9 @@ _NUMERIC_EDGES = {
     "translate-k": ["translate", "--formula", "exists x. E(x,x)", "--sample", "cycles:3:5",
                     "--k", "-1"],
     "cores-k": ["cores", "--file", "{c4}", "--formula", "forall x. !E(x,x)", "--k", "-1"],
+    # no structure of the file is a model, so no core search ever runs
+    "cores-k-no-model": ["cores", "--file", "{loopfree}", "--formula", "exists x. E(x,x)",
+                         "--k", "-1"],
     "shrink-k": ["shrink", "--file", "{tree}", "--m", "1", "--k", "-1"],
     "wqo-scan-k": ["wqo-scan", "--file", "{orders}", "--k", "-1"],
     "algebra-shrink-k": ["algebra-shrink", "--structs", "{c4}", "--expr", "(u A A)", "--m", "1",
@@ -543,9 +549,11 @@ class TestNumericEdges:
         from fmtk.structures import MarkedStructure
         from fmtk.wqo import make_linear_order
 
-        paths = {name: tmp_path / f"{name}.txt" for name in ("c4", "tree", "orders")}
+        paths = {name: tmp_path / f"{name}.txt" for name in ("c4", "loopfree", "tree", "orders")}
         # C4 has no loops, so it is a model of the cores formula
         paths["c4"].write_text(serialize_structure("A", make_cycle(4)))
+        paths["loopfree"].write_text(serialize_structures({"C5": make_cycle(5),
+                                                           "P3": make_path(3)}))
         paths["tree"].write_text("tree t\nalphabet: a\nnode 0 label a root\n"
                                  "node 1 label a parent 0\n")
         paths["orders"].write_text(serialize_structure(
@@ -569,6 +577,40 @@ class TestNumericEdges:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+
+class TestFlagsPerCommand:
+    """``--m`` and ``--k`` exist, and are required, only where a command reads
+    them; no flag may be abbreviated. Every such usage error exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["wqo-scan", "--file", "{orders}", "--k", "2", "--m", "-5"],
+        ["equiv", "--file-a", "{c4}", "--file-b", "{c4}", "--m", "1", "--k", "-3"],
+        ["algebra-eval", "--structs", "{c4}", "--expr", "(u A A)", "--m", "-1"],
+        ["translate", "--formula", "forall x. !E(x,x)", "--sample", "cycles:3:4",
+         "--k", "0", "--m", "1"],
+        ["cores", "--file", "{c4}", "--formula", "forall x. !E(x,x)", "--k", "1", "--m", "1"],
+        ["gen", "--class", "cycle", "--k", "1"],
+        ["shrink", "--file", "{tree}", "--m", "1"],
+        ["algebra-shrink", "--structs", "{c4}", "--expr", "(u A A)", "--k", "1"],
+        # abbreviations of --max-size
+        ["equiv", "--file-a", "{c4}", "--file-b", "{c4}", "--m", "1", "--max", "3"],
+        ["wqo-scan", "--file", "{orders}", "--k", "2", "--m", "64"],
+    ], ids=["wqo-scan-m", "equiv-k", "algebra-eval-m", "translate-m", "cores-m", "gen-k",
+            "shrink-no-k", "algebra-shrink-no-m", "equiv-max", "wqo-scan-m-as-max-size"])
+    def test_usage_error(self, argv, tmp_path, capsys):
+        files = {"c4": tmp_path / "c4.txt", "tree": tmp_path / "t.txt",
+                 "orders": tmp_path / "o.txt"}
+        files["c4"].write_text(serialize_structure("A", make_cycle(4)))
+        files["tree"].write_text("tree t\nalphabet: a\nnode 0 label a root\n")
+        files["orders"].write_text(serialize_structure(
+            "o", MarkedStructure(make_linear_order(3), (0, 2)).expand()))
+        with pytest.raises(SystemExit) as info:
+            main([a.format(**files) for a in argv])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 class TestRankTypeGuard:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmtk import shrink
-from fmtk.equiv import rank_type
+from fmtk.equiv import ef_game_equivalent, rank_type
 from fmtk.errors import StructureFormatError, VerificationFailed
 from fmtk.shrink import (
     SigmaTree,
@@ -26,9 +26,14 @@ from fmtk.shrink import (
     trees_equivalent,
     word_letters,
 )
-from fmtk.structures import find_embedding
+from fmtk.structures import MarkedStructure, find_embedding
 
-from oracles import random_tree, random_word, reference_is_subtree
+from oracles import (
+    random_tree,
+    random_word,
+    reference_is_subtree,
+    reference_reduce_root_distance,
+)
 
 
 def chain(n, letter="a"):
@@ -362,6 +367,41 @@ class TestReduceRootDistance:
             assert is_subtree(out, s)
             assert reduce_root_distance(out, b, 1) == out
 
+    def test_matches_the_reference(self):
+        rng = random.Random(61)
+        tables = {}  # one subtree table per alphabet and rank, as in shrink_tree
+        spliced = 0
+        for _ in range(1000):
+            n = rng.randint(1, 30)
+            sigma = ("a", "b", "c")[: rng.randint(1, 3)]
+            if rng.random() < 0.4:
+                s = random_word(rng, n, sigma)
+            else:  # parents among the last few nodes, for long paths
+                parent = {0: None, **{v: rng.randrange(max(0, v - rng.randint(1, 4)), v)
+                                      for v in range(1, n)}}
+                s = SigmaTree(parent, {v: rng.choice(sigma) for v in parent}, sigma)
+            b = rng.choice(s.nodes)
+            m = rng.randint(0, 2)
+            classes = tables.setdefault((sigma, m), TreeClasses(s, m))
+            want = reference_reduce_root_distance(s, b, m, classes)
+            assert reduce_root_distance(s, b, m, classes) == want
+            spliced += want.size < s.size
+        assert spliced >= 300, spliced
+
+    def test_one_segment_table_per_call(self, monkeypatch):
+        built = []
+        real = TreeClasses.__init__
+
+        def counting(self, base, m):
+            built.append(base)
+            real(self, base, m)
+
+        monkeypatch.setattr(TreeClasses, "__init__", counting)
+        s = make_word("ab" * 15 + "a")
+        out = reduce_root_distance(s, 31, 1)
+        assert out.size < s.size
+        assert len(built) <= 2  # the tree's table and one segment table
+
 
 class TestReduceWDistances:
     def test_no_pair_unchanged(self):
@@ -440,6 +480,37 @@ class TestShrinkTree:
 
         assert check_embedding_witness(S_out, S_in, witness)
         assert find_embedding(S_out, S_in) is not None
+
+
+def _game_equivalent(t: SigmaTree, s: SigmaTree, marks, m: int) -> bool:
+    """Rank-``m`` equivalence of two trees with the same marks, by the
+    Ehrenfeucht-Fraisse game on their encodings with the marks as constants."""
+    expanded = []
+    for tree in (t, s):
+        S, renum = to_structure(tree)
+        expanded.append(MarkedStructure(S, tuple(renum[v] for v in sorted(marks))).expand())
+    return ef_game_equivalent(*expanded, m)
+
+
+class TestShrinkProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), _ab_trees(max_size=10), st.integers(0, 2))
+    def test_shrink_tree_keeps_marks_order_and_class(self, data, t, m):
+        marks = data.draw(st.sets(st.sampled_from(t.nodes), max_size=2))
+        out, report = shrink_tree(t, marks, m, len(marks))
+        assert report.ok()
+        assert marks <= set(out.nodes)
+        assert reference_is_subtree(out, t)
+        assert _game_equivalent(out, t, marks, m)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.text("ab", min_size=1, max_size=12), st.integers(0, 2))
+    def test_shrink_word_is_an_equivalent_subword(self, letters, m):
+        w = make_word(letters, ("a", "b"))
+        v = shrink_word(w, m)
+        assert v.is_chain()
+        assert reference_is_subtree(v, w)
+        assert _game_equivalent(v, w, (), m)
 
 
 class TestTreeTextFormat:
