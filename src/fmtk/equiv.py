@@ -7,8 +7,10 @@ Two routes are provided on purpose: canonical back-and-forth rank types
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import itertools
+import operator
+import sys
 from dataclasses import dataclass, field
 
 from .errors import check_guard
@@ -32,108 +34,141 @@ class RankType:
 
     @property
     def fingerprint(self) -> str:
+        import hashlib  # here, so that importing fmtk does not load it
+
         digest = hashlib.sha256(repr((self.rank, self.key)).encode()).hexdigest()
         return digest[:16]
 
 
-def _mask(points: tuple[int, ...], rel: frozenset, arity: int) -> int:
-    mask = 0
-    for idx, combo in enumerate(itertools.product(points, repeat=arity)):
-        if combo in rel:
-            mask |= 1 << idx
-    return mask
+# The rank-0 key of ``W`` points is ``(W, eq, masks)``: bit ``(i, j)`` of
+# ``eq`` (pairs ``i < j`` in lexicographic order) says that points i and j are
+# equal, and bit ``sum(c[k] * W**(arity-1-k))`` of a predicate's mask that the
+# points at index combo ``c`` are in it. Packed, it is one int: ``eq``, then
+# each predicate's mask in vocabulary order. A type whose leaves have ``W``
+# points is laid out at width ``W`` from its root down, so the facts among a
+# node's points already sit where its leaves need them: a child's facts are
+# its parent's plus those that involve its new point.
 
 
-def _atomic_key(A: Structure, points: tuple[int, ...]) -> tuple:
-    eq_bits = 0
-    bit = 1
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i] == points[j]:
-                eq_bits |= bit
-            bit <<= 1
-    masks = tuple(_mask(points, A.relations[name], arity) for name, arity in A.vocab.predicates)
-    return (len(points), eq_bits, masks)
+@functools.lru_cache(maxsize=64)
+def _layout(arities: tuple[int, ...], W: int) -> tuple:
+    """Bit positions at width ``W``. ``steps[n]``: those of the facts that
+    point ``n`` adds to points ``0 .. n-1`` (its equality with each, then per
+    predicate: arity 1, its membership; arity 2, its out- and in-edge with
+    each and its loop; arity 3 and up, the predicate's offset). ``blocks``:
+    each predicate's offset and mask."""
+    blocks = []
+    off = W * (W - 1) // 2
+    for arity in arities:
+        blocks.append((off, (1 << W**arity) - 1))
+        off += W**arity
+    steps = []
+    for n in range(W):
+        preds = []
+        for arity, (off, _) in zip(arities, blocks):
+            if arity == 1:
+                preds.append(off + n)
+            elif arity == 2:
+                preds.append(([off + i * W + n for i in range(n)], [off + n * W + i for i in range(n)],
+                              off + n * W + n))
+            else:
+                preds.append(off)
+        steps.append(([i * W - i * (i + 1) // 2 + n - i - 1 for i in range(n)], preds))
+    return steps, blocks
 
 
-# Stands for the point a leaf adds: it equals no element and lies in no
-# relation, so ``_atomic_key(A, pts + (_NEW,))`` holds exactly the facts among
-# ``pts``, already in the bit layout of ``len(pts) + 1`` points.
-_NEW = -1
-
-# ``_rt_cache`` key of the per-structure fact tables; type entries are keyed
-# ``(tuple, rank)``.
-_TABLES = "tables"
+def _unpack(W: int, blocks: list, leaves) -> list[tuple]:
+    """The ``(W, eq, masks)`` keys of packed leaves of width ``W``."""
+    eq_mask = (1 << W * (W - 1) // 2) - 1
+    return [(W, x & eq_mask, tuple([x >> off & mask for off, mask in blocks])) for x in leaves]
 
 
-def _fact_tables(A: Structure) -> list:
-    """Per-predicate lookups for the facts that involve one new point.
-
-    Arity 1: the members. Arity 2: successor and predecessor lists, filled
-    per point on first use (a dense order would make an eager build cost
-    ``|rel|`` even where no prefix point needs them), and the loops.
-    Arity 3 and up: nothing; those facts are looked up per tuple.
-    """
+def _fact_tables(A: Structure) -> tuple:
+    """The arities, and per predicate what ``_columns`` reads: arity 1, the
+    members; arity 2, the relation, its loops, and a slot for its successor
+    and predecessor lists; arity 3 and up, the relation."""
     tables = []
     for name, arity in A.vocab.predicates:
         rel = A.relations[name]
         if arity == 1:
-            tables.append([e for e in range(A.size) if (e,) in rel])
+            tables.append([a for (a,) in rel])
         elif arity == 2:
-            loops = [e for e in range(A.size) if (e, e) in rel]
-            tables.append(([None] * A.size, [None] * A.size, loops))
+            tables.append([rel, [a for a, b in rel if a == b], None])
         else:
-            tables.append(None)
-    return tables
+            tables.append(rel)
+    return tuple(arity for _, arity in A.vocab.predicates), tables
 
 
-def _leaf_keys(A: Structure, tables: list, pts: tuple[int, ...]) -> set:
-    """The atomic keys of ``pts + (b,)`` over every element ``b``.
+def _adjacency(size: int, rel: frozenset) -> tuple:
+    succ: list = [[] for _ in range(size)]
+    pred: list = [[] for _ in range(size)]
+    for a, b in rel:
+        succ[a].append(b)
+        pred[b].append(a)
+    return succ, pred
 
-    The facts among ``pts`` are computed once; each ``b`` then adds only the
-    facts that involve it, as one column per predicate indexed by ``b``.
-    """
-    size = A.size
+
+def _columns(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...], prefix: int) -> list[int]:
+    """The packed facts of ``pts + (b,)`` for every element ``b``: ``prefix``
+    (the facts among ``pts``) plus those that involve ``b``."""
     n = len(pts)
-    N = n + 1
-    _, eq, prefix_masks = _atomic_key(A, pts + (_NEW,))
-    eqcol = [eq] * size
-    start = 0  # bit of the pair (i, i + 1); the pair (i, n) follows n - i - 1 bits later
-    for i, p in enumerate(pts):
-        eqcol[p] |= 1 << (start + n - i - 1)
-        start += n - i
-    cols = []
-    for (name, arity), table, prefix in zip(A.vocab.predicates, tables, prefix_masks):
-        rel = A.relations[name]
-        if arity > 2:
-            cols.append([_mask(pts + (b,), rel, arity) for b in range(size)])
-            continue
-        col = [prefix] * size
+    eq, preds = steps[n]
+    col = [prefix] * A.size
+    for p, pos in zip(pts, eq):
+        col[p] |= 1 << pos
+    for arity, table, step in zip(*tables, preds):
         if arity == 1:
-            bit = 1 << n
+            bit = 1 << step
             for b in table:
                 col[b] |= bit
-        else:
-            succ, pred, loops = table
-            for i, a in enumerate(pts):
-                out = succ[a]
-                if out is None:
-                    out = succ[a] = [b for b in range(size) if (a, b) in rel]
-                bit = 1 << (i * N + n)
-                for b in out:
-                    col[b] |= bit
-                into = pred[a]
-                if into is None:
-                    into = pred[a] = [b for b in range(size) if (b, a) in rel]
-                bit = 1 << (n * N + i)
-                for b in into:
-                    col[b] |= bit
-            bit = 1 << (n * N + n)
-            for b in loops:
+        elif arity == 2:
+            outs, ins, loop = step
+            if pts:
+                if table[2] is None:  # built from the tuples once a node has points
+                    table[2] = _adjacency(A.size, table[0])
+                succ, pred = table[2]
+                for a, pos in zip(pts, outs):
+                    bit = 1 << pos
+                    for b in succ[a]:
+                        col[b] |= bit
+                for a, pos in zip(pts, ins):
+                    bit = 1 << pos
+                    for b in pred[a]:
+                        col[b] |= bit
+            bit = 1 << loop
+            for b in table[1]:
                 col[b] |= bit
-        cols.append(col)
-    masks = zip(*cols) if cols else itertools.repeat(())
-    return set(zip(itertools.repeat(N), eqcol, masks))
+        else:
+            W = len(steps)
+            for c in itertools.product(range(n + 1), repeat=arity):
+                if n in c:
+                    bit = 1 << step + sum(i * W**k for k, i in enumerate(reversed(c)))
+                    for b in range(A.size):
+                        if tuple(pts[i] if i < n else b for i in c) in table:
+                            col[b] |= bit
+    return col
+
+
+# ``_rt_cache`` entries besides the id of each computed ``(tuple, rank)``.
+# Every node of rank 1 and up is interned as a small int: a rank-1 node by
+# ``(W, frozenset of its leaves' packed facts)``, a higher one by the
+# frozenset of its children's ids. Equal ids mean equal keys, whatever order
+# the types were computed in; the nested key is expanded from the id.
+_TABLES, _IDS, _NODES, _KEYS = "tables", "ids", "nodes", "keys"
+
+
+def _expand(cache: dict, i: int) -> tuple:
+    """The canonical nested key of interned node ``i``, memoized per id."""
+    key = cache[_KEYS].get(i)
+    if key is None:
+        node = cache[_NODES][i]
+        if type(node) is tuple:
+            W, leaves = node
+            key = tuple(sorted(_unpack(W, _layout(cache[_TABLES][0], W)[1], leaves)))
+        else:
+            key = tuple(sorted(_expand(cache, c) for c in node))
+        cache[_KEYS][i] = key
+    return key
 
 
 def check_rank_type_cost(size: int, m: int) -> None:
@@ -159,27 +194,47 @@ def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     for e in tup:
         if not 0 <= e < A.size:
             raise ValueError(f"tuple component {e} outside the universe")
-    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
-    if m == 0:
-        return RankType(0, _atomic_key(A, consts + tuple(tup)))
+    if 2 * m > sys.getrecursionlimit():
+        # each rank is two frames of the recursion below; refuse a depth it
+        # cannot reach before carrying facts down towards it
+        raise RecursionError(f"a rank-{m} type nests deeper than the recursion limit")
+    tup = tuple(tup)
     cache = A._rt_cache
     if cache is None:
-        cache = {_TABLES: _fact_tables(A)}
+        cache = {_TABLES: _fact_tables(A), _IDS: {}, _NODES: [], _KEYS: {}}
         object.__setattr__(A, "_rt_cache", cache)
-    tables = cache[_TABLES]
+    hit = cache.get((tup, m))
+    if hit is not None:
+        return RankType(m, _expand(cache, hit))
+    tables, ids, nodes = cache[_TABLES], cache[_IDS], cache[_NODES]
+    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    pts = consts + tup
+    W = len(pts) + m
+    steps, blocks = _layout(tables[0], W)
+    prefix = 0
+    for i, p in enumerate(pts):
+        prefix = _columns(A, tables, steps, pts[:i], prefix)[p]
+    if m == 0:
+        return RankType(0, _unpack(W, blocks, [prefix])[0])
+    size = A.size
 
-    def rec(t: tuple[int, ...], r: int) -> tuple:
+    def rec(t: tuple[int, ...], r: int, prefix: int) -> int:
         hit = cache.get((t, r))
         if hit is not None:
             return hit
+        col = _columns(A, tables, steps, consts + t, prefix)
         if r == 1:
-            key = tuple(sorted(_leaf_keys(A, tables, consts + t)))
+            node = (W, frozenset(col))
         else:
-            key = tuple(sorted({rec(t + (b,), r - 1) for b in range(A.size)}))
-        cache[(t, r)] = key
-        return key
+            node = frozenset([rec(t + (b,), r - 1, col[b]) for b in range(size)])
+        i = ids.get(node)
+        if i is None:
+            i = ids[node] = len(nodes)
+            nodes.append(node)
+        cache[(t, r)] = i
+        return i
 
-    return RankType(m, rec(tuple(tup), m))
+    return RankType(m, _expand(cache, rec(tup, m, prefix)))
 
 
 def m_equivalent(A: Structure, B: Structure, m: int) -> bool:
@@ -206,7 +261,10 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
 
     The challenger picks an element on either side each round, the matcher
     answers on the other side; the matcher survives iff the chosen pairs
-    (together with the constants) always form a partial isomorphism.
+    (together with the constants) always form a partial isomorphism. At a
+    position ``xs -> ys`` each element gets a profile, the facts of
+    ``xs + (a,)`` that involve ``a`` as one int, computed on first use;
+    ``a -> b`` keeps the map a partial isomorphism iff their profiles agree.
     """
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
@@ -215,64 +273,67 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
 
     consts_a = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
     consts_b = tuple(B.constant_interp[c] for c in sorted(B.constant_interp))
-    preds = [(name, arity, A.relations[name], B.relations[name])
-             for name, arity in A.vocab.predicates]
+    # a unary relation as its members, since a one-index getter returns no tuple
+    rels_a, rels_b = ([(arity, {a for (a,) in S.relations[name]} if arity == 1 else S.relations[name])
+                       for name, arity in A.vocab.predicates] for S in (A, B))
+    getters: dict[tuple[int, int], list] = {}
 
-    new_combos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def combos_with(n: int, arity: int) -> list[tuple[int, ...]]:
-        # index combos over 0..n that contain n: the facts involving the new pair
-        combos = new_combos.get((n, arity))
-        if combos is None:
-            combos = new_combos[(n, arity)] = [
-                c for c in itertools.product(range(n + 1), repeat=arity) if n in c
+    def getters_with(n: int, arity: int) -> list:
+        # the index combos over 0..n that contain n, the facts involving the
+        # new point, as getters from ``pool + (a,)``
+        got = getters.get((n, arity))
+        if got is None:
+            got = getters[(n, arity)] = [
+                operator.itemgetter(*c) for c in itertools.product(range(n + 1), repeat=arity) if n in c
             ]
-        return combos
+        return got
 
-    def extension_ok(xs: tuple[int, ...], ys: tuple[int, ...], a: int, b: int) -> bool:
-        # xs -> ys extended with a -> b stays a partial isomorphism
-        for x, y in zip(xs, ys):
-            if (x == a) != (y == b):
-                return False
-        pool = xs + (a,)
-        image = ys + (b,)
-        for name, arity, rel_a, rel_b in preds:
-            for combo in combos_with(len(xs), arity):
-                ta = tuple(pool[i] for i in combo)
-                tb = tuple(image[i] for i in combo)
-                if (ta in rel_a) != (tb in rel_b):
-                    return False
-        return True
+    def profile(pool: tuple[int, ...], rels: list, a: int) -> int:
+        # the facts of ``pool + (a,)`` that involve ``a``, as one int
+        ext = pool + (a,)
+        bits = 0
+        bit = 1
+        for x in pool:
+            if x == a:
+                bits |= bit
+            bit <<= 1
+        for arity, rel in rels:
+            for get in getters_with(len(pool), arity):
+                if get(ext) in rel:
+                    bits |= bit
+                bit <<= 1
+        return bits
 
-    def initial_ok() -> bool:
-        xs: tuple[int, ...] = ()
-        ys: tuple[int, ...] = ()
-        for a, b in zip(consts_a, consts_b):
-            if not extension_ok(xs, ys, a, b):
-                return False
-            xs += (a,)
-            ys += (b,)
-        return True
+    def lookup(memo: list, pool: tuple[int, ...], rels: list, e: int) -> int:
+        p = memo[e]
+        if p is None:
+            p = memo[e] = profile(pool, rels, e)
+        return p
 
     def matcher_wins(xs: tuple[int, ...], ys: tuple[int, ...], rounds: int) -> bool:
         if rounds == 0:
             return True
+        pa: list = [None] * A.size  # this position's profiles, filled on first use
+        pb: list = [None] * B.size
         for a in range(A.size):
+            p = lookup(pa, xs, rels_a, a)
             if not any(
-                extension_ok(xs, ys, a, b) and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
+                lookup(pb, ys, rels_b, b) == p and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
                 for b in range(B.size)
             ):
                 return False
         for b in range(B.size):
+            p = lookup(pb, ys, rels_b, b)
             if not any(
-                extension_ok(xs, ys, a, b) and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
+                lookup(pa, xs, rels_a, a) == p and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
                 for a in range(A.size)
             ):
                 return False
         return True
 
-    if not initial_ok():
-        return False
+    for n, (a, b) in enumerate(zip(consts_a, consts_b)):
+        if profile(consts_a[:n], rels_a, a) != profile(consts_b[:n], rels_b, b):
+            return False
     return matcher_wins(consts_a, consts_b, m)
 
 

@@ -208,6 +208,83 @@ def reference_rank_type_key(A: Structure, tup: tuple[int, ...], m: int) -> tuple
     return rec(tuple(tup), m)
 
 
+def reference_ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
+    """Game search with a pairwise extension test: ``extension_ok`` checks
+    each candidate pair by rebuilding the tuples of every index combo on both
+    sides. Direct minimax over the ``m``-round game tree.
+
+    The challenger picks an element on either side each round, the matcher
+    answers on the other side; the matcher survives iff the chosen pairs
+    (together with the constants) always form a partial isomorphism.
+    """
+    if m < 0:
+        raise ValueError(f"quantifier rank must be nonnegative, got {m}")
+    if A.vocab != B.vocab:
+        raise ValueError("equivalence requires identical vocabularies")
+
+    consts_a = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    consts_b = tuple(B.constant_interp[c] for c in sorted(B.constant_interp))
+    preds = [(name, arity, A.relations[name], B.relations[name])
+             for name, arity in A.vocab.predicates]
+
+    new_combos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def combos_with(n: int, arity: int) -> list[tuple[int, ...]]:
+        # index combos over 0..n that contain n: the facts involving the new pair
+        combos = new_combos.get((n, arity))
+        if combos is None:
+            combos = new_combos[(n, arity)] = [
+                c for c in itertools.product(range(n + 1), repeat=arity) if n in c
+            ]
+        return combos
+
+    def extension_ok(xs: tuple[int, ...], ys: tuple[int, ...], a: int, b: int) -> bool:
+        # xs -> ys extended with a -> b stays a partial isomorphism
+        for x, y in zip(xs, ys):
+            if (x == a) != (y == b):
+                return False
+        pool = xs + (a,)
+        image = ys + (b,)
+        for name, arity, rel_a, rel_b in preds:
+            for combo in combos_with(len(xs), arity):
+                ta = tuple(pool[i] for i in combo)
+                tb = tuple(image[i] for i in combo)
+                if (ta in rel_a) != (tb in rel_b):
+                    return False
+        return True
+
+    def initial_ok() -> bool:
+        xs: tuple[int, ...] = ()
+        ys: tuple[int, ...] = ()
+        for a, b in zip(consts_a, consts_b):
+            if not extension_ok(xs, ys, a, b):
+                return False
+            xs += (a,)
+            ys += (b,)
+        return True
+
+    def matcher_wins(xs: tuple[int, ...], ys: tuple[int, ...], rounds: int) -> bool:
+        if rounds == 0:
+            return True
+        for a in range(A.size):
+            if not any(
+                extension_ok(xs, ys, a, b) and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
+                for b in range(B.size)
+            ):
+                return False
+        for b in range(B.size):
+            if not any(
+                extension_ok(xs, ys, a, b) and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
+                for a in range(A.size)
+            ):
+                return False
+        return True
+
+    if not initial_ok():
+        return False
+    return matcher_wins(consts_a, consts_b, m)
+
+
 def reference_cartesian_product(A: Structure, B: Structure) -> Structure:
     """Cartesian product by its definition: every tuple of pairs is tested,
     and holds iff one coordinate is constant and the other tuple holds."""

@@ -35,6 +35,7 @@ from oracles import (
     permuted_copy,
     random_structure,
     random_tree,
+    reference_ef_game_equivalent,
     reference_rank_type_key,
 )
 
@@ -93,6 +94,24 @@ class TestRankType:
                         for tup, m in cases:
                             assert rank_type(A, tup, m).key == reference_rank_type_key(A, tup, m)
 
+    def test_keys_and_fingerprints_do_not_depend_on_call_order(self):
+        # one structure serves every call, so later calls read ids interned by
+        # earlier ones; a fresh copy computes each type from nothing
+        rng = random.Random(42)
+        vocab = Vocabulary.make({"U": 1, "E": 2, "T": 3}, ("c",))
+        for size in (3, 4, 5):
+            A = random_structure(rng, vocab, size, density=0.4)
+            cases = [(tuple(rng.randrange(size) for _ in range(length)), m)
+                     for m in range(4) for length in range(3)]
+            rng.shuffle(cases)
+            for order in (cases, sorted(cases, key=lambda c: c[1]),
+                          sorted(cases, key=lambda c: -c[1])):
+                for tup, m in order:
+                    rt = rank_type(A, tup, m)
+                    assert rt.key == reference_rank_type_key(A, tup, m)
+                    fresh = Structure(A.vocab, A.size, A.relations, A.constant_interp)
+                    assert rt.fingerprint == rank_type(fresh, tup, m).fingerprint
+
     def test_keys_match_reference_with_loops_and_no_predicates(self):
         looped = Structure(V, 4, {"E": {(0, 0), (0, 1), (2, 2), (3, 1)}})
         bare = Structure(Vocabulary.make({}, ["c"]), 3, {}, {"c": 1})
@@ -115,7 +134,8 @@ class TestRankTypeGuard:
 
     def test_refused_before_any_type(self, monkeypatch):
         monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
-        monkeypatch.setattr(equiv, "_atomic_key", _not_allowed)
+        monkeypatch.setattr(equiv, "_layout", _not_allowed)
+        monkeypatch.setattr(equiv, "_columns", _not_allowed)
         with pytest.raises(GuardExceeded) as info:
             rank_type(make_cycle(12), (), 7)
         assert str(info.value) == (
@@ -192,6 +212,28 @@ class TestEfGame:
             for B in reps:
                 for m in (0, 1, 2):
                     assert m_equivalent(A, B, m) == ef_game_equivalent(A, B, m)
+
+    def test_matches_pairwise_reference_game(self):
+        # unary, binary and ternary predicates, with up to two constants; B is
+        # a permuted copy of A (the game runs in full), that copy with one
+        # tuple toggled, or a fresh structure
+        rng = random.Random(43)
+        preds = [{"U": 1}, {"E": 2}, {"T": 3}, {"U": 1, "E": 2, "T": 3}]
+        for pred in preds:
+            for consts in ((), ("c",), ("c", "d")):
+                vocab = Vocabulary.make(pred, consts)
+                for kind in ("copy", "flip", "fresh") * 4:
+                    A = random_structure(rng, vocab, rng.randint(1, 4), density=rng.choice([0.3, 0.6]))
+                    B = permuted_copy(rng, A)
+                    if kind == "flip":
+                        name, arity = rng.choice(vocab.predicates)
+                        t = tuple(rng.randrange(B.size) for _ in range(arity))
+                        B = Structure(vocab, B.size, {**B.relations, name: B.relations[name] ^ {t}},
+                                      B.constant_interp)
+                    elif kind == "fresh":
+                        B = random_structure(rng, vocab, rng.randint(1, 4), density=rng.choice([0.3, 0.6]))
+                    for m in (0, 1, 2):
+                        assert ef_game_equivalent(A, B, m) == reference_ef_game_equivalent(A, B, m)
 
     def test_with_constants(self):
         VC = Vocabulary.make({"E": 2}, ["c1"])
