@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .equiv import check_rank_type_cost, class_fingerprint, rank_type
 from .errors import StructureFormatError, VerificationFailed, check_guard
+from .records import Record
 from .shrink import ClassTable, ShrinkReport, SigmaTree, deepest_repeat, shrink_tree
 from .structures import (
     MarkedStructure,
@@ -42,31 +42,36 @@ EXHAUSTIVE_SHRINK_GUARD = 12  # largest leaf the exhaustive leaf shrinker search
 _ids = itertools.count()
 
 
-@dataclass(frozen=True)
-class ExprNode:
+class ExprNode(Record):
     """One node of an expression tree; leaves carry structures.
 
     A leaf keeps its pre-complement ``base`` and a ``complemented`` flag so
     that push-down and leaf shrinking can work through the complement.
+    ``node_id`` is fresh per node unless given.
     """
 
-    op: str
-    children: tuple["ExprNode", ...] = ()
-    base: Structure | None = None
-    complemented: bool = False
-    node_id: int = field(default_factory=lambda: next(_ids))
+    __slots__ = ("op", "children", "base", "complemented", "node_id")
 
-    def __post_init__(self):
-        if self.op == LEAF:
-            if self.children or self.base is None:
+    def __init__(self, op: str, children: tuple["ExprNode", ...] = (),
+                 base: Structure | None = None, complemented: bool = False,
+                 node_id: int | None = None):
+        if node_id is None:
+            node_id = next(_ids)
+        if op == LEAF:
+            if children or base is None:
                 raise ValueError("a leaf carries a structure and no children")
         else:
-            if self.op not in _ARITY:
-                raise ValueError(f"unknown operation {self.op!r}")
-            if len(self.children) != _ARITY[self.op]:
-                raise ValueError(f"operation {self.op!r} expects {_ARITY[self.op]} children")
-            if self.base is not None:
+            if op not in _ARITY:
+                raise ValueError(f"unknown operation {op!r}")
+            if len(children) != _ARITY[op]:
+                raise ValueError(f"operation {op!r} expects {_ARITY[op]} children")
+            if base is not None:
                 raise ValueError("internal nodes carry no structure")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "complemented", complemented)
+        object.__setattr__(self, "node_id", node_id)
 
     @property
     def structure(self) -> Structure:

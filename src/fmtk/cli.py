@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
-from . import algebra, equiv, folog, shrink, translate, wqo
 from .errors import (
     FormulaSyntaxError,
     GuardExceeded,
@@ -22,21 +20,23 @@ from .errors import (
     VerificationFailed,
     check_guard,
 )
-from .structures import (
-    MarkedStructure,
-    Structure,
-    parse_structures,
-    serialize_structure,
-)
 
-@dataclass
+if __name__ != "__main__":
+    # Imported as a module (the ``fmtk`` console script, the benchmark's
+    # set-up, tests), this module loads every layer. Run as ``python -m
+    # fmtk.cli``, each command imports only the layers it runs.
+    from . import algebra, equiv, folog, shrink, translate, wqo
+
+
 class RunConfig:
-    command: str
-    m: int | None = None
-    k: int | None = None
-    max_size: int = 64
-    out: str | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    def __init__(self, command: str, m: int | None = None, k: int | None = None,
+                 max_size: int = 64, out: str | None = None):
+        self.command = command
+        self.m = m
+        self.k = k
+        self.max_size = max_size
+        self.out = out
+        self.extras: dict[str, str] = {}
 
     def header_lines(self) -> list[str]:
         lines = [f"command: {self.command}"]
@@ -80,9 +80,11 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _load(path: str, parse=parse_structures) -> dict:
+def _load(path: str, parse=None) -> dict:
     """Read a block file: structures by default, or trees with
     ``shrink.parse_trees``."""
+    if parse is None:
+        from .structures import parse_structures as parse
     with open(path) as fh:
         return parse(fh.read())
 
@@ -109,22 +111,28 @@ def _check_size(size: int, config: RunConfig, what: str = "structure"):
 def _hn_size(n: int) -> int:
     """Vertices of H_n, ``n`` copies of each path on 1 .. 3**n + 1 vertices.
     The H_n guard comes first, so a large ``n`` never reaches ``3**n``."""
+    from . import wqo
+
     wqo.check_hn_guard(n)
     return n * (3**n + 1) * (3**n + 2) // 2
 
 
-# class name -> its ``wqo`` generator, looked up when called, a membership
-# test for a class that ``translate`` samples (named in the plural there),
-# and the number of elements the generator builds from its parameters
+# class name -> its ``wqo`` generator and, for a class that ``translate``
+# samples (named in the plural there), its ``translate`` membership test,
+# both looked up when called; and the number of elements the generator
+# builds from its parameters
 _CLASSES = {
-    "linorder": ("make_linear_order", translate.is_linear_order, lambda n: n),
-    "path": ("make_path", translate.is_path_graph, lambda n: n + 1),
-    "cycle": ("make_cycle", translate.is_cycle_graph, lambda n: n),
+    "linorder": ("make_linear_order", "is_linear_order", lambda n: n),
+    "path": ("make_path", "is_path_graph", lambda n: n + 1),
+    "cycle": ("make_cycle", "is_cycle_graph", lambda n: n),
     "hn": ("make_Hn", None, _hn_size),
     "gn": ("make_Gn", None, lambda n: _hn_size(n) + 3**n),
     "grid": ("make_grid", None, lambda *dims: math.prod(dims)),
 }
 GEN_CLASSES = tuple(_CLASSES)
+# sorted(translate.CLASS_TESTS), written out so that ``--help`` loads no layer
+CORE_CLASSES = ("all", "cycles", "linorders", "path-unions", "paths", "paths-cycle-family",
+                "trees", "words")
 
 
 def _load_checked(path: str, config: RunConfig) -> dict[str, Structure]:
@@ -137,6 +145,8 @@ def _load_checked(path: str, config: RunConfig) -> dict[str, Structure]:
 def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSample, str]:
     """``cycles:3:8``-style ranges over generators, or ``file:PATH``; every
     structure is held to ``--max-size`` before any evaluation."""
+    from . import translate, wqo
+
     if spec.startswith("file:"):
         named = _load_checked(spec[len("file:"):], config)
         return translate.ClassSample(list(named.values())), spec
@@ -153,7 +163,7 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
     if lo > hi:
         raise StructureFormatError(f"sample range {lo}..{hi} is empty")
     _check_size(size(hi), config)
-    make = getattr(wqo, maker)
+    make, member = getattr(wqo, maker), getattr(translate, member)
     return translate.ClassSample([make(n) for n in range(lo, hi + 1)], membership=member), spec
 
 
@@ -162,6 +172,8 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
 
 
 def cmd_equiv(args, config: RunConfig) -> int:
+    from . import equiv
+
     name_a, A = _pick(_load(args.file_a), args.name_a, args.file_a)
     name_b, B = _pick(_load(args.file_b), args.name_b, args.file_b)
     _check_size(A.size, config)
@@ -183,6 +195,8 @@ def cmd_equiv(args, config: RunConfig) -> int:
 
 
 def cmd_shrink(args, config: RunConfig) -> int:
+    from . import shrink
+
     trees = _load(args.file, shrink.parse_trees)
     name, (tree, file_marks) = _pick(trees, args.name, args.file, "tree")
     marks = _parse_marks(args.marks) if args.marks else list(file_marks)
@@ -212,6 +226,8 @@ def _put_shrink(report: Report, rep: shrink.ShrinkReport):
 
 
 def cmd_translate(args, config: RunConfig) -> int:
+    from . import folog, translate
+
     sample, spec = _sample_from_spec(args.sample, config)
     vocab = sample.structures[0].vocab
     phi = folog.parse(vocab, args.formula)
@@ -240,6 +256,8 @@ def cmd_translate(args, config: RunConfig) -> int:
 
 
 def cmd_cores(args, config: RunConfig) -> int:
+    from . import folog, translate
+
     named = _load_checked(args.file, config)
     member = translate.CLASS_TESTS[args.klass]
     sample = translate.ClassSample(list(named.values()), membership=member)
@@ -261,6 +279,8 @@ def cmd_cores(args, config: RunConfig) -> int:
 
 
 def cmd_wqo_scan(args, config: RunConfig) -> int:
+    from . import wqo
+
     named = _load_checked(args.file, config)
     items = []
     for name, A in named.items():
@@ -285,13 +305,16 @@ def cmd_wqo_scan(args, config: RunConfig) -> int:
 
 
 def _strip_constants(A: Structure) -> Structure:
-    from .structures import Vocabulary
+    from .structures import Structure, Vocabulary
 
     vocab = Vocabulary(A.vocab.predicates, ())
     return Structure(vocab, A.size, A.relations)
 
 
 def cmd_algebra_eval(args, config: RunConfig) -> int:
+    from . import algebra
+    from .structures import serialize_structure
+
     named = _load(args.structs)
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
@@ -307,6 +330,9 @@ def cmd_algebra_eval(args, config: RunConfig) -> int:
 
 
 def cmd_algebra_shrink(args, config: RunConfig) -> int:
+    from . import algebra
+    from .structures import serialize_structure
+
     named = _load(args.structs)
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
@@ -344,6 +370,9 @@ def _expression_text(args) -> str:
 
 
 def cmd_gen(args, config: RunConfig) -> int:
+    from . import wqo
+    from .structures import MarkedStructure, serialize_structure
+
     marks = _parse_marks(args.marks)
     params = [int(d) for d in args.dims.split("x")] if args.klass == "grid" else [args.n]
     maker, _, size = _CLASSES[args.klass]
@@ -397,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("cores", cmd_cores, "find cores of the sentence's models in a file", marks)
     p.add_argument("--file", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--class", dest="klass", default="all", choices=sorted(translate.CLASS_TESTS))
+    p.add_argument("--class", dest="klass", default="all", choices=CORE_CLASSES)
 
     p = command("wqo-scan", cmd_wqo_scan, "scan marked linear orders for an embedding pair", marks)
     p.add_argument("--file", required=True)

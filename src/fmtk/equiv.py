@@ -11,16 +11,15 @@ import functools
 import itertools
 import operator
 import sys
-from dataclasses import dataclass, field
 
 from .errors import check_guard
+from .records import Record
 from .structures import Structure
 
 RANK_TYPE_GUARD = 2 * 10**6  # |A|^m, the positions a rank-m type of A visits
 
 
-@dataclass(frozen=True)
-class RankType:
+class RankType(Record):
     """Canonical back-and-forth signature of ``(structure, tuple)`` at a rank.
 
     ``key`` is a canonical nested tuple: at rank 0 the atomic facts over the
@@ -29,15 +28,29 @@ class RankType:
     exactly when the duplicator survives that many rounds between them.
     """
 
-    rank: int
-    key: tuple
+    __slots__ = ("rank", "key")
+
+    def __init__(self, rank: int, key: tuple):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "key", key)
 
     @property
     def fingerprint(self) -> str:
         import hashlib  # here, so that importing fmtk does not load it
 
-        digest = hashlib.sha256(repr((self.rank, self.key)).encode()).hexdigest()
-        return digest[:16]
+        try:
+            text = repr((self.rank, self.key))
+        except ValueError:
+            # a fact mask past ``sys.get_int_max_str_digits()`` decimal digits
+            text = _hex_text((self.rank, self.key))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _hex_text(key) -> str:
+    """``key``, a nest of tuples of ints, written with every int in hex."""
+    if type(key) is tuple:
+        return "(" + ",".join(map(_hex_text, key)) + ")"
+    return hex(key)
 
 
 # The rank-0 key of ``W`` points is ``(W, eq, masks)``: bit ``(i, j)`` of
@@ -341,12 +354,12 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
 # realized classes
 
 
-@dataclass
 class Partition:
     """Grouping of ``(structure, tuple)`` items by rank type."""
 
-    classes: list[list[int]] = field(default_factory=list)
-    fingerprints: list[str] = field(default_factory=list)
+    def __init__(self, classes: list[list[int]], fingerprints: list[str]):
+        self.classes = classes
+        self.fingerprints = fingerprints
 
     def class_count(self) -> int:
         return len(self.classes)

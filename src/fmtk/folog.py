@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import FormulaSyntaxError
+from .records import Record
 from .structures import Structure, Vocabulary
 
 
@@ -20,64 +20,80 @@ from .structures import Structure, Vocabulary
 # terms and formulas
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Cst:
-    name: str
+class Cst(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
 Term = Var | Cst
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...]
+class Atom(Record):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...]):
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Eq:
-    lhs: Term
-    rhs: Term
+class Eq(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "Formula"
+class Not(Record):
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: "Formula"):
+        object.__setattr__(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
+class _Binary(Record):
+    __slots__ = ()
+
+    def __init__(self, lhs: "Formula", rhs: "Formula"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
+class And(_Binary):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
+class Or(_Binary):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Implies(_Binary):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class _Quantifier(Record):
+    __slots__ = ()
+
+    def __init__(self, var: str, body: "Formula"):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
+
+
+class Exists(_Quantifier):
+    __slots__ = ("var", "body")
+
+
+class Forall(_Quantifier):
+    __slots__ = ("var", "body")
 
 
 Formula = Atom | Eq | Not | And | Or | Implies | Exists | Forall
@@ -472,23 +488,23 @@ def size_bound_sentence(n: int) -> Formula:
     return out
 
 
-@dataclass(frozen=True)
-class PrefixSentence:
+class PrefixSentence(Record):
     """A sentence shaped as a block of existentials, then universals, then a
     quantifier-free matrix."""
 
-    exist_vars: tuple[str, ...]
-    univ_vars: tuple[str, ...]
-    matrix: Formula
+    __slots__ = ("exist_vars", "univ_vars", "matrix")
 
-    def __post_init__(self):
-        if not is_quantifier_free(self.matrix):
+    def __init__(self, exist_vars: tuple[str, ...], univ_vars: tuple[str, ...], matrix: Formula):
+        if not is_quantifier_free(matrix):
             raise ValueError("matrix must be quantifier-free")
-        if set(self.exist_vars) & set(self.univ_vars):
+        if set(exist_vars) & set(univ_vars):
             raise ValueError("existential and universal variables must be disjoint")
-        allowed = set(self.exist_vars) | set(self.univ_vars)
-        if not free_vars(self.matrix) <= allowed:
+        allowed = set(exist_vars) | set(univ_vars)
+        if not free_vars(matrix) <= allowed:
             raise ValueError("matrix has free variables outside the prefix")
+        object.__setattr__(self, "exist_vars", exist_vars)
+        object.__setattr__(self, "univ_vars", univ_vars)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def prefix_vars(k: int, p: int) -> tuple[tuple[str, ...], tuple[str, ...]]:

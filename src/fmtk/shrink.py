@@ -9,8 +9,6 @@ marks stay valid across phases and containment is directly checkable; use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .equiv import check_rank_type_cost, rank_type
 from .errors import StructureFormatError, VerificationFailed
 from .structures import (
@@ -553,7 +551,6 @@ def reduce_W_distances(s: SigmaTree, W, m: int,
             return cur
 
 
-@dataclass
 class ShrinkReport:
     """Per-run log of a shrink pipeline with its verification verdicts.
 
@@ -561,11 +558,13 @@ class ShrinkReport:
     shrink's output; other pipelines leave it empty.
     """
 
-    input_size: int
-    output_size: int
-    phases: list[tuple[str, int, int]] = field(default_factory=list)
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    certificate: str = ""
+    def __init__(self, input_size: int, output_size: int, phases: list[tuple[str, int, int]],
+                 verdicts: dict[str, bool], certificate: str = ""):
+        self.input_size = input_size
+        self.output_size = output_size
+        self.phases = phases
+        self.verdicts = verdicts
+        self.certificate = certificate
 
     def ok(self) -> bool:
         return all(self.verdicts.values())

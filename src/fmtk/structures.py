@@ -17,36 +17,41 @@ import itertools
 import re
 from collections.abc import Collection
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .errors import StructureFormatError
+from .records import Record
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
     """A finite relational signature: named predicates plus constant names.
 
     Both are stored sorted by name, so equal signatures compare equal however
     they were built.
     """
 
-    predicates: tuple[tuple[str, int], ...]
-    constants: tuple[str, ...] = ()
+    __slots__ = ("predicates", "constants", "_hash")
+    _fields = ("predicates", "constants")
 
-    def __post_init__(self):
-        names = [n for n, _ in self.predicates] + list(self.constants)
+    def __init__(self, predicates: tuple[tuple[str, int], ...], constants: tuple[str, ...] = ()):
+        names = [n for n, _ in predicates] + list(constants)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate symbol names in vocabulary: {names}")
         for name in names:
             if not _IDENT.match(name):
                 raise ValueError(f"symbol name is not an identifier: {name!r}")
-        for name, arity in self.predicates:
+        for name, arity in predicates:
             if arity < 1:
                 raise ValueError(f"predicate {name} has non-positive arity {arity}")
-        object.__setattr__(self, "predicates", tuple(sorted(self.predicates)))
-        object.__setattr__(self, "constants", tuple(sorted(self.constants)))
+        predicates, constants = tuple(sorted(predicates)), tuple(sorted(constants))
+        object.__setattr__(self, "predicates", predicates)
+        object.__setattr__(self, "constants", constants)
+        # hashed once: every ``folog.evaluate`` call hashes the vocabulary
+        object.__setattr__(self, "_hash", hash((predicates, constants)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(predicates: dict[str, int], constants=()) -> "Vocabulary":
@@ -175,21 +180,21 @@ def _checked_relation(name: str, arity: int, size: int, tuples) -> frozenset:
     return frozenset(map(tuple, tuples))
 
 
-@dataclass(frozen=True)
-class MarkedStructure:
+class MarkedStructure(Record):
     """A structure with distinguished elements, ordered (constant view) or not
     (unary-predicate view)."""
 
-    base: Structure
-    marks: tuple[int, ...]
-    ordered: bool = True
+    __slots__ = ("base", "marks", "ordered")
 
-    def __post_init__(self):
-        for e in self.marks:
-            if not 0 <= e < self.base.size:
+    def __init__(self, base: Structure, marks: tuple[int, ...], ordered: bool = True):
+        for e in marks:
+            if not 0 <= e < base.size:
                 raise ValueError(f"mark {e} outside the universe")
-        if not self.ordered and len(set(self.marks)) != len(self.marks):
+        if not ordered and len(set(marks)) != len(marks):
             raise ValueError("unordered marks must be distinct")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "ordered", ordered)
 
     def expand(self) -> Structure:
         """Encode the marks into the vocabulary.

@@ -10,7 +10,6 @@ make is sample-bounded and re-checked by evaluation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import VerificationFailed, check_guard
 from .folog import (
@@ -33,7 +32,6 @@ from .folog import (
     to_formula,
     _implies,
 )
-from .shrink import from_structure
 from .structures import (
     Structure,
     Vocabulary,
@@ -49,7 +47,6 @@ MINIMAL_MODEL_GUARD = 64
 PREFIX_EVAL_GUARD = 10**6  # prefix assignments, summed over a sample
 
 
-@dataclass
 class ClassSample:
     """Finite stand-in for a class: listed structures plus a membership test.
 
@@ -57,8 +54,9 @@ class ClassSample:
     induced substructures (within the class).
     """
 
-    structures: list[Structure]
-    membership: "callable | None" = None
+    def __init__(self, structures: list[Structure], membership: "callable | None" = None):
+        self.structures = structures
+        self.membership = membership
 
     def member(self, A: Structure) -> bool:
         return True if self.membership is None else bool(self.membership(A))
@@ -72,13 +70,13 @@ class ClassSample:
         return True
 
 
-@dataclass
 class CoreCertificate:
     """Cores found for one structure, with a short search transcript."""
 
-    structure: Structure
-    cores: list[tuple[int, ...]]
-    transcript: str
+    def __init__(self, structure: Structure, cores: list[tuple[int, ...]], transcript: str):
+        self.structure = structure
+        self.cores = cores
+        self.transcript = transcript
 
     def has_core(self) -> bool:
         return bool(self.cores)
@@ -164,12 +162,12 @@ def translate_to_exists_forall(
     return assemble_prefix(k, p, _implies(bound, relativize(phi, allvars, constants), truth))
 
 
-@dataclass
 class TranslationResult:
-    sentence: PrefixSentence
-    p: int
-    verified: bool
-    disagreements: list[int] = field(default_factory=list)
+    def __init__(self, sentence: PrefixSentence, p: int, verified: bool, disagreements: list[int]):
+        self.sentence = sentence
+        self.p = p
+        self.verified = verified
+        self.disagreements = disagreements
 
 
 def sample_agreement(phi: Formula, ps: PrefixSentence, sample: ClassSample) -> list[int]:
@@ -348,6 +346,8 @@ def is_linear_order(A: Structure) -> bool:
 
 
 def is_sigma_tree(A: Structure) -> bool:
+    from .shrink import from_structure  # here, so that translating loads no shrinker
+
     try:
         from_structure(A)
         return True
@@ -356,6 +356,8 @@ def is_sigma_tree(A: Structure) -> bool:
 
 
 def is_sigma_word(A: Structure) -> bool:
+    from .shrink import from_structure
+
     try:
         return from_structure(A).is_chain()
     except (ValueError, KeyError):

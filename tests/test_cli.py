@@ -646,3 +646,17 @@ class TestDeepNesting:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: input nested too deeply\n"
+
+
+class TestWideKeys:
+    def test_rank_200_fingerprint(self, tmp_path, capsys):
+        # at width 200 the equality mask of the key has 19,900 bits, more
+        # decimal digits than ``repr`` writes by default
+        one = tmp_path / "one.txt"
+        one.write_text("structure A\nvocab: E/2\nuniverse: 1\n")
+        code, out = run(["equiv", "--file-a", str(one), "--file-b", str(one), "--m", "200"], capsys)
+        assert code == 0
+        assert "verdict: equivalent" in out
+        fingerprints = {line.split(": ")[1] for line in out.splitlines()
+                        if line.startswith("fingerprint-")}
+        assert len(fingerprints) == 1

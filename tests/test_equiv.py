@@ -75,6 +75,14 @@ class TestRankType:
         assert class_fingerprint(make_cycle(4), (), 2) == "a1f421973a416df0"
         assert class_fingerprint(make_cycle(5), (), 2) == "a1f421973a416df0"
 
+    def test_fingerprint_of_a_key_too_wide_for_repr(self):
+        # at m = 200 the key holds ints of more than 4,300 decimal digits
+        V = Vocabulary.make({"E": 2})
+        bare, loop = Structure(V, 1), Structure(V, 1, {"E": {(0, 0)}})
+        fingerprint = class_fingerprint(bare, (), 200)
+        assert fingerprint == class_fingerprint(Structure(V, 1), (), 200)
+        assert fingerprint != class_fingerprint(loop, (), 200)
+
 
     def test_keys_match_leaf_by_leaf_reference(self):
         # keys must be tuple-for-tuple those of the leaf-by-leaf recursion;
