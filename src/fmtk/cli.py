@@ -22,9 +22,9 @@ from .errors import (
 )
 
 if __name__ != "__main__":
-    # Imported as a module (the ``fmtk`` console script, the benchmark's
-    # set-up, tests), this module loads every layer. Run as ``python -m
-    # fmtk.cli``, each command imports only the layers it runs.
+    # Imported as a module (the benchmark's set-up, tests), this module loads
+    # every layer. Run as ``python -m fmtk.cli`` or by the ``fmtk`` console
+    # script (``fmtk.console``), each command imports only the layers it runs.
     from . import algebra, equiv, folog, shrink, translate, wqo
 
 

@@ -17,6 +17,7 @@ from .records import Record
 from .structures import Structure
 
 RANK_TYPE_GUARD = 2 * 10**6  # |A|^m, the positions a rank-m type of A visits
+FACT_WIDTH_GUARD = 2**16  # bits of packed facts per point set of a rank type
 
 
 class RankType(Record):
@@ -200,7 +201,8 @@ def check_rank_type_cost(size: int, m: int) -> None:
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the
-    structure. Held to ``RANK_TYPE_GUARD`` first."""
+    structure. Held to ``RANK_TYPE_GUARD`` first, and a type not in the memo
+    to ``FACT_WIDTH_GUARD`` before any of its facts are laid out."""
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
     check_rank_type_cost(A.size, m)
@@ -219,10 +221,14 @@ def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     hit = cache.get((tup, m))
     if hit is not None:
         return RankType(m, _expand(cache, hit))
+    W = len(A.constant_interp) + len(tup) + m
+    # every position carries W(W-1)/2 equality bits and W**arity bits per
+    # predicate, which |A|^m does not bound (a high rank on one element)
+    width = W * (W - 1) // 2 + sum(W**arity for arity in cache[_TABLES][0])
+    check_guard("packed fact width", width, FACT_WIDTH_GUARD, "the fact-width guard")
     tables, ids, nodes = cache[_TABLES], cache[_IDS], cache[_NODES]
     consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
     pts = consts + tup
-    W = len(pts) + m
     steps, blocks = _layout(tables[0], W)
     prefix = 0
     for i, p in enumerate(pts):

@@ -262,19 +262,29 @@ def induced_substructure(A: Structure, subset) -> tuple[Structure, dict[int, int
     return Structure(A.vocab, len(subset), relations, consts), renumber
 
 
-def induced_supersets(A: Structure, required=()):
-    """Every induced substructure of ``A`` that keeps ``required`` and the
-    constants, as ``(kept ids, substructure)``.
+def kept_id_sets(A: Structure, required=(), largest_first: bool = False):
+    """Every nonempty set of elements of ``A`` that holds ``required`` and the
+    constants, as a sorted tuple of ids: the one subset enumerator.
 
-    Smallest first; within one size, in lexicographic order of the kept ids.
+    Smallest first, or largest first when asked; within one size, in
+    lexicographic order of the kept ids.
     """
     fixed = set(required) | set(A.constant_interp.values())
     free = [e for e in range(A.size) if e not in fixed]
-    for extra in range(len(free) + 1):
+    sizes = range(len(free) + 1)
+    for extra in reversed(sizes) if largest_first else sizes:
         for combo in itertools.combinations(free, extra):
             kept = tuple(sorted(fixed.union(combo)))
             if kept:
-                yield kept, induced_substructure(A, kept)[0]
+                yield kept
+
+
+def induced_supersets(A: Structure, required=()):
+    """Every induced substructure of ``A`` that keeps ``required`` and the
+    constants, as ``(kept ids, substructure)``, in the order of
+    :func:`kept_id_sets`, smallest first."""
+    for kept in kept_id_sets(A, required):
+        yield kept, induced_substructure(A, kept)[0]
 
 
 def check_embedding_witness(A: Structure, B: Structure, mapping: dict[int, int]) -> bool:

@@ -36,8 +36,10 @@ from .structures import (
     Structure,
     Vocabulary,
     find_embedding,
+    induced_substructure,
     induced_supersets,
     is_isomorphic,
+    kept_id_sets,
     up_to_isomorphism,
 )
 from .wqo import graph_components, order_positions
@@ -90,11 +92,20 @@ def _as_class_test(crit):
 
 def find_cores(A: Structure, crit, k: int, sample: ClassSample) -> list[tuple[int, ...]]:
     """All mark sets of size at most ``k`` whose retention forces every
-    class-member substructure of ``A`` into the target class.
+    class-member substructure of ``A`` into the target class, by size and then
+    in lexicographic order.
 
     ``crit`` is a sentence or a callable deciding target-class membership;
-    ``sample.membership`` decides which substructures count at all. Exhaustive
-    over subsets, so guarded at ``|A| <= 12``.
+    ``sample.membership`` decides which substructures count at all. A
+    candidate is a core iff no bad kept set (one whose substructure is a class
+    member outside the target) contains it. The kept sets are walked largest
+    first; a set that contains no still-open candidate is skipped without
+    building its substructure, since finding it bad would close nothing, and
+    a bad set closes every candidate it contains. So the answer is exact, and
+    ``sample.membership`` and ``crit`` see only the substructures of sets not
+    skipped, in that order; the search returns ``[]`` once every candidate is
+    closed. In the worst case (no bad set) every subset is still built, so it
+    is guarded at ``|A| <= 12``.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -102,18 +113,21 @@ def find_cores(A: Structure, crit, k: int, sample: ClassSample) -> list[tuple[in
     if not sample.member(A):
         raise ValueError("the structure is not in the sample's class")
     in_target = _as_class_test(crit)
-    bad_masks = [
-        sum(1 << e for e in kept)
-        for kept, B in induced_supersets(A)
-        if sample.member(B) and not in_target(B)
+    still_open = [
+        (sum(1 << e for e in combo), combo)
+        for size in range(k + 1)
+        for combo in itertools.combinations(range(A.size), size)
     ]
-    cores: list[tuple[int, ...]] = []
-    for size in range(k + 1):
-        for combo in itertools.combinations(range(A.size), size):
-            mask = sum(1 << e for e in combo)
-            if all(mask & bad != mask for bad in bad_masks):
-                cores.append(combo)
-    return cores
+    for kept in kept_id_sets(A, largest_first=True):
+        mask = sum(1 << e for e in kept)
+        if not any(c & mask == c for c, _ in still_open):
+            continue
+        B = induced_substructure(A, kept)[0]
+        if sample.member(B) and not in_target(B):
+            still_open = [(c, combo) for c, combo in still_open if c & mask != c]
+            if not still_open:
+                return []
+    return [combo for _, combo in still_open]
 
 
 def psc_check(phi: Formula, k: int, sample: ClassSample) -> tuple[bool, list[CoreCertificate]]:
@@ -250,13 +264,28 @@ def atomic_diagram_sentence(A: Structure) -> Formula:
 
 
 def minimal_models(structures: list[Structure]) -> list[Structure]:
-    """Embedding-minimal members, up to isomorphism."""
-    reps = up_to_isomorphism(structures)
-    return [
-        A
-        for A in reps
-        if not any(B is not A and find_embedding(B, A) is not None for B in reps)
-    ]
+    """Embedding-minimal members, up to isomorphism: the first of each
+    isomorphism class of structures into which no smaller one embeds, in
+    input order.
+
+    Visits the structures in stable order of size and keeps one only if no
+    minimum kept so far embeds in it. This is exact by transitivity: if a
+    smaller structure embeds in ``A``, so does a smallest one, and that one
+    (or its first isomorphic copy) was kept before ``A`` is visited. An
+    embedding between structures of one size is an isomorphism, so the same
+    test drops the later isomorphic copies. A minimum, once found, is never
+    removed, so ``MINIMAL_MODEL_GUARD`` refuses as soon as one too many is
+    found. In the worst case (pairwise non-embeddable structures) every pair
+    is still tried.
+    """
+    minima: list[int] = []
+    for i in sorted(range(len(structures)), key=lambda i: structures[i].size):
+        A = structures[i]
+        if not any(find_embedding(structures[j], A) is not None for j in minima):
+            minima.append(i)
+            check_guard("minimal models", len(minima), MINIMAL_MODEL_GUARD,
+                        "the minimal-model guard")
+    return [structures[i] for i in sorted(minima)]
 
 
 def forall_star_from_minimal_models(class_membership, sample: ClassSample) -> Formula:
@@ -271,7 +300,6 @@ def forall_star_from_minimal_models(class_membership, sample: ClassSample) -> Fo
         _verify_defines(out, class_membership, sample)
         return out
     minima = minimal_models(outside)
-    check_guard("minimal models", len(minima), MINIMAL_MODEL_GUARD, "the minimal-model guard")
     disjunction: Formula = atomic_diagram_sentence(minima[0])
     for A in minima[1:]:
         disjunction = Or(disjunction, atomic_diagram_sentence(A))

@@ -4,7 +4,11 @@ Everything here deliberately avoids the library's optimized code paths: the
 embedding oracle tries every injection, the game evaluator walks the
 verifier/falsifier move tree with explicit role bookkeeping, the
 reference evaluator walks the syntax tree recursively, and the structure
-building references check and build one tuple at a time.
+building references check and build one tuple at a time. The two search
+references, :func:`reference_find_cores` and
+:func:`reference_minimal_models`, are the unpruned forms of the library's
+searches over its own substructure, evaluation and embedding routines, so
+that a test can require the pruned searches to give identical answers.
 """
 
 from __future__ import annotations
@@ -24,10 +28,18 @@ from fmtk.folog import (
     Or,
     Var,
     eliminate_implications,
+    evaluate,
     free_vars,
 )
 from fmtk.shrink import SigmaTree, label_predicate
-from fmtk.structures import ORDER_PRED, Structure, Vocabulary
+from fmtk.structures import (
+    ORDER_PRED,
+    Structure,
+    Vocabulary,
+    find_embedding,
+    induced_supersets,
+    up_to_isomorphism,
+)
 
 GRAPH_VOCAB = Vocabulary.make({"E": 2})
 
@@ -65,6 +77,36 @@ def reference_up_to_isomorphism(structures: list[Structure]) -> list[Structure]:
                    and brute_force_embedding(A, R) is not None for R in reps):
             reps.append(A)
     return reps
+
+
+def reference_find_cores(A: Structure, crit, k: int, sample) -> list[tuple[int, ...]]:
+    """The cores of ``A`` by building every induced substructure: the masks
+    of all bad kept sets first, then every candidate of size at most ``k``
+    tested against each of them."""
+    in_target = crit if callable(crit) else (lambda B: evaluate(B, crit))
+    bad_masks = [
+        sum(1 << e for e in kept)
+        for kept, B in induced_supersets(A)
+        if sample.member(B) and not in_target(B)
+    ]
+    cores = []
+    for size in range(k + 1):
+        for combo in itertools.combinations(range(A.size), size):
+            mask = sum(1 << e for e in combo)
+            if all(mask & bad != mask for bad in bad_masks):
+                cores.append(combo)
+    return cores
+
+
+def reference_minimal_models(structures: list[Structure]) -> list[Structure]:
+    """The embedding-minimal members up to isomorphism: the isomorphism
+    representatives, each tried against every other one."""
+    reps = up_to_isomorphism(structures)
+    return [
+        A
+        for A in reps
+        if not any(B is not A and find_embedding(B, A) is not None for B in reps)
+    ]
 
 
 def game_evaluate(A: Structure, f, assignment=None) -> bool:

@@ -630,6 +630,22 @@ class TestRankTypeGuard:
         )
 
 
+    def test_one_element_ternary_at_rank_120_refused(self, tmp_path):
+        # |A|^m is 1, so only the fact-width guard stops the O(m^3)-bit facts
+        f = tmp_path / "t.txt"
+        f.write_text("structure A\nvocab: T/3\nuniverse: 1\nT: (0,0,0)\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", "equiv", "--file-a", str(f),
+             "--file-b", str(f), "--m", "120"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "guard exceeded: packed fact width 1735140 exceeds the fact-width guard 65536\n"
+        )
+
+
 class TestDeepNesting:
     @pytest.mark.parametrize("argv", [
         ["translate", "--formula", "!" * 3000 + "forall x. x = x", "--sample", "cycles:3:4",

@@ -4,6 +4,7 @@ import pytest
 
 from fmtk import algebra, equiv, shrink
 from fmtk.equiv import (
+    FACT_WIDTH_GUARD,
     RANK_TYPE_GUARD,
     check_rank_type_cost,
     class_fingerprint,
@@ -168,6 +169,30 @@ class TestRankTypeGuard:
                 algebra.node(algebra.UNION, algebra.leaf(big), algebra.leaf(big)), [], 4, 0)
         with pytest.raises(GuardExceeded, match=r"100\^4 exceeds"):
             algebra.shrink_word_of_structures([big, big], [], 4, 0)
+
+
+ONE_TERNARY = Structure(Vocabulary.make({"T": 3}), 1, {"T": {(0, 0, 0)}})
+
+
+class TestFactWidthGuard:
+    def test_value_admits_rank_200_on_a_binary_vocabulary(self):
+        # the widest type of the test suite and the benchmark mixes (``fmtk
+        # equiv --m 200``, W = 200 with one binary predicate) and the width
+        # of T/3 at rank 40 are admitted; T/3 at rank 41 is not
+        assert 200 * 199 // 2 + 200**2 <= FACT_WIDTH_GUARD
+        rank_type(ONE_TERNARY, (), 40)
+        assert 41 * 40 // 2 + 41**3 > FACT_WIDTH_GUARD
+
+    def test_refused_before_any_facts(self, monkeypatch):
+        monkeypatch.setattr(equiv, "_layout", _not_allowed)
+        monkeypatch.setattr(equiv, "_columns", _not_allowed)
+        with pytest.raises(GuardExceeded) as info:
+            rank_type(ONE_TERNARY, (), 41)
+        assert str(info.value) == "packed fact width 69741 exceeds the fact-width guard 65536"
+        # constants and the tuple count towards the width
+        A = Structure(Vocabulary.make({"T": 3}, ("c",)), 1, {}, {"c": 0})
+        with pytest.raises(GuardExceeded, match="^packed fact width 69741 exceeds"):
+            rank_type(A, (0,), 39)
 
 
 class TestMEquivalent:

@@ -1,7 +1,8 @@
 """What each ``python -m fmtk.cli`` command loads.
 
-A command run as ``__main__`` imports only the layers it runs, and no run
-loads ``dataclasses`` or ``inspect``; a plain ``import fmtk.cli`` still loads
+A command run as ``__main__``, by ``python -m fmtk.cli`` or by the
+``fmtk`` console script, imports only the layers it runs, and no run loads
+``dataclasses`` or ``inspect``; a plain ``import fmtk.cli`` still loads
 every layer, since the benchmark's set-up and its tracer read them from
 ``sys.modules``. pytest itself loads ``dataclasses``, so each case runs in a
 fresh interpreter.
@@ -10,6 +11,7 @@ fresh interpreter.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,20 @@ import json, runpy, sys
 sys.argv = ["fmtk", *json.loads(sys.argv[1])]
 try:
     runpy.run_module("fmtk.cli", run_name="__main__")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# Runs the CLI as the console script named by its ``module:function``
+# target does, with the same last line.
+RUN_SCRIPT = """
+import importlib, json, sys
+module, function = sys.argv[1].split(":")
+sys.argv = ["fmtk", *json.loads(sys.argv[2])]
+try:
+    getattr(importlib.import_module(module), function)()
     code = 0
 except SystemExit as exc:
     code = exc.code
@@ -98,6 +114,17 @@ def test_command_loads_only_its_layers(case, inputs):
     code, modules = _child(RUN_MAIN, json.dumps([a.format(**inputs) for a in argv]))
     assert code == 0
     assert {m for m in modules if m == "fmtk" or m.startswith("fmtk.")} == want
+    assert "dataclasses" not in modules and "inspect" not in modules
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_console_script_loads_only_its_layers(case, inputs):
+    # the ``fmtk`` script of pyproject.toml starts as lean as ``python -m fmtk.cli``
+    target = re.search(r'^fmtk = "(.+)"$', (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    argv, want = CASES[case]
+    code, modules = _child(RUN_SCRIPT, target, json.dumps([a.format(**inputs) for a in argv]))
+    assert code == 0
+    assert {m for m in modules if m == "fmtk" or m.startswith("fmtk.")} == want | {"fmtk.console"}
     assert "dataclasses" not in modules and "inspect" not in modules
 
 

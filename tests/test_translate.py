@@ -15,7 +15,7 @@ from fmtk.folog import (
     size_bound_sentence,
     to_formula,
 )
-from fmtk.structures import Structure, Vocabulary, find_embedding
+from fmtk.structures import Structure, Vocabulary, find_embedding, induced_substructure
 from fmtk.translate import (
     CLASS_TESTS,
     ClassSample,
@@ -42,7 +42,9 @@ from oracles import (
     random_formula,
     random_graph,
     random_structure,
+    reference_find_cores,
     reference_graph_classes,
+    reference_minimal_models,
 )
 
 V = Vocabulary.make({"E": 2})
@@ -52,6 +54,18 @@ WITNESS_EXAMPLE = Structure(V, 2, {"E": {(0, 0), (0, 1), (1, 1)}})
 
 def all_sample(structures):
     return ClassSample(list(structures), membership=lambda s: True)
+
+
+# vocabularies with a constant and with a unary predicate
+CASE_VOCABS = [V, Vocabulary.make({"E": 2, "P": 1}), Vocabulary.make({"E": 2}, ("c",))]
+# membership tests: none, everything, a substructure-closed class and one
+# that is not
+MEMBERSHIPS = [
+    None,
+    lambda s: True,
+    lambda s: all(a != b for a, b in s.relations["E"]),
+    lambda s: s.size != 2,
+]
 
 
 class TestFindCores:
@@ -87,6 +101,49 @@ class TestFindCores:
         phi = parse(V, WITNESS_PHI)
         cores = find_cores(WITNESS_EXAMPLE, phi, 0, all_sample([WITNESS_EXAMPLE]))
         assert cores == [()]
+
+    def test_matches_reference(self):
+        rng = random.Random(94)
+        kinds = set()
+        checked = 0
+        while checked < 210:
+            vocab = rng.choice(CASE_VOCABS)
+            A = random_structure(rng, vocab, rng.randint(1, 7), rng.choice((0.2, 0.4, 0.6)))
+            membership = rng.randrange(len(MEMBERSHIPS))
+            sample = ClassSample([A], MEMBERSHIPS[membership])
+            if not sample.member(A):
+                continue
+            if rng.random() < 0.5:
+                crit = random_formula(rng, vocab, rng.randint(1, 3))
+                if free_vars(crit):
+                    continue
+            else:
+                crit = lambda B, r=rng.randrange(3): len(B.relations["E"]) % 3 != r
+            k = rng.randint(0, 3)
+            got = find_cores(A, crit, k, sample)
+            assert got == reference_find_cores(A, crit, k, sample), (A, crit, k)
+            kinds.add((vocab, membership, callable(crit), k, bool(got)))
+            checked += 1
+        # every vocabulary, membership, kind of target and k, with and
+        # without cores
+        assert [len(set(column)) for column in zip(*kinds)] == [3, 4, 2, 4, 2]
+
+    def test_pruning_builds_few_substructures(self, monkeypatch):
+        import fmtk.translate as tr
+
+        built = []
+
+        def counting(A, subset):
+            built.append(subset)
+            return induced_substructure(A, subset)
+
+        monkeypatch.setattr(tr, "induced_substructure", counting)
+        A = make_cycle(12)
+        phi = parse(V, "forall x. exists y. E(x,y)")
+        sample = all_sample([A])
+        assert find_cores(A, phi, 1, sample) == reference_find_cores(A, phi, 1, sample) == []
+        # the exhaustive search builds all 4,095 nonempty subsets
+        assert len(built) < 100
 
     def test_guard(self):
         big = Structure(V, 13)
@@ -261,17 +318,37 @@ class TestMinimalModels:
         minima = minimal_models(structures)
         assert len(minima) == 2  # the loop and the single edge; P_2 contains P_1
 
-    def test_minimal_model_guard(self):
+    def test_matches_reference(self):
+        rng = random.Random(95)
+        for _ in range(200):
+            vocab = rng.choice(CASE_VOCABS)
+            structures = [random_structure(rng, vocab, rng.randint(1, 4), rng.choice((0.2, 0.5)))
+                          for _ in range(rng.randint(1, 10))]
+            structures += [permuted_copy(rng, rng.choice(structures))
+                           for _ in range(rng.randint(0, 5))]
+            rng.shuffle(structures)
+            got = minimal_models(structures)
+            want = reference_minimal_models(structures)
+            # the same objects, in the same order
+            assert [id(A) for A in got] == [id(A) for A in want]
+
+    def test_minimal_model_guard(self, monkeypatch):
         import fmtk.translate as tr
 
+        calls = []
+
+        def counting(A, B):
+            calls.append((A, B))
+            return find_embedding(A, B)
+
+        monkeypatch.setattr(tr, "find_embedding", counting)
+        monkeypatch.setattr(tr, "MINIMAL_MODEL_GUARD", 1)
         sample = all_sample(enumerate_structures(V, 3))
-        old = tr.MINIMAL_MODEL_GUARD
-        tr.MINIMAL_MODEL_GUARD = 1
-        try:
-            with pytest.raises(GuardExceeded):
-                forall_star_from_minimal_models(lambda s: not s.relations["E"], sample)
-        finally:
-            tr.MINIMAL_MODEL_GUARD = old
+        with pytest.raises(GuardExceeded, match="^minimal models 2 exceeds the minimal-model guard 1$"):
+            forall_star_from_minimal_models(lambda s: not s.relations["E"], sample)
+        # refused at the second minimum, before the 15 two-element structures
+        # with an edge have all been tried
+        assert 0 < len(calls) < 15
 
     def test_verification_names_the_first_disagreement(self):
         # "more than one element" is not closed under substructures: the
