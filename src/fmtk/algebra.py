@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 
-from .equiv import check_rank_type_cost, class_fingerprint, rank_type
+from .equiv import TypeScope, check_rank_type_cost, class_fingerprint, rank_type, type_id
 from .errors import StructureFormatError, VerificationFailed, check_guard
 from .records import Record
 from .shrink import ClassTable, ShrinkReport, SigmaTree, deepest_repeat, shrink_tree
@@ -28,7 +28,7 @@ from .structures import (
     disjoint_union,
     find_embedding,
     induced_substructure,
-    induced_supersets,
+    kept_id_sets,
     tensor_product,
     tree_of_structures,
     word_of_structures,
@@ -194,8 +194,8 @@ class ExpressionClasses(ClassTable):
     classes to rank-``m`` classes, since a sentence about ``!A`` is one of
     the same rank about ``A`` with every atom negated. So a new signature
     evaluates its operation over its children's small representatives, and
-    only that structure gets a :func:`rank_type`; no real subexpression is
-    evaluated.
+    only that structure is typed, in the table's scope; no real
+    subexpression is evaluated.
     """
 
     def classify(self, t: ExprNode) -> dict[int, int]:
@@ -216,15 +216,13 @@ class ExpressionClasses(ClassTable):
         walk(t)
         return ids
 
-    def _representative(self, sig: tuple) -> tuple:
+    def _representative(self, sig: tuple) -> Structure:
         op = sig[0]
         if op == LEAF:
-            rep = complement(sig[1]) if sig[2] else sig[1]
-        elif op in (UNION, BOWTIE):
-            rep = _EVAL[op](*(self._reps[c] for c in sig[1:]))
-        else:
-            raise ValueError(f"classes compose over union and bowtie, not {op!r}")
-        return rep, rank_type(rep, (), self.m).key
+            return complement(sig[1]) if sig[2] else sig[1]
+        if op in (UNION, BOWTIE):
+            return _EVAL[op](*(self._reps[c] for c in sig[1:]))
+        raise ValueError(f"classes compose over union and bowtie, not {op!r}")
 
 
 def _index(t: ExprNode, w_leaf_ids: set[int]) -> tuple[dict[int, ExprNode], dict[int, int]]:
@@ -316,13 +314,22 @@ def sigma_tree_leaf_shrinker(B: Structure, marks, m: int):
 
 def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     """Smallest equivalent mark-containing induced substructure, by direct
-    enumeration over subsets; guarded at ``EXHAUSTIVE_SHRINK_GUARD``."""
+    enumeration over subsets; guarded at ``EXHAUSTIVE_SHRINK_GUARD``.
+
+    The kept sets come smallest first, in the order of
+    :func:`~fmtk.structures.kept_id_sets`. By the relativization lemma the
+    type of ``B[kept]`` is read on ``B``'s own facts with the quantifiers
+    restricted to ``kept`` (:func:`~fmtk.equiv.type_id`), so each set's type
+    id is compared with ``B``'s in one shared scope, and only the chosen set
+    is built.
+    """
     check_guard("structure of size", B.size, EXHAUSTIVE_SHRINK_GUARD,
                 "the exhaustive-shrink guard")
-    target = rank_type(B, (), m)
-    for keep, sub in induced_supersets(B, marks):
-        if rank_type(sub, (), m) == target:
-            return sub, keep
+    scope = TypeScope()
+    target = type_id(B, m, scope)
+    for keep in kept_id_sets(B, marks):
+        if type_id(B, m, scope, keep) == target:
+            return induced_substructure(B, keep)[0], keep
     return B, tuple(range(B.size))
 
 

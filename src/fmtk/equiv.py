@@ -163,26 +163,55 @@ def _columns(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...], pre
     return col
 
 
-# ``_rt_cache`` entries besides the id of each computed ``(tuple, rank)``.
-# Every node of rank 1 and up is interned as a small int: a rank-1 node by
-# ``(W, frozenset of its leaves' packed facts)``, a higher one by the
-# frozenset of its children's ids. Equal ids mean equal keys, whatever order
-# the types were computed in; the nested key is expanded from the id.
-_TABLES, _IDS, _NODES, _KEYS = "tables", "ids", "nodes", "keys"
+class TypeScope:
+    """Interned nodes of rank types, shared by the structures over one
+    vocabulary that are typed in it.
 
+    A rank-0 position is interned by ``(W, its packed facts)``, a rank-1 node
+    by ``(W, frozenset of its leaves' packed facts)``, and a higher one by
+    the frozenset of its children's ids. So within one scope equal ids mean
+    equal nested keys, whatever structure or order they were computed from,
+    and :meth:`key` expands an id into its key. :func:`rank_type` keeps a
+    private scope per structure; :func:`type_id` types in a scope its caller
+    owns.
+    """
 
-def _expand(cache: dict, i: int) -> tuple:
-    """The canonical nested key of interned node ``i``, memoized per id."""
-    key = cache[_KEYS].get(i)
-    if key is None:
-        node = cache[_NODES][i]
-        if type(node) is tuple:
-            W, leaves = node
-            key = tuple(sorted(_unpack(W, _layout(cache[_TABLES][0], W)[1], leaves)))
-        else:
-            key = tuple(sorted(_expand(cache, c) for c in node))
-        cache[_KEYS][i] = key
-    return key
+    __slots__ = ("vocab", "arities", "ids", "nodes", "keys", "_last")
+
+    def __init__(self, vocab=None):
+        self.vocab = vocab
+        self.arities = None if vocab is None else tuple(a for _, a in vocab.predicates)
+        self.ids: dict = {}  # node -> id
+        self.nodes: list = []  # id -> node
+        self.keys: dict[int, tuple] = {}  # id -> nested key, once expanded
+        # what ``type_id`` laid out for the structure and rank it typed last,
+        # for the kept sets that follow: (structure, W, fact tables, steps,
+        # constants, facts among them, columns by point tuple)
+        self._last: tuple = (None, -1, None, None, (), 0, None)
+
+    def intern(self, node) -> int:
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return i
+
+    def key(self, i: int) -> tuple:
+        """The canonical nested key of node ``i``, memoized per id."""
+        key = self.keys.get(i)
+        if key is None:
+            node = self.nodes[i]
+            if type(node) is tuple:
+                W, leaves = node
+                blocks = _layout(self.arities, W)[1]
+                if type(leaves) is int:
+                    key = _unpack(W, blocks, [leaves])[0]
+                else:
+                    key = tuple(sorted(_unpack(W, blocks, leaves)))
+            else:
+                key = tuple(sorted(self.key(c) for c in node))
+            self.keys[i] = key
+        return key
 
 
 def check_rank_type_cost(size: int, m: int) -> None:
@@ -199,10 +228,12 @@ def check_rank_type_cost(size: int, m: int) -> None:
                 shown=f"{size}^{m}")
 
 
-def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
-    """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the
-    structure. Held to ``RANK_TYPE_GUARD`` first, and a type not in the memo
-    to ``FACT_WIDTH_GUARD`` before any of its facts are laid out."""
+def _checked_width(A: Structure, tup: tuple[int, ...], m: int) -> int:
+    """The width ``W`` of a rank-``m`` type of ``tup`` in ``A``, once every
+    refusal has been made, in this order: a negative ``m``,
+    ``RANK_TYPE_GUARD``, a tuple component outside the universe, a depth past
+    the recursion limit and ``FACT_WIDTH_GUARD``. Nothing is laid out
+    before."""
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
     check_rank_type_cost(A.size, m)
@@ -213,47 +244,123 @@ def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
         # each rank is two frames of the recursion below; refuse a depth it
         # cannot reach before carrying facts down towards it
         raise RecursionError(f"a rank-{m} type nests deeper than the recursion limit")
-    tup = tuple(tup)
-    cache = A._rt_cache
-    if cache is None:
-        cache = {_TABLES: _fact_tables(A), _IDS: {}, _NODES: [], _KEYS: {}}
-        object.__setattr__(A, "_rt_cache", cache)
-    hit = cache.get((tup, m))
-    if hit is not None:
-        return RankType(m, _expand(cache, hit))
     W = len(A.constant_interp) + len(tup) + m
     # every position carries W(W-1)/2 equality bits and W**arity bits per
     # predicate, which |A|^m does not bound (a high rank on one element)
-    width = W * (W - 1) // 2 + sum(W**arity for arity in cache[_TABLES][0])
+    width = W * (W - 1) // 2 + sum(W**arity for _, arity in A.vocab.predicates)
     check_guard("packed fact width", width, FACT_WIDTH_GUARD, "the fact-width guard")
-    tables, ids, nodes = cache[_TABLES], cache[_IDS], cache[_NODES]
-    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
-    pts = consts + tup
-    steps, blocks = _layout(tables[0], W)
+    return W
+
+
+def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> int:
+    """The packed facts among ``pts``."""
     prefix = 0
     for i, p in enumerate(pts):
         prefix = _columns(A, tables, steps, pts[:i], prefix)[p]
-    if m == 0:
-        return RankType(0, _unpack(W, blocks, [prefix])[0])
-    size = A.size
+    return prefix
+
+
+def _recursion(A: Structure, tables: tuple, steps: list, consts: tuple[int, ...], W: int,
+               kept, memo: dict, scope: TypeScope, columns):
+    """The one recursion of the engine. ``rec(t, r, prefix)`` is the id in
+    ``scope`` of the rank-``r`` type of ``t`` (``prefix``: the facts among
+    the constants and ``t``), with every quantifier over ``kept`` (``None``:
+    the whole universe), memoized per ``(t, r)`` in ``memo``. ``columns``,
+    when given, memoizes ``_columns`` per point tuple."""
+    ids, nodes = scope.ids, scope.nodes
+    whole = kept is None
+    domain = range(A.size) if whole else kept
 
     def rec(t: tuple[int, ...], r: int, prefix: int) -> int:
-        hit = cache.get((t, r))
+        hit = memo.get((t, r))
         if hit is not None:
             return hit
-        col = _columns(A, tables, steps, consts + t, prefix)
-        if r == 1:
-            node = (W, frozenset(col))
+        if columns is None:
+            col = _columns(A, tables, steps, consts + t, prefix)
         else:
-            node = frozenset([rec(t + (b,), r - 1, col[b]) for b in range(size)])
+            col = columns.get(t)
+            if col is None:
+                col = columns[t] = _columns(A, tables, steps, consts + t, prefix)
+        if r == 1:
+            node = (W, frozenset(col) if whole else frozenset([col[b] for b in domain]))
+        else:
+            node = frozenset([rec(t + (b,), r - 1, col[b]) for b in domain])
         i = ids.get(node)
         if i is None:
             i = ids[node] = len(nodes)
             nodes.append(node)
-        cache[(t, r)] = i
+        memo[(t, r)] = i
         return i
 
-    return RankType(m, _expand(cache, rec(tup, m, prefix)))
+    return rec
+
+
+# ``_rt_cache`` holds the structure's fact tables, its private type scope,
+# and the id of each computed ``(tuple, rank)``.
+_TABLES, _SCOPE = "tables", "scope"
+
+
+def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
+    """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the
+    structure. Held to ``RANK_TYPE_GUARD`` and ``FACT_WIDTH_GUARD`` before
+    any of its facts are laid out."""
+    tup = tuple(tup)
+    W = _checked_width(A, tup, m)
+    cache = A._rt_cache
+    if cache is None:
+        cache = {_TABLES: _fact_tables(A), _SCOPE: TypeScope(A.vocab)}
+        object.__setattr__(A, "_rt_cache", cache)
+    scope = cache[_SCOPE]
+    hit = cache.get((tup, m))
+    if hit is not None:
+        return RankType(m, scope.key(hit))
+    tables = cache[_TABLES]
+    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    steps, blocks = _layout(tables[0], W)
+    prefix = _prefix(A, tables, steps, consts + tup)
+    if m == 0:
+        return RankType(0, _unpack(W, blocks, [prefix])[0])
+    rec = _recursion(A, tables, steps, consts, W, None, cache, scope, None)
+    return RankType(m, scope.key(rec(tup, m, prefix)))
+
+
+def type_id(A: Structure, m: int, scope: TypeScope, kept=None) -> int:
+    """The id in ``scope`` of the rank-``m`` type of ``A``, or, given a set
+    ``kept`` of elements that holds the constants, of the induced
+    substructure on ``kept``, which is never built.
+
+    By the relativization lemma (Ebbinghaus & Flum, *Finite Model Theory*)
+    the type of ``A[kept]`` is read on ``A``'s own facts with every
+    quantifier restricted to ``kept``. The columns of ``A`` are memoized per
+    point tuple across the kept sets of one structure; ``A``'s own rank-type
+    memo is read for its fact tables only and never written. Refuses exactly
+    what :func:`rank_type` refuses, in the same order.
+    """
+    owner, W, tables, steps, consts, prefix, columns = scope._last
+    if owner is not A or W != len(A.constant_interp) + m:
+        # a structure or rank other than the last one: check and lay it out
+        W = _checked_width(A, (), m)
+        if scope.vocab is None:
+            scope.vocab = A.vocab
+            scope.arities = tuple(a for _, a in A.vocab.predicates)
+        elif scope.vocab != A.vocab:
+            raise ValueError("a type scope holds structures over one vocabulary")
+        cache = A._rt_cache
+        tables = _fact_tables(A) if cache is None else cache[_TABLES]
+        steps = _layout(tables[0], W)[0]
+        consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+        prefix = _prefix(A, tables, steps, consts)
+        columns = {}
+        scope._last = (A, W, tables, steps, consts, prefix, columns)
+    if kept is not None:
+        kept = tuple(kept)
+        if not kept or not all(0 <= e < A.size for e in kept):
+            raise ValueError("a kept set is a nonempty set of elements")
+        if not set(consts) <= set(kept):
+            raise ValueError("a kept set must hold the constants")
+    if m == 0:
+        return scope.intern((W, prefix))
+    return _recursion(A, tables, steps, consts, W, kept, {}, scope, columns)((), m, prefix)
 
 
 def m_equivalent(A: Structure, B: Structure, m: int) -> bool:

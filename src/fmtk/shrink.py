@@ -9,10 +9,10 @@ marks stay valid across phases and containment is directly checkable; use
 
 from __future__ import annotations
 
-from .equiv import check_rank_type_cost, rank_type
+from .equiv import TypeScope, check_rank_type_cost, rank_type, type_id
 from .errors import StructureFormatError, VerificationFailed
 from .structures import (
-    ORDER_PRED, Structure, Vocabulary, _once, checked_marks, format_errors, read_blocks,
+    ORDER_PRED, Structure, Vocabulary, _once, _shifted, checked_marks, format_errors, read_blocks,
 )
 
 
@@ -177,13 +177,16 @@ def word_letters(w: SigmaTree) -> list[str]:
     return [w.label[v] for v in order]
 
 
+def _tree_vocabulary(alphabet) -> Vocabulary:
+    """The vocabulary of :func:`to_structure` over ``alphabet``."""
+    return Vocabulary.make({ORDER_PRED: 2, **{label_predicate(a): 1 for a in alphabet}})
+
+
 def to_structure(t: SigmaTree) -> tuple[Structure, dict[int, int]]:
     """Relational encoding: reflexive ancestor order plus one unary predicate
     per letter. Returns the structure and the node->element map."""
     renum = {v: i for i, v in enumerate(t.nodes)}
-    vocab = Vocabulary.make(
-        {ORDER_PRED: 2, **{label_predicate(a): 1 for a in t.alphabet}}
-    )
+    vocab = _tree_vocabulary(t.alphabet)
     le = []
     chain: list[int] = []  # elements from the root down to the current node
     stack = [t.root]
@@ -284,31 +287,35 @@ class ClassTable:
     A *signature* says how an object is put together from parts whose class
     ids are known. By Feferman-Vaught composition (Feferman & Vaught 1959;
     Makowsky, APAL 2004) the signature fixes the object's rank-``m`` class,
-    so each new signature needs the rank type of one small *representative*
-    only, which a subclass builds in ``_representative``. Class ids are small
-    ints, and signatures whose representatives have equal keys share one id,
-    so equal ids mean equal rank-``m`` keys at every ``m``, including
-    ``m = 0``. Look a signature up in ``_ids`` first; on a miss, ``_intern``.
+    so each new signature needs the type of one small *representative*
+    structure only, which a subclass builds in ``_representative``, and that
+    type only has to be told equal or not to the ones before it. So the
+    table types every representative in one :class:`~fmtk.equiv.TypeScope`
+    of its own, where equal type ids mean equal rank-``m`` keys at every
+    ``m``, including ``m = 0``, and signatures whose representatives have
+    equal type ids share one class id. No key is expanded. Class ids are
+    small ints. Look a signature up in ``_ids`` first; on a miss,
+    ``_intern``.
     """
 
     def __init__(self, m: int):
         self.m = m
         self._ids: dict[tuple, int] = {}  # signature -> class id
-        self._by_key: dict[tuple, int] = {}  # rank key -> class id
-        self._keys: list[tuple] = []  # class id -> rank key
-        self._reps: list = []  # class id -> representative
+        self._scope = TypeScope()
+        self._by_type: dict[int, int] = {}  # type id in the scope -> class id
+        self._reps: list[Structure] = []  # class id -> representative
 
-    def _representative(self, sig: tuple) -> tuple:
-        """``(representative, rank key)`` of a signature not seen before."""
+    def _representative(self, sig: tuple) -> Structure:
+        """The representative structure of a signature not seen before."""
         raise NotImplementedError
 
     def _intern(self, sig: tuple) -> int:
         """The class id of a signature not seen before, from its representative."""
-        rep, key = self._representative(sig)
-        cid = self._by_key.get(key)
+        rep = self._representative(sig)
+        tid = type_id(rep, self.m, self._scope)
+        cid = self._by_type.get(tid)
         if cid is None:
-            cid = self._by_key[key] = len(self._keys)
-            self._keys.append(key)
+            cid = self._by_type[tid] = len(self._reps)
             self._reps.append(rep)
         self._ids[sig] = cid
         return cid
@@ -324,10 +331,12 @@ class TreeClasses(ClassTable):
     equivalent to any larger number of copies, so the cap loses nothing
     (Makowsky, APAL 2004; Libkin, *Elements of Finite Model Theory*, ch. 3).
 
-    Each new signature gets one small *representative* tree: a root with the
-    label over ``min(count, m)`` copies of each child class's representative.
-    Only that representative is encoded and given a full :func:`rank_type`;
-    no real subtree is ever encoded. Ids are interned by :class:`ClassTable`.
+    The representatives are encoded trees, structures over the vocabulary of
+    :func:`to_structure`. A new signature's representative is built directly
+    from its children's: a new root that is ``<=`` every element and carries
+    its letter's predicate, over shifted copies of ``min(count, m)`` of each
+    child class's representative. No tree is built or encoded for it, and no
+    real subtree is ever encoded. Ids are interned by :class:`ClassTable`.
 
     The table lives as long as the instance: one per shrink pipeline, over
     the alphabet of ``base``; any tree over that alphabet may be classified.
@@ -339,11 +348,12 @@ class TreeClasses(ClassTable):
     def __init__(self, base: SigmaTree, m: int):
         super().__init__(m)
         self.base = base
+        self._vocab = _tree_vocabulary(base.alphabet)
 
     def of(self, nodes: frozenset[int]) -> tuple:
         """Rank-``m`` key of the sub-poset of ``base`` on ``nodes``."""
         t = self.base.induced(nodes)
-        return self._keys[self.classify(t)[t.root]]
+        return rank_type(self._reps[self.classify(t)[t.root]], (), self.m).key
 
     def classify(self, t: SigmaTree) -> dict[int, int]:
         """The class id of every node's subtree in ``t``, in one bottom-up pass."""
@@ -364,12 +374,22 @@ class TreeClasses(ClassTable):
             cid = self._intern(sig)
         return cid
 
-    def _representative(self, sig: tuple) -> tuple:
+    def _representative(self, sig: tuple) -> Structure:
         letter, counts = sig
-        root = SigmaTree({0: None}, {0: letter}, self.base.alphabet)
-        copies = [self._reps[c] for c, n in counts for _ in range(n)]
-        rep = join_at(root, 0, copies) if copies else root
-        return rep, rank_type(to_structure(rep)[0], (), self.m).key
+        if letter not in self.base.alphabet:
+            raise ValueError("labels must come from the alphabet")
+        vocab = self._vocab
+        rels: dict[str, list] = {name: [] for name, _ in vocab.predicates}
+        rels[label_predicate(letter)].append((0,))
+        size = 1  # the root is element 0; each copy is shifted past the last
+        for c, n in counts:
+            part = self._reps[c]
+            for _ in range(n):
+                for name, arity in vocab.predicates:
+                    rels[name] += _shifted(part.relations[name], arity, size)
+                size += part.size
+        rels[ORDER_PRED] += [(0, v) for v in range(size)]
+        return Structure(vocab, size, rels)
 
 
 def deepest_repeat(root, children, cls) -> tuple | None:

@@ -288,7 +288,12 @@ def induced_supersets(A: Structure, required=()):
 
 
 def check_embedding_witness(A: Structure, B: Structure, mapping: dict[int, int]) -> bool:
-    """True iff ``mapping`` embeds ``A`` into ``B`` as an induced substructure."""
+    """True iff ``mapping`` embeds ``A`` into ``B`` as an induced substructure.
+
+    An injective map is an embedding iff it maps each relation of ``A`` onto
+    the tuples of ``B``'s relation that lie inside its image, so each
+    relation is mapped once, tuple by tuple, and compared as a set.
+    """
     if A.vocab != B.vocab:
         return False
     if sorted(mapping) != list(range(A.size)):
@@ -299,11 +304,21 @@ def check_embedding_witness(A: Structure, B: Structure, mapping: dict[int, int])
     for c in A.vocab.constants:
         if mapping[A.constant_interp[c]] != B.constant_interp[c]:
             return False
+    f = [mapping[a] for a in range(A.size)]
+    onto = len(image) == B.size
     for name, arity in A.vocab.predicates:
         rel_a, rel_b = A.relations[name], B.relations[name]
-        for t in itertools.product(range(A.size), repeat=arity):
-            if (t in rel_a) != (tuple(mapping[e] for e in t) in rel_b):
-                return False
+        if arity == 1:
+            mapped = {(f[a],) for (a,) in rel_a}
+            inside = rel_b if onto else {t for t in rel_b if t[0] in image}
+        elif arity == 2:
+            mapped = {(f[a], f[b]) for a, b in rel_a}
+            inside = rel_b if onto else {t for t in rel_b if t[0] in image and t[1] in image}
+        else:
+            mapped = {tuple([f[e] for e in t]) for t in rel_a}
+            inside = rel_b if onto else {t for t in rel_b if image.issuperset(t)}
+        if mapped != inside:
+            return False
     return True
 
 

@@ -8,7 +8,11 @@ building references check and build one tuple at a time. The two search
 references, :func:`reference_find_cores` and
 :func:`reference_minimal_models`, are the unpruned forms of the library's
 searches over its own substructure, evaluation and embedding routines, so
-that a test can require the pruned searches to give identical answers.
+that a test can require the pruned searches to give identical answers;
+:func:`reference_exhaustive_leaf_shrinker` is likewise the leaf shrinker
+that builds every candidate and compares full rank types, and
+:func:`reference_check_embedding_witness` checks a map tuple by tuple over
+every tuple of the universe.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from fmtk.equiv import rank_type
 from fmtk.folog import (
     And,
     Atom,
@@ -393,6 +398,38 @@ def reference_induced_substructure(A: Structure, subset):
     }
     consts = {c: renumber[e] for c, e in A.constant_interp.items()}
     return Structure(A.vocab, len(subset), relations, consts), renumber
+
+
+def reference_exhaustive_leaf_shrinker(B: Structure, marks, m: int):
+    """Build every induced substructure that keeps the marks and the
+    constants, smallest first, and return the first whose full rank type is
+    ``B``'s, as ``(substructure, kept ids)``."""
+    target = rank_type(B, (), m)
+    for keep, sub in induced_supersets(B, marks):
+        if rank_type(sub, (), m) == target:
+            return sub, keep
+    return B, tuple(range(B.size))
+
+
+def reference_check_embedding_witness(A: Structure, B: Structure, mapping: dict[int, int]) -> bool:
+    """Whether ``mapping`` embeds ``A`` into ``B`` as an induced substructure,
+    checked for every tuple over ``A``'s universe, one tuple at a time."""
+    if A.vocab != B.vocab:
+        return False
+    if sorted(mapping) != list(range(A.size)):
+        return False
+    image = set(mapping.values())
+    if len(image) != A.size or not all(0 <= b < B.size for b in image):
+        return False
+    for c in A.vocab.constants:
+        if mapping[A.constant_interp[c]] != B.constant_interp[c]:
+            return False
+    for name, arity in A.vocab.predicates:
+        rel_a, rel_b = A.relations[name], B.relations[name]
+        for t in itertools.product(range(A.size), repeat=arity):
+            if (t in rel_a) != (tuple(mapping[e] for e in t) in rel_b):
+                return False
+    return True
 
 
 def reference_disjoint_union(A: Structure, B: Structure) -> Structure:

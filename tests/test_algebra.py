@@ -34,7 +34,7 @@ from fmtk.algebra import (
 from fmtk.equiv import m_equivalent
 from fmtk.errors import VerificationFailed
 from fmtk.shrink import make_word
-from fmtk import algebra
+from fmtk import algebra, shrink
 from fmtk.structures import (
     MarkedStructure,
     Structure,
@@ -53,6 +53,7 @@ from oracles import (
     reference_complement,
     reference_disjoint_union,
     reference_eval_expression,
+    reference_exhaustive_leaf_shrinker,
     reference_rank_type_key,
     reference_reduce_expression_height,
     reference_tree_of_structures,
@@ -289,9 +290,11 @@ class TestExpressionClasses:
                 super().__init__(m)
                 tables.append(self)
 
-        real = algebra.rank_type
+        # the table types each representative through ``type_id``, which
+        # ``ClassTable._intern`` reads from ``fmtk.shrink``
+        real = shrink.type_id
         monkeypatch.setattr(algebra, "ExpressionClasses", Recording)
-        monkeypatch.setattr(algebra, "rank_type", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(shrink, "type_id", lambda *a: calls.append(a) or real(*a))
         out = reduce_expression_height(t, set(), 2, 0)
         assert out is not t  # some round spliced
         assert len(tables) == 1
@@ -314,6 +317,29 @@ class TestLeafShrinkers:
         B = disjoint_union(disjoint_union(VERTEX, VERTEX), VERTEX)
         sub, kept = exhaustive_leaf_shrinker(B, {2}, 1)
         assert 2 in kept
+
+    def test_exhaustive_matches_the_building_reference(self):
+        # E/2 + P/1, with and without a constant, marks and m in 0..3: the
+        # same substructure and kept ids as building every candidate
+        plain = Vocabulary.make({"E": 2, "P": 1})
+        with_c = Vocabulary.make({"E": 2, "P": 1}, ("c",))
+        rng = random.Random(1717)
+        for trial in range(160):
+            B = random_structure(rng, rng.choice((plain, with_c)), rng.randint(1, 5),
+                                 density=rng.choice((0.2, 0.5, 0.8)))
+            marks = set(rng.sample(range(B.size), rng.randint(0, min(2, B.size))))
+            m = trial % 4
+            got = exhaustive_leaf_shrinker(B, marks, m)
+            assert got == reference_exhaustive_leaf_shrinker(B, marks, m), (B, marks, m)
+
+    def test_exhaustive_builds_only_the_chosen_set(self, monkeypatch):
+        built = []
+        real = algebra.induced_substructure
+        monkeypatch.setattr(algebra, "induced_substructure",
+                            lambda A, keep: built.append(tuple(keep)) or real(A, keep))
+        B = disjoint_union(disjoint_union(EDGE, VERTEX), make_path(3))
+        sub, kept = exhaustive_leaf_shrinker(B, {0}, 2)
+        assert built == [kept]
 
     def test_bad_shrinker_caught(self):
         def lying_shrinker(B, marks, m):

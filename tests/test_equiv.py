@@ -6,6 +6,7 @@ from fmtk import algebra, equiv, shrink
 from fmtk.equiv import (
     FACT_WIDTH_GUARD,
     RANK_TYPE_GUARD,
+    TypeScope,
     check_rank_type_cost,
     class_fingerprint,
     ef_game_equivalent,
@@ -13,6 +14,7 @@ from fmtk.equiv import (
     marked_equivalent,
     rank_type,
     realized_classes,
+    type_id,
 )
 from fmtk.errors import GuardExceeded
 from fmtk.shrink import SigmaTree, join_at, make_word, to_structure, trees_equivalent
@@ -24,6 +26,8 @@ from fmtk.structures import (
     cartesian_product,
     complement,
     disjoint_union,
+    induced_substructure,
+    kept_id_sets,
     parse_structures,
     serialize_structure,
     tensor_product,
@@ -193,6 +197,95 @@ class TestFactWidthGuard:
         A = Structure(Vocabulary.make({"T": 3}, ("c",)), 1, {}, {"c": 0})
         with pytest.raises(GuardExceeded, match="^packed fact width 69741 exceeds"):
             rank_type(A, (0,), 39)
+
+
+EP = Vocabulary.make({"E": 2, "P": 1})
+EP_C = Vocabulary.make({"E": 2, "P": 1}, ("c",))
+
+
+def _refusal(call):
+    try:
+        call()
+    except (ValueError, RecursionError, GuardExceeded) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestTypeIds:
+    """``type_id`` in a shared scope against keys of built substructures."""
+
+    def test_subset_ids_agree_with_built_keys(self):
+        # ids equal iff keys equal, over every pair of (structure, kept set,
+        # rank) typed in one scope; each id expands to the built key
+        rng = random.Random(1818)
+        for vocab in (EP, EP_C):
+            scope = TypeScope()
+            by_id: dict = {}
+            by_key: dict = {}
+            for _ in range(150):
+                A = random_structure(rng, vocab, rng.randint(1, 5),
+                                     density=rng.choice((0.2, 0.5, 0.8)))
+                sets = list(kept_id_sets(A))
+                for kept in rng.sample(sets, min(4, len(sets))) + [None]:
+                    m = rng.randint(0, 3)
+                    i = type_id(A, m, scope, kept)
+                    built = A if kept is None else induced_substructure(A, kept)[0]
+                    key = rank_type(built, (), m).key
+                    assert scope.key(i) == key
+                    assert by_id.setdefault(i, key) == key
+                    assert by_key.setdefault(key, i) == i
+            assert len(by_id) > 50  # the sweep meets many classes, not a few
+
+    def test_subset_keys_match_the_reference(self):
+        rng = random.Random(1819)
+        for _ in range(40):
+            A = random_structure(rng, EP_C, rng.randint(1, 5), density=0.5)
+            scope = TypeScope()
+            for kept in kept_id_sets(A):
+                m = rng.randint(0, 2)
+                sub = induced_substructure(A, kept)[0]
+                assert scope.key(type_id(A, m, scope, kept)) == reference_rank_type_key(sub, (), m)
+
+    def test_rank_type_memo_is_never_written(self):
+        rng = random.Random(1820)
+        A = random_structure(rng, EP, 5)
+        scope = TypeScope()
+        type_id(A, 2, scope, (0, 1, 2))
+        assert A._rt_cache is None
+        rank_type(A, (), 2)
+        cache = A._rt_cache
+        entries, nodes = dict(cache), list(cache["scope"].nodes)
+        for kept in kept_id_sets(A):
+            type_id(A, 2, scope, kept)
+        assert dict(A._rt_cache) == entries and cache["scope"].nodes == nodes
+
+    def test_refuses_what_rank_type_refuses_in_the_same_order(self, monkeypatch):
+        monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
+        monkeypatch.setattr(equiv, "_layout", _not_allowed)
+        monkeypatch.setattr(equiv, "_columns", _not_allowed)
+        cases = [
+            (make_cycle(3), -1),  # a negative rank
+            (make_cycle(12), 7),  # the rank-type guard
+            (make_cycle(12), 41),  # both guards: the rank-type guard first
+            (ONE_TERNARY, 41),  # the fact-width guard
+            (ONE_TERNARY, 10**6),  # past the recursion limit, before the width
+        ]
+        for A, m in cases:
+            want = _refusal(lambda: rank_type(A, (), m))
+            assert want is not None
+            assert _refusal(lambda: type_id(A, m, TypeScope())) == want
+            assert _refusal(lambda: type_id(A, m, TypeScope(), (0,))) == want
+
+    def test_kept_sets_and_vocabularies_are_checked(self):
+        A = Structure(EP_C, 3, {"E": {(0, 1)}}, {"c": 2})
+        with pytest.raises(ValueError, match="must hold the constants"):
+            type_id(A, 1, TypeScope(), (0, 1))
+        with pytest.raises(ValueError, match="nonempty set of elements"):
+            type_id(A, 1, TypeScope(), (2, 3))
+        scope = TypeScope()
+        type_id(make_path(2), 1, scope)
+        with pytest.raises(ValueError, match="one vocabulary"):
+            type_id(A, 1, scope)
 
 
 class TestMEquivalent:

@@ -153,14 +153,16 @@ def _tree_files(draw):
 
 
 def _count_rank_types(monkeypatch) -> list:
+    """Record every type a class table computes: each representative is
+    typed once, through ``type_id`` in the table's scope."""
     calls = []
-    real = shrink.rank_type
+    real = shrink.type_id
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(shrink, "rank_type", counting)
+    monkeypatch.setattr(shrink, "type_id", counting)
     return calls
 
 

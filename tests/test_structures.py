@@ -37,6 +37,7 @@ from oracles import (
     random_structure,
     random_tree,
     reference_cartesian_product,
+    reference_check_embedding_witness,
     reference_check_structure,
     reference_complement,
     reference_disjoint_union,
@@ -344,6 +345,60 @@ class TestFindEmbedding:
                 seen["conflicting"] += 1
                 assert got is None
         assert min(seen.values()) >= 20, seen
+
+
+def _random_map(rng, size, B):
+    """A map from ``0 .. size-1`` into ``B`` and whether it is injective: an
+    increasing or a shuffled injection, a map that may collapse elements, one
+    with a value out of range, or one whose domain misses or adds an
+    element."""
+    kind = rng.choice(("increasing", "increasing", "injective", "collapsing", "out", "domain"))
+    if kind == "increasing":
+        return dict(enumerate(sorted(rng.sample(range(B.size), size)))), True
+    if kind == "injective":
+        return dict(enumerate(rng.sample(range(B.size), size))), True
+    mapping = {a: rng.randrange(B.size) for a in range(size)}
+    if kind == "out":
+        mapping[rng.randrange(size)] = rng.choice((-1, B.size, B.size + 3))
+    elif kind == "domain":
+        if rng.random() < 0.5:
+            del mapping[rng.randrange(size)]
+        else:
+            mapping[size] = rng.randrange(B.size)
+    return mapping, False
+
+
+class TestCheckEmbeddingWitness:
+    @pytest.mark.parametrize("vocab", [V, V123, V123C, Vocabulary.make({"T": 3}, ["c", "d"])],
+                             ids=["E2", "P1-E2-T3", "P1-E2-T3-c", "T3-cd"])
+    def test_agrees_with_the_tuple_by_tuple_reference(self, vocab):
+        rng = random.Random(2020)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            B = random_structure(rng, vocab, rng.randint(1, 5), rng.choice([0.1, 0.4, 0.8]))
+            size = rng.randint(1, B.size)
+            mapping, injective = _random_map(rng, size, B)
+            inv = {b: a for a, b in mapping.items()}
+            if injective and set(B.constant_interp.values()) <= set(inv) and rng.random() < 0.6:
+                # ``A`` is ``B`` on the image, read back through the map, and
+                # now and then one fact flipped
+                rels = {name: {tuple(inv[e] for e in t) for t in tuples if all(e in inv for e in t)}
+                        for name, tuples in B.relations.items()}
+                if rng.random() < 0.3:
+                    name, arity = rng.choice(vocab.predicates)
+                    rels[name] ^= {tuple(rng.randrange(size) for _ in range(arity))}
+                consts = {c: inv[e] for c, e in B.constant_interp.items()}
+            else:
+                rels = random_structure(rng, vocab, size, rng.choice([0.1, 0.4, 0.8])).relations
+                consts = {c: rng.randrange(size) for c in vocab.constants}
+            A = Structure(vocab, size, rels, consts)
+            got = check_embedding_witness(A, B, mapping)
+            assert got == reference_check_embedding_witness(A, B, mapping), (A, B, mapping)
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 30, verdicts
+
+    def test_vocabulary_mismatch_is_no_witness(self):
+        assert not check_embedding_witness(make_path(1), make_linear_order(2), {0: 0, 1: 1})
 
 
 class TestIsIsomorphic:
