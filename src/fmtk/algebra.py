@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 
-from .equiv import TypeScope, check_rank_type_cost, class_fingerprint, rank_type, type_id
+from .equiv import TypeScope, check_rank_type_cost, class_fingerprint, rank_type, subset_typer
 from .errors import StructureFormatError, VerificationFailed, check_guard
 from .records import Record
 from .shrink import ClassTable, ShrinkReport, SigmaTree, deepest_repeat, shrink_tree
@@ -319,16 +319,16 @@ def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     The kept sets come smallest first, in the order of
     :func:`~fmtk.structures.kept_id_sets`. By the relativization lemma the
     type of ``B[kept]`` is read on ``B``'s own facts with the quantifiers
-    restricted to ``kept`` (:func:`~fmtk.equiv.type_id`), so each set's type
-    id is compared with ``B``'s in one shared scope, and only the chosen set
-    is built.
+    restricted to ``kept`` (:func:`~fmtk.equiv.subset_typer`), so each
+    set's type id is compared with ``B``'s in one shared scope, and only the
+    chosen set is built.
     """
     check_guard("structure of size", B.size, EXHAUSTIVE_SHRINK_GUARD,
                 "the exhaustive-shrink guard")
-    scope = TypeScope()
-    target = type_id(B, m, scope)
+    type_of = subset_typer(B, m, TypeScope())
+    target = type_of(range(B.size))
     for keep in kept_id_sets(B, marks):
-        if type_id(B, m, scope, keep) == target:
+        if type_of(keep) == target:
             return induced_substructure(B, keep)[0], keep
     return B, tuple(range(B.size))
 

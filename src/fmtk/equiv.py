@@ -171,23 +171,28 @@ class TypeScope:
     by ``(W, frozenset of its leaves' packed facts)``, and a higher one by
     the frozenset of its children's ids. So within one scope equal ids mean
     equal nested keys, whatever structure or order they were computed from,
-    and :meth:`key` expands an id into its key. :func:`rank_type` keeps a
-    private scope per structure; :func:`type_id` types in a scope its caller
-    owns.
+    and :meth:`key` expands an id into its key. The vocabulary is the one
+    of the first structure laid out in the scope. :func:`rank_type` keeps a
+    private scope per structure; :func:`type_id` and :func:`subset_typer`
+    type in a scope their caller owns.
     """
 
-    __slots__ = ("vocab", "arities", "ids", "nodes", "keys", "_last")
+    __slots__ = ("vocab", "arities", "ids", "nodes", "keys")
 
-    def __init__(self, vocab=None):
-        self.vocab = vocab
-        self.arities = None if vocab is None else tuple(a for _, a in vocab.predicates)
+    def __init__(self):
+        self.vocab = None
+        self.arities: tuple[int, ...] = ()
         self.ids: dict = {}  # node -> id
         self.nodes: list = []  # id -> node
         self.keys: dict[int, tuple] = {}  # id -> nested key, once expanded
-        # what ``type_id`` laid out for the structure and rank it typed last,
-        # for the kept sets that follow: (structure, W, fact tables, steps,
-        # constants, facts among them, columns by point tuple)
-        self._last: tuple = (None, -1, None, None, (), 0, None)
+
+    def enter(self, A: Structure) -> None:
+        """Admit ``A``, whose vocabulary must be the scope's."""
+        if self.vocab is None:
+            self.vocab = A.vocab
+            self.arities = tuple(a for _, a in A.vocab.predicates)
+        elif self.vocab is not A.vocab and self.vocab != A.vocab:
+            raise ValueError("a type scope holds structures over one vocabulary")
 
     def intern(self, node) -> int:
         i = self.ids.get(node)
@@ -228,12 +233,11 @@ def check_rank_type_cost(size: int, m: int) -> None:
                 shown=f"{size}^{m}")
 
 
-def _checked_width(A: Structure, tup: tuple[int, ...], m: int) -> int:
-    """The width ``W`` of a rank-``m`` type of ``tup`` in ``A``, once every
-    refusal has been made, in this order: a negative ``m``,
-    ``RANK_TYPE_GUARD``, a tuple component outside the universe, a depth past
-    the recursion limit and ``FACT_WIDTH_GUARD``. Nothing is laid out
-    before."""
+def _refuse(A: Structure, tup: tuple[int, ...], m: int) -> None:
+    """The refusals that cost nothing, in this order: a negative ``m``,
+    ``RANK_TYPE_GUARD``, a tuple component outside the universe and a depth
+    past the recursion limit. ``FACT_WIDTH_GUARD`` follows, in
+    :func:`_check_width`, for a type that is not memoized."""
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
     check_rank_type_cost(A.size, m)
@@ -244,12 +248,13 @@ def _checked_width(A: Structure, tup: tuple[int, ...], m: int) -> int:
         # each rank is two frames of the recursion below; refuse a depth it
         # cannot reach before carrying facts down towards it
         raise RecursionError(f"a rank-{m} type nests deeper than the recursion limit")
-    W = len(A.constant_interp) + len(tup) + m
+
+
+def _check_width(A: Structure, W: int) -> None:
     # every position carries W(W-1)/2 equality bits and W**arity bits per
     # predicate, which |A|^m does not bound (a high rank on one element)
     width = W * (W - 1) // 2 + sum(W**arity for _, arity in A.vocab.predicates)
     check_guard("packed fact width", width, FACT_WIDTH_GUARD, "the fact-width guard")
-    return W
 
 
 def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> int:
@@ -260,31 +265,23 @@ def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> i
     return prefix
 
 
-def _recursion(A: Structure, tables: tuple, steps: list, consts: tuple[int, ...], W: int,
-               kept, memo: dict, scope: TypeScope, columns):
+def _recursion(column, domain, consts: tuple[int, ...], W: int, memo: dict, scope: TypeScope):
     """The one recursion of the engine. ``rec(t, r, prefix)`` is the id in
     ``scope`` of the rank-``r`` type of ``t`` (``prefix``: the facts among
-    the constants and ``t``), with every quantifier over ``kept`` (``None``:
-    the whole universe), memoized per ``(t, r)`` in ``memo``. ``columns``,
-    when given, memoizes ``_columns`` per point tuple."""
+    the constants and ``t``), with every quantifier over ``domain``,
+    memoized per ``(t, r)`` in ``memo``. ``column(pts, prefix)`` gives the
+    packed facts of ``pts + (b,)`` for each ``b`` of ``domain``, in order."""
     ids, nodes = scope.ids, scope.nodes
-    whole = kept is None
-    domain = range(A.size) if whole else kept
 
     def rec(t: tuple[int, ...], r: int, prefix: int) -> int:
         hit = memo.get((t, r))
         if hit is not None:
             return hit
-        if columns is None:
-            col = _columns(A, tables, steps, consts + t, prefix)
-        else:
-            col = columns.get(t)
-            if col is None:
-                col = columns[t] = _columns(A, tables, steps, consts + t, prefix)
+        col = column(consts + t, prefix)
         if r == 1:
-            node = (W, frozenset(col) if whole else frozenset([col[b] for b in domain]))
+            node = (W, frozenset(col))
         else:
-            node = frozenset([rec(t + (b,), r - 1, col[b]) for b in domain])
+            node = frozenset([rec(t + (b,), r - 1, x) for b, x in zip(domain, col)])
         i = ids.get(node)
         if i is None:
             i = ids[node] = len(nodes)
@@ -302,65 +299,92 @@ _TABLES, _SCOPE = "tables", "scope"
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the
-    structure. Held to ``RANK_TYPE_GUARD`` and ``FACT_WIDTH_GUARD`` before
-    any of its facts are laid out."""
+    structure. Held to ``RANK_TYPE_GUARD`` first, and a type not in the memo
+    to ``FACT_WIDTH_GUARD`` before any of its facts are laid out."""
     tup = tuple(tup)
-    W = _checked_width(A, tup, m)
+    _refuse(A, tup, m)
     cache = A._rt_cache
     if cache is None:
-        cache = {_TABLES: _fact_tables(A), _SCOPE: TypeScope(A.vocab)}
+        scope = TypeScope()
+        scope.enter(A)
+        cache = {_TABLES: _fact_tables(A), _SCOPE: scope}
         object.__setattr__(A, "_rt_cache", cache)
     scope = cache[_SCOPE]
     hit = cache.get((tup, m))
     if hit is not None:
         return RankType(m, scope.key(hit))
+    W = len(A.constant_interp) + len(tup) + m
+    _check_width(A, W)
     tables = cache[_TABLES]
     consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
     steps, blocks = _layout(tables[0], W)
     prefix = _prefix(A, tables, steps, consts + tup)
     if m == 0:
         return RankType(0, _unpack(W, blocks, [prefix])[0])
-    rec = _recursion(A, tables, steps, consts, W, None, cache, scope, None)
+    rec = _recursion(functools.partial(_columns, A, tables, steps), range(A.size), consts, W,
+                     cache, scope)
     return RankType(m, scope.key(rec(tup, m, prefix)))
 
 
-def type_id(A: Structure, m: int, scope: TypeScope, kept=None) -> int:
-    """The id in ``scope`` of the rank-``m`` type of ``A``, or, given a set
-    ``kept`` of elements that holds the constants, of the induced
-    substructure on ``kept``, which is never built.
+def _lay_out(A: Structure, m: int, scope: TypeScope) -> tuple:
+    """Refuse what :func:`rank_type` refuses, in the same order, then admit
+    ``A`` to ``scope`` and lay out its rank-``m`` type: ``W``, its fact
+    tables (read from ``A``'s rank-type memo when there), the bit steps, the
+    constants and the facts among them."""
+    _refuse(A, (), m)
+    W = len(A.constant_interp) + m
+    _check_width(A, W)
+    scope.enter(A)
+    cache = A._rt_cache
+    tables = _fact_tables(A) if cache is None else cache[_TABLES]
+    steps = _layout(tables[0], W)[0]
+    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    return W, tables, steps, consts, _prefix(A, tables, steps, consts)
+
+
+def type_id(A: Structure, m: int, scope: TypeScope) -> int:
+    """The id in ``scope`` of the rank-``m`` type of ``A``. ``A``'s own
+    rank-type memo is read for its fact tables only and never written."""
+    W, tables, steps, consts, prefix = _lay_out(A, m, scope)
+    if m == 0:
+        return scope.intern((W, prefix))
+    column = functools.partial(_columns, A, tables, steps)
+    return _recursion(column, range(A.size), consts, W, {}, scope)((), m, prefix)
+
+
+def subset_typer(A: Structure, m: int, scope: TypeScope):
+    """The function that takes a set ``kept`` of elements of ``A`` holding
+    its constants to the id in ``scope`` of the rank-``m`` type of the
+    induced substructure on ``kept``, which is never built.
 
     By the relativization lemma (Ebbinghaus & Flum, *Finite Model Theory*)
     the type of ``A[kept]`` is read on ``A``'s own facts with every
-    quantifier restricted to ``kept``. The columns of ``A`` are memoized per
-    point tuple across the kept sets of one structure; ``A``'s own rank-type
-    memo is read for its fact tables only and never written. Refuses exactly
-    what :func:`rank_type` refuses, in the same order.
+    quantifier restricted to ``kept``. ``A`` is laid out once, and its
+    columns are memoized per point tuple across the kept sets; ``A``'s own
+    rank-type memo is never written. Refuses what :func:`rank_type`
+    refuses, in the same order, before it returns.
     """
-    owner, W, tables, steps, consts, prefix, columns = scope._last
-    if owner is not A or W != len(A.constant_interp) + m:
-        # a structure or rank other than the last one: check and lay it out
-        W = _checked_width(A, (), m)
-        if scope.vocab is None:
-            scope.vocab = A.vocab
-            scope.arities = tuple(a for _, a in A.vocab.predicates)
-        elif scope.vocab != A.vocab:
-            raise ValueError("a type scope holds structures over one vocabulary")
-        cache = A._rt_cache
-        tables = _fact_tables(A) if cache is None else cache[_TABLES]
-        steps = _layout(tables[0], W)[0]
-        consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
-        prefix = _prefix(A, tables, steps, consts)
-        columns = {}
-        scope._last = (A, W, tables, steps, consts, prefix, columns)
-    if kept is not None:
+    W, tables, steps, consts, prefix = _lay_out(A, m, scope)
+    columns: dict = {}  # point tuple -> A's column there
+
+    def type_of(kept) -> int:
         kept = tuple(kept)
         if not kept or not all(0 <= e < A.size for e in kept):
             raise ValueError("a kept set is a nonempty set of elements")
         if not set(consts) <= set(kept):
             raise ValueError("a kept set must hold the constants")
-    if m == 0:
-        return scope.intern((W, prefix))
-    return _recursion(A, tables, steps, consts, W, kept, {}, scope, columns)((), m, prefix)
+        if m == 0:
+            return scope.intern((W, prefix))
+
+        def column(pts: tuple[int, ...], prefix: int) -> list[int]:
+            col = columns.get(pts)
+            if col is None:
+                col = columns[pts] = _columns(A, tables, steps, pts, prefix)
+            return [col[b] for b in kept]
+
+        return _recursion(column, kept, consts, W, {}, scope)((), m, prefix)
+
+    return type_of
 
 
 def m_equivalent(A: Structure, B: Structure, m: int) -> bool:

@@ -305,18 +305,9 @@ def check_embedding_witness(A: Structure, B: Structure, mapping: dict[int, int])
         if mapping[A.constant_interp[c]] != B.constant_interp[c]:
             return False
     f = [mapping[a] for a in range(A.size)]
-    onto = len(image) == B.size
-    for name, arity in A.vocab.predicates:
-        rel_a, rel_b = A.relations[name], B.relations[name]
-        if arity == 1:
-            mapped = {(f[a],) for (a,) in rel_a}
-            inside = rel_b if onto else {t for t in rel_b if t[0] in image}
-        elif arity == 2:
-            mapped = {(f[a], f[b]) for a, b in rel_a}
-            inside = rel_b if onto else {t for t in rel_b if t[0] in image and t[1] in image}
-        else:
-            mapped = {tuple([f[e] for e in t]) for t in rel_a}
-            inside = rel_b if onto else {t for t in rel_b if image.issuperset(t)}
+    for name, _ in A.vocab.predicates:
+        mapped = {tuple([f[e] for e in t]) for t in A.relations[name]}
+        inside = {t for t in B.relations[name] if image.issuperset(t)}
         if mapped != inside:
             return False
     return True

@@ -14,6 +14,7 @@ from fmtk.equiv import (
     marked_equivalent,
     rank_type,
     realized_classes,
+    subset_typer,
     type_id,
 )
 from fmtk.errors import GuardExceeded
@@ -228,7 +229,7 @@ class TestTypeIds:
                 sets = list(kept_id_sets(A))
                 for kept in rng.sample(sets, min(4, len(sets))) + [None]:
                     m = rng.randint(0, 3)
-                    i = type_id(A, m, scope, kept)
+                    i = type_id(A, m, scope) if kept is None else subset_typer(A, m, scope)(kept)
                     built = A if kept is None else induced_substructure(A, kept)[0]
                     key = rank_type(built, (), m).key
                     assert scope.key(i) == key
@@ -240,23 +241,26 @@ class TestTypeIds:
         rng = random.Random(1819)
         for _ in range(40):
             A = random_structure(rng, EP_C, rng.randint(1, 5), density=0.5)
+            m = rng.randint(0, 2)
             scope = TypeScope()
+            type_of = subset_typer(A, m, scope)
             for kept in kept_id_sets(A):
-                m = rng.randint(0, 2)
                 sub = induced_substructure(A, kept)[0]
-                assert scope.key(type_id(A, m, scope, kept)) == reference_rank_type_key(sub, (), m)
+                assert scope.key(type_of(kept)) == reference_rank_type_key(sub, (), m)
 
     def test_rank_type_memo_is_never_written(self):
         rng = random.Random(1820)
         A = random_structure(rng, EP, 5)
         scope = TypeScope()
-        type_id(A, 2, scope, (0, 1, 2))
+        subset_typer(A, 2, scope)((0, 1, 2))
+        type_id(A, 2, scope)
         assert A._rt_cache is None
         rank_type(A, (), 2)
         cache = A._rt_cache
         entries, nodes = dict(cache), list(cache["scope"].nodes)
+        type_of = subset_typer(A, 2, scope)
         for kept in kept_id_sets(A):
-            type_id(A, 2, scope, kept)
+            type_of(kept)
         assert dict(A._rt_cache) == entries and cache["scope"].nodes == nodes
 
     def test_refuses_what_rank_type_refuses_in_the_same_order(self, monkeypatch):
@@ -274,14 +278,14 @@ class TestTypeIds:
             want = _refusal(lambda: rank_type(A, (), m))
             assert want is not None
             assert _refusal(lambda: type_id(A, m, TypeScope())) == want
-            assert _refusal(lambda: type_id(A, m, TypeScope(), (0,))) == want
+            assert _refusal(lambda: subset_typer(A, m, TypeScope())) == want
 
     def test_kept_sets_and_vocabularies_are_checked(self):
         A = Structure(EP_C, 3, {"E": {(0, 1)}}, {"c": 2})
         with pytest.raises(ValueError, match="must hold the constants"):
-            type_id(A, 1, TypeScope(), (0, 1))
+            subset_typer(A, 1, TypeScope())((0, 1))
         with pytest.raises(ValueError, match="nonempty set of elements"):
-            type_id(A, 1, TypeScope(), (2, 3))
+            subset_typer(A, 1, TypeScope())((2, 3))
         scope = TypeScope()
         type_id(make_path(2), 1, scope)
         with pytest.raises(ValueError, match="one vocabulary"):
