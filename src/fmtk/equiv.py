@@ -67,10 +67,11 @@ def _hex_text(key) -> str:
 @functools.lru_cache(maxsize=64)
 def _layout(arities: tuple[int, ...], W: int) -> tuple:
     """Bit positions at width ``W``. ``steps[n]``: those of the facts that
-    point ``n`` adds to points ``0 .. n-1`` (its equality with each, then per
-    predicate: arity 1, its membership; arity 2, its out- and in-edge with
-    each and its loop; arity 3 and up, the predicate's offset). ``blocks``:
-    each predicate's offset and mask."""
+    point ``n`` has with points ``0 .. n-1``, with the predicates grouped by
+    arity as in :func:`_fact_tables`: its equality with each; per unary
+    predicate, its membership; per binary one, its out- and in-edge with
+    each and its loop; per wider one, the predicate's offset. ``blocks``:
+    each predicate's offset and mask, in vocabulary order."""
     blocks = []
     off = W * (W - 1) // 2
     for arity in arities:
@@ -78,16 +79,16 @@ def _layout(arities: tuple[int, ...], W: int) -> tuple:
         off += W**arity
     steps = []
     for n in range(W):
-        preds = []
+        unary, binary, wide = [], [], []
         for arity, (off, _) in zip(arities, blocks):
             if arity == 1:
-                preds.append(off + n)
+                unary.append(off + n)
             elif arity == 2:
-                preds.append(([off + i * W + n for i in range(n)], [off + n * W + i for i in range(n)],
-                              off + n * W + n))
+                binary.append(([off + i * W + n for i in range(n)], [off + n * W + i for i in range(n)],
+                               off + n * W + n))
             else:
-                preds.append(off)
-        steps.append(([i * W - i * (i + 1) // 2 + n - i - 1 for i in range(n)], preds))
+                wide.append(off)
+        steps.append(([i * W - i * (i + 1) // 2 + n - i - 1 for i in range(n)], unary, binary, wide))
     return steps, blocks
 
 
@@ -98,19 +99,20 @@ def _unpack(W: int, blocks: list, leaves) -> list[tuple]:
 
 
 def _fact_tables(A: Structure) -> tuple:
-    """The arities, and per predicate what ``_columns`` reads: arity 1, the
-    members; arity 2, the relation, its loops, and a slot for its successor
-    and predecessor lists; arity 3 and up, the relation."""
-    tables = []
+    """The arities, and the predicates grouped by arity, in the order of
+    :func:`_layout`'s steps, as :func:`_column` reads them: per unary one,
+    its members; per binary one, its relation, its loops and a slot for its
+    successor and predecessor lists; per wider one, its arity and relation."""
+    unary, binary, wide = [], [], []
     for name, arity in A.vocab.predicates:
         rel = A.relations[name]
         if arity == 1:
-            tables.append([a for (a,) in rel])
+            unary.append([a for (a,) in rel])
         elif arity == 2:
-            tables.append([rel, [a for a, b in rel if a == b], None])
+            binary.append([rel, [a for a, b in rel if a == b], None])
         else:
-            tables.append(rel)
-    return tuple(arity for _, arity in A.vocab.predicates), tables
+            wide.append((arity, rel))
+    return tuple(arity for _, arity in A.vocab.predicates), unary, binary, wide
 
 
 def _adjacency(size: int, rel: frozenset) -> tuple:
@@ -122,43 +124,54 @@ def _adjacency(size: int, rel: frozenset) -> tuple:
     return succ, pred
 
 
-def _columns(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...], prefix: int) -> list[int]:
-    """The packed facts of ``pts + (b,)`` for every element ``b``: ``prefix``
-    (the facts among ``pts``) plus those that involve ``b``."""
-    n = len(pts)
-    eq, preds = steps[n]
-    col = [prefix] * A.size
-    for p, pos in zip(pts, eq):
-        col[p] |= 1 << pos
-    for arity, table, step in zip(*tables, preds):
-        if arity == 1:
-            bit = 1 << step
-            for b in table:
+def _column(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...], n: int,
+            base: list[int] | None) -> list[int]:
+    """For every element ``b``, the facts that ``b`` as point ``n`` has with
+    ``pts``. With ``n == len(pts)`` that is the column of ``pts``: the facts
+    of ``pts + (b,)`` that involve ``b``. With ``n == len(pts) + 1`` it is
+    the sibling base of ``pts``: what the columns of all ``pts + (a,)``
+    share, the facts with ``pts``, unary facts and loops, but no fact of
+    arity 3 and up, since those do not split point by point. Given the
+    sibling base of ``pts[:-1]`` as ``base``, a column copies it and adds
+    only the facts with ``pts[-1]``."""
+    _, unary, binary, wide = tables
+    eq, unary_at, binary_at, wide_at = steps[n]
+    k = len(pts)
+    if base is None:
+        col = [0] * A.size
+        for members, pos in zip(unary, unary_at):
+            bit = 1 << pos
+            for b in members:
                 col[b] |= bit
-        elif arity == 2:
-            outs, ins, loop = step
-            if pts:
-                if table[2] is None:  # built from the tuples once a node has points
-                    table[2] = _adjacency(A.size, table[0])
-                succ, pred = table[2]
-                for a, pos in zip(pts, outs):
-                    bit = 1 << pos
-                    for b in succ[a]:
-                        col[b] |= bit
-                for a, pos in zip(pts, ins):
-                    bit = 1 << pos
-                    for b in pred[a]:
-                        col[b] |= bit
-            bit = 1 << loop
-            for b in table[1]:
+        for (_, loops, _), (_, _, pos) in zip(binary, binary_at):
+            bit = 1 << pos
+            for b in loops:
                 col[b] |= bit
-        else:
-            W = len(steps)
+        new = range(k)  # the points whose facts are added here
+    else:
+        col = base.copy()
+        new = range(k - 1, k)
+    for i in new:
+        col[pts[i]] |= 1 << eq[i]
+    for table, (outs, ins, _) in zip(binary, binary_at) if new else ():
+        if table[2] is None:  # built from the tuples once a node has points
+            table[2] = _adjacency(A.size, table[0])
+        succ, pred = table[2]
+        for i in new:
+            bit = 1 << outs[i]
+            for b in succ[pts[i]]:
+                col[b] |= bit
+            bit = 1 << ins[i]
+            for b in pred[pts[i]]:
+                col[b] |= bit
+    if n == k:
+        W = len(steps)
+        for (arity, rel), off in zip(wide, wide_at):
             for c in itertools.product(range(n + 1), repeat=arity):
                 if n in c:
-                    bit = 1 << step + sum(i * W**k for k, i in enumerate(reversed(c)))
+                    bit = 1 << off + sum(i * W**j for j, i in enumerate(reversed(c)))
                     for b in range(A.size):
-                        if tuple(pts[i] if i < n else b for i in c) in table:
+                        if tuple(pts[i] if i < n else b for i in c) in rel:
                             col[b] |= bit
     return col
 
@@ -168,8 +181,11 @@ class TypeScope:
     vocabulary that are typed in it.
 
     A rank-0 position is interned by ``(W, its packed facts)``, a rank-1 node
-    by ``(W, frozenset of its leaves' packed facts)``, and a higher one by
-    the frozenset of its children's ids. So within one scope equal ids mean
+    by ``(W, its packed facts, frozenset of its column)``, its column being
+    the facts that involve its leaves' last point (:func:`_column`), and a
+    higher one by the frozenset of its children's ids. A leaf's facts are
+    the node's ORed with a column entry, and the two never share a bit, so
+    the triple names the set of leaves. So within one scope equal ids mean
     equal nested keys, whatever structure or order they were computed from,
     and :meth:`key` expands an id into its key. The vocabulary is the one
     of the first structure laid out in the scope. :func:`rank_type` keeps a
@@ -207,12 +223,12 @@ class TypeScope:
         if key is None:
             node = self.nodes[i]
             if type(node) is tuple:
-                W, leaves = node
+                W, prefix = node[:2]
                 blocks = _layout(self.arities, W)[1]
-                if type(leaves) is int:
-                    key = _unpack(W, blocks, [leaves])[0]
+                if len(node) == 2:
+                    key = _unpack(W, blocks, [prefix])[0]
                 else:
-                    key = tuple(sorted(_unpack(W, blocks, leaves)))
+                    key = tuple(sorted(_unpack(W, blocks, map(prefix.__or__, node[2]))))
             else:
                 key = tuple(sorted(self.key(c) for c in node))
             self.keys[i] = key
@@ -261,39 +277,55 @@ def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> i
     """The packed facts among ``pts``."""
     prefix = 0
     for i, p in enumerate(pts):
-        prefix = _columns(A, tables, steps, pts[:i], prefix)[p]
+        prefix |= _column(A, tables, steps, pts[:i], i, None)[p]
     return prefix
 
 
 def _recursion(column, domain, consts: tuple[int, ...], W: int, memo: dict, scope: TypeScope):
-    """The one recursion of the engine. ``rec(t, r, prefix)`` is the id in
-    ``scope`` of the rank-``r`` type of ``t`` (``prefix``: the facts among
-    the constants and ``t``), with every quantifier over ``domain``,
-    memoized per ``(t, r)`` in ``memo``. ``column(pts, prefix)`` gives the
-    packed facts of ``pts + (b,)`` for each ``b`` of ``domain``, in order."""
-    ids, nodes = scope.ids, scope.nodes
+    """The one recursion of the engine. ``rec(t, r, prefix, base)`` is the
+    id in ``scope`` of the rank-``r`` type of ``t`` (``prefix``: the facts
+    among the constants and ``t``; ``base``: the sibling base its parent
+    shares with it, or None), with every quantifier over ``domain``,
+    memoized per ``(t, r)`` in ``memo``. ``column(pts, n, base)`` is
+    :func:`_column` with its entries for ``domain``, in order; a node of
+    rank 2 and up lays out the sibling base of its children once."""
+    intern = scope.intern
 
-    def rec(t: tuple[int, ...], r: int, prefix: int) -> int:
+    def rec(t: tuple[int, ...], r: int, prefix: int, base) -> int:
         hit = memo.get((t, r))
         if hit is not None:
             return hit
-        col = column(consts + t, prefix)
+        pts = consts + t
+        n = len(pts)
+        col = column(pts, n, base)
         if r == 1:
-            node = (W, frozenset(col))
+            node = (W, prefix, frozenset(col))
         else:
-            node = frozenset([rec(t + (b,), r - 1, x) for b, x in zip(domain, col)])
-        i = ids.get(node)
-        if i is None:
-            i = ids[node] = len(nodes)
-            nodes.append(node)
-        memo[(t, r)] = i
+            base = column(pts, n + 1, None)
+            if r == 2:  # leaves are interned here, and not memoized
+                node = frozenset([intern((W, prefix | x, frozenset(column(pts + (b,), n + 1, base))))
+                                  for b, x in zip(domain, col)])
+            else:
+                node = frozenset([rec(t + (b,), r - 1, prefix | x, base) for b, x in zip(domain, col)])
+        i = memo[(t, r)] = intern(node)
         return i
 
     return rec
 
 
+def _kept_column(A: Structure, tables: tuple, steps: list, memo: dict, kept: tuple[int, ...],
+                 pts: tuple[int, ...], n: int, base) -> list[int]:
+    """:func:`_column` over all of ``A``, memoized per ``(pts, n)`` in
+    ``memo``; a column is read at ``kept``, a sibling base is passed down
+    whole."""
+    col = memo.get((pts, n))
+    if col is None:
+        col = memo[(pts, n)] = _column(A, tables, steps, pts, n, base)
+    return col if n > len(pts) else [col[b] for b in kept]
+
+
 # ``_rt_cache`` holds the structure's fact tables, its private type scope,
-# and the id of each computed ``(tuple, rank)``.
+# and the id of each computed ``(tuple, rank)`` of rank 2 and up, or at the top.
 _TABLES, _SCOPE = "tables", "scope"
 
 
@@ -321,9 +353,9 @@ def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     prefix = _prefix(A, tables, steps, consts + tup)
     if m == 0:
         return RankType(0, _unpack(W, blocks, [prefix])[0])
-    rec = _recursion(functools.partial(_columns, A, tables, steps), range(A.size), consts, W,
+    rec = _recursion(functools.partial(_column, A, tables, steps), range(A.size), consts, W,
                      cache, scope)
-    return RankType(m, scope.key(rec(tup, m, prefix)))
+    return RankType(m, scope.key(rec(tup, m, prefix, None)))
 
 
 def _lay_out(A: Structure, m: int, scope: TypeScope) -> tuple:
@@ -348,8 +380,8 @@ def type_id(A: Structure, m: int, scope: TypeScope) -> int:
     W, tables, steps, consts, prefix = _lay_out(A, m, scope)
     if m == 0:
         return scope.intern((W, prefix))
-    column = functools.partial(_columns, A, tables, steps)
-    return _recursion(column, range(A.size), consts, W, {}, scope)((), m, prefix)
+    column = functools.partial(_column, A, tables, steps)
+    return _recursion(column, range(A.size), consts, W, {}, scope)((), m, prefix, None)
 
 
 def subset_typer(A: Structure, m: int, scope: TypeScope):
@@ -365,7 +397,7 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
     refuses, in the same order, before it returns.
     """
     W, tables, steps, consts, prefix = _lay_out(A, m, scope)
-    columns: dict = {}  # point tuple -> A's column there
+    columns: dict = {}  # (point tuple, n) -> A's column or sibling base there
 
     def type_of(kept) -> int:
         kept = tuple(kept)
@@ -375,14 +407,8 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
             raise ValueError("a kept set must hold the constants")
         if m == 0:
             return scope.intern((W, prefix))
-
-        def column(pts: tuple[int, ...], prefix: int) -> list[int]:
-            col = columns.get(pts)
-            if col is None:
-                col = columns[pts] = _columns(A, tables, steps, pts, prefix)
-            return [col[b] for b in kept]
-
-        return _recursion(column, kept, consts, W, {}, scope)((), m, prefix)
+        column = functools.partial(_kept_column, A, tables, steps, columns, kept)
+        return _recursion(column, kept, consts, W, {}, scope)((), m, prefix, None)
 
     return type_of
 

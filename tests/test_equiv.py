@@ -126,6 +126,23 @@ class TestRankType:
                     fresh = Structure(A.vocab, A.size, A.relations, A.constant_interp)
                     assert rt.fingerprint == rank_type(fresh, tup, m).fingerprint
 
+    def test_keys_match_reference_where_sibling_bases_are_shared(self):
+        # at m = 4 the nodes of rank 2 and 3 each lay out a sibling base that
+        # their children copy, some several levels below the constants
+        rng = random.Random(44)
+        for consts in ((), ("c",), ("c", "d")):
+            vocab = Vocabulary.make({"U": 1, "E": 2, "T": 3}, consts)
+            for size in (3, 4, 5):
+                A = random_structure(rng, vocab, size, density=rng.choice([0.3, 0.6]))
+                for length in (1, 2):
+                    tup = tuple(rng.randrange(size) for _ in range(length))
+                    assert rank_type(A, tup, 4).key == reference_rank_type_key(A, tup, 4)
+
+    def test_keys_match_reference_on_longer_orders_and_cycles(self):
+        for n in (7, 8, 9):
+            for A in (make_linear_order(n), make_cycle(n)):
+                assert rank_type(A, (), 3).key == reference_rank_type_key(A, (), 3)
+
     def test_keys_match_reference_with_loops_and_no_predicates(self):
         looped = Structure(V, 4, {"E": {(0, 0), (0, 1), (2, 2), (3, 1)}})
         bare = Structure(Vocabulary.make({}, ["c"]), 3, {}, {"c": 1})
@@ -149,7 +166,8 @@ class TestRankTypeGuard:
     def test_refused_before_any_type(self, monkeypatch):
         monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
         monkeypatch.setattr(equiv, "_layout", _not_allowed)
-        monkeypatch.setattr(equiv, "_columns", _not_allowed)
+        monkeypatch.setattr(equiv, "_column", _not_allowed)
+        monkeypatch.setattr(equiv, "_kept_column", _not_allowed)
         with pytest.raises(GuardExceeded) as info:
             rank_type(make_cycle(12), (), 7)
         assert str(info.value) == (
@@ -190,7 +208,8 @@ class TestFactWidthGuard:
 
     def test_refused_before_any_facts(self, monkeypatch):
         monkeypatch.setattr(equiv, "_layout", _not_allowed)
-        monkeypatch.setattr(equiv, "_columns", _not_allowed)
+        monkeypatch.setattr(equiv, "_column", _not_allowed)
+        monkeypatch.setattr(equiv, "_kept_column", _not_allowed)
         with pytest.raises(GuardExceeded) as info:
             rank_type(ONE_TERNARY, (), 41)
         assert str(info.value) == "packed fact width 69741 exceeds the fact-width guard 65536"
@@ -248,6 +267,23 @@ class TestTypeIds:
                 sub = induced_substructure(A, kept)[0]
                 assert scope.key(type_of(kept)) == reference_rank_type_key(sub, (), m)
 
+    def test_subset_ids_agree_with_built_keys_on_a_ternary_vocabulary(self):
+        # the facts of arity 3 are added to a column whole, never to a
+        # sibling base
+        rng = random.Random(1821)
+        vocab = Vocabulary.make({"E": 2, "T": 3}, ("c",))
+        scope = TypeScope()
+        by_key: dict = {}
+        for _ in range(30):
+            A = random_structure(rng, vocab, rng.randint(1, 5), density=rng.choice((0.3, 0.6)))
+            m = rng.randint(1, 3)
+            type_of = subset_typer(A, m, scope)
+            for kept in kept_id_sets(A):
+                i = type_of(kept)
+                key = rank_type(induced_substructure(A, kept)[0], (), m).key
+                assert scope.key(i) == key
+                assert by_key.setdefault(key, i) == i
+
     def test_rank_type_memo_is_never_written(self):
         rng = random.Random(1820)
         A = random_structure(rng, EP, 5)
@@ -266,7 +302,8 @@ class TestTypeIds:
     def test_refuses_what_rank_type_refuses_in_the_same_order(self, monkeypatch):
         monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
         monkeypatch.setattr(equiv, "_layout", _not_allowed)
-        monkeypatch.setattr(equiv, "_columns", _not_allowed)
+        monkeypatch.setattr(equiv, "_column", _not_allowed)
+        monkeypatch.setattr(equiv, "_kept_column", _not_allowed)
         cases = [
             (make_cycle(3), -1),  # a negative rank
             (make_cycle(12), 7),  # the rank-type guard
@@ -364,6 +401,13 @@ class TestEfGame:
                         B = random_structure(rng, vocab, rng.randint(1, 4), density=rng.choice([0.3, 0.6]))
                     for m in (0, 1, 2):
                         assert ef_game_equivalent(A, B, m) == reference_ef_game_equivalent(A, B, m)
+
+    def test_routes_agree_at_the_order_threshold(self):
+        # linear orders of sizes a, b are rank-3 equivalent iff a == b or
+        # both are at least 2**3 - 1
+        for a, b, want in ((6, 7, False), (7, 8, True)):
+            A, B = make_linear_order(a), make_linear_order(b)
+            assert m_equivalent(A, B, 3) == ef_game_equivalent(A, B, 3) == want
 
     def test_with_constants(self):
         VC = Vocabulary.make({"E": 2}, ["c1"])
