@@ -433,14 +433,19 @@ def marked_equivalent(A: Structure, ta: tuple[int, ...], B: Structure, tb: tuple
 
 
 def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
-    """Direct minimax over the ``m``-round game tree; no rank-type sharing.
+    """Minimax over the ``m``-round game, on a transposition table; no rank-type sharing.
 
     The challenger picks an element on either side each round, the matcher
     answers on the other side; the matcher survives iff the chosen pairs
     (together with the constants) always form a partial isomorphism. At a
     position ``xs -> ys`` each element gets a profile, the facts of
-    ``xs + (a,)`` that involve ``a`` as one int, computed on first use;
+    ``xs + (a,)`` that involve ``a`` as one int, all computed once;
     ``a -> b`` keeps the map a partial isomorphism iff their profiles agree.
+    So the matcher can survive only if both sides show the same set of
+    profiles, and with one round left that is the whole answer; otherwise
+    each move is answered only by the elements of its profile. Each position
+    is decided once, keyed by its set of pairs and the rounds left, in a
+    table that lives for this call only.
     """
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
@@ -480,32 +485,38 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
                 bit <<= 1
         return bits
 
-    def lookup(memo: list, pool: tuple[int, ...], rels: list, e: int) -> int:
-        p = memo[e]
-        if p is None:
-            p = memo[e] = profile(pool, rels, e)
-        return p
+    memo: dict[tuple[frozenset, int], bool] = {}  # position -> matcher wins, for this call only
 
     def matcher_wins(xs: tuple[int, ...], ys: tuple[int, ...], rounds: int) -> bool:
         if rounds == 0:
             return True
-        pa: list = [None] * A.size  # this position's profiles, filled on first use
-        pb: list = [None] * B.size
-        for a in range(A.size):
-            p = lookup(pa, xs, rels_a, a)
-            if not any(
-                lookup(pb, ys, rels_b, b) == p and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
-                for b in range(B.size)
-            ):
-                return False
-        for b in range(B.size):
-            p = lookup(pb, ys, rels_b, b)
-            if not any(
-                lookup(pa, xs, rels_a, a) == p and matcher_wins(xs + (a,), ys + (b,), rounds - 1)
-                for a in range(A.size)
-            ):
-                return False
-        return True
+        # the win depends only on the set of chosen pairs, not on their order
+        # or repeats, so every order of the same moves shares one entry
+        key = (frozenset(zip(xs, ys)), rounds)
+        won = memo.get(key)
+        if won is None:
+            won = memo[key] = position_won(xs, ys, rounds)
+        return won
+
+    def position_won(xs: tuple[int, ...], ys: tuple[int, ...], rounds: int) -> bool:
+        pa = [profile(xs, rels_a, a) for a in range(A.size)]
+        pb = [profile(ys, rels_b, b) for b in range(B.size)]
+        # each move needs an answer of the same profile; one round left, that is all
+        if set(pa) != set(pb):
+            return False
+        if rounds == 1:
+            return True
+        answers_a: dict[int, list[int]] = {}
+        answers_b: dict[int, list[int]] = {}
+        for a, p in enumerate(pa):
+            answers_a.setdefault(p, []).append(a)
+        for b, p in enumerate(pb):
+            answers_b.setdefault(p, []).append(b)
+        return all(
+            any(matcher_wins(xs + (a,), ys + (b,), rounds - 1) for b in answers_b[p]) for a, p in enumerate(pa)
+        ) and all(
+            any(matcher_wins(xs + (a,), ys + (b,), rounds - 1) for a in answers_a[p]) for b, p in enumerate(pb)
+        )
 
     for n, (a, b) in enumerate(zip(consts_a, consts_b)):
         if profile(consts_a[:n], rels_a, a) != profile(consts_b[:n], rels_b, b):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -359,6 +360,33 @@ class TestMEquivalent:
                     assert m_equivalent(A, B, m)
 
 
+def _pinned_pairs(rng, count):
+    """``count`` each of permuted copies, copies with one tuple toggled and
+    fresh pairs, on 3-6 elements over U/1, E/2, T/3 with the constants c and
+    d on one element. E and T are empty, sparse or nearly full, so many
+    elements share a profile and the game has many answers to try."""
+    vocab = Vocabulary.make({"U": 1, "E": 2, "T": 3}, ("c", "d"))
+
+    def pinned(size, density):
+        relations = {name: frozenset(t for t in itertools.product(range(size), repeat=arity)
+                                     if rng.random() < density[name])
+                     for name, arity in vocab.predicates}
+        e = rng.randrange(size)
+        return Structure(vocab, size, relations, {"c": e, "d": e})
+
+    for kind in ("copy", "flip", "fresh") * count:
+        density = {"U": 0.5, "E": rng.choice((0, 0.1, 0.9, 1)), "T": rng.choice((0, 0.02, 1))}
+        A = pinned(rng.randint(3, 6), density)
+        B = permuted_copy(rng, A)
+        if kind == "flip":
+            name, arity = rng.choice(vocab.predicates)
+            t = tuple(rng.randrange(B.size) for _ in range(arity))
+            B = Structure(vocab, B.size, {**B.relations, name: B.relations[name] ^ {t}}, B.constant_interp)
+        elif kind == "fresh":
+            B = pinned(rng.randint(3, 6), density)
+        yield A, B
+
+
 class TestEfGame:
     def test_reflexive(self):
         rng = random.Random(33)
@@ -377,7 +405,7 @@ class TestEfGame:
         reps = iso_representatives(all_structures(V, (1, 2)))
         for A in reps:
             for B in reps:
-                for m in (0, 1, 2):
+                for m in (0, 1, 2, 3):
                     assert m_equivalent(A, B, m) == ef_game_equivalent(A, B, m)
 
     def test_matches_pairwise_reference_game(self):
@@ -402,12 +430,42 @@ class TestEfGame:
                     for m in (0, 1, 2):
                         assert ef_game_equivalent(A, B, m) == reference_ef_game_equivalent(A, B, m)
 
+    def test_matches_reference_game_at_rank_3(self):
+        # three rounds on 3-6 elements, where different orders of the same
+        # moves reach one position, and c, d on one element repeat a pair
+        rng = random.Random(44)
+        for A, B in _pinned_pairs(rng, 8):
+            assert ef_game_equivalent(A, B, 3) == reference_ef_game_equivalent(A, B, 3)
+
+    def test_game_calls_no_rank_type_code(self, monkeypatch):
+        # the checking route may not depend on the route it checks
+        def refuse(*_):
+            raise RuntimeError("the game search reached the rank-type code")
+
+        for name in ("rank_type", "_recursion", "_column", "TypeScope"):
+            monkeypatch.setattr(equiv, name, refuse)
+        rng = random.Random(45)
+        pairs = list(_pinned_pairs(rng, 3))
+        with pytest.raises(RuntimeError, match="rank-type code"):
+            m_equivalent(*pairs[0], 1)
+        for A, B in pairs:
+            for m in (0, 1, 2, 3):
+                assert ef_game_equivalent(A, B, m) == reference_ef_game_equivalent(A, B, m)
+
     def test_routes_agree_at_the_order_threshold(self):
         # linear orders of sizes a, b are rank-3 equivalent iff a == b or
         # both are at least 2**3 - 1
         for a, b, want in ((6, 7, False), (7, 8, True)):
             A, B = make_linear_order(a), make_linear_order(b)
             assert m_equivalent(A, B, 3) == ef_game_equivalent(A, B, 3) == want
+
+    def test_rounds_left_are_part_of_a_position(self):
+        # a repeated move reaches a set of pairs again with fewer rounds
+        # left; at rank 4 that answer must not stand for the same set with
+        # more rounds left (orders and cycles of 10 and 11 differ at rank 4)
+        for make in (make_linear_order, make_cycle):
+            A, B = make(10), make(11)
+            assert ef_game_equivalent(A, B, 4) is m_equivalent(A, B, 4) is False
 
     def test_with_constants(self):
         VC = Vocabulary.make({"E": 2}, ["c1"])
