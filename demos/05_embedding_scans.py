@@ -2,23 +2,20 @@
 
 Sequences of marked linear orders always contain an embedding pair once they
 are long enough; marked paths do not. This demo runs the gap-count scan on
-orders, certifies a path antichain, and shrinks members of the
-paths-plus-one-cycle family around marked nodes.
+orders, certifies a path antichain, and asks which quantifier rank tells a
+member of the paths-plus-one-cycle family from the same paths without it.
 """
 
 from fmtk.equiv import m_equivalent
-from fmtk.structures import MarkedStructure, is_isomorphic
+from fmtk.structures import MarkedStructure
 from fmtk.wqo import (
     antichain_certificate,
     dickson_pair,
     linear_order_embedding_pair,
     make_Gn,
     make_Hn,
-    make_cycle,
     make_linear_order,
     make_path,
-    shrink_cycle_with_W,
-    witness_HnGn,
 )
 
 # Componentwise domination in tuples of counts: the engine behind the
@@ -48,18 +45,8 @@ plain = [MarkedStructure(make_path(n), ()) for n in range(2, 6)]
 ok, pair = antichain_certificate(plain)
 print("unmarked paths are comparable:", not ok, "first pair:", pair)
 
-# The paths-plus-one-cycle family: a big member shrinks onto its small
-# pattern; marked cycle nodes survive as path segments.
-G1 = make_Gn(1)
-out, renum = witness_HnGn(G1, {1}, 0, 1, n=1)
-print(f"\nshrunk the 13-vertex family member to {out.size} vertices;")
-print("result matches the path-family pattern:", is_isomorphic(out, make_Hn(1)))
-
-G2 = make_Gn(2)
-out, renum = witness_HnGn(G2, {0, 20}, 1, 2, n=2)
-print(f"the 119-vertex member keeps both marks in {out.size} vertices,",
-      "rank-1 equivalent:", m_equivalent(out, G2, 1))
-
-# A marked cycle alone becomes a union of short paths.
-seg, renum = shrink_cycle_with_W(make_cycle(9), {0, 4}, 0, 2)
-print("cycle of 9 with two marks becomes", seg.size, "vertices of paths")
+# The paths-plus-one-cycle family: G_n puts a cycle on 3**n vertices next to
+# H_n, and rank m tells the two apart only when n is small against m.
+print()
+for n, m in ((1, 2), (1, 3), (2, 3)):
+    print(f"G_{n} and H_{n} rank-{m} equivalent:", m_equivalent(make_Gn(n), make_Hn(n), m))

@@ -299,19 +299,6 @@ def identity_leaf_shrinker(B: Structure, marks, m: int):
     return B, tuple(range(B.size))
 
 
-def sigma_tree_leaf_shrinker(B: Structure, marks, m: int):
-    """Leaf shrinker for blocks that encode labeled trees or words: decode,
-    run the tree shrink pipeline, re-encode the kept nodes."""
-    from .shrink import from_structure
-
-    tree = from_structure(B)
-    marked_nodes = {tree.nodes[e] for e in marks}
-    out, _ = shrink_tree(tree, marked_nodes, m, max(len(marked_nodes), 1))
-    kept = tuple(sorted(tree.nodes.index(v) for v in out.nodes))
-    sub, _ = induced_substructure(B, kept)
-    return sub, kept
-
-
 def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     """Smallest equivalent mark-containing induced substructure, by direct
     enumeration over subsets; guarded at ``EXHAUSTIVE_SHRINK_GUARD``.

@@ -92,10 +92,6 @@ class SigmaTree:
             yield p
             p = self.parent[p]
 
-    def leq(self, a: int, b: int) -> bool:
-        """Ancestor-or-equal order."""
-        return a == b or a in self.ancestors(b)
-
     def descendants(self, v: int) -> frozenset[int]:
         out = {v}
         stack = [v]

@@ -1,30 +1,26 @@
-"""Embedding-pair scans over finite sequences, mark encodings, antichain
-certificates, and the path/cycle example classes with their shrinkers.
+"""Embedding-pair scans over finite sequences, antichain certificates, and
+the path/cycle example classes with the component reader their tests share.
 
 Graph generators use the conventions: a path of length ``n`` has ``n`` edges
 (so ``n + 1`` vertices), a cycle of size ``n`` has ``n`` vertices, and a
 linear order of size ``n`` has ``n`` elements.
 
 Executable example families: paths, cycles, path unions, linear orders,
-grids, and the paths-plus-one-cycle family below. One family of theoretical
-interest is deliberately absent: words whose lengths diagonalize over an
-enumeration of all computable functions have no shrink bound any program can
-witness, so no generator is provided.
+grids, and the paths-plus-one-cycle family ``make_Gn`` beside ``make_Hn``.
+One family of theoretical interest is deliberately absent: words whose
+lengths diagonalize over an enumeration of all computable functions have no
+shrink bound any program can witness, so no generator is provided.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import check_guard
 from .structures import (
     MarkedStructure,
     Structure,
     Vocabulary,
-    checked_marks,
     disjoint_union,
     find_embedding,
-    induced_substructure,
     tensor_product,
 )
 
@@ -102,7 +98,7 @@ def make_grid(*dims: int) -> Structure:
 
 
 # ---------------------------------------------------------------------------
-# Dickson scan and marked linear orders
+# Dickson scan, marked linear orders and antichains
 
 
 def dickson_pair(tuples: list[tuple[int, ...]]) -> tuple[int, int] | None:
@@ -191,29 +187,6 @@ def linear_order_embedding_pair(
     return best
 
 
-# ---------------------------------------------------------------------------
-# mark encodings
-
-
-def to_Sk(A: Structure, marks: tuple[int, ...]) -> MarkedStructure:
-    """Ordered view: marks become the constants ``c1 .. ck``."""
-    return MarkedStructure(A, tuple(marks), ordered=True)
-
-
-def to_Sk_pred(A: Structure, marks) -> MarkedStructure:
-    """Unordered view: the mark set becomes a unary predicate."""
-    return MarkedStructure(A, tuple(sorted(set(marks))), ordered=False)
-
-
-def mark_orderings(ms: MarkedStructure):
-    """All ordered views compatible with an unordered marked structure."""
-    if ms.ordered:
-        yield ms
-        return
-    for perm in itertools.permutations(ms.marks):
-        yield MarkedStructure(ms.base, perm, ordered=True)
-
-
 def antichain_certificate(
     items: list[MarkedStructure],
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -230,7 +203,7 @@ def antichain_certificate(
 
 
 # ---------------------------------------------------------------------------
-# path / cycle / H-G shrinkers
+# path / cycle components
 
 
 def graph_components(A: Structure) -> list[tuple[str, list[int]]] | None:
@@ -276,134 +249,3 @@ def graph_components(A: Structure) -> list[tuple[str, list[int]]] | None:
             order.append(nxt)
         out.append(("path" if ends else "cycle", order))
     return out
-
-
-def _only_component(A: Structure, kind: str) -> list[int]:
-    """The vertex order of ``A``, which must be a single path or cycle."""
-    comps = graph_components(A)
-    if comps is None or len(comps) != 1 or comps[0][0] != kind:
-        raise ValueError(f"structure is not a {kind}")
-    return comps[0][1]
-
-
-def _kept_runs(order: list[int], marks, m: int, k: int) -> list[list[int]]:
-    """The runs of a path's vertex ``order`` its shrink keeps: with no marks
-    one leading run of length at most ``3**(m+k+2)``, otherwise a run from
-    the first to the last mark of each group of marks, a new group starting
-    wherever consecutive marks sit more than ``3**(m+1)`` apart."""
-    if not marks:
-        return [order[: 3 ** (m + k + 2) + 1]]
-    pos = sorted(order.index(v) for v in marks)
-    runs, lo = [], pos[0]
-    for a, b in zip(pos, pos[1:]):
-        if b - a > 3 ** (m + 1):
-            runs.append(order[lo : a + 1])
-            lo = b
-    runs.append(order[lo : pos[-1] + 1])
-    return runs
-
-
-def _opened_cycle(cycle: list[int], marks, k: int) -> list[int]:
-    """The path left when ``cycle`` loses its smallest unmarked vertex,
-    listed from its smaller end."""
-    if k >= len(cycle):
-        raise ValueError("k must be smaller than the cycle")
-    drop = cycle.index(min(v for v in cycle if v not in marks))
-    path = cycle[drop + 1 :] + cycle[:drop]
-    return path if path[0] < path[-1] else path[::-1]
-
-
-def shrink_path_with_W(
-    P: Structure, W, m: int, k: int
-) -> tuple[Structure, dict[int, int]]:
-    """Small induced substructure of a path containing ``W``: a disjoint union
-    of at most ``|W|`` short paths, split where marks sit far apart.
-
-    Returns the substructure and its old->new renumbering. With no marks a
-    single leading segment of length at most ``3**(m+k+2)`` is kept.
-    """
-    W = checked_marks(W, k, range(P.size))
-    runs = _kept_runs(_only_component(P, "path"), W, m, k)
-    return induced_substructure(P, [v for run in runs for v in run])
-
-
-def shrink_cycle_with_W(
-    C: Structure, W, m: int, k: int
-) -> tuple[Structure, dict[int, int]]:
-    """Open the cycle at its smallest non-mark vertex and shrink the
-    resulting path."""
-    W = checked_marks(W, k, range(C.size))
-    path = _opened_cycle(_only_component(C, "cycle"), W, k)
-    return induced_substructure(C, [v for run in _kept_runs(path, W, m, k) for v in run])
-
-
-def witness_HnGn(
-    A: Structure, W, m: int, k: int, n: int | None = None
-) -> tuple[Structure, dict[int, int]]:
-    """Shrink a member of the paths-plus-one-cycle family onto its small
-    pattern: keep ``min(n, m+k+2)`` paths of each length up to the pattern
-    span, route marks into them, and replace long paths or the cycle by
-    their shrunken segments of matching lengths.
-
-    ``A`` must be a disjoint union of paths and at most one cycle; with
-    ``n`` omitted it is the number of copies of the longest path.
-    Returns the substructure and the old->new renumbering.
-    """
-    W = checked_marks(W, k, range(A.size))
-    comps = graph_components(A)
-    if comps is None:
-        raise ValueError("E is not symmetric and loop-free")
-    if any(kind == "other" for kind, _ in comps):
-        raise ValueError("a component is neither a path nor a cycle")
-    paths = [c for kind, c in comps if kind == "path"]
-    cycles = [c for kind, c in comps if kind == "cycle"]
-    if len(cycles) > 1:
-        raise ValueError("expected at most one cycle component")
-    if n is None:
-        if not paths:
-            raise ValueError("n cannot be inferred: there is no path component")
-        longest = max(len(c) for c in paths)
-        n = sum(1 for c in paths if len(c) == longest)
-    if cycles and n < m:
-        # the cycle is only dispensable once it is invisible at rank m
-        return induced_substructure(A, range(A.size))
-
-    t = min(n, m + k + 2)
-    span = 3**t
-    by_len: dict[int, list[list[int]]] = {}
-    for c in paths:
-        by_len.setdefault(len(c) - 1, []).append(c)
-
-    # long paths and the cycle contribute short segments around their marks
-    swap_segments: list[list[int]] = []
-    for c in paths:
-        marks_here = W.intersection(c)
-        if len(c) - 1 > span and marks_here:
-            swap_segments += _kept_runs(c, marks_here, m, k)
-    for c in cycles:
-        marks_here = W.intersection(c)
-        if marks_here:
-            swap_segments += _kept_runs(_opened_cycle(c, marks_here, k), marks_here, m, k)
-
-    # choose t short paths of each length, mark-carrying copies first
-    chosen: dict[int, list[list[int]]] = {}
-    for length in range(span + 1):
-        copies = by_len.get(length, [])
-        carrying = [c for c in copies if not W.isdisjoint(c)]
-        free = [c for c in copies if W.isdisjoint(c)]
-        if len(carrying) > t:
-            # not enough pattern slots; the whole structure is already small
-            return induced_substructure(A, range(A.size))
-        chosen[length] = (carrying + free)[:t]
-
-    # swap segments in for free copies of the same length
-    for seg in swap_segments:
-        slots = chosen.get(len(seg) - 1, [])
-        for idx, c in enumerate(slots):
-            if W.isdisjoint(c):
-                slots[idx] = seg
-                break
-        else:
-            return induced_substructure(A, range(A.size))
-
-    return induced_substructure(A, [v for slots in chosen.values() for c in slots for v in c])

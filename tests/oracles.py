@@ -833,7 +833,13 @@ def reference_is_subtree(t: SigmaTree, s: SigmaTree) -> bool:
         return False
     if any(t.label[v] != s.label[v] for v in t.nodes):
         return False
-    return all(t.leq(a, b) == s.leq(a, b) for a in t.nodes for b in t.nodes)
+
+    def leq(tree, a, b):
+        while b is not None and b != a:
+            b = tree.parent[b]
+        return b == a
+
+    return all(leq(t, a, b) == leq(s, a, b) for a in t.nodes for b in t.nodes)
 
 
 def random_tree(rng: random.Random, size: int, sigma: tuple[str, ...]) -> SigmaTree:

@@ -33,7 +33,6 @@ from fmtk.algebra import (
 )
 from fmtk.equiv import m_equivalent
 from fmtk.errors import VerificationFailed
-from fmtk.shrink import make_word
 from fmtk import algebra, shrink
 from fmtk.structures import (
     MarkedStructure,
@@ -348,25 +347,6 @@ class TestLeafShrinkers:
         t = leaf(LOOP)
         with pytest.raises(VerificationFailed):
             shrink_leaves(t, set(), 0, lying_shrinker)
-
-    def test_word_shrinker_as_callback(self):
-        # block words shrunk with the tree pipeline at the leaves
-        from fmtk.algebra import sigma_tree_leaf_shrinker
-        from fmtk.shrink import to_structure
-
-        S, _ = to_structure(make_word("aaaaabaaaa"))
-        out, pairs, kept = shrink_leaves(leaf(S), set(), 1, sigma_tree_leaf_shrinker)
-        assert eval_expression_tree(out).size < S.size
-        assert m_equivalent(eval_expression_tree(out), S, 1)
-
-    def test_word_shrinker_routes_marks(self):
-        from fmtk.algebra import sigma_tree_leaf_shrinker
-        from fmtk.shrink import to_structure
-
-        S, _ = to_structure(make_word("aaaaaaaa"))
-        t = leaf(S)
-        out, pairs, kept = shrink_leaves(t, {(t.node_id, 6)}, 1, sigma_tree_leaf_shrinker)
-        assert 6 in kept[t.node_id]
 
 
 class TestShrinkAlgebraic:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,10 +10,8 @@ from fmtk.structures import (
     MarkedStructure,
     Structure,
     Vocabulary,
-    check_embedding_witness,
     disjoint_union,
     find_embedding,
-    is_isomorphic,
     tensor_product,
 )
 from fmtk.wqo import (
@@ -26,16 +25,10 @@ from fmtk.wqo import (
     make_Hn,
     make_linear_order,
     make_path,
-    mark_orderings,
     order_type_tuple,
-    shrink_cycle_with_W,
-    shrink_path_with_W,
-    to_Sk,
-    to_Sk_pred,
-    witness_HnGn,
 )
 
-from oracles import permuted_copy, random_graph, reference_components
+from oracles import random_graph, reference_components
 
 GRAPH = Vocabulary.make({"E": 2})
 
@@ -109,14 +102,15 @@ class TestMarkedLinearOrders:
 class TestMarkEncodings:
     def test_empty_marks_give_empty_predicate(self):
         A = make_path(2)
-        expanded = to_Sk_pred(A, []).expand()
+        expanded = MarkedStructure(A, (), ordered=False).expand()
         pred = next(n for n, _ in expanded.vocab.predicates if n != "E")
         assert expanded.relations[pred] == frozenset()
 
     def test_ordered_forgets_to_unordered(self):
         A = make_path(3)
-        ms = to_Sk(A, (2, 0))
-        assert to_Sk_pred(ms.base, ms.marks).marks == (0, 2)
+        ms = MarkedStructure(A, (2, 0))
+        unordered = MarkedStructure(ms.base, ms.marks, ordered=False)
+        assert unordered.expand() == MarkedStructure(A, (0, 2), ordered=False).expand()
 
     def test_predicate_embedding_lifts_to_some_ordering(self):
         # an unordered-mark embedding induces an ordered one after permuting
@@ -125,19 +119,20 @@ class TestMarkEncodings:
             n = rng.randint(2, 5)
             A = make_path(n - 1)
             B = make_path(rng.randint(n - 1, 6))
-            marks_a = tuple(rng.sample(range(A.size), 2))
+            marks_a = tuple(sorted(rng.sample(range(A.size), 2)))
             marks_b_pool = range(B.size)
-            marks_b = tuple(rng.sample(marks_b_pool, 2))
+            marks_b = tuple(sorted(rng.sample(marks_b_pool, 2)))
             unordered = find_embedding(
-                to_Sk_pred(A, marks_a).expand(), to_Sk_pred(B, marks_b).expand()
+                MarkedStructure(A, marks_a, ordered=False).expand(),
+                MarkedStructure(B, marks_b, ordered=False).expand(),
             )
             if unordered is None:
                 continue
             ordered_hits = [
                 perm
-                for perm in mark_orderings(to_Sk_pred(A, marks_a))
+                for perm in itertools.permutations(marks_a)
                 if find_embedding(
-                    perm.expand(), to_Sk(B, tuple(sorted(marks_b))).expand()
+                    MarkedStructure(A, perm).expand(), MarkedStructure(B, marks_b).expand()
                 )
                 is not None
             ]
@@ -254,155 +249,3 @@ class TestGraphComponents:
                     assert c[0] <= c[-1]
                 else:
                     assert c[0] == min(c) and c[1] < c[-1]
-
-
-class TestShrinkPath:
-    def test_single_mark_gives_single_vertex(self):
-        P = make_path(9)
-        out, renum = shrink_path_with_W(P, {4}, 1, 1)
-        assert out.size == 1 and 4 in renum
-
-    def test_short_path_whole_span(self):
-        P = make_path(3)
-        out, renum = shrink_path_with_W(P, {0, 3}, 0, 2)
-        assert out.size == 4
-
-    def test_far_marks_split_into_segments(self):
-        P = make_path(30)
-        out, renum = shrink_path_with_W(P, {0, 30}, 0, 2)
-        assert {0, 30} <= set(renum)
-        # two end segments, no middle
-        assert len(reference_components(out)) == 2
-        assert out.size < 31
-
-    def test_empty_marks_leading_segment(self):
-        P = make_path(100)
-        out, _ = shrink_path_with_W(P, set(), 0, 0)
-        assert out.size == 3 ** (0 + 0 + 2) + 1
-
-    def test_output_is_induced_with_witness(self):
-        rng = random.Random(72)
-        for _ in range(20):
-            n = rng.randint(1, 30)
-            P = make_path(n)
-            k = rng.randint(0, 3)
-            W = set(rng.sample(range(n + 1), min(k, n + 1)))
-            out, renum = shrink_path_with_W(P, W, rng.randint(0, 1), k)
-            assert W <= set(renum)
-            witness = {new: old for old, new in renum.items()}
-            assert check_embedding_witness(out, P, witness)
-            assert len(reference_components(out)) <= max(1, len(W))
-
-
-class TestShrinkCycle:
-    def test_empty_marks(self):
-        C = make_cycle(6)
-        out, _ = shrink_cycle_with_W(C, set(), 0, 0)
-        assert out.size <= 6
-
-    def test_single_mark_single_vertex(self):
-        C = make_cycle(6)
-        out, renum = shrink_cycle_with_W(C, {3}, 1, 1)
-        assert out.size == 1 and 3 in renum
-
-    def test_never_contains_a_cycle(self):
-        rng = random.Random(73)
-        from fmtk.translate import is_path_union
-
-        for _ in range(15):
-            n = rng.randint(3, 20)
-            k = rng.randint(0, 2)
-            W = set(rng.sample(range(n), min(k, n - 1)))
-            out, _ = shrink_cycle_with_W(make_cycle(n), W, rng.randint(0, 1), k)
-            assert is_path_union(out)
-
-    def test_permuted_cycles_and_paths(self):
-        from fmtk.translate import is_path_union
-
-        rng = random.Random(75)
-        for _ in range(20):
-            n = rng.randint(4, 40)
-            k = rng.randint(0, 3)
-            for shrinker, make in ((shrink_cycle_with_W, make_cycle), (shrink_path_with_W, make_path)):
-                A = permuted_copy(rng, make(n))
-                W = set(rng.sample(range(A.size), k))
-                out, renum = shrinker(A, W, rng.randint(0, 1), k)
-                assert W <= set(renum) and is_path_union(out)
-                assert check_embedding_witness(out, A, {new: old for old, new in renum.items()})
-                assert len(reference_components(out)) <= max(1, len(W))
-
-    def test_k_must_leave_a_spare_vertex(self):
-        with pytest.raises(ValueError):
-            shrink_cycle_with_W(make_cycle(3), {0, 1, 2}, 0, 3)
-
-
-class TestWitnessHnGn:
-    def test_h1_no_marks_returns_whole(self):
-        H1 = make_Hn(1)
-        out, renum = witness_HnGn(H1, set(), 0, 0, n=1)
-        assert out.size == H1.size  # pattern already at most the target
-
-    def test_g1_cycle_marks_replaced_by_segments(self):
-        G1 = make_Gn(1)
-        # cycle component of G1 is vertices 0..2
-        out, renum = witness_HnGn(G1, {1}, 0, 1, n=1)
-        assert 1 in renum
-        assert out.size < G1.size
-        assert is_isomorphic(out, make_Hn(1))
-        witness = {new: old for old, new in renum.items()}
-        assert check_embedding_witness(out, G1, witness)
-
-    def test_g2_rank_one_verified(self):
-        G2 = make_Gn(2)
-        marks = {0, 20}  # one on the cycle, one in the path part
-        out, renum = witness_HnGn(G2, marks, 1, 2, n=2)
-        assert marks <= set(renum)
-        witness = {new: old for old, new in renum.items()}
-        assert check_embedding_witness(out, G2, witness)
-        assert m_equivalent(out, G2, 1)
-
-    def test_h2_marks_in_long_paths(self):
-        H2 = make_Hn(2)
-        out, renum = witness_HnGn(H2, {H2.size - 1}, 1, 1, n=2)
-        assert H2.size - 1 in renum
-        assert m_equivalent(out, H2, 1)
-
-    def test_g2_single_mark_all_verdicts(self):
-        G2 = make_Gn(2)
-        out, renum = witness_HnGn(G2, {5}, 1, 1, n=2)
-        assert 5 in renum
-        witness = {new: old for old, new in renum.items()}
-        assert check_embedding_witness(out, G2, witness)
-        assert m_equivalent(out, G2, 1)
-
-
-    def test_star_is_refused(self):
-        with pytest.raises(ValueError, match="neither a path nor a cycle"):
-            witness_HnGn(STAR, set(), 1, 0)
-
-    def test_paths_next_to_a_star_are_refused(self):
-        with pytest.raises(ValueError, match="neither a path nor a cycle"):
-            witness_HnGn(disjoint_union(make_Hn(1), STAR), set(), 0, 0, n=1)
-
-    def test_lone_cycle_needs_n(self):
-        with pytest.raises(ValueError, match="n cannot be inferred"):
-            witness_HnGn(make_cycle(9), set(), 1, 0)
-
-    def test_asymmetric_E_is_refused(self):
-        H1 = make_Hn(1)
-        E = H1.relations["E"] - {min(H1.relations["E"])}
-        with pytest.raises(ValueError, match="symmetric and loop-free"):
-            witness_HnGn(Structure(H1.vocab, H1.size, {"E": E}), set(), 0, 0, n=1)
-
-
-class TestMarkCheck:
-    @pytest.mark.parametrize("shrinker, A", [
-        (shrink_path_with_W, make_path(3)),
-        (shrink_cycle_with_W, make_cycle(4)),
-        (witness_HnGn, make_path(3)),
-    ], ids=["path", "cycle", "HnGn"])
-    def test_out_of_range_mark_is_a_value_error(self, shrinker, A):
-        with pytest.raises(ValueError, match="mark 9 outside the universe"):
-            shrinker(A, {9}, 1, 1)
-        with pytest.raises(ValueError, match=r"\|W\| = 2 exceeds k = 1"):
-            shrinker(A, {0, 1}, 1, 1)
