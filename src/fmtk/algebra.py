@@ -295,10 +295,6 @@ def reduce_expression_height(
         cur = _replace(cur, a_id, nodes[b_id])
 
 
-def identity_leaf_shrinker(B: Structure, marks, m: int):
-    return B, tuple(range(B.size))
-
-
 def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     """Smallest equivalent mark-containing induced substructure, by direct
     enumeration over subsets; guarded at ``EXHAUSTIVE_SHRINK_GUARD``.

@@ -117,17 +117,16 @@ def _hn_size(n: int) -> int:
     return n * (3**n + 1) * (3**n + 2) // 2
 
 
-# class name -> its ``wqo`` generator and, for a class that ``translate``
-# samples (named in the plural there), its ``translate`` membership test,
-# both looked up when called; and the number of elements the generator
-# builds from its parameters
+# class name -> its ``wqo`` generator, looked up when called, and the number
+# of elements it builds from its parameters; a class that ``translate.CLASS_TESTS``
+# names in the plural can also be sampled
 _CLASSES = {
-    "linorder": ("make_linear_order", "is_linear_order", lambda n: n),
-    "path": ("make_path", "is_path_graph", lambda n: n + 1),
-    "cycle": ("make_cycle", "is_cycle_graph", lambda n: n),
-    "hn": ("make_Hn", None, _hn_size),
-    "gn": ("make_Gn", None, lambda n: _hn_size(n) + 3**n),
-    "grid": ("make_grid", None, lambda *dims: math.prod(dims)),
+    "linorder": ("make_linear_order", lambda n: n),
+    "path": ("make_path", lambda n: n + 1),
+    "cycle": ("make_cycle", lambda n: n),
+    "hn": ("make_Hn", _hn_size),
+    "gn": ("make_Gn", lambda n: _hn_size(n) + 3**n),
+    "grid": ("make_grid", lambda *dims: math.prod(dims)),
 }
 GEN_CLASSES = tuple(_CLASSES)
 # sorted(translate.CLASS_TESTS), written out so that ``--help`` loads no layer
@@ -157,14 +156,15 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
         )
     kind, lo, hi = parts[0], int(parts[1]), int(parts[2])
     entry = _CLASSES.get(kind[:-1]) if kind.endswith("s") else None
-    if entry is None or entry[1] is None:
+    if entry is None or kind not in translate.CLASS_TESTS:
         raise StructureFormatError(f"unknown sample class {kind!r}")
-    maker, member, size = entry
+    maker, size = entry
     if lo > hi:
         raise StructureFormatError(f"sample range {lo}..{hi} is empty")
     _check_size(size(hi), config)
-    make, member = getattr(wqo, maker), getattr(translate, member)
-    return translate.ClassSample([make(n) for n in range(lo, hi + 1)], membership=member), spec
+    make = getattr(wqo, maker)
+    return translate.ClassSample([make(n) for n in range(lo, hi + 1)],
+                                 membership=translate.CLASS_TESTS[kind]), spec
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +233,12 @@ def cmd_translate(args, config: RunConfig) -> int:
     phi = folog.parse(vocab, args.formula)
     config.extras.update({"sample": spec, "formula": args.formula, "p": args.p})
     report = Report(config)
+    constants = tuple(vocab.constants)
     if args.p == "auto":
-        result = translate.translate_auto(phi, config.k, sample, max_p=args.max_p)
+        result = translate.translate_auto(phi, config.k, sample, max_p=args.max_p, constants=constants)
         ps, p_used, verified = result.sentence, result.p, result.verified
     else:
-        ps = translate.translate_to_exists_forall(phi, config.k, int(args.p))
+        ps = translate.translate_to_exists_forall(phi, config.k, int(args.p), constants)
         p_used = int(args.p)
         verified = not translate.sample_agreement(phi, ps, sample)
     sentence = folog.print_formula(folog.to_formula(ps))
@@ -339,17 +340,9 @@ def cmd_algebra_shrink(args, config: RunConfig) -> int:
     for leaf in tree.leaves():
         _check_size(leaf.base.size, config)
     marks = _parse_marks(args.marks)
-    shrinker = (
-        algebra.identity_leaf_shrinker
-        if args.leaf_shrinker == "identity"
-        else algebra.exhaustive_leaf_shrinker
-    )
-    config.extras.update({
-        "structs": args.structs, "expr": expr_text,
-        "marks": " ".join(map(str, sorted(marks))) or "-",
-        "leaf-shrinker": args.leaf_shrinker,
-    })
-    out, rep = algebra.shrink_algebraic(tree, marks, config.m, config.k, shrinker)
+    config.extras.update({"structs": args.structs, "expr": expr_text,
+                          "marks": " ".join(map(str, sorted(marks))) or "-"})
+    out, rep = algebra.shrink_algebraic(tree, marks, config.m, config.k)
     report = Report(config)
     report.say(f"Shrunk the evaluation from {rep.input_size} to {rep.output_size} elements.")
     _put_shrink(report, rep)
@@ -375,7 +368,7 @@ def cmd_gen(args, config: RunConfig) -> int:
 
     marks = _parse_marks(args.marks)
     params = [int(d) for d in args.dims.split("x")] if args.klass == "grid" else [args.n]
-    maker, _, size = _CLASSES[args.klass]
+    maker, size = _CLASSES[args.klass]
     _check_size(size(*params), config)
     A = getattr(wqo, maker)(*params)
     if marks:
@@ -442,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", default=None)
     p.add_argument("--expr-file", default=None)
     p.add_argument("--marks", default=None)
-    p.add_argument("--leaf-shrinker", default="exhaustive", choices=("exhaustive", "identity"))
 
     p = command("gen", cmd_gen, "generate an example structure")
     p.add_argument("--class", dest="klass", required=True, choices=GEN_CLASSES)

@@ -324,64 +324,57 @@ def _kept_column(A: Structure, tables: tuple, steps: list, memo: dict, kept: tup
     return col if n > len(pts) else [col[b] for b in kept]
 
 
-# ``_rt_cache`` holds the structure's fact tables, its private type scope,
-# and the id of each computed ``(tuple, rank)`` of rank 2 and up, or at the top.
-_TABLES, _SCOPE = "tables", "scope"
+def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tuple:
+    """Refuse what :func:`rank_type` refuses, in the same order, then admit
+    ``A`` to ``scope`` and lay out the rank-``m`` type of ``tup``: ``W``, its
+    fact tables (read from ``A``'s rank-type memo when there), the bit steps,
+    the constants and the facts among them and ``tup``."""
+    _refuse(A, tup, m)
+    W = len(A.constant_interp) + len(tup) + m
+    _check_width(A, W)
+    scope.enter(A)
+    cache = A._rt_cache
+    tables = _fact_tables(A) if cache is None else cache[0]
+    steps = _layout(tables[0], W)[0]
+    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    return W, tables, steps, consts, _prefix(A, tables, steps, consts + tup)
+
+
+def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope, memo: dict) -> int:
+    """The id in ``scope`` of the rank-``m`` type of ``tup`` in ``A``; ranks 1
+    and up are memoized per ``(tuple, rank)`` in ``memo``."""
+    W, tables, steps, consts, prefix = _lay_out(A, tup, m, scope)
+    if m == 0:
+        return scope.intern((W, prefix))
+    column = functools.partial(_column, A, tables, steps)
+    return _recursion(column, range(A.size), consts, W, memo, scope)(tup, m, prefix, None)
 
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the
     structure. Held to ``RANK_TYPE_GUARD`` first, and a type not in the memo
-    to ``FACT_WIDTH_GUARD`` before any of its facts are laid out."""
+    to ``FACT_WIDTH_GUARD`` before any of its facts are laid out.
+
+    ``A._rt_cache`` is ``(fact tables, private type scope, memo)``, the memo
+    holding the id of each computed ``(tuple, rank)`` of rank 2 and up, or at
+    the top."""
     tup = tuple(tup)
     _refuse(A, tup, m)
     cache = A._rt_cache
     if cache is None:
-        scope = TypeScope()
-        scope.enter(A)
-        cache = {_TABLES: _fact_tables(A), _SCOPE: scope}
+        cache = (_fact_tables(A), TypeScope(), {})
         object.__setattr__(A, "_rt_cache", cache)
-    scope = cache[_SCOPE]
-    hit = cache.get((tup, m))
-    if hit is not None:
-        return RankType(m, scope.key(hit))
-    W = len(A.constant_interp) + len(tup) + m
-    _check_width(A, W)
-    tables = cache[_TABLES]
-    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
-    steps, blocks = _layout(tables[0], W)
-    prefix = _prefix(A, tables, steps, consts + tup)
-    if m == 0:
-        return RankType(0, _unpack(W, blocks, [prefix])[0])
-    rec = _recursion(functools.partial(_column, A, tables, steps), range(A.size), consts, W,
-                     cache, scope)
-    return RankType(m, scope.key(rec(tup, m, prefix, None)))
-
-
-def _lay_out(A: Structure, m: int, scope: TypeScope) -> tuple:
-    """Refuse what :func:`rank_type` refuses, in the same order, then admit
-    ``A`` to ``scope`` and lay out its rank-``m`` type: ``W``, its fact
-    tables (read from ``A``'s rank-type memo when there), the bit steps, the
-    constants and the facts among them."""
-    _refuse(A, (), m)
-    W = len(A.constant_interp) + m
-    _check_width(A, W)
-    scope.enter(A)
-    cache = A._rt_cache
-    tables = _fact_tables(A) if cache is None else cache[_TABLES]
-    steps = _layout(tables[0], W)[0]
-    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
-    return W, tables, steps, consts, _prefix(A, tables, steps, consts)
+    _, scope, memo = cache
+    i = memo.get((tup, m))
+    if i is None:
+        i = _type_of(A, tup, m, scope, memo)
+    return RankType(m, scope.key(i))
 
 
 def type_id(A: Structure, m: int, scope: TypeScope) -> int:
     """The id in ``scope`` of the rank-``m`` type of ``A``. ``A``'s own
     rank-type memo is read for its fact tables only and never written."""
-    W, tables, steps, consts, prefix = _lay_out(A, m, scope)
-    if m == 0:
-        return scope.intern((W, prefix))
-    column = functools.partial(_column, A, tables, steps)
-    return _recursion(column, range(A.size), consts, W, {}, scope)((), m, prefix, None)
+    return _type_of(A, (), m, scope, {})
 
 
 def subset_typer(A: Structure, m: int, scope: TypeScope):
@@ -396,7 +389,7 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
     rank-type memo is never written. Refuses what :func:`rank_type`
     refuses, in the same order, before it returns.
     """
-    W, tables, steps, consts, prefix = _lay_out(A, m, scope)
+    W, tables, steps, consts, prefix = _lay_out(A, (), m, scope)
     columns: dict = {}  # (point tuple, n) -> A's column or sibling base there
 
     def type_of(kept) -> int:
@@ -415,9 +408,7 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
 
 def m_equivalent(A: Structure, B: Structure, m: int) -> bool:
     """Agreement on every sentence of quantifier rank at most ``m``."""
-    if A.vocab != B.vocab:
-        raise ValueError("equivalence requires identical vocabularies")
-    return rank_type(A, (), m) == rank_type(B, (), m)
+    return marked_equivalent(A, (), B, (), m)
 
 
 def marked_equivalent(A: Structure, ta: tuple[int, ...], B: Structure, tb: tuple[int, ...], m: int) -> bool:

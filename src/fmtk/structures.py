@@ -147,9 +147,6 @@ class Structure:
         rels = ", ".join(f"{n}:{len(ts)}" for n, ts in sorted(self.relations.items()))
         return f"Structure(size={self.size}, {rels})"
 
-    def holds(self, pred: str, t: tuple[int, ...]) -> bool:
-        return t in self.relations[pred]
-
 
 def _checked_relation(name: str, arity: int, size: int, tuples) -> frozenset:
     """``tuples`` as a frozenset of tuples, once every tuple has ``arity``
@@ -279,14 +276,6 @@ def kept_id_sets(A: Structure, required=(), largest_first: bool = False):
                 yield kept
 
 
-def induced_supersets(A: Structure, required=()):
-    """Every induced substructure of ``A`` that keeps ``required`` and the
-    constants, as ``(kept ids, substructure)``, in the order of
-    :func:`kept_id_sets`, smallest first."""
-    for kept in kept_id_sets(A, required):
-        yield kept, induced_substructure(A, kept)[0]
-
-
 def check_embedding_witness(A: Structure, B: Structure, mapping: dict[int, int]) -> bool:
     """True iff ``mapping`` embeds ``A`` into ``B`` as an induced substructure.
 
@@ -414,22 +403,6 @@ def is_isomorphic(A: Structure, B: Structure) -> bool:
     if A.vocab != B.vocab or A.size != B.size:
         return False
     return find_embedding(A, B) is not None
-
-
-def up_to_isomorphism(structures) -> list[Structure]:
-    """The first of each isomorphism class among ``structures``, in input order.
-
-    Structures are bucketed by vocabulary, size and sorted element profiles
-    (the search's own invariant), and compared only within a bucket.
-    """
-    buckets: dict[tuple, list[Structure]] = {}
-    reps: list[Structure] = []
-    for A in structures:
-        bucket = buckets.setdefault((A.vocab, A.size, tuple(sorted(_element_profile(A)))), [])
-        if not any(is_isomorphic(A, R) for R in bucket):
-            bucket.append(A)
-            reps.append(A)
-    return reps
 
 
 def _require_constant_free(*structures: Structure):

@@ -37,10 +37,7 @@ from .structures import (
     Vocabulary,
     find_embedding,
     induced_substructure,
-    induced_supersets,
-    is_isomorphic,
     kept_id_sets,
-    up_to_isomorphism,
 )
 from .wqo import graph_components, order_positions
 
@@ -50,11 +47,7 @@ PREFIX_EVAL_GUARD = 10**6  # prefix assignments, summed over a sample
 
 
 class ClassSample:
-    """Finite stand-in for a class: listed structures plus a membership test.
-
-    :meth:`validate_closed` checks that the listed structures are closed under
-    induced substructures (within the class).
-    """
+    """Finite stand-in for a class: listed structures plus a membership test."""
 
     def __init__(self, structures: list[Structure], membership: "callable | None" = None):
         self.structures = structures
@@ -62,14 +55,6 @@ class ClassSample:
 
     def member(self, A: Structure) -> bool:
         return True if self.membership is None else bool(self.membership(A))
-
-    def validate_closed(self) -> bool:
-        reps = up_to_isomorphism(self.structures)
-        for A in self.structures:
-            for _, sub in induced_supersets(A):
-                if self.member(sub) and not any(is_isomorphic(sub, R) for R in reps):
-                    return False
-        return True
 
 
 class CoreCertificate:

@@ -7,7 +7,8 @@ reference evaluator walks the syntax tree recursively, and the structure
 building references check and build one tuple at a time. The two search
 references, :func:`reference_find_cores` and
 :func:`reference_minimal_models`, are the unpruned forms of the library's
-searches over its own substructure, evaluation and embedding routines, so
+searches, building substructures with :func:`reference_induced_substructure`
+and deduplicating isomorphs with :func:`reference_up_to_isomorphism`, so
 that a test can require the pruned searches to give identical answers;
 :func:`reference_exhaustive_leaf_shrinker` is likewise the leaf shrinker
 that builds every candidate and compares full rank types, and
@@ -42,8 +43,7 @@ from fmtk.structures import (
     Structure,
     Vocabulary,
     find_embedding,
-    induced_supersets,
-    up_to_isomorphism,
+    kept_id_sets,
 )
 
 GRAPH_VOCAB = Vocabulary.make({"E": 2})
@@ -89,11 +89,11 @@ def reference_find_cores(A: Structure, crit, k: int, sample) -> list[tuple[int, 
     of all bad kept sets first, then every candidate of size at most ``k``
     tested against each of them."""
     in_target = crit if callable(crit) else (lambda B: evaluate(B, crit))
-    bad_masks = [
-        sum(1 << e for e in kept)
-        for kept, B in induced_supersets(A)
-        if sample.member(B) and not in_target(B)
-    ]
+    bad_masks = []
+    for kept in kept_id_sets(A):
+        B = reference_induced_substructure(A, kept)[0]
+        if sample.member(B) and not in_target(B):
+            bad_masks.append(sum(1 << e for e in kept))
     cores = []
     for size in range(k + 1):
         for combo in itertools.combinations(range(A.size), size):
@@ -106,7 +106,7 @@ def reference_find_cores(A: Structure, crit, k: int, sample) -> list[tuple[int, 
 def reference_minimal_models(structures: list[Structure]) -> list[Structure]:
     """The embedding-minimal members up to isomorphism: the isomorphism
     representatives, each tried against every other one."""
-    reps = up_to_isomorphism(structures)
+    reps = reference_up_to_isomorphism(structures)
     return [
         A
         for A in reps
@@ -188,7 +188,7 @@ def _reference_eval(A: Structure, f, assignment: dict[str, int]) -> bool:
             raise ValueError(f"unknown predicate {f.pred}")
         if len(f.args) != A.vocab.arity(f.pred):
             raise ValueError(f"arity mismatch for {f.pred}")
-        return A.holds(f.pred, tuple(_reference_term_value(A, t, assignment) for t in f.args))
+        return tuple(_reference_term_value(A, t, assignment) for t in f.args) in A.relations[f.pred]
     if isinstance(f, Eq):
         return (_reference_term_value(A, f.lhs, assignment)
                 == _reference_term_value(A, f.rhs, assignment))
@@ -405,7 +405,8 @@ def reference_exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     constants, smallest first, and return the first whose full rank type is
     ``B``'s, as ``(substructure, kept ids)``."""
     target = rank_type(B, (), m)
-    for keep, sub in induced_supersets(B, marks):
+    for keep in kept_id_sets(B, marks):
+        sub = reference_induced_substructure(B, keep)[0]
         if rank_type(sub, (), m) == target:
             return sub, keep
     return B, tuple(range(B.size))

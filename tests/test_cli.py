@@ -1,5 +1,7 @@
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +201,21 @@ class TestTranslateCommand:
         code, out = run([
             "translate", "--formula", "forall x. !E(x,x)",
             "--sample", f"file:{f}", "--k", "0", "--p", "2",
+        ], capsys)
+        assert code == 0
+        assert "sample-agreement: True" in out
+
+    @pytest.mark.parametrize("p", ["2", "auto"])
+    def test_prefix_variables_range_over_the_sample_constants(self, tmp_path, capsys, p):
+        # the sample's constant joins the prefix variables in the translation,
+        # as it does in the cores ``psc_check`` finds; without it the sentence
+        # disagrees with the input on this sample
+        f = tmp_path / "sample.txt"
+        f.write_text("structure A\nvocab: E/2\nconst c = 0\nuniverse: 3\nE: (0,1)\n"
+                     "structure B\nvocab: E/2\nconst c = 0\nuniverse: 3\nE:\n")
+        code, out = run([
+            "translate", "--formula", "exists x. exists y. E(x,y)",
+            "--sample", f"file:{f}", "--k", "1", "--p", p,
         ], capsys)
         assert code == 0
         assert "sample-agreement: True" in out
@@ -460,7 +477,7 @@ class TestGenCommand:
         ("hn", (1,)), ("hn", (2,)), ("gn", (1,)), ("gn", (2,)),
     ])
     def test_size_rule_is_the_generated_size(self, klass, params):
-        maker, _, size = cli._CLASSES[klass]
+        maker, size = cli._CLASSES[klass]
         assert size(*params) == getattr(wqo, maker)(*params).size
 
     def test_max_size_refused_before_building(self, capsys, monkeypatch):
@@ -676,3 +693,15 @@ class TestWideKeys:
         fingerprints = {line.split(": ")[1] for line in out.splitlines()
                         if line.startswith("fingerprint-")}
         assert len(fingerprints) == 1
+
+
+class TestReadmeCommands:
+    def test_every_example_parses_and_passes_at_most_k_marks(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line for line in readme.read_text().splitlines() if line.startswith("fmtk ")]
+        assert lines
+        parser = cli._build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            if getattr(args, "marks", None) and getattr(args, "k", None) is not None:
+                assert len(cli._parse_marks(args.marks)) <= args.k, line

@@ -293,12 +293,12 @@ class TestTypeIds:
         type_id(A, 2, scope)
         assert A._rt_cache is None
         rank_type(A, (), 2)
-        cache = A._rt_cache
-        entries, nodes = dict(cache), list(cache["scope"].nodes)
+        tables, private, memo = A._rt_cache
+        entries, nodes = dict(memo), list(private.nodes)
         type_of = subset_typer(A, 2, scope)
         for kept in kept_id_sets(A):
             type_of(kept)
-        assert dict(A._rt_cache) == entries and cache["scope"].nodes == nodes
+        assert A._rt_cache == (tables, private, entries) and private.nodes == nodes
 
     def test_refuses_what_rank_type_refuses_in_the_same_order(self, monkeypatch):
         monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)

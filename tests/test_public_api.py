@@ -1,10 +1,11 @@
-"""Every public top-level function and class of ``fmtk`` has a caller or a
-reader outside the test suite.
+"""Every public top-level function and class of ``fmtk``, and every public
+method of such a class, has a caller or a reader outside the test suite.
 
 A name counts as used when it appears as a whole word in ``src/fmtk``,
 ``demos/``, ``perfbench/`` or ``README.md`` on any line other than its own
-``def``/``class`` line. A name only tests call is API kept alive by its own
-tests: either the library uses it, a demo or the README shows it, or it goes.
+``def``/``class`` line; a method ``name`` counts when ``.name`` appears there.
+A name only tests call is API kept alive by its own tests: either the library
+uses it, a demo or the README shows it, or it goes.
 """
 
 import ast
@@ -37,4 +38,23 @@ def test_every_public_name_has_a_reader_outside_tests():
         word = re.compile(rf"\b{re.escape(name)}\b")
         if not any(word.search(line) for where, i, line in lines if (where, i) != (path, lineno)):
             orphans.append(f"{path.name}:{lineno} {name}")
+    assert not orphans, "named nowhere outside their definition and the tests: " + ", ".join(orphans)
+
+
+def _public_methods():
+    for path, _, name in _public_definitions():
+        tree = ast.parse(path.read_text())
+        cls = next((n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name), None)
+        for node in cls.body if cls else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                yield path, node.lineno, f"{name}.{node.name}"
+
+
+def test_every_public_method_has_a_reader_outside_tests():
+    lines = _reader_lines()
+    orphans = []
+    for path, lineno, qual in _public_methods():
+        attr = re.compile(rf"\.{re.escape(qual.split('.')[1])}\b")
+        if not any(attr.search(line) for where, i, line in lines if (where, i) != (path, lineno)):
+            orphans.append(f"{path.name}:{lineno} {qual}")
     assert not orphans, "named nowhere outside their definition and the tests: " + ", ".join(orphans)

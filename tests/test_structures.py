@@ -25,10 +25,8 @@ from fmtk.structures import (
     serialize_structures,
     tensor_product,
     tree_of_structures,
-    up_to_isomorphism,
     word_of_structures,
 )
-from fmtk.translate import enumerate_structures
 from fmtk.wqo import make_cycle, make_linear_order, make_path
 
 from oracles import (
@@ -45,7 +43,6 @@ from oracles import (
     reference_tensor_product,
     reference_to_structure,
     reference_tree_of_structures,
-    reference_up_to_isomorphism,
 )
 
 V = Vocabulary.make({"E": 2})
@@ -415,27 +412,6 @@ class TestIsIsomorphic:
     def test_double_complement(self):
         c4 = make_cycle(4)
         assert is_isomorphic(c4, complement(complement(c4)))
-
-
-class TestUpToIsomorphism:
-    @pytest.mark.parametrize("vocab, max_size", [(V, 3), (Vocabulary.make({"E": 2, "P": 1}), 2)])
-    def test_agrees_with_reference(self, vocab, max_size):
-        structures = enumerate_structures(vocab, max_size)
-        got = up_to_isomorphism(structures)
-        expected = reference_up_to_isomorphism(structures)
-        assert len(got) == len(expected)
-        assert all(a is b for a, b in zip(got, expected))
-
-    def test_constants_and_input_order(self):
-        rng = random.Random(4)
-        marked = [MarkedStructure(permuted_copy(rng, A), (a, b)).expand()
-                  for A in enumerate_structures(V, 2)
-                  for a, b in itertools.product(range(A.size), repeat=2)]
-        for structures in (marked, marked[::-1]):
-            got = up_to_isomorphism(structures)
-            expected = reference_up_to_isomorphism(structures)
-            assert len(got) == len(expected)
-            assert all(a is b for a, b in zip(got, expected))
 
 
 class TestDisjointUnion:

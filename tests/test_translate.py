@@ -433,11 +433,3 @@ class TestClassTests:
             verdicts.append(tuple(want.values()))
         # every class is hit, and missed
         assert all(any(v) and not all(v) for v in zip(*verdicts))
-
-    def test_closed_sample_validation(self):
-        sample = ClassSample(
-            enumerate_structures(V, 2), membership=lambda s: True
-        )
-        assert sample.validate_closed()
-        gap = ClassSample([make_path(2)], membership=lambda s: True)
-        assert not gap.validate_closed()
