@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 
-from .equiv import TypeScope, check_rank_type_cost, class_fingerprint, rank_type, subset_typer
+from .equiv import TypeScope, check_rank_type_cost, m_equivalent, subset_typer, type_id
 from .errors import StructureFormatError, VerificationFailed, check_guard
 from .records import Record
 from .shrink import ClassTable, ShrinkReport, SigmaTree, deepest_repeat, shrink_tree
@@ -325,7 +325,7 @@ def shrink_verdicts(original: Structure, out: Structure, witness, W, m: int) -> 
     return {
         "contains_marks": set(W) <= set(witness),
         "substructure": check_embedding_witness(out, original, dict(enumerate(witness))),
-        "equivalent": rank_type(out, (), m) == rank_type(original, (), m),
+        "equivalent": m_equivalent(out, original, m),
     }
 
 
@@ -427,7 +427,7 @@ def shrink_word_of_structures(
     parts: list[Structure], W, m: int, k: int, leaf_shrinker=None
 ) -> tuple[Structure, ShrinkReport]:
     """Shrink a block word: first each block through the leaf shrinker, then
-    the block sequence as a word whose letters are block rank fingerprints."""
+    the block sequence as a word whose letters name the blocks' rank classes."""
     return _shrink_blocks(
         {i: (None if i == 0 else i - 1) for i in range(len(parts))},
         parts, W, m, k, leaf_shrinker,
@@ -455,8 +455,9 @@ def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
     ))
     stage1_size = sum(b.size for b in shrunk)
 
-    # the block tree over the block indices, lettered by the block classes
-    seq_tree = SigmaTree(shape, {i: class_fingerprint(b, (), m) for i, b in enumerate(shrunk)})
+    # the block tree over the block indices, lettered by type ids in one scope
+    scope = TypeScope()
+    seq_tree = SigmaTree(shape, {i: str(type_id(b, m, scope)) for i, b in enumerate(shrunk)})
     seq_out, seq_report = shrink_tree(seq_tree, {i for i, ms in enumerate(marks) if ms}, m, k)
     kept_shape, renum = seq_out.renumbered()
     kept_blocks = list(renum)  # old block index of each new block, in order

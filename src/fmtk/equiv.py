@@ -1,8 +1,8 @@
 """Deciding bounded-quantifier-rank equivalence of finite structures.
 
 Two routes are provided on purpose: canonical back-and-forth rank types
-(memoized, the workhorse) and an explicit game search over the move tree
-(slow, independent, used to cross-check the rank types).
+(the workhorse) and an explicit game search over the move tree (slow,
+independent, used to cross-check the rank types).
 """
 
 from __future__ import annotations
@@ -188,9 +188,9 @@ class TypeScope:
     the triple names the set of leaves. So within one scope equal ids mean
     equal nested keys, whatever structure or order they were computed from,
     and :meth:`key` expands an id into its key. The vocabulary is the one
-    of the first structure laid out in the scope. :func:`rank_type` keeps a
-    private scope per structure; :func:`type_id` and :func:`subset_typer`
-    type in a scope their caller owns.
+    of the first structure laid out in the scope. A scope lives as long as
+    its caller keeps it: :func:`rank_type` and each equivalence verdict open
+    one per call, and a class table keeps one per table.
     """
 
     __slots__ = ("vocab", "arities", "ids", "nodes", "keys")
@@ -252,8 +252,7 @@ def check_rank_type_cost(size: int, m: int) -> None:
 def _refuse(A: Structure, tup: tuple[int, ...], m: int) -> None:
     """The refusals that cost nothing, in this order: a negative ``m``,
     ``RANK_TYPE_GUARD``, a tuple component outside the universe and a depth
-    past the recursion limit. ``FACT_WIDTH_GUARD`` follows, in
-    :func:`_check_width`, for a type that is not memoized."""
+    past the recursion limit. ``FACT_WIDTH_GUARD`` follows, in :func:`_check_width`."""
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
     check_rank_type_cost(A.size, m)
@@ -327,14 +326,13 @@ def _kept_column(A: Structure, tables: tuple, steps: list, memo: dict, kept: tup
 def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tuple:
     """Refuse what :func:`rank_type` refuses, in the same order, then admit
     ``A`` to ``scope`` and lay out the rank-``m`` type of ``tup``: ``W``, its
-    fact tables (read from ``A``'s rank-type memo when there), the bit steps,
-    the constants and the facts among them and ``tup``."""
+    fact tables, the bit steps, the constants and the facts among them and
+    ``tup``."""
     _refuse(A, tup, m)
     W = len(A.constant_interp) + len(tup) + m
     _check_width(A, W)
     scope.enter(A)
-    cache = A._rt_cache
-    tables = _fact_tables(A) if cache is None else cache[0]
+    tables = _fact_tables(A)
     steps = _layout(tables[0], W)[0]
     consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
     return W, tables, steps, consts, _prefix(A, tables, steps, consts + tup)
@@ -351,29 +349,15 @@ def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope, memo:
 
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
-    """Rank-``m`` type of ``tup`` in ``A``; ranks 1 and up are memoized on the
-    structure. Held to ``RANK_TYPE_GUARD`` first, and a type not in the memo
-    to ``FACT_WIDTH_GUARD`` before any of its facts are laid out.
-
-    ``A._rt_cache`` is ``(fact tables, private type scope, memo)``, the memo
-    holding the id of each computed ``(tuple, rank)`` of rank 2 and up, or at
-    the top."""
-    tup = tuple(tup)
-    _refuse(A, tup, m)
-    cache = A._rt_cache
-    if cache is None:
-        cache = (_fact_tables(A), TypeScope(), {})
-        object.__setattr__(A, "_rt_cache", cache)
-    _, scope, memo = cache
-    i = memo.get((tup, m))
-    if i is None:
-        i = _type_of(A, tup, m, scope, memo)
-    return RankType(m, scope.key(i))
+    """Rank-``m`` type of ``tup`` in ``A``, typed in a scope of its own and
+    expanded into its key. Held to ``RANK_TYPE_GUARD`` first, and to
+    ``FACT_WIDTH_GUARD`` before any of its facts are laid out."""
+    scope = TypeScope()
+    return RankType(m, scope.key(_type_of(A, tuple(tup), m, scope, {})))
 
 
 def type_id(A: Structure, m: int, scope: TypeScope) -> int:
-    """The id in ``scope`` of the rank-``m`` type of ``A``. ``A``'s own
-    rank-type memo is read for its fact tables only and never written."""
+    """The id in ``scope`` of the rank-``m`` type of ``A``."""
     return _type_of(A, (), m, scope, {})
 
 
@@ -385,9 +369,8 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
     By the relativization lemma (Ebbinghaus & Flum, *Finite Model Theory*)
     the type of ``A[kept]`` is read on ``A``'s own facts with every
     quantifier restricted to ``kept``. ``A`` is laid out once, and its
-    columns are memoized per point tuple across the kept sets; ``A``'s own
-    rank-type memo is never written. Refuses what :func:`rank_type`
-    refuses, in the same order, before it returns.
+    columns are memoized per point tuple across the kept sets. Refuses what
+    :func:`rank_type` refuses, in the same order, before it returns.
     """
     W, tables, steps, consts, prefix = _lay_out(A, (), m, scope)
     columns: dict = {}  # (point tuple, n) -> A's column or sibling base there
@@ -412,11 +395,13 @@ def m_equivalent(A: Structure, B: Structure, m: int) -> bool:
 
 
 def marked_equivalent(A: Structure, ta: tuple[int, ...], B: Structure, tb: tuple[int, ...], m: int) -> bool:
+    """Rank-``m`` agreement of ``(A, ta)`` and ``(B, tb)``, by type ids in one fresh scope."""
     if A.vocab != B.vocab:
         raise ValueError("equivalence requires identical vocabularies")
     if len(ta) != len(tb):
         raise ValueError("distinguished tuples must have equal length")
-    return rank_type(A, ta, m) == rank_type(B, tb, m)
+    scope = TypeScope()
+    return _type_of(A, tuple(ta), m, scope, {}) == _type_of(B, tuple(tb), m, scope, {})
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +516,22 @@ class Partition:
 
 
 def realized_classes(items: list[tuple[Structure, tuple[int, ...]]], m: int) -> Partition:
-    """Partition the items by their rank-``m`` types.
-
-    Only classes realized among the given items are materialized; the global
-    class set for a vocabulary is never enumerated.
-    """
-    by_key: dict[tuple, list[int]] = {}
-    fingerprints: dict[tuple, str] = {}
+    """Partition items over one vocabulary by their rank-``m`` type ids in one
+    fresh scope, classes in order of first item. Only realized classes are
+    materialized, and only their keys expanded, for their fingerprints."""
+    if len({A.vocab for A, _ in items}) > 1:
+        raise ValueError("equivalence requires identical vocabularies")
+    scope = TypeScope()
+    by_id: dict[int, list[int]] = {}
     for idx, (A, tup) in enumerate(items):
-        rt = rank_type(A, tup, m)
-        by_key.setdefault(rt.key, []).append(idx)
-        fingerprints.setdefault(rt.key, rt.fingerprint)
-    ordered = sorted(by_key, key=lambda k: by_key[k][0])
+        by_id.setdefault(_type_of(A, tuple(tup), m, scope, {}), []).append(idx)
     return Partition(
-        classes=[by_key[k] for k in ordered],
-        fingerprints=[fingerprints[k] for k in ordered],
+        classes=list(by_id.values()),
+        fingerprints=[RankType(m, scope.key(i)).fingerprint for i in by_id],
     )
 
 
 def class_fingerprint(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> str:
-    """Stable hex fingerprint of the rank type, for logs and reports."""
+    """Stable hex fingerprint of the rank type, for logs and reports. Keys carry
+    no predicate names, so it names a type within one vocabulary only."""
     return rank_type(A, tup, m).fingerprint

@@ -9,7 +9,7 @@ marks stay valid across phases and containment is directly checkable; use
 
 from __future__ import annotations
 
-from .equiv import TypeScope, check_rank_type_cost, rank_type, type_id
+from .equiv import TypeScope, check_rank_type_cost, marked_equivalent, rank_type, type_id
 from .errors import StructureFormatError, VerificationFailed
 from .structures import (
     ORDER_PRED, Structure, Vocabulary, _once, _shifted, checked_marks, format_errors, read_blocks,
@@ -337,7 +337,7 @@ class TreeClasses(ClassTable):
     The table lives as long as the instance: one per shrink pipeline, over
     the alphabet of ``base``; any tree over that alphabet may be classified.
     :func:`shrink_tree` does not read the table for its final ``equivalent``
-    verdict, which compares full rank types of the encoded input and output,
+    verdict, which types the encoded input and output in a scope of its own,
     so the route that checks the reducers shares nothing with them.
     """
 
@@ -424,13 +424,8 @@ def trees_equivalent(t1: SigmaTree, t2: SigmaTree, m: int,
                      marks1: tuple[int, ...] = (), marks2: tuple[int, ...] = ()) -> bool:
     """Rank-``m`` equivalence of two labeled trees, optionally with marks."""
     alphabet = tuple(sorted(set(t1.alphabet) | set(t2.alphabet)))
-    a = SigmaTree(t1.parent, t1.label, alphabet)
-    b = SigmaTree(t2.parent, t2.label, alphabet)
-    Sa, ra = to_structure(a)
-    Sb, rb = to_structure(b)
-    ta = tuple(ra[v] for v in marks1)
-    tb = tuple(rb[v] for v in marks2)
-    return rank_type(Sa, ta, m) == rank_type(Sb, tb, m)
+    (Sa, ra), (Sb, rb) = (to_structure(SigmaTree(t.parent, t.label, alphabet)) for t in (t1, t2))
+    return marked_equivalent(Sa, tuple(ra[v] for v in marks1), Sb, tuple(rb[v] for v in marks2), m)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +625,7 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     verdicts = {
         "contains_marks": W <= set(t3.nodes),
         "is_subtree": is_subtree(t3, s),
-        # full rank types of both encodings, never the reducers' class table
+        # both encodings typed in a scope of their own, never the reducers' class table
         "equivalent": trees_equivalent(t3, s, m),
     }
     report = ShrinkReport(s.size, t3.size, phases, verdicts)

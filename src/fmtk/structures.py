@@ -94,7 +94,7 @@ class Structure:
     (:func:`_checked_relation`).
     """
 
-    __slots__ = ("vocab", "size", "relations", "constant_interp", "_hash", "_rt_cache")
+    __slots__ = ("vocab", "size", "relations", "constant_interp", "_hash")
 
     def __init__(self, vocab: Vocabulary, size: int, relations=None, constant_interp=None):
         if size < 1:
@@ -119,7 +119,6 @@ class Structure:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "constant_interp", constant_interp)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_rt_cache", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Structure is immutable")

@@ -1,4 +1,6 @@
-"""Every demo script runs to the end with exit status 0 and nothing on stderr."""
+"""Every demo script runs to the end with exit status 0, nothing on stderr,
+and stdout byte-identical to its copy under ``tests/demo_output``, which
+refactors must keep."""
 
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = ROOT / "tests" / "demo_output"
 
 
 def test_demos_found():
@@ -22,3 +25,4 @@ def test_demo_runs_cleanly(demo):
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_text()

@@ -285,21 +285,6 @@ class TestTypeIds:
                 assert scope.key(i) == key
                 assert by_key.setdefault(key, i) == i
 
-    def test_rank_type_memo_is_never_written(self):
-        rng = random.Random(1820)
-        A = random_structure(rng, EP, 5)
-        scope = TypeScope()
-        subset_typer(A, 2, scope)((0, 1, 2))
-        type_id(A, 2, scope)
-        assert A._rt_cache is None
-        rank_type(A, (), 2)
-        tables, private, memo = A._rt_cache
-        entries, nodes = dict(memo), list(private.nodes)
-        type_of = subset_typer(A, 2, scope)
-        for kept in kept_id_sets(A):
-            type_of(kept)
-        assert A._rt_cache == (tables, private, entries) and private.nodes == nodes
-
     def test_refuses_what_rank_type_refuses_in_the_same_order(self, monkeypatch):
         monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
         monkeypatch.setattr(equiv, "_layout", _not_allowed)
@@ -496,6 +481,13 @@ class TestRealizedClasses:
         part = realized_classes([(c, (0,)), (c, (2,))], 1)
         assert part.class_count() == 1  # vertex-transitive
 
+    def test_vocabularies_must_match(self):
+        # keys carry no predicate names, so E/2 and F/2 copies would share one
+        A = Structure(Vocabulary.make({"E": 2}), 3, {"E": [(0, 1)]})
+        B = Structure(Vocabulary.make({"F": 2}), 3, {"F": [(0, 1)]})
+        with pytest.raises(ValueError, match="identical vocabularies"):
+            realized_classes([(A, ()), (B, ())], 2)
+
 
 def _equivalent_pairs(rng, m):
     """Provably equivalent non-isomorphic pairs from the threshold families."""
@@ -583,6 +575,28 @@ class TestTreeComposition:
         assert checked >= 5
 
 
+class TestVerdictsCompareIds:
+    def test_no_verdict_expands_a_key(self, monkeypatch):
+        # within one scope equal ids are equal keys, so a verdict compares ids
+        def refuse(*_):
+            raise AssertionError("a verdict expanded a rank-type key")
+
+        monkeypatch.setattr(equiv.TypeScope, "key", refuse)
+        p = make_path(4)
+        assert m_equivalent(make_cycle(4), make_cycle(5), 2)
+        assert not m_equivalent(make_path(1), make_path(2), 2)
+        assert marked_equivalent(p, (0,), p, (4,), 2)
+        assert not marked_equivalent(p, (0,), p, (2,), 2)
+        assert trees_equivalent(make_word("a" * 8), make_word("a" * 9), 2)
+        assert not trees_equivalent(make_word("ab"), make_word("ab"), 2, (1,), (2,))
+        assert shrink.shrink_tree(make_word("ab" * 8), set(), 2, 0)[1].ok()
+        vertex, loop = Structure(V, 1), Structure(V, 1, {"E": {(0, 0)}})
+        assert algebra.shrink_word_of_structures([vertex, loop] * 4, [1], 1, 1)[1].ok()
+        t = algebra.node(algebra.UNION, algebra.leaf(vertex),
+                         algebra.node(algebra.COMPLEMENT, algebra.leaf(loop)))
+        assert algebra.shrink_algebraic(t, [], 1, 0)[1].ok()
+
+
 class TestMarkedEquivalence:
     def test_marked_refines_plain(self):
         p = make_path(4)
@@ -595,10 +609,7 @@ class TestMarkedEquivalence:
         # tuple positions reduce to sentences once the marks become constants
         from fmtk.structures import MarkedStructure
 
-        rng = random.Random(38)
-        for _ in range(60):
-            A = random_structure(rng, V, rng.randint(1, 4))
-            B = random_structure(rng, V, rng.randint(1, 4))
+        def check(A, B):
             ta = tuple(rng.randrange(A.size) for _ in range(rng.randint(1, 2)))
             tb = tuple(rng.randrange(B.size) for _ in range(len(ta)))
             m = rng.randint(0, 2)
@@ -606,3 +617,11 @@ class TestMarkedEquivalence:
                 MarkedStructure(A, ta).expand(), MarkedStructure(B, tb).expand(), m
             )
             assert marked_equivalent(A, ta, B, tb, m) == expanded
+            return expanded
+
+        rng = random.Random(38)
+        for _ in range(60):
+            check(random_structure(rng, V, rng.randint(1, 4)), random_structure(rng, V, rng.randint(1, 4)))
+        # with the constants c, d of their own, typed before the marks
+        verdicts = [check(A, B) for A, B in _pinned_pairs(rng, 8)]
+        assert True in verdicts and False in verdicts
