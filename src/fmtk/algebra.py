@@ -1,10 +1,10 @@
 """Expression trees over structure operations, complement push-down, and
 shrinking of compositions, structure-words, and structure-trees.
 
-Shrinkers here are parametric in a *leaf shrinker*: a callable
-``(structure, marks, m) -> (substructure, kept)`` where ``kept`` lists the
-original element ids retained, in increasing order (``kept[i]`` is the old id
-of new element ``i``). That witness routes marks and certifies containment.
+Every leaf and block is shrunk by :func:`exhaustive_leaf_shrinker`, which
+returns ``(substructure, kept)``: ``kept`` lists the original element ids
+retained, in increasing order (``kept[i]`` is the old id of new element
+``i``). That witness routes marks and certifies containment.
 """
 
 from __future__ import annotations
@@ -207,10 +207,7 @@ class ExpressionClasses(ClassTable):
                 sig = (LEAF, n.base, n.complemented)
             else:
                 sig = (n.op, *sorted(walk(c) for c in n.children))
-            cid = self._ids.get(sig)
-            if cid is None:
-                cid = self._intern(sig)
-            ids[n.node_id] = cid
+            cid = ids[n.node_id] = self._class_of(sig)
             return cid
 
         walk(t)
@@ -329,8 +326,10 @@ def shrink_verdicts(original: Structure, out: Structure, witness, W, m: int) -> 
     }
 
 
-def _apply_leaf_shrinker(B: Structure, marks, m: int, leaf_shrinker):
-    sub, kept = leaf_shrinker(B, set(marks), m)
+def _shrink_leaf(B: Structure, marks, m: int):
+    """:func:`exhaustive_leaf_shrinker` on ``B``, its output held to
+    :func:`shrink_verdicts`."""
+    sub, kept = exhaustive_leaf_shrinker(B, set(marks), m)
     kept = tuple(kept)
     if list(kept) != sorted(set(kept)):
         raise VerificationFailed("leaf shrinker must return kept ids sorted and distinct")
@@ -341,28 +340,22 @@ def _apply_leaf_shrinker(B: Structure, marks, m: int, leaf_shrinker):
 
 
 def shrink_leaves(
-    t: ExprNode, w_pairs: set[tuple[int, int]], m: int, leaf_shrinker
-) -> tuple[ExprNode, set[tuple[int, int]], dict[int, tuple[int, ...]]]:
-    """Replace every leaf with its shrunken version; marks are re-addressed.
-
-    Returns the new tree, the marks as ``(leaf id, new element)`` pairs, and
-    the per-leaf kept-id witnesses.
-    """
+    t: ExprNode, w_pairs: set[tuple[int, int]], m: int
+) -> tuple[ExprNode, dict[int, tuple[int, ...]]]:
+    """Replace every leaf with its shrunken version, which keeps the leaf's
+    marks among ``w_pairs`` (``(leaf id, element)`` pairs); returns the new
+    tree and the per-leaf kept-id witnesses."""
     kept_maps: dict[int, tuple[int, ...]] = {}
 
     def walk(n: ExprNode) -> ExprNode:
         if n.op != LEAF:
             return ExprNode(n.op, tuple(walk(c) for c in n.children), node_id=n.node_id)
         marks = {e for lid, e in w_pairs if lid == n.node_id}
-        sub, kept = _apply_leaf_shrinker(n.base, marks, m, leaf_shrinker)
+        sub, kept = _shrink_leaf(n.base, marks, m)
         kept_maps[n.node_id] = kept
         return ExprNode(LEAF, base=sub, complemented=n.complemented, node_id=n.node_id)
 
-    out = walk(t)
-    new_pairs = set()
-    for lid, e in w_pairs:
-        new_pairs.add((lid, kept_maps[lid].index(e)))
-    return out, new_pairs, kept_maps
+    return walk(t), kept_maps
 
 
 def _marks_by_part(W: set[int], offsets: list[int]) -> list[set[int]]:
@@ -375,9 +368,7 @@ def _marks_by_part(W: set[int], offsets: list[int]) -> list[set[int]]:
     return per_part
 
 
-def shrink_algebraic(
-    s: ExprNode, W, m: int, k: int, leaf_shrinker=None
-) -> tuple[Structure, ShrinkReport]:
+def shrink_algebraic(s: ExprNode, W, m: int, k: int) -> tuple[Structure, ShrinkReport]:
     """Shrink the evaluation of a union/complement tree around the marked
     elements ``W`` (element indices of the evaluation).
 
@@ -389,7 +380,6 @@ def shrink_algebraic(
     size = evaluated_size(s)
     W = checked_marks(W, k, range(size))
     check_rank_type_cost(size, m)
-    leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     pushed = push_complement_to_leaves(s)
     original = eval_expression_tree(pushed)
     # the evaluation stacks the leaves' universes in leaf order
@@ -403,7 +393,7 @@ def shrink_algebraic(
     }
     t1 = reduce_expression_height(pushed, w_pairs, m, k)
     mid_size = evaluated_size(t1)
-    t2, _, kept_maps = shrink_leaves(t1, w_pairs, m, leaf_shrinker)
+    t2, kept_maps = shrink_leaves(t1, w_pairs, m)
     out = eval_expression_tree(t2)
     phases = [("expression-height", original.size, mid_size), ("leaf-shrink", mid_size, out.size)]
 
@@ -424,35 +414,30 @@ def shrink_algebraic(
 
 
 def shrink_word_of_structures(
-    parts: list[Structure], W, m: int, k: int, leaf_shrinker=None
+    parts: list[Structure], W, m: int, k: int
 ) -> tuple[Structure, ShrinkReport]:
-    """Shrink a block word: first each block through the leaf shrinker, then
-    the block sequence as a word whose letters name the blocks' rank classes."""
-    return _shrink_blocks(
-        {i: (None if i == 0 else i - 1) for i in range(len(parts))},
-        parts, W, m, k, leaf_shrinker,
-    )
+    """Shrink a block word: first each block through
+    :func:`exhaustive_leaf_shrinker`, then the block sequence as a word whose
+    letters name the blocks' rank classes."""
+    return _shrink_blocks({i: (None if i == 0 else i - 1) for i in range(len(parts))},
+                          parts, W, m, k)
 
 
 def shrink_tree_of_structures(
-    shape: dict[int, int | None], parts: list[Structure], W, m: int, k: int,
-    leaf_shrinker=None,
+    shape: dict[int, int | None], parts: list[Structure], W, m: int, k: int
 ) -> tuple[Structure, ShrinkReport]:
     """Tree-shaped analogue of :func:`shrink_word_of_structures`."""
-    return _shrink_blocks(shape, parts, W, m, k, leaf_shrinker)
+    return _shrink_blocks(shape, parts, W, m, k)
 
 
-def _shrink_blocks(shape, parts, W, m, k, leaf_shrinker):
+def _shrink_blocks(shape, parts, W, m, k):
     size = sum(p.size for p in parts)
     W = checked_marks(W, k, range(size))
     check_rank_type_cost(size, m)
-    leaf_shrinker = leaf_shrinker or exhaustive_leaf_shrinker
     original = tree_of_structures(shape, parts)
     offsets = block_offsets(parts)
     marks = _marks_by_part(W, offsets)
-    shrunk, kept = zip(*(
-        _apply_leaf_shrinker(part, marks[i], m, leaf_shrinker) for i, part in enumerate(parts)
-    ))
+    shrunk, kept = zip(*(_shrink_leaf(part, marks[i], m) for i, part in enumerate(parts)))
     stage1_size = sum(b.size for b in shrunk)
 
     # the block tree over the block indices, lettered by type ids in one scope

@@ -180,16 +180,16 @@ def cmd_equiv(args, config: RunConfig) -> int:
     _check_size(B.size, config)
     config.extras.update({"file-a": args.file_a, "file-b": args.file_b,
                           "name-a": name_a, "name-b": name_b})
-    verdict = equiv.m_equivalent(A, B, config.m)
+    classes = equiv.realized_classes([(A, ()), (B, ())], config.m)
     report = Report(config)
-    word = "equivalent" if verdict else "distinguishable"
+    word = "equivalent" if classes.class_count() == 1 else "distinguishable"
     report.say(
         f"The structures {name_a} ({A.size} elements) and {name_b} ({B.size} elements)"
     )
     report.say(f"are {word} at quantifier rank {config.m}.")
     report.put("verdict", word)
-    report.put("fingerprint-a", equiv.class_fingerprint(A, (), config.m))
-    report.put("fingerprint-b", equiv.class_fingerprint(B, (), config.m))
+    report.put("fingerprint-a", classes.fingerprints[0])
+    report.put("fingerprint-b", classes.fingerprints[-1])
     _emit(report.render(), config.out)
     return 0
 

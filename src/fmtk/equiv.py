@@ -338,14 +338,14 @@ def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tu
     return W, tables, steps, consts, _prefix(A, tables, steps, consts + tup)
 
 
-def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope, memo: dict) -> int:
+def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> int:
     """The id in ``scope`` of the rank-``m`` type of ``tup`` in ``A``; ranks 1
-    and up are memoized per ``(tuple, rank)`` in ``memo``."""
+    and up are memoized per ``(tuple, rank)`` for the call."""
     W, tables, steps, consts, prefix = _lay_out(A, tup, m, scope)
     if m == 0:
         return scope.intern((W, prefix))
     column = functools.partial(_column, A, tables, steps)
-    return _recursion(column, range(A.size), consts, W, memo, scope)(tup, m, prefix, None)
+    return _recursion(column, range(A.size), consts, W, {}, scope)(tup, m, prefix, None)
 
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
@@ -353,12 +353,12 @@ def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     expanded into its key. Held to ``RANK_TYPE_GUARD`` first, and to
     ``FACT_WIDTH_GUARD`` before any of its facts are laid out."""
     scope = TypeScope()
-    return RankType(m, scope.key(_type_of(A, tuple(tup), m, scope, {})))
+    return RankType(m, scope.key(_type_of(A, tuple(tup), m, scope)))
 
 
 def type_id(A: Structure, m: int, scope: TypeScope) -> int:
     """The id in ``scope`` of the rank-``m`` type of ``A``."""
-    return _type_of(A, (), m, scope, {})
+    return _type_of(A, (), m, scope)
 
 
 def subset_typer(A: Structure, m: int, scope: TypeScope):
@@ -401,7 +401,7 @@ def marked_equivalent(A: Structure, ta: tuple[int, ...], B: Structure, tb: tuple
     if len(ta) != len(tb):
         raise ValueError("distinguished tuples must have equal length")
     scope = TypeScope()
-    return _type_of(A, tuple(ta), m, scope, {}) == _type_of(B, tuple(tb), m, scope, {})
+    return _type_of(A, tuple(ta), m, scope) == _type_of(B, tuple(tb), m, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +524,7 @@ def realized_classes(items: list[tuple[Structure, tuple[int, ...]]], m: int) -> 
     scope = TypeScope()
     by_id: dict[int, list[int]] = {}
     for idx, (A, tup) in enumerate(items):
-        by_id.setdefault(_type_of(A, tuple(tup), m, scope, {}), []).append(idx)
+        by_id.setdefault(_type_of(A, tuple(tup), m, scope), []).append(idx)
     return Partition(
         classes=list(by_id.values()),
         fingerprints=[RankType(m, scope.key(i)).fingerprint for i in by_id],

@@ -278,7 +278,7 @@ def is_subtree(t: SigmaTree, s: SigmaTree) -> bool:
 
 
 class ClassTable:
-    """Rank-``m`` classes of objects composed from parts, interned bottom-up.
+    """Rank-``m`` classes of objects composed from parts, bottom-up.
 
     A *signature* says how an object is put together from parts whose class
     ids are known. By Feferman-Vaught composition (Feferman & Vaught 1959;
@@ -288,32 +288,27 @@ class ClassTable:
     type only has to be told equal or not to the ones before it. So the
     table types every representative in one :class:`~fmtk.equiv.TypeScope`
     of its own, where equal type ids mean equal rank-``m`` keys at every
-    ``m``, including ``m = 0``, and signatures whose representatives have
-    equal type ids share one class id. No key is expanded. Class ids are
-    small ints. Look a signature up in ``_ids`` first; on a miss,
-    ``_intern``.
+    ``m``, including ``m = 0``, and a class id is the type id of its
+    representatives there. No key is expanded.
     """
 
     def __init__(self, m: int):
         self.m = m
         self._ids: dict[tuple, int] = {}  # signature -> class id
         self._scope = TypeScope()
-        self._by_type: dict[int, int] = {}  # type id in the scope -> class id
-        self._reps: list[Structure] = []  # class id -> representative
+        self._reps: dict[int, Structure] = {}  # class id -> its first representative
 
     def _representative(self, sig: tuple) -> Structure:
         """The representative structure of a signature not seen before."""
         raise NotImplementedError
 
-    def _intern(self, sig: tuple) -> int:
-        """The class id of a signature not seen before, from its representative."""
-        rep = self._representative(sig)
-        tid = type_id(rep, self.m, self._scope)
-        cid = self._by_type.get(tid)
+    def _class_of(self, sig: tuple) -> int:
+        """The class id of a signature; a new one's representative is built and typed."""
+        cid = self._ids.get(sig)
         if cid is None:
-            cid = self._by_type[tid] = len(self._reps)
-            self._reps.append(rep)
-        self._ids[sig] = cid
+            rep = self._representative(sig)
+            cid = self._ids[sig] = type_id(rep, self.m, self._scope)
+            self._reps.setdefault(cid, rep)
         return cid
 
 
@@ -332,7 +327,7 @@ class TreeClasses(ClassTable):
     from its children's: a new root that is ``<=`` every element and carries
     its letter's predicate, over shifted copies of ``min(count, m)`` of each
     child class's representative. No tree is built or encoded for it, and no
-    real subtree is ever encoded. Ids are interned by :class:`ClassTable`.
+    real subtree is ever encoded. Class ids are type ids, as in :class:`ClassTable`.
 
     The table lives as long as the instance: one per shrink pipeline, over
     the alphabet of ``base``; any tree over that alphabet may be classified.
@@ -364,11 +359,7 @@ class TreeClasses(ClassTable):
         if self.m:
             for c in child_ids:
                 counts[c] = min(counts.get(c, 0) + 1, self.m)
-        sig = (letter, tuple(sorted(counts.items())))
-        cid = self._ids.get(sig)
-        if cid is None:
-            cid = self._intern(sig)
-        return cid
+        return self._class_of((letter, tuple(sorted(counts.items()))))
 
     def _representative(self, sig: tuple) -> Structure:
         letter, counts = sig
@@ -482,10 +473,11 @@ def reduce_height_no_W(s: SigmaTree, m: int,
 
 
 def shrink_word(w: SigmaTree, m: int) -> SigmaTree:
-    """Subword equivalent at rank ``m``: the chain case of height reduction."""
+    """Subword equivalent at rank ``m``: the chain case of :func:`shrink_tree`,
+    whose postconditions it re-verifies."""
     if not w.is_chain():
         raise ValueError("expected a word (chain-shaped tree)")
-    return reduce_height_no_W(w, m)
+    return shrink_tree(w, (), m, 0)[0]
 
 
 def reduce_root_distance(s: SigmaTree, b: int, m: int,

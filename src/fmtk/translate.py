@@ -58,12 +58,11 @@ class ClassSample:
 
 
 class CoreCertificate:
-    """Cores found for one structure, with a short search transcript."""
+    """Cores found for one structure."""
 
-    def __init__(self, structure: Structure, cores: list[tuple[int, ...]], transcript: str):
+    def __init__(self, structure: Structure, cores: list[tuple[int, ...]]):
         self.structure = structure
         self.cores = cores
-        self.transcript = transcript
 
     def has_core(self) -> bool:
         return bool(self.cores)
@@ -124,11 +123,7 @@ def psc_check(phi: Formula, k: int, sample: ClassSample) -> tuple[bool, list[Cor
     for A in sample.structures:
         if not evaluate(A, phi):
             continue
-        cores = find_cores(A, phi, k, sample)
-        transcript = (
-            f"size {A.size}; {len(cores)} core(s) of size <= {k} found"
-        )
-        certificates.append(CoreCertificate(A, cores, transcript))
+        certificates.append(CoreCertificate(A, find_cores(A, phi, k, sample)))
     return all(c.has_core() for c in certificates), certificates
 
 

@@ -289,7 +289,7 @@ class TestExpressionClasses:
                 tables.append(self)
 
         # the table types each representative through ``type_id``, which
-        # ``ClassTable._intern`` reads from ``fmtk.shrink``
+        # ``ClassTable._class_of`` reads from ``fmtk.shrink``
         real = shrink.type_id
         monkeypatch.setattr(algebra, "ExpressionClasses", Recording)
         monkeypatch.setattr(shrink, "type_id", lambda *a: calls.append(a) or real(*a))
@@ -301,9 +301,11 @@ class TestExpressionClasses:
 
 
 class TestLeafShrinkers:
-    def test_identity(self):
+    def test_identity(self, monkeypatch):
         t = node(UNION, leaf(EDGE), leaf(EDGE))
-        out, pairs, kept = shrink_leaves(t, set(), 1, lambda B, marks, m: (B, tuple(range(B.size))))
+        monkeypatch.setattr(algebra, "exhaustive_leaf_shrinker",
+                            lambda B, marks, m: (B, tuple(range(B.size))))
+        out, kept = shrink_leaves(t, set(), 1)
         assert eval_expression_tree(out) == eval_expression_tree(t)
 
     def test_exhaustive_finds_smallest(self):
@@ -339,13 +341,14 @@ class TestLeafShrinkers:
         sub, kept = exhaustive_leaf_shrinker(B, {0}, 2)
         assert built == [kept]
 
-    def test_bad_shrinker_caught(self):
+    def test_bad_shrinker_caught(self, monkeypatch):
         def lying_shrinker(B, marks, m):
             return VERTEX, (0,)  # claims a non-equivalent substructure
 
         t = leaf(LOOP)
+        monkeypatch.setattr(algebra, "exhaustive_leaf_shrinker", lying_shrinker)
         with pytest.raises(VerificationFailed):
-            shrink_leaves(t, set(), 0, lying_shrinker)
+            shrink_leaves(t, set(), 0)
 
 
 class TestShrinkAlgebraic:
@@ -534,9 +537,10 @@ class TestLyingLeafShrinker:
         (_claims_a_vertex, LOOP, set(), 0, "substructure"),
         (_keeps_one, TWO, set(), 2, "equivalent"),
     ], ids=["contains_marks", "substructure", "equivalent"])
-    def test_failed_verdict_named(self, shrinker, B, W, m, verdict):
-        for run in (lambda: shrink_algebraic(leaf(B), W, m, 1, shrinker),
-                    lambda: shrink_word_of_structures([B], W, m, 1, shrinker)):
+    def test_failed_verdict_named(self, monkeypatch, shrinker, B, W, m, verdict):
+        monkeypatch.setattr(algebra, "exhaustive_leaf_shrinker", shrinker)
+        for run in (lambda: shrink_algebraic(leaf(B), W, m, 1),
+                    lambda: shrink_word_of_structures([B], W, m, 1)):
             with pytest.raises(VerificationFailed) as info:
                 run()
             assert str(info.value) == f"leaf shrinker output fails {verdict}"

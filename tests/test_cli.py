@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fmtk import algebra, cli, translate, wqo
+from fmtk import algebra, cli, equiv, translate, wqo
 from fmtk.cli import main
 from fmtk.shrink import parse_trees, serialize_tree
 from fmtk.structures import (
@@ -62,6 +62,15 @@ class TestEquivCommand:
             assert main(["equiv", "--file-a", a, "--file-b", b, "--m", "2",
                          "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_types_each_side_once(self, cycle_files, monkeypatch, capsys):
+        calls = []
+        real = equiv._type_of
+        monkeypatch.setattr(equiv, "_type_of", lambda *a: calls.append(a) or real(*a))
+        a, b = cycle_files
+        code, out = run(["equiv", "--file-a", a, "--file-b", b, "--m", "2"], capsys)
+        assert code == 0 and "verdict: equivalent" in out
+        assert len(calls) == 2
 
     def test_guard_exceeded_exit_code(self, cycle_files, capsys):
         a, b = cycle_files

@@ -195,13 +195,16 @@ class TestTreeClasses:
         word = make_word("ab")
         out, report = shrink_tree(word, set(), 1, 0)
         assert out == word and report.ok()
-        real = TreeClasses._intern
+        real = TreeClasses._class_of
+        seen = []  # class ids in the order the table first returns them
 
         def merged(self, sig):
             cid = real(self, sig)
-            return 0 if cid == 1 else cid  # classes 0 and 1 become one
+            if cid not in seen:
+                seen.append(cid)
+            return seen[0] if seen.index(cid) == 1 else cid  # the first two classes become one
 
-        monkeypatch.setattr(TreeClasses, "_intern", merged)
+        monkeypatch.setattr(TreeClasses, "_class_of", merged)
         # "ab" now looks like a repeat of its own suffix "b" and is cut to it
         with pytest.raises(VerificationFailed) as info:
             shrink_tree(word, set(), 1, 0)
@@ -344,6 +347,17 @@ class TestShrinkWord:
     def test_rejects_non_chain(self):
         with pytest.raises(ValueError):
             shrink_word(star(2), 1)
+
+    def test_output_is_verified(self, monkeypatch):
+        # a height reducer that drops the last letter: "abab...ab" at rank 2
+        # knows it ends in b, the shortened word does not
+        def drops_last(s, m, classes=None):
+            return s.induced(set(s.nodes) - {max(s.nodes, key=s.depth)})
+
+        monkeypatch.setattr(shrink, "reduce_height_no_W", drops_last)
+        with pytest.raises(VerificationFailed) as info:
+            shrink_word(make_word("ab" * 6), 2)
+        assert info.value.report.verdicts["equivalent"] is False
 
 
 class TestReduceRootDistance:
