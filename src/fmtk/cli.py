@@ -28,31 +28,12 @@ if __name__ != "__main__":
     from . import algebra, equiv, folog, shrink, translate, wqo
 
 
-class RunConfig:
-    def __init__(self, command: str, m: int | None = None, k: int | None = None,
-                 max_size: int = 64, out: str | None = None):
-        self.command = command
-        self.m = m
-        self.k = k
-        self.max_size = max_size
-        self.out = out
-        self.extras: dict[str, str] = {}
-
-    def header_lines(self) -> list[str]:
-        lines = [f"command: {self.command}"]
-        for key in ("m", "k"):
-            value = getattr(self, key)
-            if value is not None:
-                lines.append(f"{key}: {value}")
-        lines.append(f"max-size: {self.max_size}")
-        for key in sorted(self.extras):
-            lines.append(f"{key}: {self.extras[key]}")
-        return lines
-
-
 class Report:
-    def __init__(self, config: RunConfig):
-        self.config = config
+    def __init__(self, args, inputs: dict[str, object]):
+        self.header = [f"command: {args.command}"]
+        self.header += [f"{key}: {getattr(args, key)}" for key in ("m", "k") if hasattr(args, key)]
+        self.header.append(f"max-size: {args.max_size}")
+        self.header += [f"{key}: {inputs[key]}" for key in sorted(inputs)]
         self.human: list[str] = []
         self.keys: list[tuple[str, str]] = []
 
@@ -64,20 +45,12 @@ class Report:
 
     def render(self) -> str:
         lines = ["fmtk report"]
-        lines.extend(self.config.header_lines())
+        lines.extend(self.header)
         lines.append("")
         lines.extend(self.human)
         lines.append("---")
         lines.extend(f"{k}: {v}" for k, v in self.keys)
         return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load(path: str, parse=None) -> dict:
@@ -104,8 +77,8 @@ def _parse_marks(text: str | None) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _check_size(size: int, config: RunConfig, what: str = "structure"):
-    check_guard(f"{what} of size", size, config.max_size, "--max-size")
+def _check_size(size: int, args, what: str = "structure"):
+    check_guard(f"{what} of size", size, args.max_size, "--max-size")
 
 
 def _hn_size(n: int) -> int:
@@ -134,20 +107,20 @@ CORE_CLASSES = ("all", "cycles", "linorders", "path-unions", "paths", "paths-cyc
                 "trees", "words")
 
 
-def _load_checked(path: str, config: RunConfig) -> dict[str, Structure]:
+def _load_checked(path: str, args) -> dict[str, Structure]:
     named = _load(path)
     for A in named.values():
-        _check_size(A.size, config)
+        _check_size(A.size, args)
     return named
 
 
-def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSample, str]:
+def _sample_from_spec(spec: str, args) -> tuple[translate.ClassSample, str]:
     """``cycles:3:8``-style ranges over generators, or ``file:PATH``; every
     structure is held to ``--max-size`` before any evaluation."""
     from . import translate, wqo
 
     if spec.startswith("file:"):
-        named = _load_checked(spec[len("file:"):], config)
+        named = _load_checked(spec[len("file:"):], args)
         return translate.ClassSample(list(named.values())), spec
     parts = spec.split(":")
     if len(parts) != 3:
@@ -161,7 +134,7 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
     maker, size = entry
     if lo > hi:
         raise StructureFormatError(f"sample range {lo}..{hi} is empty")
-    _check_size(size(hi), config)
+    _check_size(size(hi), args)
     make = getattr(wqo, maker)
     return translate.ClassSample([make(n) for n in range(lo, hi + 1)],
                                  membership=translate.CLASS_TESTS[kind]), spec
@@ -171,48 +144,44 @@ def _sample_from_spec(spec: str, config: RunConfig) -> tuple[translate.ClassSamp
 # commands
 
 
-def cmd_equiv(args, config: RunConfig) -> int:
+def cmd_equiv(args) -> tuple[str, int]:
     from . import equiv
 
     name_a, A = _pick(_load(args.file_a), args.name_a, args.file_a)
     name_b, B = _pick(_load(args.file_b), args.name_b, args.file_b)
-    _check_size(A.size, config)
-    _check_size(B.size, config)
-    config.extras.update({"file-a": args.file_a, "file-b": args.file_b,
-                          "name-a": name_a, "name-b": name_b})
-    classes = equiv.realized_classes([(A, ()), (B, ())], config.m)
-    report = Report(config)
+    _check_size(A.size, args)
+    _check_size(B.size, args)
+    report = Report(args, {"file-a": args.file_a, "file-b": args.file_b,
+                           "name-a": name_a, "name-b": name_b})
+    classes = equiv.realized_classes([(A, ()), (B, ())], args.m)
     word = "equivalent" if classes.class_count() == 1 else "distinguishable"
     report.say(
         f"The structures {name_a} ({A.size} elements) and {name_b} ({B.size} elements)"
     )
-    report.say(f"are {word} at quantifier rank {config.m}.")
+    report.say(f"are {word} at quantifier rank {args.m}.")
     report.put("verdict", word)
     report.put("fingerprint-a", classes.fingerprints[0])
     report.put("fingerprint-b", classes.fingerprints[-1])
-    _emit(report.render(), config.out)
-    return 0
+    return report.render(), 0
 
 
-def cmd_shrink(args, config: RunConfig) -> int:
+def cmd_shrink(args) -> tuple[str, int]:
     from . import shrink
 
     trees = _load(args.file, shrink.parse_trees)
     name, (tree, file_marks) = _pick(trees, args.name, args.file, "tree")
     marks = _parse_marks(args.marks) if args.marks else list(file_marks)
-    _check_size(tree.size, config, "tree")
-    config.extras.update({"file": args.file, "name": name,
-                          "marks": " ".join(map(str, sorted(marks))) or "-"})
-    out, rep = shrink.shrink_tree(tree, marks, config.m, config.k)
-    report = Report(config)
+    _check_size(tree.size, args, "tree")
+    report = Report(args, {"file": args.file, "name": name,
+                           "marks": " ".join(map(str, sorted(marks))) or "-"})
+    out, rep = shrink.shrink_tree(tree, marks, args.m, args.k)
     report.say(f"Shrunk tree {name} from {rep.input_size} to {rep.output_size} nodes.")
     _put_shrink(report, rep)
     report.say("All postconditions re-verified: "
                + ", ".join(sorted(k for k, v in rep.verdicts.items() if v)))
     report.put("tree", "")
     tree_text = shrink.serialize_tree(name + "_shrunk", out, sorted(set(marks)))
-    _emit(report.render() + tree_text, config.out)
-    return 0
+    return report.render() + tree_text, 0
 
 
 def _put_shrink(report: Report, rep: shrink.ShrinkReport):
@@ -225,24 +194,23 @@ def _put_shrink(report: Report, rep: shrink.ShrinkReport):
         report.put(f"verified-{key.replace('_', '-')}", rep.verdicts[key])
 
 
-def cmd_translate(args, config: RunConfig) -> int:
+def cmd_translate(args) -> tuple[str, int]:
     from . import folog, translate
 
-    sample, spec = _sample_from_spec(args.sample, config)
+    sample, spec = _sample_from_spec(args.sample, args)
     vocab = sample.structures[0].vocab
     phi = folog.parse(vocab, args.formula)
-    config.extras.update({"sample": spec, "formula": args.formula, "p": args.p})
-    report = Report(config)
+    report = Report(args, {"sample": spec, "formula": args.formula, "p": args.p})
     constants = tuple(vocab.constants)
     if args.p == "auto":
-        result = translate.translate_auto(phi, config.k, sample, max_p=args.max_p, constants=constants)
+        result = translate.translate_auto(phi, args.k, sample, max_p=args.max_p, constants=constants)
         ps, p_used, verified = result.sentence, result.p, result.verified
     else:
-        ps = translate.translate_to_exists_forall(phi, config.k, int(args.p), constants)
+        ps = translate.translate_to_exists_forall(phi, args.k, int(args.p), constants)
         p_used = int(args.p)
         verified = not translate.sample_agreement(phi, ps, sample)
     sentence = folog.print_formula(folog.to_formula(ps))
-    report.say(f"Translated over sample {spec} with {config.k} existentials, {p_used} universals.")
+    report.say(f"Translated over sample {spec} with {args.k} existentials, {p_used} universals.")
     report.say(f"Sentence: {sentence}")
     report.say(
         "The translation agrees with the input on every sample structure."
@@ -252,57 +220,52 @@ def cmd_translate(args, config: RunConfig) -> int:
     report.put("p-used", p_used)
     report.put("sentence", sentence)
     report.put("sample-agreement", verified)
-    _emit(report.render(), config.out)
-    return 0 if verified else 3
+    return report.render(), 0 if verified else 3
 
 
-def cmd_cores(args, config: RunConfig) -> int:
+def cmd_cores(args) -> tuple[str, int]:
     from . import folog, translate
 
-    named = _load_checked(args.file, config)
+    named = _load_checked(args.file, args)
     member = translate.CLASS_TESTS[args.klass]
     sample = translate.ClassSample(list(named.values()), membership=member)
     vocab = sample.structures[0].vocab
     phi = folog.parse(vocab, args.formula)
-    config.extras.update({"file": args.file, "formula": args.formula, "class": args.klass})
-    ok, certs = translate.psc_check(phi, config.k, sample)
-    report = Report(config)
+    report = Report(args, {"file": args.file, "formula": args.formula, "class": args.klass})
+    ok, certs = translate.psc_check(phi, args.k, sample)
     names = {id(A): n for n, A in named.items()}
-    report.say(f"Checked {len(certs)} model(s) of the sentence for cores of size <= {config.k}.")
+    report.say(f"Checked {len(certs)} model(s) of the sentence for cores of size <= {args.k}.")
     for cert in certs:
         sets = " ".join("{" + ",".join(map(str, c)) + "}" for c in cert.cores) or "none"
         report.say(f"  {names[id(cert.structure)]}: cores {sets}")
         report.put(f"cores-{names[id(cert.structure)]}", sets)
     report.put("models-checked", len(certs))
     report.put("every-model-has-core", ok)
-    _emit(report.render(), config.out)
-    return 0
+    return report.render(), 0
 
 
-def cmd_wqo_scan(args, config: RunConfig) -> int:
+def cmd_wqo_scan(args) -> tuple[str, int]:
     from . import wqo
 
-    named = _load_checked(args.file, config)
+    named = _load_checked(args.file, args)
     items = []
     for name, A in named.items():
         consts = sorted(A.vocab.constants)
         marks = tuple(A.constant_interp[c] for c in consts)
-        if len(marks) != config.k:
+        if len(marks) != args.k:
             raise StructureFormatError(
-                f"{name} carries {len(marks)} marks (constants); expected k = {config.k}"
+                f"{name} carries {len(marks)} marks (constants); expected k = {args.k}"
             )
         items.append((_strip_constants(A), marks))
-    config.extras.update({"file": args.file, "items": str(len(items))})
-    pair = wqo.linear_order_embedding_pair(items, config.k)
-    report = Report(config)
+    report = Report(args, {"file": args.file, "items": str(len(items))})
+    pair = wqo.linear_order_embedding_pair(items, args.k)
     if pair:
         report.say(f"Item {pair[0]} embeds into item {pair[1]} (marks onto marks).")
         report.put("pair", f"{pair[0]} {pair[1]}")
     else:
         report.say("No embedding pair: the sequence is an antichain.")
         report.put("pair", "none")
-    _emit(report.render(), config.out)
-    return 0
+    return report.render(), 0
 
 
 def _strip_constants(A: Structure) -> Structure:
@@ -312,25 +275,23 @@ def _strip_constants(A: Structure) -> Structure:
     return Structure(vocab, A.size, A.relations)
 
 
-def cmd_algebra_eval(args, config: RunConfig) -> int:
+def cmd_algebra_eval(args) -> tuple[str, int]:
     from . import algebra
     from .structures import serialize_structure
 
     named = _load(args.structs)
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
-    _check_size(algebra.evaluated_size(tree), config)
+    _check_size(algebra.evaluated_size(tree), args)
     out = algebra.eval_expression_tree(tree)
-    config.extras.update({"structs": args.structs, "expr": expr_text})
-    report = Report(config)
+    report = Report(args, {"structs": args.structs, "expr": expr_text})
     report.say(f"Evaluated the expression to a structure with {out.size} elements.")
     report.put("output-size", out.size)
     report.put("structure", "")
-    _emit(report.render() + serialize_structure("result", out), config.out)
-    return 0
+    return report.render() + serialize_structure("result", out), 0
 
 
-def cmd_algebra_shrink(args, config: RunConfig) -> int:
+def cmd_algebra_shrink(args) -> tuple[str, int]:
     from . import algebra
     from .structures import serialize_structure
 
@@ -338,19 +299,17 @@ def cmd_algebra_shrink(args, config: RunConfig) -> int:
     expr_text = _expression_text(args)
     tree = algebra.parse_expression(expr_text, named)
     for leaf in tree.leaves():
-        _check_size(leaf.base.size, config)
+        _check_size(leaf.base.size, args)
     marks = _parse_marks(args.marks)
-    config.extras.update({"structs": args.structs, "expr": expr_text,
-                          "marks": " ".join(map(str, sorted(marks))) or "-"})
-    out, rep = algebra.shrink_algebraic(tree, marks, config.m, config.k)
-    report = Report(config)
+    report = Report(args, {"structs": args.structs, "expr": expr_text,
+                           "marks": " ".join(map(str, sorted(marks))) or "-"})
+    out, rep = algebra.shrink_algebraic(tree, marks, args.m, args.k)
     report.say(f"Shrunk the evaluation from {rep.input_size} to {rep.output_size} elements.")
     _put_shrink(report, rep)
     report.say(f"Certificate expression: {rep.certificate}")
     report.put("certificate", rep.certificate)
     report.put("structure", "")
-    _emit(report.render() + serialize_structure("result", out), config.out)
-    return 0
+    return report.render() + serialize_structure("result", out), 0
 
 
 def _expression_text(args) -> str:
@@ -362,23 +321,28 @@ def _expression_text(args) -> str:
         return fh.read().strip()
 
 
-def cmd_gen(args, config: RunConfig) -> int:
+def cmd_gen(args) -> tuple[str, int]:
     from . import wqo
     from .structures import MarkedStructure, serialize_structure
 
     marks = _parse_marks(args.marks)
     params = [int(d) for d in args.dims.split("x")] if args.klass == "grid" else [args.n]
     maker, size = _CLASSES[args.klass]
-    _check_size(size(*params), config)
+    _check_size(size(*params), args)
     A = getattr(wqo, maker)(*params)
     if marks:
         A = MarkedStructure(A, tuple(marks)).expand()
-    _emit(serialize_structure(args.name or args.klass, A), config.out)
-    return 0
+    return serialize_structure(args.name or args.klass, A), 0
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input (exit 1), not a guard (exit 2)
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -390,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     marks = argparse.ArgumentParser(add_help=False)
     marks.add_argument("--k", type=int, required=True, help="mark-set size bound")
 
-    parser = argparse.ArgumentParser(prog="fmtk", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="fmtk", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, about, *flags):
@@ -447,17 +411,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        m=getattr(args, "m", None),
-        k=getattr(args, "k", None),
-        max_size=args.max_size,
-        out=args.out,
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args, config)
+        text, code = args.fn(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2

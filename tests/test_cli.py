@@ -9,7 +9,8 @@ from fmtk import algebra, cli, equiv, translate, wqo
 from fmtk.cli import main
 from fmtk.shrink import parse_trees, serialize_tree
 from fmtk.structures import (
-    MarkedStructure, parse_structures, serialize_structure, serialize_structures,
+    MarkedStructure, induced_substructure, parse_structures, serialize_structure,
+    serialize_structures,
 )
 from fmtk.wqo import make_cycle, make_linear_order, make_path
 
@@ -62,6 +63,18 @@ class TestEquivCommand:
             assert main(["equiv", "--file-a", a, "--file-b", b, "--m", "2",
                          "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_out_into_a_missing_directory_exits_1(self, cycle_files, tmp_path):
+        a, b = cycle_files
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", "equiv", "--file-a", a, "--file-b", b,
+             "--m", "1", "--out", str(tmp_path / "missing" / "r.txt")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
 
     def test_types_each_side_once(self, cycle_files, monkeypatch, capsys):
         calls = []
@@ -299,6 +312,21 @@ class TestAlgebraCommands:
         assert code == 0
         assert "verified-substructure: True" in out
         assert "certificate:" in out
+
+    def test_lying_leaf_shrinker_exits_3(self, tmp_path, monkeypatch, capsys):
+        # keeping one of two isolated vertices is not rank-2 equivalent
+        def keeps_one(B, marks, m):
+            return induced_substructure(B, [0])[0], (0,)
+
+        monkeypatch.setattr(algebra, "exhaustive_leaf_shrinker", keeps_one)
+        f = tmp_path / "t.txt"
+        f.write_text("structure T\nvocab: E/2\nuniverse: 2\nE:\n")
+        code = main(["algebra-shrink", "--structs", str(f), "--expr", "(u T T)",
+                     "--m", "2", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "verification failed: leaf shrinker output fails equivalent\n"
 
     def test_bad_expression(self, structs_file, capsys):
         code = main(["algebra-eval", "--structs", structs_file, "--expr", "(u A"])
@@ -607,7 +635,7 @@ class TestNumericEdges:
 
 class TestFlagsPerCommand:
     """``--m`` and ``--k`` exist, and are required, only where a command reads
-    them; no flag may be abbreviated. Every such usage error exits 2."""
+    them; no flag may be abbreviated. Every such usage error exits 1."""
 
     @pytest.mark.parametrize("argv", [
         ["wqo-scan", "--file", "{orders}", "--k", "2", "--m", "-5"],
@@ -634,7 +662,7 @@ class TestFlagsPerCommand:
         with pytest.raises(SystemExit) as info:
             main([a.format(**files) for a in argv])
         captured = capsys.readouterr()
-        assert info.value.code == 2
+        assert info.value.code == 1
         assert captured.out == ""
         assert "error:" in captured.err
 
