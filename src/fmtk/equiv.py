@@ -280,34 +280,31 @@ def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> i
     return prefix
 
 
-def _recursion(column, domain, consts: tuple[int, ...], W: int, memo: dict, scope: TypeScope):
+def _recursion(column, domain, consts: tuple[int, ...], W: int, scope: TypeScope):
     """The one recursion of the engine. ``rec(t, r, prefix, base)`` is the
     id in ``scope`` of the rank-``r`` type of ``t`` (``prefix``: the facts
     among the constants and ``t``; ``base``: the sibling base its parent
-    shares with it, or None), with every quantifier over ``domain``,
-    memoized per ``(t, r)`` in ``memo``. ``column(pts, n, base)`` is
-    :func:`_column` with its entries for ``domain``, in order; a node of
-    rank 2 and up lays out the sibling base of its children once."""
+    shares with it, or None), with every quantifier over ``domain``. A node
+    is reached by its own tuple of moves only, so each is computed once.
+    ``column(pts, n, base)`` is :func:`_column` at ``domain``, in order; a
+    node of rank 2 and up lays out its children's sibling base once."""
     intern = scope.intern
 
     def rec(t: tuple[int, ...], r: int, prefix: int, base) -> int:
-        hit = memo.get((t, r))
-        if hit is not None:
-            return hit
+        if r == 0:
+            return intern((W, prefix))
         pts = consts + t
         n = len(pts)
         col = column(pts, n, base)
         if r == 1:
-            node = (W, prefix, frozenset(col))
+            return intern((W, prefix, frozenset(col)))
+        base = column(pts, n + 1, None)
+        if r == 2:  # leaves inline: a call per leaf costs about 5% of a type
+            node = frozenset([intern((W, prefix | x, frozenset(column(pts + (b,), n + 1, base))))
+                              for b, x in zip(domain, col)])
         else:
-            base = column(pts, n + 1, None)
-            if r == 2:  # leaves are interned here, and not memoized
-                node = frozenset([intern((W, prefix | x, frozenset(column(pts + (b,), n + 1, base))))
-                                  for b, x in zip(domain, col)])
-            else:
-                node = frozenset([rec(t + (b,), r - 1, prefix | x, base) for b, x in zip(domain, col)])
-        i = memo[(t, r)] = intern(node)
-        return i
+            node = frozenset([rec(t + (b,), r - 1, prefix | x, base) for b, x in zip(domain, col)])
+        return intern(node)
 
     return rec
 
@@ -339,13 +336,10 @@ def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tu
 
 
 def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> int:
-    """The id in ``scope`` of the rank-``m`` type of ``tup`` in ``A``; ranks 1
-    and up are memoized per ``(tuple, rank)`` for the call."""
+    """The id in ``scope`` of the rank-``m`` type of ``tup`` in ``A``."""
     W, tables, steps, consts, prefix = _lay_out(A, tup, m, scope)
-    if m == 0:
-        return scope.intern((W, prefix))
     column = functools.partial(_column, A, tables, steps)
-    return _recursion(column, range(A.size), consts, W, {}, scope)(tup, m, prefix, None)
+    return _recursion(column, range(A.size), consts, W, scope)(tup, m, prefix, None)
 
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
@@ -381,10 +375,8 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
             raise ValueError("a kept set is a nonempty set of elements")
         if not set(consts) <= set(kept):
             raise ValueError("a kept set must hold the constants")
-        if m == 0:
-            return scope.intern((W, prefix))
         column = functools.partial(_kept_column, A, tables, steps, columns, kept)
-        return _recursion(column, kept, consts, W, {}, scope)((), m, prefix, None)
+        return _recursion(column, kept, consts, W, scope)((), m, prefix, None)
 
     return type_of
 

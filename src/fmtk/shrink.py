@@ -23,7 +23,7 @@ def label_predicate(letter: str) -> str:
 class SigmaTree:
     """Finite rooted tree with letter labels; node ids are arbitrary ints."""
 
-    __slots__ = ("nodes", "parent", "label", "alphabet", "_children", "_depth")
+    __slots__ = ("nodes", "parent", "label", "alphabet", "root", "_children", "_depth")
 
     def __init__(self, parent: dict[int, int | None], label: dict[int, str], alphabet=None):
         nodes = tuple(sorted(parent))
@@ -47,6 +47,7 @@ class SigmaTree:
         self.parent = dict(parent)
         self.label = dict(label)
         self.alphabet = alphabet
+        self.root = roots[0]
         children: dict[int, list[int]] = {v: [] for v in nodes}
         for v in nodes:
             p = self.parent[v]
@@ -71,10 +72,6 @@ class SigmaTree:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    @property
-    def root(self) -> int:
-        return next(v for v, p in self.parent.items() if p is None)
 
     def children(self, v: int) -> tuple[int, ...]:
         return self._children[v]
@@ -443,17 +440,12 @@ def reduce_degree(s: SigmaTree, W, m: int, k: int,
         for members in groups.values():
             if len(members) <= cap:
                 continue
-            members.sort(
-                key=lambda b: (
-                    not (s.descendants(b) & W),
-                    len(s.descendants(b) & kept),
-                    b,
-                )
-            )
+            below = {b: s.descendants(b) for b in members}
+            members.sort(key=lambda b: (not (below[b] & W), len(below[b] & kept), b))
             for b in members[cap:]:
-                if s.descendants(b) & W:
+                if below[b] & W:
                     raise AssertionError("mark-covering child ranked past the cap")
-                kept -= s.descendants(b) & kept
+                kept -= below[b]
         ids[a] = classes.compose(s.label[a], [ids[b] for b in s.children(a) if b in kept])
     return s.induced(kept)
 

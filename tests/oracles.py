@@ -239,8 +239,7 @@ def _reference_atomic_key(A: Structure, points: tuple[int, ...]) -> tuple:
 
 def reference_rank_type_key(A: Structure, tup: tuple[int, ...], m: int) -> tuple:
     """Rank-type key built leaf by leaf: every leaf's atomic facts are derived
-    in full from its points, with a private memo (the structure's cache is
-    never read)."""
+    in full from its points, with a memo private to the call."""
     consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
     memo: dict = {}
 

@@ -93,7 +93,8 @@ class TestRankType:
 
     def test_keys_match_leaf_by_leaf_reference(self):
         # keys must be tuple-for-tuple those of the leaf-by-leaf recursion;
-        # descending m and the repeat pass read entries cached by earlier calls
+        # each call types in a scope of its own, so descending m and the
+        # repeat pass show that no call leans on state left by an earlier one
         rng = random.Random(41)
         preds = [{"U": 1}, {"E": 2}, {"T": 3}, {"U": 1, "E": 2, "T": 3}]
         for pred in preds:
@@ -110,8 +111,9 @@ class TestRankType:
                             assert rank_type(A, tup, m).key == reference_rank_type_key(A, tup, m)
 
     def test_keys_and_fingerprints_do_not_depend_on_call_order(self):
-        # one structure serves every call, so later calls read ids interned by
-        # earlier ones; a fresh copy computes each type from nothing
+        # one structure serves every call, in three orders, and a fresh copy
+        # of it must give the same fingerprints; each call types in a scope
+        # of its own, so no call depends on the ones before it
         rng = random.Random(42)
         vocab = Vocabulary.make({"U": 1, "E": 2, "T": 3}, ("c",))
         for size in (3, 4, 5):
@@ -138,6 +140,17 @@ class TestRankType:
                 for length in (1, 2):
                     tup = tuple(rng.randrange(size) for _ in range(length))
                     assert rank_type(A, tup, 4).key == reference_rank_type_key(A, tup, 4)
+
+    def test_keys_match_reference_at_ranks_five_and_six(self):
+        # three and four levels of rank-3-and-up nodes above the inline leaf step
+        rng = random.Random(45)
+        for pred in ({"U": 1}, {"E": 2}, {"T": 3}):
+            for consts in ((), ("c",), ("c", "d")):
+                vocab = Vocabulary.make(pred, consts)
+                for size, m in ((2, 5), (2, 6), (3, 5)):
+                    A = random_structure(rng, vocab, size, density=rng.choice([0.3, 0.6]))
+                    for tup in ((), (rng.randrange(size),)):
+                        assert rank_type(A, tup, m).key == reference_rank_type_key(A, tup, m)
 
     def test_keys_match_reference_on_longer_orders_and_cycles(self):
         for n in (7, 8, 9):
