@@ -15,7 +15,7 @@ from bisect import bisect_right
 from .equiv import TypeScope, check_rank_type_cost, m_equivalent, subset_typer, type_id
 from .errors import StructureFormatError, VerificationFailed, check_guard
 from .records import Record
-from .shrink import ClassTable, ShrinkReport, SigmaTree, deepest_repeat, shrink_tree
+from .shrink import ClassTable, ShrinkReport, SigmaTree, shrink_tree, splice_repeats
 from .structures import (
     MarkedStructure,
     Structure,
@@ -240,35 +240,24 @@ def _index(t: ExprNode, w_leaf_ids: set[int]) -> tuple[dict[int, ExprNode], dict
     return nodes, counts
 
 
-def _replace(t: ExprNode, target_id: int, replacement: ExprNode) -> ExprNode:
-    if t.node_id == target_id:
-        return replacement
-    if t.op == LEAF:
-        return t
-    return ExprNode(
-        t.op,
-        tuple(_replace(c, target_id, replacement) for c in t.children),
-        node_id=t.node_id,
-    )
-
-
 def reduce_expression_height(
     s: ExprNode, w_pairs: set[tuple[int, int]], m: int, k: int
 ) -> ExprNode:
     """Splice out nested subexpressions that evaluate into the same rank class
     and cover the same number of marked leaves; marked leaves survive.
 
-    Each round splices the pair :func:`~fmtk.shrink.deepest_repeat` picks: the
-    deepest node ``b`` whose (class, marked-leaf count) repeats at an
-    ancestor ``a``, and ``b``'s subexpression takes the place of ``a``'s.
-    Classes come from one :class:`ExpressionClasses` table for the whole
-    call, so a round is one walk with dictionary lookups, and a rank type is
-    computed once per new signature, on a small representative. The table's
-    ids are equal exactly when the rank-``m`` keys of the evaluated
-    subexpressions are (see :class:`ExpressionClasses` for why composing
-    classes is sound). :func:`shrink_algebraic`'s ``equivalent`` verdict
-    does not read the table: it compares full rank types of the evaluated
-    input and output.
+    :func:`~fmtk.shrink.splice_repeats` splices, deepest first: a node ``b``
+    whose (class, marked-leaf count) repeats at an ancestor ``a`` puts its
+    subexpression in the place of ``a``'s. The input is classified once, by
+    one :class:`ExpressionClasses` table, which computes a rank type once per
+    new signature, on a small representative, and the result is built once,
+    reusing every unchanged node. The table's ids are equal exactly when the
+    rank-``m`` keys of the evaluated subexpressions are (see
+    :class:`ExpressionClasses` for why composing classes is sound), and ``a``
+    and ``b`` cover equal numbers of marked leaves, so no splice changes the
+    pair of a node that remains. :func:`shrink_algebraic`'s ``equivalent``
+    verdict does not read the table: it compares full rank types of the
+    evaluated input and output.
     """
     w_pairs = checked_marks(
         w_pairs, k, {(lf.node_id, e) for lf in s.leaves() for e in range(lf.base.size)}
@@ -276,20 +265,19 @@ def reduce_expression_height(
     bad = s.ops_used() - {UNION, BOWTIE}
     if bad:
         raise ValueError(f"height reduction expects a union/bowtie tree, found {sorted(bad)}")
-    w_leaf_ids = {lid for lid, _ in w_pairs}
-    classes = ExpressionClasses(m)
-    cur = s
-    while True:
-        ids = classes.classify(cur)
-        nodes, counts = _index(cur, w_leaf_ids)
-        g = {nid: (cid, counts[nid]) for nid, cid in ids.items()}
-        found = deepest_repeat(
-            cur.node_id, lambda nid: [c.node_id for c in nodes[nid].children], g
-        )
-        if found is None:
-            return cur
-        a_id, b_id = found
-        cur = _replace(cur, a_id, nodes[b_id])
+    nodes, counts = _index(s, {lid for lid, _ in w_pairs})
+    g = {nid: (cid, counts[nid]) for nid, cid in ExpressionClasses(m).classify(s).items()}
+    kids = {nid: [c.node_id for c in n.children] for nid, n in nodes.items()}
+    root, _ = splice_repeats(s.node_id, kids, g)
+
+    def build(nid: int) -> ExprNode:
+        n = nodes[nid]
+        children = tuple(build(c) for c in kids[nid])
+        if all(new is old for new, old in zip(children, n.children)):
+            return n
+        return ExprNode(n.op, children, node_id=nid)
+
+    return build(root)
 
 
 def exhaustive_leaf_shrinker(B: Structure, marks, m: int):

@@ -116,6 +116,8 @@ class SigmaTree:
         keep = set(keep)
         if not keep <= set(self.nodes):
             raise ValueError("keep set contains unknown nodes")
+        if len(keep) == len(self.nodes):
+            return self
         parent: dict[int, int | None] = {}
         for v in keep:
             p = self.parent[v]
@@ -376,36 +378,45 @@ class TreeClasses(ClassTable):
         return Structure(vocab, size, rels)
 
 
-def deepest_repeat(root, children, cls) -> tuple | None:
-    """The next splice of a height reducer: a node ``b`` and its shallowest
-    strict ancestor ``a`` of the same class ``cls[b] == cls[a]``, for the
-    deepest such ``b`` (the smallest on ties); ``(a, b)``, or ``None`` when
-    no root-to-leaf path repeats a class.
+def splice_repeats(root, children: dict, cls) -> tuple:
+    """Splice until no root-to-leaf path repeats a class: the deepest node
+    ``b`` (the smallest on ties) with a strict ancestor of its class takes
+    the place of the shallowest such ancestor ``a``. ``children`` maps each
+    node to a list of its children and is spliced in place. Returns the
+    final root and the set of nodes reachable from it.
 
-    That is the least ``(-depth b, b, depth a, a)`` over all such pairs, in
-    one depth-first walk that keeps, for each class on the current path, its
-    shallowest node there. Nodes are comparable ids; ``children(v)`` lists
-    the children of ``v``.
+    ``cls`` is read once. When it is a congruence, as every class table is,
+    no splice changes a surviving node's class: ``b`` has ``a``'s class, so
+    each ancestor of ``a`` keeps its parts' classes, and ``b``'s subtree is
+    unchanged.
     """
-    best: tuple | None = None  # (-depth_b, b, depth_a, a)
-    shallowest: dict = {}  # class -> (depth, node), on the current path
-    entered: list = []  # (class, depth) of the path nodes that set an entry
-    stack = [(root, 0)]
-    while stack:
-        v, d = stack.pop()
-        while entered and entered[-1][1] >= d:  # leave the finished subtrees
-            del shallowest[entered.pop()[0]]
-        c = cls[v]
-        top = shallowest.get(c)
-        if top is None:
-            shallowest[c] = (d, v)
-            entered.append((c, d))
+    while True:
+        best: tuple | None = None  # (-depth_b, b, depth_a, a, parent_a)
+        shallowest: dict = {}  # class -> (depth, node, parent), on the current path
+        entered: list = []  # (class, depth) of the path nodes that set an entry
+        reached = set()
+        stack = [(root, None, 0)]
+        while stack:
+            v, p, d = stack.pop()
+            reached.add(v)
+            while entered and entered[-1][1] >= d:  # leave the finished subtrees
+                del shallowest[entered.pop()[0]]
+            c = cls[v]
+            top = shallowest.get(c)
+            if top is None:
+                shallowest[c] = (d, v, p)
+                entered.append((c, d))
+            elif best is None or (-d, v, *top) < best:
+                best = (-d, v, *top)
+            stack.extend((u, v, d + 1) for u in children[v])
+        if best is None:
+            return root, reached
+        _, b, _, a, p = best
+        if p is None:
+            root = b
         else:
-            cand = (-d, v, *top)
-            if best is None or cand < best:
-                best = cand
-        stack.extend((u, d + 1) for u in children(v))
-    return None if best is None else (best[3], best[1])
+            kids = children[p]
+            kids[kids.index(a)] = b
 
 
 def trees_equivalent(t1: SigmaTree, t2: SigmaTree, m: int,
@@ -420,13 +431,12 @@ def trees_equivalent(t1: SigmaTree, t2: SigmaTree, m: int,
 # reducers
 
 
-def reduce_degree(s: SigmaTree, W, m: int, k: int,
-                  classes: TreeClasses | None = None) -> SigmaTree:
+def reduce_degree(s: SigmaTree, W, classes: TreeClasses, k: int) -> SigmaTree:
     """Keep at most ``m + k`` children per realized subtree class under every
-    node; mark-covering children are always among the kept."""
+    node, ``m`` the rank of ``classes``; mark-covering children are always
+    among the kept."""
     W = checked_marks(W, k, s.parent)
-    classes = classes or TreeClasses(s, m)
-    cap = m + k
+    cap = classes.m + k
     kept = set(s.nodes)
     # deepest first, so a child's kept subtree is final when its parent is visited
     ids: dict[int, int] = {}
@@ -450,18 +460,12 @@ def reduce_degree(s: SigmaTree, W, m: int, k: int,
     return s.induced(kept)
 
 
-def reduce_height_no_W(s: SigmaTree, m: int,
-                       classes: TreeClasses | None = None) -> SigmaTree:
+def reduce_height_no_W(s: SigmaTree, classes: TreeClasses) -> SigmaTree:
     """Splice out ancestor/descendant pairs whose subtrees realize the same
     class, until no root-to-leaf path repeats a class."""
-    classes = classes or TreeClasses(s, m)
-    cur = s
-    while True:
-        found = deepest_repeat(cur.root, cur.children, classes.classify(cur))
-        if found is None:
-            return cur
-        a, b = found  # b's subtree takes the place of a's
-        cur = cur.induced((set(cur.nodes) - cur.descendants(a)) | cur.descendants(b))
+    children = {v: list(s.children(v)) for v in s.nodes}
+    _, kept = splice_repeats(s.root, children, classes.classify(s))
+    return s.induced(kept)
 
 
 def shrink_word(w: SigmaTree, m: int) -> SigmaTree:
@@ -472,35 +476,32 @@ def shrink_word(w: SigmaTree, m: int) -> SigmaTree:
     return shrink_tree(w, (), m, 0)[0]
 
 
-def reduce_root_distance(s: SigmaTree, b: int, m: int,
-                         classes: TreeClasses | None = None) -> SigmaTree:
+def reduce_root_distance(s: SigmaTree, b: int, classes: TreeClasses) -> SigmaTree:
     """Pull ``b`` closer to the root while preserving the marked class of
     ``(tree, b)``: the path below the root is read as a word of hanging
     segments, and a stretch whose suffix class repeats is spliced out."""
     if b not in s.parent:
         raise ValueError(f"{b} is not a node")
-    classes = classes or TreeClasses(s, m)
-    cur, names, segments = s, None, None
-    while b != cur.root:
-        path = cur.path_down(cur.root, b)
-        ids = classes.classify(cur)
-        # word position i is path[i]: its segment, path[i] with every child
-        # subtree but the one on the path; b's subtree is the flagged last letter
-        letters = [
-            (classes.compose(cur.label[u], [ids[c] for c in cur.children(u) if c != below]), 0)
-            for u, below in zip(path[1:], path[2:])
-        ]
-        letters.append((ids[b], 1))
-        if names is None:  # a splice only drops segments: round 1 has every letter
-            names = {x: f"p{i}" for i, x in enumerate(sorted(set(letters)))}
-        word = make_word([names[x] for x in letters], tuple(names.values()))
-        segments = segments or TreeClasses(word, m)
-        found = deepest_repeat(1, word.children, segments.classify(word))
-        if found is None:
-            break
-        p, q = found  # path[q]'s subtree takes the place of path[p]'s
-        cur = cur.induced((set(cur.nodes) - cur.descendants(path[p])) | cur.descendants(path[q]))
-    return cur
+    if b == s.root:
+        return s
+    path = s.path_down(s.root, b)
+    ids = classes.classify(s)
+    # word position i is path[i]: its segment, path[i] with every child
+    # subtree but the one on the path; b's subtree is the flagged last letter
+    letters = [
+        (classes.compose(s.label[u], [ids[c] for c in s.children(u) if c != below]), 0)
+        for u, below in zip(path[1:], path[2:])
+    ]
+    letters.append((ids[b], 1))
+    names = {x: f"p{i}" for i, x in enumerate(sorted(set(letters)))}
+    word = make_word([names[x] for x in letters], tuple(names.values()))
+    # a splice drops letters, and the remaining positions keep their suffix classes
+    children = {i: list(word.children(i)) for i in word.nodes}
+    _, kept = splice_repeats(1, children, TreeClasses(word, classes.m).classify(word))
+    removed: set[int] = set()
+    for i in set(word.nodes) - kept:  # never the last letter, b's subtree
+        removed |= s.descendants(path[i]) - s.descendants(path[i + 1])
+    return s.induced(set(s.nodes) - removed)
 
 
 def _consecutive_mark_pairs(t: SigmaTree, W: set[int]) -> list[tuple[int, int]]:
@@ -529,21 +530,15 @@ def _stretches(t: SigmaTree, W: set[int]):
                 yield zset, path[i_next - 1]
 
 
-def reduce_W_distances(s: SigmaTree, W, m: int,
-                       classes: TreeClasses | None = None) -> SigmaTree:
-    """Shorten the mark-free stretches between order-consecutive marks until
-    no stretch can be reduced further."""
+def reduce_W_distances(s: SigmaTree, W, classes: TreeClasses) -> SigmaTree:
+    """Shorten each mark-free stretch between order-consecutive marks with
+    :func:`reduce_root_distance`. Two stretches are disjoint or equal, and
+    each is reduced as a tree of its own, so one pass over them suffices."""
     W = checked_marks(W, None, s.parent)
-    classes = classes or TreeClasses(s, m)
-    cur = s
-    while True:
-        for zset, target in _stretches(cur, W):
-            reduced = reduce_root_distance(cur.induced(zset), target, m, classes)
-            if len(reduced.nodes) < len(zset):
-                cur = cur.induced(set(cur.nodes) - (zset - set(reduced.nodes)))
-                break
-        else:
-            return cur
+    removed: set[int] = set()
+    for zset, target in _stretches(s, W):
+        removed |= zset - set(reduce_root_distance(s.induced(zset), target, classes).nodes)
+    return s.induced(set(s.nodes) - removed)
 
 
 class ShrinkReport:
@@ -586,24 +581,23 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     phases: list[tuple[str, int, int]] = []
 
     w1 = W | {s.root}
-    t1 = reduce_W_distances(s, w1, m, classes)
+    t1 = reduce_W_distances(s, w1, classes)
     phases.append(("mark-distances", s.size, t1.size))
 
     if not W:
-        t2 = reduce_height_no_W(t1, m, classes)
+        t2 = reduce_height_no_W(t1, classes)
     else:
         kept = set(t1.nodes)
         # w1 holds the root, so the mark-carrying nodes form a rooted subtree
         carrying = {u for v in w1 for u in (v, *t1.ancestors(v))}
         hanging = [v for v in t1.nodes if v not in carrying and t1.parent[v] in carrying]
         for h in hanging:
-            sub = t1.induced(t1.descendants(h))
-            reduced = reduce_height_no_W(sub, m, classes)
-            kept -= t1.descendants(h) - set(reduced.nodes)
+            below = t1.descendants(h)
+            kept -= below - set(reduce_height_no_W(t1.induced(below), classes).nodes)
         t2 = t1.induced(kept)
     phases.append(("hanging-heights", t1.size, t2.size))
 
-    t3 = reduce_degree(t2, W, m, k, classes)
+    t3 = reduce_degree(t2, W, classes, k)
     phases.append(("class-degrees", t2.size, t3.size))
 
     verdicts = {

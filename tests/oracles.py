@@ -564,6 +564,43 @@ def reference_reduce_root_distance(s: SigmaTree, b: int, m: int, classes=None) -
         cur = cur.induced(set(cur.nodes) - removed)
 
 
+def reference_reduce_height_no_W(s: SigmaTree, m: int, classes=None) -> SigmaTree:
+    """Height reduction as first written: every round classifies the whole
+    tree afresh, compares every node with every strict ancestor, splices the
+    deepest repeat (smallest node on ties) onto its shallowest equal
+    ancestor, and builds the spliced tree before the next round."""
+    from fmtk.shrink import TreeClasses
+
+    classes = classes or TreeClasses(s, m)
+    cur = s
+    while True:
+        ids = classes.classify(cur)
+        pairs = [(-cur.depth(b), b, cur.depth(a), a)
+                 for b in cur.nodes for a in cur.ancestors(b) if ids[a] == ids[b]]
+        if not pairs:
+            return cur
+        _, b, _, a = min(pairs)
+        cur = cur.induced((set(cur.nodes) - cur.descendants(a)) | cur.descendants(b))
+
+
+def reference_reduce_W_distances(s: SigmaTree, W, m: int, classes=None) -> SigmaTree:
+    """Mark-distance reduction as first written: each stretch is reduced by
+    :func:`reference_reduce_root_distance`, and after every stretch that
+    shrinks, the stretches are listed again from the top of the new tree."""
+    from fmtk.shrink import TreeClasses, _stretches
+
+    classes = classes or TreeClasses(s, m)
+    cur = s
+    while True:
+        for zset, target in _stretches(cur, set(W)):
+            reduced = reference_reduce_root_distance(cur.induced(zset), target, m, classes)
+            if reduced.size < len(zset):
+                cur = cur.induced(set(cur.nodes) - (zset - set(reduced.nodes)))
+                break
+        else:
+            return cur
+
+
 def reference_tensor_product(A: Structure, B: Structure) -> Structure:
     """Tensor product by its definition: every tuple of pairs is tested, and
     holds iff both coordinate tuples hold."""

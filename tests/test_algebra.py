@@ -205,6 +205,20 @@ class TestReduceExpressionHeight:
         surviving = {l.node_id for l in out.leaves()}
         assert prov[7][0] in surviving
 
+    def test_classifies_once(self, monkeypatch):
+        calls = []
+        real = ExpressionClasses.classify
+
+        def counting(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(ExpressionClasses, "classify", counting)
+        t = balanced_union(16)
+        out = reduce_expression_height(t, set(), 1, 0)
+        assert algebra.evaluated_size(out) < 16
+        assert len(calls) == 1
+
 
 def _random_uc_tree(rng, depth, leaves):
     """A union/complement tree of height at most ``depth`` over ``leaves``."""

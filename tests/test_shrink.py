@@ -32,6 +32,8 @@ from oracles import (
     random_tree,
     random_word,
     reference_is_subtree,
+    reference_reduce_W_distances,
+    reference_reduce_height_no_W,
     reference_reduce_root_distance,
 )
 
@@ -43,6 +45,17 @@ def chain(n, letter="a"):
 def star(leaves, letter="a"):
     parent = {0: None, **{i: 0 for i in range(1, leaves + 1)}}
     return SigmaTree(parent, {i: letter for i in range(leaves + 1)})
+
+
+def random_deep_tree(rng):
+    """A random word (40%) or tree of 1-30 nodes over 1-3 letters, its
+    parents among the last few nodes so that paths run long; and its alphabet."""
+    n = rng.randint(1, 30)
+    sigma = ("a", "b", "c")[: rng.randint(1, 3)]
+    if rng.random() < 0.4:
+        return random_word(rng, n, sigma), sigma
+    parent = {0: None, **{v: rng.randrange(max(0, v - rng.randint(1, 4)), v) for v in range(1, n)}}
+    return SigmaTree(parent, {v: rng.choice(sigma) for v in parent}, sigma), sigma
 
 
 class TestSigmaTree:
@@ -249,21 +262,21 @@ class TestIsSubtree:
 class TestReduceDegree:
     def test_star_collapses(self):
         s = star(10)
-        out = reduce_degree(s, [], 1, 0)
+        out = reduce_degree(s, [], TreeClasses(s, 1), 0)
         assert len(out.children(0)) == 1
         assert trees_equivalent(out, s, 1)
 
     def test_fixpoint_unchanged(self):
         s = star(10)
-        out = reduce_degree(s, [], 1, 0)
-        assert reduce_degree(out, [], 1, 0) == out
+        out = reduce_degree(s, [], TreeClasses(s, 1), 0)
+        assert reduce_degree(out, [], TreeClasses(out, 1), 0) == out
 
     def test_small_tree_unchanged(self):
         s = star(2)
-        assert reduce_degree(s, [], 1, 1) == s
+        assert reduce_degree(s, [], TreeClasses(s, 1), 1) == s
 
     def test_marked_leaf_retained(self):
-        out = reduce_degree(star(10), [7], 1, 1)
+        out = reduce_degree(star(10), [7], TreeClasses(star(10), 1), 1)
         assert 7 in out.nodes
 
     def test_per_class_cap_holds_in_output(self):
@@ -274,7 +287,7 @@ class TestReduceDegree:
             s = random_tree(rng, rng.randint(3, 22), ("a", "b"))
             m, k = rng.randint(0, 2), rng.randint(0, 2)
             marks = set(rng.sample(list(s.nodes), min(k, s.size)))
-            out = reduce_degree(s, marks, m, k)
+            out = reduce_degree(s, marks, TreeClasses(s, m), k)
             classes = TreeClasses(out, m)
             for v in out.nodes:
                 per_class = {}
@@ -287,34 +300,59 @@ class TestReduceDegree:
 
     def test_too_many_marks_rejected(self):
         with pytest.raises(ValueError):
-            reduce_degree(star(3), [1, 2], 1, 1)
+            reduce_degree(star(3), [1, 2], TreeClasses(star(3), 1), 1)
 
 
 class TestReduceHeight:
     def test_long_unary_chain(self):
         s = chain(30)
-        out = reduce_height_no_W(s, 1)
+        out = reduce_height_no_W(s, TreeClasses(s, 1))
         assert out.size < 5
         assert trees_equivalent(out, s, 1)
 
     def test_single_node_unchanged(self):
         s = SigmaTree({0: None}, {0: "a"})
-        assert reduce_height_no_W(s, 1) == s
+        assert reduce_height_no_W(s, TreeClasses(s, 1)) == s
 
     def test_height_bounded_by_realized_classes(self):
         rng = random.Random(53)
         for _ in range(15):
             s = random_tree(rng, rng.randint(2, 20), ("a", "b"))
             m = rng.randint(0, 2)
-            out = reduce_height_no_W(s, m)
-            from fmtk.shrink import TreeClasses
-
+            out = reduce_height_no_W(s, TreeClasses(s, m))
             classes = TreeClasses(out, m)
             distinct = {classes.of(out.descendants(v)) for v in out.nodes}
             # longest chain has pairwise distinct subtree classes
             assert out.height() + 1 <= len(distinct)
             assert trees_equivalent(out, s, m)
-            assert reduce_height_no_W(out, m) == out
+            assert reduce_height_no_W(out, TreeClasses(out, m)) == out
+
+    def test_matches_the_reference(self):
+        rng = random.Random(63)
+        tables = {}  # one subtree table per alphabet and rank, as in shrink_tree
+        spliced = 0
+        for _ in range(600):
+            s, sigma = random_deep_tree(rng)
+            m = rng.randint(0, 2)
+            classes = tables.setdefault((sigma, m), TreeClasses(s, m))
+            want = reference_reduce_height_no_W(s, m, classes)
+            assert reduce_height_no_W(s, classes) == want
+            spliced += want.size < s.size
+        assert spliced >= 300, spliced
+
+    def test_classifies_once(self, monkeypatch):
+        calls = []
+        real = TreeClasses.classify
+
+        def counting(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(TreeClasses, "classify", counting)
+        s = chain(30)
+        out = reduce_height_no_W(s, TreeClasses(s, 1))
+        assert out.size < s.size
+        assert len(calls) == 1
 
 
 class TestShrinkWord:
@@ -351,7 +389,7 @@ class TestShrinkWord:
     def test_output_is_verified(self, monkeypatch):
         # a height reducer that drops the last letter: "abab...ab" at rank 2
         # knows it ends in b, the shortened word does not
-        def drops_last(s, m, classes=None):
+        def drops_last(s, classes):
             return s.induced(set(s.nodes) - {max(s.nodes, key=s.depth)})
 
         monkeypatch.setattr(shrink, "reduce_height_no_W", drops_last)
@@ -363,11 +401,11 @@ class TestShrinkWord:
 class TestReduceRootDistance:
     def test_target_at_root_unchanged(self):
         s = chain(5)
-        assert reduce_root_distance(s, 1, 1) == s
+        assert reduce_root_distance(s, 1, TreeClasses(s, 1)) == s
 
     def test_deep_chain_pulls_target_up(self):
         s = chain(25)
-        out = reduce_root_distance(s, 25, 1)
+        out = reduce_root_distance(s, 25, TreeClasses(s, 1))
         assert out.size < 25 and 25 in out.nodes
         assert trees_equivalent(out, s, 1, (25,), (25,))
 
@@ -377,30 +415,23 @@ class TestReduceRootDistance:
         for _ in range(20):
             s = random_tree(rng, rng.randint(2, 18), ("a",))
             b = max(s.nodes, key=lambda v: (s.depth(v), v))
-            out = reduce_root_distance(s, b, 1)
+            out = reduce_root_distance(s, b, TreeClasses(s, 1))
             assert out.root == s.root and b in out.nodes
             assert trees_equivalent(out, s, 1, (b,), (b,))
             assert is_subtree(out, s)
-            assert reduce_root_distance(out, b, 1) == out
+            assert reduce_root_distance(out, b, TreeClasses(out, 1)) == out
 
     def test_matches_the_reference(self):
         rng = random.Random(61)
         tables = {}  # one subtree table per alphabet and rank, as in shrink_tree
         spliced = 0
         for _ in range(1000):
-            n = rng.randint(1, 30)
-            sigma = ("a", "b", "c")[: rng.randint(1, 3)]
-            if rng.random() < 0.4:
-                s = random_word(rng, n, sigma)
-            else:  # parents among the last few nodes, for long paths
-                parent = {0: None, **{v: rng.randrange(max(0, v - rng.randint(1, 4)), v)
-                                      for v in range(1, n)}}
-                s = SigmaTree(parent, {v: rng.choice(sigma) for v in parent}, sigma)
+            s, sigma = random_deep_tree(rng)
             b = rng.choice(s.nodes)
             m = rng.randint(0, 2)
             classes = tables.setdefault((sigma, m), TreeClasses(s, m))
             want = reference_reduce_root_distance(s, b, m, classes)
-            assert reduce_root_distance(s, b, m, classes) == want
+            assert reduce_root_distance(s, b, classes) == want
             spliced += want.size < s.size
         assert spliced >= 300, spliced
 
@@ -414,7 +445,7 @@ class TestReduceRootDistance:
 
         monkeypatch.setattr(TreeClasses, "__init__", counting)
         s = make_word("ab" * 15 + "a")
-        out = reduce_root_distance(s, 31, 1)
+        out = reduce_root_distance(s, 31, TreeClasses(s, 1))
         assert out.size < s.size
         assert len(built) <= 2  # the tree's table and one segment table
 
@@ -422,15 +453,15 @@ class TestReduceRootDistance:
 class TestReduceWDistances:
     def test_no_pair_unchanged(self):
         s = chain(10)
-        assert reduce_W_distances(s, {3}, 1) == s
+        assert reduce_W_distances(s, {3}, TreeClasses(s, 1)) == s
 
     def test_adjacent_marks_unchanged(self):
         s = chain(10)
-        assert reduce_W_distances(s, {4, 5}, 1) == s
+        assert reduce_W_distances(s, {4, 5}, TreeClasses(s, 1)) == s
 
     def test_far_marks_pulled_together(self):
         s = chain(25)
-        out = reduce_W_distances(s, {1, 25}, 1)
+        out = reduce_W_distances(s, {1, 25}, TreeClasses(s, 1))
         assert {1, 25} <= set(out.nodes)
         assert out.size < 25
         assert trees_equivalent(out, s, 1)
@@ -441,13 +472,28 @@ class TestReduceWDistances:
         for _ in range(15):
             s = random_tree(rng, rng.randint(4, 20), ("a", "b"))
             marks = set(rng.sample(list(s.nodes), min(3, s.size)))
-            out = reduce_W_distances(s, marks, 1)
+            out = reduce_W_distances(s, marks, TreeClasses(s, 1))
             assert marks <= set(out.nodes)
             for a in marks:
                 for b in marks:
                     if a != b:
                         assert (a in s.ancestors(b)) == (a in out.ancestors(b))
-            assert reduce_W_distances(out, marks, 1) == out
+            assert reduce_W_distances(out, marks, TreeClasses(out, 1)) == out
+
+    def test_matches_the_reference(self):
+        rng = random.Random(64)
+        tables = {}  # one subtree table per alphabet and rank, as in shrink_tree
+        spliced = 0
+        for _ in range(1000):
+            s, sigma = random_deep_tree(rng)
+            # the root is marked, as in shrink_tree, and 1-3 more nodes
+            marks = {s.root, *rng.sample(s.nodes, min(rng.randint(1, 3), s.size))}
+            m = rng.randint(0, 2)
+            classes = tables.setdefault((sigma, m), TreeClasses(s, m))
+            want = reference_reduce_W_distances(s, marks, m, classes)
+            assert reduce_W_distances(s, marks, classes) == want
+            spliced += want.size < s.size
+        assert spliced >= 300, spliced
 
 
 class TestShrinkTree:
