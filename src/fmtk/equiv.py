@@ -92,6 +92,70 @@ def _layout(arities: tuple[int, ...], W: int) -> tuple:
     return steps, blocks
 
 
+@functools.lru_cache(maxsize=64)
+def _bit_map(arities: tuple[int, ...], perm: tuple[int, ...]) -> tuple:
+    """How renaming points moves packed facts of width ``W = len(perm)``:
+    point ``p`` after is point ``perm[p]`` before, so the bit of a pair or
+    index combo ``c`` after is the bit of ``perm(c)`` before. Returns the
+    mask of the bits that move and, indexed by a bit's old position, its
+    new one: plain positions, four bytes a bit of the width."""
+    from array import array  # here, so that importing fmtk does not load it
+
+    W = len(perm)
+    width = W * (W - 1) // 2 + sum(W**arity for arity in arities)
+    dest = array("I", [0]) * width
+    mask = bytearray(width // 8 + 1)
+
+    def move(old: int, new: int) -> None:
+        dest[old] = new
+        mask[old >> 3] |= 1 << (old & 7)
+
+    for i, j in itertools.combinations(range(W), 2):
+        if perm[i] != i or perm[j] != j:
+            a, b = sorted((perm[i], perm[j]))
+            move(a * W - a * (a + 1) // 2 + b - a - 1, i * W - i * (i + 1) // 2 + j - i - 1)
+    off = W * (W - 1) // 2
+    for arity in arities:
+        # product() lists the index combos c in order: ``new`` is c's index, the sum perm(c)'s
+        digits = [[p * W**e for p in perm] for e in reversed(range(arity))]
+        for new, old in enumerate(map(sum, itertools.product(*digits))):
+            if old != new:
+                move(off + old, off + new)
+        off += W**arity
+    return int.from_bytes(mask, "little"), dest
+
+
+class _Moved(dict):
+    """Packed facts of width ``len(perm)`` -> the same facts with their
+    points renamed by ``perm`` (see :func:`_bit_map`), filled on demand:
+    the nodes of a scope share few distinct facts."""
+
+    __slots__ = ("mask", "dest")
+
+    def __init__(self, arities: tuple[int, ...], perm: tuple[int, ...]):
+        super().__init__()
+        self.mask, self.dest = _bit_map(arities, perm)
+
+    def __missing__(self, x: int) -> int:
+        moving = x & self.mask
+        y = x ^ moving
+        while moving:
+            low = moving & -moving
+            y |= 1 << self.dest[low.bit_length() - 1]
+            moving ^= low
+        self[x] = y
+        return y
+
+
+@functools.lru_cache(maxsize=1024)
+def _insertion(W: int, n: int, a: int) -> tuple[int, ...]:
+    """The renaming of ``W`` points that takes a sorted tuple of ``n + 1``
+    points to the one whose last point belongs at ``a``: that tuple's points
+    ``a .. n-1`` are the sorted tuple's ``a+1 .. n``, and its point ``n``
+    is point ``a``."""
+    return (*range(a), *range(a + 1, n + 1), a, *range(n + 1, W))
+
+
 def _unpack(W: int, blocks: list, leaves) -> list[tuple]:
     """The ``(W, eq, masks)`` keys of packed leaves of width ``W``."""
     eq_mask = (1 << W * (W - 1) // 2) - 1
@@ -188,12 +252,15 @@ class TypeScope:
     the triple names the set of leaves. So within one scope equal ids mean
     equal nested keys, whatever structure or order they were computed from,
     and :meth:`key` expands an id into its key. The vocabulary is the one
-    of the first structure laid out in the scope. A scope lives as long as
-    its caller keeps it: :func:`rank_type` and each equivalence verdict open
-    one per call, and a class table keeps one per table.
+    of the first structure laid out in the scope. :meth:`renaming` keeps,
+    per renaming of the points, a memo from ids to the ids of the renamed
+    nodes, so both sides of a verdict and every representative of a class
+    table share them. A scope lives as long as its caller keeps it:
+    :func:`rank_type` and each equivalence verdict open one per call, and a
+    class table keeps one per table.
     """
 
-    __slots__ = ("vocab", "arities", "ids", "nodes", "keys")
+    __slots__ = ("vocab", "arities", "ids", "nodes", "keys", "renamings")
 
     def __init__(self):
         self.vocab = None
@@ -201,6 +268,7 @@ class TypeScope:
         self.ids: dict = {}  # node -> id
         self.nodes: list = []  # id -> node
         self.keys: dict[int, tuple] = {}  # id -> nested key, once expanded
+        self.renamings: dict[tuple[int, ...], _Renaming] = {}  # perm -> its memo
 
     def enter(self, A: Structure) -> None:
         """Admit ``A``, whose vocabulary must be the scope's."""
@@ -233,6 +301,41 @@ class TypeScope:
                 key = tuple(sorted(self.key(c) for c in node))
             self.keys[i] = key
         return key
+
+    def renaming(self, perm: tuple[int, ...]) -> _Renaming:
+        """The memo of this scope's ids renamed by ``perm``, made on first use."""
+        renaming = self.renamings.get(perm)
+        if renaming is None:
+            renaming = self.renamings[perm] = _Renaming(self, perm)
+        return renaming
+
+
+class _Renaming(dict):
+    """Ids of ``scope`` -> the ids of the same nodes with their points
+    renamed by ``perm``: point ``p`` after is point ``perm[p]`` before.
+    ``perm`` has the nodes' width ``W`` and fixes the points a node's moves
+    have not reached, so it renames a node's children the same way. Filled
+    on demand, and shared by every structure typed in the scope."""
+
+    __slots__ = ("scope", "facts")
+
+    def __init__(self, scope: TypeScope, perm: tuple[int, ...]):
+        super().__init__()
+        self.scope = scope
+        self.facts = _Moved(scope.arities, perm)
+
+    def __missing__(self, i: int) -> int:
+        node = self.scope.nodes[i]
+        if type(node) is tuple:
+            facts = self.facts
+            if len(node) == 2:
+                node = (node[0], facts[node[1]])
+            else:  # a column's facts involve the last point, which perm fixes
+                node = (node[0], facts[node[1]], frozenset(map(facts.__getitem__, node[2])))
+        else:
+            node = frozenset(map(self.__getitem__, node))
+        j = self[i] = self.scope.intern(node)
+        return j
 
 
 def check_rank_type_cost(size: int, m: int) -> None:
@@ -284,11 +387,23 @@ def _recursion(column, domain, consts: tuple[int, ...], W: int, scope: TypeScope
     """The one recursion of the engine. ``rec(t, r, prefix, base)`` is the
     id in ``scope`` of the rank-``r`` type of ``t`` (``prefix``: the facts
     among the constants and ``t``; ``base``: the sibling base its parent
-    shares with it, or None), with every quantifier over ``domain``. A node
-    is reached by its own tuple of moves only, so each is computed once.
-    ``column(pts, n, base)`` is :func:`_column` at ``domain``, in order; a
-    node of rank 2 and up lays out its children's sibling base once."""
-    intern = scope.intern
+    shares with it, or None), with every quantifier over ``domain``, which
+    must ascend. ``column(pts, n, base)`` is :func:`_column` at ``domain``,
+    in order; a node of rank 2 and up lays out its children's sibling base
+    once.
+
+    Renaming points maps types to types (Ebbinghaus & Flum, *Finite Model
+    Theory*, on types): the type of a tuple of moves is the type of its
+    sorted form, renamed. So below the root, whose moves start after the
+    constants and ``t``, a node is computed only for a sorted tuple of
+    moves; a child ``moves + (b,)`` with ``b < moves[-1]`` takes the id of
+    its sorted form, renamed by :func:`_insertion` through
+    :meth:`TypeScope.renaming`. The walk goes depth first over the ascending
+    domain, so that sorted form, lexicographically smaller, is already in
+    the walk's memo. The root keeps a plain comprehension and writes no
+    memo entry: at rank 2 and below no move comes out of order."""
+    intern, renaming = scope.intern, scope.renaming
+    done: dict = {}  # sorted moves -> id, for this walk
 
     def rec(t: tuple[int, ...], r: int, prefix: int, base) -> int:
         if r == 0:
@@ -303,8 +418,31 @@ def _recursion(column, domain, consts: tuple[int, ...], W: int, scope: TypeScope
             node = frozenset([intern((W, prefix | x, frozenset(column(pts + (b,), n + 1, base))))
                               for b, x in zip(domain, col)])
         else:
-            node = frozenset([rec(t + (b,), r - 1, prefix | x, base) for b, x in zip(domain, col)])
+            node = frozenset([walk(pts + (b,), (b,), r - 1, prefix | x, base) for b, x in zip(domain, col)])
         return intern(node)
+
+    def walk(pts: tuple[int, ...], moves: tuple[int, ...], r: int, prefix: int, base) -> int:
+        # a node of rank ``r >= 2`` at sorted ``moves``, the last of ``pts``
+        n = len(pts)
+        col = column(pts, n, base)
+        base = column(pts, n + 1, None)
+        last = moves[-1]
+        start = n - len(moves)  # the position of the first move
+        j = 0  # where b goes in moves; it only grows, as b ascends
+        kids = set()
+        for b, x in zip(domain, col):
+            if b < last:
+                while moves[j] <= b:
+                    j += 1
+                kids.add(renaming(_insertion(W, n, start + j))[done[moves[:j] + (b,) + moves[j:]]])
+                continue
+            if r == 2:  # leaves inline, as at the root
+                kid = intern((W, prefix | x, frozenset(column(pts + (b,), n + 1, base))))
+            else:
+                kid = walk(pts + (b,), moves + (b,), r - 1, prefix | x, base)
+            done[moves + (b,)] = kid
+            kids.add(kid)
+        return intern(frozenset(kids))
 
     return rec
 
@@ -370,7 +508,7 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
     columns: dict = {}  # (point tuple, n) -> A's column or sibling base there
 
     def type_of(kept) -> int:
-        kept = tuple(kept)
+        kept = tuple(sorted(kept))  # the recursion's domain ascends
         if not kept or not all(0 <= e < A.size for e in kept):
             raise ValueError("a kept set is a nonempty set of elements")
         if not set(consts) <= set(kept):

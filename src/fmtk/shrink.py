@@ -533,10 +533,12 @@ def _stretches(t: SigmaTree, W: set[int]):
 def reduce_W_distances(s: SigmaTree, W, classes: TreeClasses) -> SigmaTree:
     """Shorten each mark-free stretch between order-consecutive marks with
     :func:`reduce_root_distance`. Two stretches are disjoint or equal, and
-    each is reduced as a tree of its own, so one pass over them suffices."""
+    each is reduced as a tree of its own, so one pass over them suffices;
+    mark pairs below one branch share a stretch, named by its target, and
+    it is reduced once."""
     W = checked_marks(W, None, s.parent)
     removed: set[int] = set()
-    for zset, target in _stretches(s, W):
+    for target, zset in {target: zset for zset, target in _stretches(s, W)}.items():
         removed |= zset - set(reduce_root_distance(s.induced(zset), target, classes).nodes)
     return s.induced(set(s.nodes) - removed)
 

@@ -152,6 +152,21 @@ class TestRankType:
                     for tup in ((), (rng.randrange(size),)):
                         assert rank_type(A, tup, m).key == reference_rank_type_key(A, tup, m)
 
+    def test_a_node_per_sorted_tuple_of_moves(self, monkeypatch):
+        # L18 at rank 5: a column for each of the 7,315 sorted tuples of
+        # fewer than 5 moves, and a sibling base for each of the 1,330 of
+        # fewer than 4; a node per ordered tuple took 117,326 columns
+        calls = []
+        real = equiv._column
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(equiv, "_column", counting)
+        type_id(make_linear_order(18), 5, TypeScope())
+        assert len(calls) <= 8645
+
     def test_keys_match_reference_on_longer_orders_and_cycles(self):
         for n in (7, 8, 9):
             for A in (make_linear_order(n), make_cycle(n)):
@@ -271,15 +286,37 @@ class TestTypeIds:
             assert len(by_id) > 50  # the sweep meets many classes, not a few
 
     def test_subset_keys_match_the_reference(self):
+        # each kept set comes in a shuffled order: the typer walks it in
+        # ascending order, as a sorted tuple of moves must be typed before
+        # the tuples that rename it
         rng = random.Random(1819)
         for _ in range(40):
             A = random_structure(rng, EP_C, rng.randint(1, 5), density=0.5)
-            m = rng.randint(0, 2)
+            m = rng.randint(0, 3)
             scope = TypeScope()
             type_of = subset_typer(A, m, scope)
             for kept in kept_id_sets(A):
                 sub = induced_substructure(A, kept)[0]
-                assert scope.key(type_of(kept)) == reference_rank_type_key(sub, (), m)
+                shuffled = list(kept)
+                rng.shuffle(shuffled)
+                assert scope.key(type_of(shuffled)) == reference_rank_type_key(sub, (), m)
+
+    def test_marked_keys_match_the_reference(self):
+        # marked pairs beside a constant, over E/2 and T/3, typed in one
+        # scope: the moves, and their renamings, start after the pair
+        rng = random.Random(1822)
+        vocab = Vocabulary.make({"E": 2, "T": 3}, ("c",))
+        for m in (3, 4):
+            items = []
+            for _ in range(8):
+                A = random_structure(rng, vocab, rng.randint(2, 4), density=rng.choice((0.3, 0.6)))
+                items += [(A, (rng.randrange(A.size), rng.randrange(A.size))) for _ in range(2)]
+            keys = [reference_rank_type_key(A, tup, m) for A, tup in items]
+            partition = realized_classes(items, m)
+            assert partition.class_count() == len(set(keys))
+            for members, fingerprint in zip(partition.classes, partition.fingerprints):
+                assert len({keys[i] for i in members}) == 1
+                assert equiv.RankType(m, keys[members[0]]).fingerprint == fingerprint
 
     def test_subset_ids_agree_with_built_keys_on_a_ternary_vocabulary(self):
         # the facts of arity 3 are added to a column whole, never to a
@@ -440,7 +477,8 @@ class TestEfGame:
         def refuse(*_):
             raise RuntimeError("the game search reached the rank-type code")
 
-        for name in ("rank_type", "_recursion", "_column", "TypeScope"):
+        for name in ("rank_type", "_recursion", "_column", "TypeScope", "_bit_map", "_Moved", "_Renaming",
+                     "_insertion"):
             monkeypatch.setattr(equiv, name, refuse)
         rng = random.Random(45)
         pairs = list(_pinned_pairs(rng, 3))

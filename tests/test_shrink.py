@@ -495,6 +495,24 @@ class TestReduceWDistances:
             spliced += want.size < s.size
         assert spliced >= 300, spliced
 
+    def test_a_shared_stretch_is_reduced_once(self, monkeypatch):
+        # marks 0, 9 and 10: the pairs (0, 9) and (0, 10) share the stretch
+        # 1 .. 7 above the branch at 8
+        parent = {0: None, **{v: v - 1 for v in range(1, 10)}, 10: 8}
+        s = SigmaTree(parent, {v: "a" for v in parent})
+        calls = []
+        real = shrink.reduce_root_distance
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(shrink, "reduce_root_distance", counting)
+        out = reduce_W_distances(s, {0, 9, 10}, TreeClasses(s, 1))
+        assert calls == [7]
+        assert out.size < s.size and {0, 9, 10} <= set(out.nodes)
+        assert out == reference_reduce_W_distances(s, {0, 9, 10}, 1, TreeClasses(s, 1))
+
 
 class TestShrinkTree:
     def test_everything_marked_unchanged(self):
