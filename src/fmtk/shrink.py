@@ -43,30 +43,36 @@ class SigmaTree:
             alphabet = tuple(alphabet)
             if not set(label.values()) <= set(alphabet):
                 raise ValueError("labels must come from the alphabet")
-        self.nodes = nodes
-        self.parent = dict(parent)
-        self.label = dict(label)
-        self.alphabet = alphabet
-        self.root = roots[0]
+        parent = dict(parent)
         children: dict[int, list[int]] = {v: [] for v in nodes}
         for v in nodes:
-            p = self.parent[v]
+            p = parent[v]
             if p is not None:
                 children[p].append(v)
-        self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
         depth: dict[int, int] = {}
         for v in nodes:
             chain = []
             u: int | None = v
             while u is not None and u not in depth:
                 chain.append(u)
-                u = self.parent[u]
+                u = parent[u]
                 if len(chain) > len(nodes):
                     raise ValueError("parent map contains a cycle")
             base = 0 if u is None else depth[u] + 1
             for w in reversed(chain):
                 depth[w] = base
                 base += 1
+        self._set(nodes, parent, dict(label), alphabet, roots[0],
+                  {v: tuple(sorted(cs)) for v, cs in children.items()}, depth)
+
+    def _set(self, nodes, parent, label, alphabet, root, children, depth):
+        """The one place the attributes are assigned."""
+        self.nodes = nodes
+        self.parent = parent
+        self.label = label
+        self.alphabet = alphabet
+        self.root = root
+        self._children = children
         self._depth = depth
 
     @property
@@ -112,19 +118,46 @@ class SigmaTree:
 
     def induced(self, keep) -> "SigmaTree":
         """Sub-poset on ``keep``: each kept node hangs under its nearest kept
-        ancestor. ``keep`` must contain a common ancestor of all its nodes."""
+        ancestor. ``keep`` must contain a common ancestor of all its nodes.
+
+        A sub-poset of a valid tree is a tree once it has one root, so that
+        is all that is checked; parents, children and depths are read off
+        this tree in one pass over ``keep``, in node order.
+        """
         keep = set(keep)
-        if not keep <= set(self.nodes):
+        if not keep <= self._depth.keys():
             raise ValueError("keep set contains unknown nodes")
         if len(keep) == len(self.nodes):
             return self
+        if not keep:
+            raise ValueError("trees are nonempty")
+        nodes = tuple(sorted(keep))
+        up = self.parent
         parent: dict[int, int | None] = {}
-        for v in keep:
-            p = self.parent[v]
+        children: dict[int, list[int]] = {v: [] for v in nodes}
+        roots = []
+        for v in nodes:  # in node order, so each child list comes out sorted
+            p = up[v]
             while p is not None and p not in keep:
-                p = self.parent[p]
+                p = up[p]
             parent[v] = p
-        return SigmaTree(parent, {v: self.label[v] for v in keep}, self.alphabet)
+            if p is None:
+                roots.append(v)
+            else:
+                children[p].append(v)
+        if len(roots) != 1:
+            raise ValueError("a tree has exactly one root")
+        depth = {roots[0]: 0}
+        stack = [roots[0]]
+        while stack:
+            u = stack.pop()
+            for c in children[u]:
+                depth[c] = depth[u] + 1
+                stack.append(c)
+        t = object.__new__(SigmaTree)
+        t._set(nodes, parent, {v: self.label[v] for v in nodes}, self.alphabet, roots[0],
+               {v: tuple(cs) for v, cs in children.items()}, depth)
+        return t
 
     def renumbered(self) -> tuple["SigmaTree", dict[int, int]]:
         """Dense copy with nodes ``0 .. n-1``; also returns the old->new map."""
@@ -375,7 +408,8 @@ class TreeClasses(ClassTable):
                     rels[name] += _shifted(part.relations[name], arity, size)
                 size += part.size
         rels[ORDER_PRED] += [(0, v) for v in range(size)]
-        return Structure(vocab, size, rels)
+        # shifted copies of valid representatives: nothing to check
+        return Structure._derived(vocab, size, {name: frozenset(ts) for name, ts in rels.items()})
 
 
 def splice_repeats(root, children: dict, cls) -> tuple:
@@ -593,9 +627,13 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
         # w1 holds the root, so the mark-carrying nodes form a rooted subtree
         carrying = {u for v in w1 for u in (v, *t1.ancestors(v))}
         hanging = [v for v in t1.nodes if v not in carrying and t1.parent[v] in carrying]
+        # a subtree's class depends on the subtree alone, and the hanging
+        # subtrees are disjoint: one classification and one children map
+        # serve every splice
+        ids = classes.classify(t1)
+        children = {v: list(t1.children(v)) for v in t1.nodes}
         for h in hanging:
-            below = t1.descendants(h)
-            kept -= below - set(reduce_height_no_W(t1.induced(below), classes).nodes)
+            kept -= t1.descendants(h) - splice_repeats(h, children, ids)[1]
         t2 = t1.induced(kept)
     phases.append(("hanging-heights", t1.size, t2.size))
 

@@ -88,10 +88,15 @@ class Structure:
     """A finite interpretation of a :class:`Vocabulary`.
 
     Immutable after construction; equality and hashing are by content, so
-    structures can key caches and sets. The constructor is the only way to
-    build one, and it validates every structure it builds, user input and
-    derived structures alike, checking each relation in bulk
-    (:func:`_checked_relation`).
+    structures can key caches and sets. The constructor validates what it is
+    given, checking each relation in bulk (:func:`_checked_relation`), the
+    constants and the predicate names: every structure read from a file,
+    encoded from a tree or made by a generator is built by it. An operation
+    whose parts are structures already built (an induced substructure, a
+    union, a complement, a product, a tree of structures, a class-table
+    representative) builds its result with :meth:`_derived` instead: each of
+    its tuples is a valid tuple, or a tuple of the full product, mapped into
+    the new universe, so there is nothing left to check.
     """
 
     __slots__ = ("vocab", "size", "relations", "constant_interp", "_hash")
@@ -101,8 +106,6 @@ class Structure:
             raise ValueError("structures must be nonempty")
         relations = dict(relations or {})
         constant_interp = dict(constant_interp or {})
-        for name, _ in vocab.predicates:
-            relations.setdefault(name, frozenset())
         for name, tuples in relations.items():
             # vocab.arity raises on an unknown predicate
             relations[name] = _checked_relation(name, vocab.arity(name), size, tuples)
@@ -114,6 +117,26 @@ class Structure:
         for c in constant_interp:
             if c not in vocab.constants:
                 raise ValueError(f"interpretation given for unknown constant {c}")
+        self._set(vocab, size, relations, constant_interp)
+
+    @classmethod
+    def _derived(cls, vocab: Vocabulary, size: int, relations: dict,
+                 constant_interp: dict | None = None) -> "Structure":
+        """A structure built from parts already validated, checking nothing.
+
+        ``relations`` maps predicate names of ``vocab`` to frozensets of
+        tuples of the right arity over ``0 .. size-1`` (a predicate left out
+        is empty), and ``constant_interp`` interprets every constant inside
+        the universe. Both dicts are taken over, not copied.
+        """
+        self = object.__new__(cls)
+        self._set(vocab, size, relations, {} if constant_interp is None else constant_interp)
+        return self
+
+    def _set(self, vocab, size, relations, constant_interp):
+        """The one place the attributes are assigned."""
+        for name, _ in vocab.predicates:
+            relations.setdefault(name, frozenset())
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "relations", relations)
@@ -255,7 +278,7 @@ def induced_substructure(A: Structure, subset) -> tuple[Structure, dict[int, int
         relations[name] = frozenset(kept)
     consts = {c: new_id[e] for c, e in A.constant_interp.items()}
     renumber = dict(zip(subset, range(len(subset))))
-    return Structure(A.vocab, len(subset), relations, consts), renumber
+    return Structure._derived(A.vocab, len(subset), relations, consts), renumber
 
 
 def kept_id_sets(A: Structure, required=(), largest_first: bool = False):
@@ -331,6 +354,13 @@ def find_embedding(A: Structure, B: Structure) -> dict[int, int] | None:
         raise ValueError("embedding requires identical vocabularies")
     if A.size > B.size:
         return None
+    return _embedding(A, B, _element_profile(A), _element_profile(B))
+
+
+def _embedding(A: Structure, B: Structure, prof_a, prof_b) -> dict[int, int] | None:
+    """:func:`find_embedding`'s search, given both structures'
+    :func:`_element_profile`; ``A`` and ``B`` share a vocabulary and ``A``
+    is not the larger."""
     forced: dict[int, int] = {}  # element of A -> its one candidate in B
     for c in A.vocab.constants:
         b = B.constant_interp[c]
@@ -339,7 +369,6 @@ def find_embedding(A: Structure, B: Structure) -> dict[int, int] | None:
 
     mapping: dict[int, int] = {}
     used: set[int] = set()
-    prof_a, prof_b = _element_profile(A), _element_profile(B)
     binary = [(name, A.relations[name], B.relations[name])
               for name, arity in A.vocab.predicates if arity == 2]
     wide = [(name, arity, A.relations[name], B.relations[name])
@@ -423,7 +452,7 @@ def disjoint_union(A: Structure, B: Structure) -> Structure:
         name: A.relations[name].union(_shifted(B.relations[name], arity, A.size))
         for name, arity in A.vocab.predicates
     }
-    return Structure(A.vocab, A.size + B.size, relations)
+    return Structure._derived(A.vocab, A.size + B.size, relations)
 
 
 def _shifted(tuples, arity: int, shift: int) -> list[tuple[int, ...]]:
@@ -445,7 +474,7 @@ def complement(A: Structure) -> Structure:
         ))
         for name, arity in A.vocab.predicates
     }
-    return Structure(A.vocab, A.size, relations)
+    return Structure._derived(A.vocab, A.size, relations)
 
 
 def cartesian_product(A: Structure, B: Structure) -> Structure:
@@ -466,7 +495,7 @@ def cartesian_product(A: Structure, B: Structure) -> Structure:
             for b in range(nb)
         )
         relations[name] = frozenset(tuples)
-    return Structure(A.vocab, A.size * nb, relations)
+    return Structure._derived(A.vocab, A.size * nb, relations)
 
 
 def tensor_product(A: Structure, B: Structure) -> Structure:
@@ -482,7 +511,7 @@ def tensor_product(A: Structure, B: Structure) -> Structure:
             for tb in rel_b:
                 tuples.add(tuple(a * nb + b for a, b in zip(ta, tb)))
         relations[name] = frozenset(tuples)
-    return Structure(A.vocab, A.size * nb, relations)
+    return Structure._derived(A.vocab, A.size * nb, relations)
 
 
 def bowtie(A: Structure, B: Structure) -> Structure:
@@ -551,7 +580,8 @@ def tree_of_structures(shape: dict[int, int | None], parts: list[Structure]) -> 
     relations[ORDER_PRED] = frozenset().union(
         *(itertools.product(blocks[i], blocks[j]) for j in shape for i in ancestors[j])
     )
-    return Structure(vocab.with_predicate(ORDER_PRED, 2), sum(p.size for p in parts), relations)
+    size = sum(p.size for p in parts)
+    return Structure._derived(vocab.with_predicate(ORDER_PRED, 2), size, relations)
 
 
 def block_offsets(parts: list[Structure]) -> list[int]:

@@ -35,9 +35,10 @@ from .folog import (
 from .structures import (
     Structure,
     Vocabulary,
-    find_embedding,
     induced_substructure,
     kept_id_sets,
+    _element_profile,
+    _embedding,
 )
 from .wqo import graph_components, order_positions
 
@@ -258,14 +259,17 @@ def minimal_models(structures: list[Structure]) -> list[Structure]:
     found. In the worst case (pairwise non-embeddable structures) every pair
     is still tried.
     """
-    minima: list[int] = []
+    if len({A.vocab for A in structures}) > 1:
+        raise ValueError("embedding requires identical vocabularies")
+    minima: list[tuple[int, list]] = []  # (index, element profile)
     for i in sorted(range(len(structures)), key=lambda i: structures[i].size):
         A = structures[i]
-        if not any(find_embedding(structures[j], A) is not None for j in minima):
-            minima.append(i)
+        profile = _element_profile(A)  # once per structure, not once per try
+        if not any(_embedding(structures[j], A, p, profile) is not None for j, p in minima):
+            minima.append((i, profile))
             check_guard("minimal models", len(minima), MINIMAL_MODEL_GUARD,
                         "the minimal-model guard")
-    return [structures[i] for i in sorted(minima)]
+    return [structures[i] for i in sorted(i for i, _ in minima)]
 
 
 def forall_star_from_minimal_models(class_membership, sample: ClassSample) -> Formula:

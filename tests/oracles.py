@@ -644,6 +644,18 @@ def reference_tree_of_structures(shape: dict[int, int | None],
                      sum(p.size for p in parts), relations)
 
 
+def reference_induced_tree(t: SigmaTree, keep) -> SigmaTree:
+    """``t.induced(keep)`` through the validating constructor: each kept
+    node hangs under its nearest kept strict ancestor."""
+    parent = {}
+    for v in keep:
+        p = t.parent[v]
+        while p is not None and p not in keep:
+            p = t.parent[p]
+        parent[v] = p
+    return SigmaTree(parent, {v: t.label[v] for v in keep}, t.alphabet)
+
+
 def reference_to_structure(t: SigmaTree):
     """Tree encoding from every node's ancestor walk."""
     renum = {v: i for i, v in enumerate(t.nodes)}

@@ -26,11 +26,12 @@ from fmtk.shrink import (
     trees_equivalent,
     word_letters,
 )
-from fmtk.structures import MarkedStructure, find_embedding
+from fmtk.structures import MarkedStructure, Structure, find_embedding
 
 from oracles import (
     random_tree,
     random_word,
+    reference_induced_tree,
     reference_is_subtree,
     reference_reduce_W_distances,
     reference_reduce_height_no_W,
@@ -71,6 +72,34 @@ class TestSigmaTree:
         t = chain(4)
         sub = t.induced({1, 4})
         assert sub.parent == {1: None, 4: 1}
+
+    def test_induced_equals_the_validated_rebuild(self):
+        rng = random.Random(62)
+        splits = 0
+        for _ in range(150):
+            t = random_deep_tree(rng)[0] if rng.random() < 0.5 else random_tree(
+                rng, rng.randint(1, 30), ("a", "b", "c")[:rng.randint(1, 3)])
+            top = rng.choice(t.nodes)
+            keep = {top} | {v for v in t.descendants(top) if rng.random() < 0.5}
+            sub = t.induced(keep)
+            want = reference_induced_tree(t, keep)
+            assert sub == want and sub.nodes == want.nodes and sub.root == want.root
+            for v in sub.nodes:
+                assert sub.children(v) == want.children(v) and sub.depth(v) == want.depth(v)
+            # without a common ancestor: the same error on both routes
+            forks = [v for v in t.nodes if len(t.children(v)) >= 2]
+            if forks:
+                v = rng.choice(forks)
+                a, b = rng.sample(t.children(v), 2)
+                keep = set(t.descendants(a)) | {b}
+                with pytest.raises(ValueError, match="^a tree has exactly one root$"):
+                    t.induced(keep)
+                with pytest.raises(ValueError, match="^a tree has exactly one root$"):
+                    reference_induced_tree(t, keep)
+                splits += 1
+        assert splits > 40
+        with pytest.raises(ValueError, match="unknown nodes"):
+            chain(3).induced({1, 7})
 
     def test_renumbered(self):
         t = chain(3).induced({1, 3})
@@ -225,6 +254,24 @@ class TestTreeClasses:
             "contains_marks": True, "is_subtree": True, "equivalent": False,
         }
         assert info.value.report.output_size == 1
+
+    def test_representatives_equal_their_validated_rebuilds(self, monkeypatch):
+        built = []
+        real = TreeClasses._representative
+
+        def recording(self, sig):
+            built.append(real(self, sig))
+            return built[-1]
+
+        monkeypatch.setattr(TreeClasses, "_representative", recording)
+        rng = random.Random(63)
+        for _ in range(40):
+            t, _ = random_deep_tree(rng)
+            TreeClasses(t, rng.randint(0, 2)).classify(t)
+        assert len(built) > 100
+        for rep in built:
+            again = Structure(rep.vocab, rep.size, rep.relations)
+            assert rep == again and hash(rep) == hash(again)
 
     def test_long_word_computes_few_rank_types(self, monkeypatch):
         calls = _count_rank_types(monkeypatch)
@@ -534,6 +581,37 @@ class TestShrinkTree:
             assert marks <= set(out.nodes)
             assert is_subtree(out, t)
             assert trees_equivalent(out, t, m)
+
+    def test_hanging_subtrees_are_classified_once(self, monkeypatch):
+        # a marked child of the root, and four unmarked chains hanging off
+        # the root, long enough that each is spliced
+        parent, label = {0: None, 1: 0}, {0: "a", 1: "b"}
+        v = 2
+        for length in (3, 4, 5, 6):
+            above = 0
+            for _ in range(length):
+                parent[v], label[v], above = above, "a", v
+                v += 1
+        t = SigmaTree(parent, label, ("a", "b"))
+        # the phase as it was: one reduction per hanging subtree
+        kept = set(t.nodes)
+        for h in t.children(0)[1:]:
+            below = t.descendants(h)
+            kept -= below - set(reference_reduce_height_no_W(t.induced(below), 1).nodes)
+        want = reduce_degree(t.induced(kept), {1}, TreeClasses(t, 1), 1)
+        calls = []
+        real = TreeClasses.classify
+
+        def counting(self, tree):
+            calls.append(tree)
+            return real(self, tree)
+
+        monkeypatch.setattr(TreeClasses, "classify", counting)
+        out, report = shrink_tree(t, {1}, 1, 1)
+        assert report.ok() and out == want
+        assert report.phases[1] == ("hanging-heights", t.size, len(kept))
+        assert len(kept) < t.size
+        assert len(calls) == 1  # mark-distances has nothing to reduce here
 
     def test_mark_bound_enforced(self):
         t = random_tree(random.Random(59), 5, ("a",))

@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmtk.algebra import shrink_verdicts
 from fmtk.errors import StructureFormatError
-from fmtk.shrink import make_word, to_structure
+from fmtk.shrink import (
+    SigmaTree,
+    make_word,
+    parse_trees,
+    serialize_tree,
+    shrink_tree,
+    to_structure,
+    trees_equivalent,
+)
 from fmtk.structures import (
     MarkedStructure,
     Structure,
@@ -253,6 +262,68 @@ class TestOperationsAgainstOracles:
             parts = [random_structure(rng, V123, rng.randint(1, 3)) for _ in range(n)]
             assert (serialize_structure("S", tree_of_structures(shape, parts))
                     == serialize_structure("S", reference_tree_of_structures(shape, parts)))
+
+
+def _rebuilt(S):
+    """``S`` built again through the validating constructor."""
+    return Structure(S.vocab, S.size, S.relations, S.constant_interp)
+
+
+class TestDerivedBuilds:
+    """Operations build from validated parts with ``Structure._derived``,
+    which checks nothing; the checking route never goes through it."""
+
+    def test_derived_structures_equal_their_validated_rebuilds(self):
+        rng = random.Random(76)
+        ops = 0
+        for _ in range(120):
+            consts = ["c", "d"][:rng.randint(0, 2)]
+            A = random_structure(rng, V123.with_constants(consts), rng.randint(1, 6),
+                                 density=rng.random())
+            fixed = set(A.constant_interp.values())
+            subset = fixed | {e for e in range(A.size) if rng.random() < 0.6} or {0}
+            B = random_structure(rng, V123, rng.randint(1, 6), density=rng.random())
+            C = random_structure(rng, V123, rng.randint(1, 6), density=rng.random())
+            n = rng.randint(1, 4)
+            shape = {0: None, **{i: rng.randrange(i) for i in range(1, n)}}
+            parts = [random_structure(rng, V123, rng.randint(1, 3), density=rng.random())
+                     for _ in range(n)]
+            for S in (induced_substructure(A, subset)[0], disjoint_union(B, C), complement(B),
+                      cartesian_product(B, C), tensor_product(B, C), bowtie(B, C),
+                      tree_of_structures(shape, parts), word_of_structures(parts)):
+                assert all(type(rel) is frozenset for rel in S.relations.values())
+                R = _rebuilt(S)
+                assert S == R and hash(S) == hash(R)
+                ops += 1
+        assert ops == 960
+
+    def test_checking_route_builds_nothing_through_derived(self, monkeypatch):
+        rng = random.Random(77)
+        A = random_structure(rng, V123C, 5)
+        sub, renum = induced_substructure(A, {A.constant_interp["c"], 1, 3})
+        witness = sorted(renum)
+        text = serialize_structures({"A": A, "S": sub})
+        t = random_tree(rng, 14, ("a", "b"))
+        out, _ = shrink_tree(t, set(), 1, 0)
+
+        def refuse(*_args):
+            raise RuntimeError("the checking route reached a private builder")
+
+        monkeypatch.setattr(Structure, "_derived", refuse)
+        monkeypatch.setattr(SigmaTree, "induced", refuse)
+        with pytest.raises(RuntimeError, match="private builder"):
+            complement(make_path(3))
+        assert trees_equivalent(out, t, 1)
+        S, _ = to_structure(t)
+        assert S == _rebuilt(S)
+        verdicts = shrink_verdicts(A, sub, witness, {witness[0]}, 1)
+        assert verdicts["contains_marks"] and verdicts["substructure"]
+        assert check_embedding_witness(sub, A, dict(enumerate(witness)))
+        assert parse_structures(text) == {"A": A, "S": sub}
+        assert parse_trees(serialize_tree("T", t))["T"] == (t, ())
+        for name in ("test_accepts_and_rejects_like_the_per_tuple_loop",
+                     "test_frozenset_is_kept_and_other_inputs_copied"):
+            getattr(TestBulkChecks(), name)()
 
 
 class TestInducedSubstructure:

@@ -332,16 +332,37 @@ class TestMinimalModels:
             # the same objects, in the same order
             assert [id(A) for A in got] == [id(A) for A in want]
 
+    def test_one_element_profile_per_structure(self, monkeypatch):
+        import fmtk.structures as fs
+        import fmtk.translate as tr
+
+        structures = enumerate_structures(V, 3)
+        want = minimal_models(structures)
+        profiled = []
+        real = fs._element_profile
+
+        def counting(A):
+            profiled.append(id(A))
+            return real(A)
+
+        # wherever the search takes its profiles from
+        monkeypatch.setattr(fs, "_element_profile", counting)
+        monkeypatch.setattr(tr, "_element_profile", counting, raising=False)
+        got = minimal_models(structures)
+        assert [id(A) for A in got] == [id(A) for A in want]
+        assert len(profiled) == len(set(profiled)) <= len(structures)
+
     def test_minimal_model_guard(self, monkeypatch):
         import fmtk.translate as tr
 
         calls = []
+        search = tr._embedding  # minimal_models' embedding search
 
-        def counting(A, B):
+        def counting(A, B, *profiles):
             calls.append((A, B))
-            return find_embedding(A, B)
+            return search(A, B, *profiles)
 
-        monkeypatch.setattr(tr, "find_embedding", counting)
+        monkeypatch.setattr(tr, "_embedding", counting)
         monkeypatch.setattr(tr, "MINIMAL_MODEL_GUARD", 1)
         sample = all_sample(enumerate_structures(V, 3))
         with pytest.raises(GuardExceeded, match="^minimal models 2 exceeds the minimal-model guard 1$"):
