@@ -383,50 +383,36 @@ def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> i
     return prefix
 
 
-def _recursion(column, domain, consts: tuple[int, ...], W: int, scope: TypeScope):
-    """The one recursion of the engine. ``rec(t, r, prefix, base)`` is the
-    id in ``scope`` of the rank-``r`` type of ``t`` (``prefix``: the facts
-    among the constants and ``t``; ``base``: the sibling base its parent
-    shares with it, or None), with every quantifier over ``domain``, which
-    must ascend. ``column(pts, n, base)`` is :func:`_column` at ``domain``,
-    in order; a node of rank 2 and up lays out its children's sibling base
-    once.
+def _recursion(column, domain, W: int, scope: TypeScope):
+    """The one recursion of the engine. ``walk(pts, moves, r, prefix,
+    base)`` is the id in ``scope`` of the rank-``r`` type of ``pts``, the
+    constants and the typed tuple followed by ``moves`` (``prefix``: the
+    facts among ``pts``; ``base``: the sibling base its parent shares with
+    it, or None), with every quantifier over ``domain``, which must ascend.
+    The root is the walk of no moves. ``column(pts, n, base)`` is
+    :func:`_column` at ``domain``, in order; a node of rank 2 and up lays
+    out its children's sibling base once.
 
     Renaming points maps types to types (Ebbinghaus & Flum, *Finite Model
     Theory*, on types): the type of a tuple of moves is the type of its
-    sorted form, renamed. So below the root, whose moves start after the
-    constants and ``t``, a node is computed only for a sorted tuple of
+    sorted form, renamed. So a node is computed only for a sorted tuple of
     moves; a child ``moves + (b,)`` with ``b < moves[-1]`` takes the id of
     its sorted form, renamed by :func:`_insertion` through
     :meth:`TypeScope.renaming`. The walk goes depth first over the ascending
     domain, so that sorted form, lexicographically smaller, is already in
-    the walk's memo. The root keeps a plain comprehension and writes no
-    memo entry: at rank 2 and below no move comes out of order."""
+    the walk's memo."""
     intern, renaming = scope.intern, scope.renaming
     done: dict = {}  # sorted moves -> id, for this walk
 
-    def rec(t: tuple[int, ...], r: int, prefix: int, base) -> int:
+    def walk(pts: tuple[int, ...], moves: tuple[int, ...], r: int, prefix: int, base) -> int:
         if r == 0:
             return intern((W, prefix))
-        pts = consts + t
         n = len(pts)
         col = column(pts, n, base)
         if r == 1:
             return intern((W, prefix, frozenset(col)))
         base = column(pts, n + 1, None)
-        if r == 2:  # leaves inline: a call per leaf costs about 5% of a type
-            node = frozenset([intern((W, prefix | x, frozenset(column(pts + (b,), n + 1, base))))
-                              for b, x in zip(domain, col)])
-        else:
-            node = frozenset([walk(pts + (b,), (b,), r - 1, prefix | x, base) for b, x in zip(domain, col)])
-        return intern(node)
-
-    def walk(pts: tuple[int, ...], moves: tuple[int, ...], r: int, prefix: int, base) -> int:
-        # a node of rank ``r >= 2`` at sorted ``moves``, the last of ``pts``
-        n = len(pts)
-        col = column(pts, n, base)
-        base = column(pts, n + 1, None)
-        last = moves[-1]
+        last = moves[-1] if moves else -1
         start = n - len(moves)  # the position of the first move
         j = 0  # where b goes in moves; it only grows, as b ascends
         kids = set()
@@ -436,7 +422,7 @@ def _recursion(column, domain, consts: tuple[int, ...], W: int, scope: TypeScope
                     j += 1
                 kids.add(renaming(_insertion(W, n, start + j))[done[moves[:j] + (b,) + moves[j:]]])
                 continue
-            if r == 2:  # leaves inline, as at the root
+            if r == 2:  # leaves inline: a call per leaf costs about 5% of a type
                 kid = intern((W, prefix | x, frozenset(column(pts + (b,), n + 1, base))))
             else:
                 kid = walk(pts + (b,), moves + (b,), r - 1, prefix | x, base)
@@ -444,7 +430,7 @@ def _recursion(column, domain, consts: tuple[int, ...], W: int, scope: TypeScope
             kids.add(kid)
         return intern(frozenset(kids))
 
-    return rec
+    return walk
 
 
 def _kept_column(A: Structure, tables: tuple, steps: list, memo: dict, kept: tuple[int, ...],
@@ -477,7 +463,7 @@ def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> in
     """The id in ``scope`` of the rank-``m`` type of ``tup`` in ``A``."""
     W, tables, steps, consts, prefix = _lay_out(A, tup, m, scope)
     column = functools.partial(_column, A, tables, steps)
-    return _recursion(column, range(A.size), consts, W, scope)(tup, m, prefix, None)
+    return _recursion(column, range(A.size), W, scope)(consts + tup, (), m, prefix, None)
 
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
@@ -514,7 +500,7 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
         if not set(consts) <= set(kept):
             raise ValueError("a kept set must hold the constants")
         column = functools.partial(_kept_column, A, tables, steps, columns, kept)
-        return _recursion(column, kept, consts, W, scope)((), m, prefix, None)
+        return _recursion(column, kept, W, scope)(consts, (), m, prefix, None)
 
     return type_of
 

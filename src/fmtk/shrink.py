@@ -12,7 +12,8 @@ from __future__ import annotations
 from .equiv import TypeScope, check_rank_type_cost, marked_equivalent, rank_type, type_id
 from .errors import StructureFormatError, VerificationFailed
 from .structures import (
-    ORDER_PRED, Structure, Vocabulary, _once, _shifted, checked_marks, format_errors, read_blocks,
+    ORDER_PRED, Structure, Vocabulary, _once, _rooted_tree, _shifted, checked_marks, format_errors,
+    read_blocks,
 )
 
 
@@ -31,39 +32,14 @@ class SigmaTree:
             raise ValueError("trees are nonempty")
         if sorted(label) != list(nodes):
             raise ValueError("labels must cover exactly the nodes")
-        roots = [v for v, p in parent.items() if p is None]
-        if len(roots) != 1:
-            raise ValueError("a tree has exactly one root")
-        for v, p in parent.items():
-            if p is not None and p not in parent:
-                raise ValueError(f"parent of {v} is not a node")
+        root, children, depth = _rooted_tree(parent)
         if alphabet is None:
             alphabet = tuple(sorted(set(label.values())))
         else:
             alphabet = tuple(alphabet)
             if not set(label.values()) <= set(alphabet):
                 raise ValueError("labels must come from the alphabet")
-        parent = dict(parent)
-        children: dict[int, list[int]] = {v: [] for v in nodes}
-        for v in nodes:
-            p = parent[v]
-            if p is not None:
-                children[p].append(v)
-        depth: dict[int, int] = {}
-        for v in nodes:
-            chain = []
-            u: int | None = v
-            while u is not None and u not in depth:
-                chain.append(u)
-                u = parent[u]
-                if len(chain) > len(nodes):
-                    raise ValueError("parent map contains a cycle")
-            base = 0 if u is None else depth[u] + 1
-            for w in reversed(chain):
-                depth[w] = base
-                base += 1
-        self._set(nodes, parent, dict(label), alphabet, roots[0],
-                  {v: tuple(sorted(cs)) for v, cs in children.items()}, depth)
+        self._set(nodes, dict(parent), dict(label), alphabet, root, children, depth)
 
     def _set(self, nodes, parent, label, alphabet, root, children, depth):
         """The one place the attributes are assigned."""
@@ -120,9 +96,9 @@ class SigmaTree:
         """Sub-poset on ``keep``: each kept node hangs under its nearest kept
         ancestor. ``keep`` must contain a common ancestor of all its nodes.
 
-        A sub-poset of a valid tree is a tree once it has one root, so that
-        is all that is checked; parents, children and depths are read off
-        this tree in one pass over ``keep``, in node order.
+        The nearest kept parents are read off this tree in one pass over
+        ``keep``, in node order; the root, children and depths come from the
+        constructor's reader of parent maps, without its label checks.
         """
         keep = set(keep)
         if not keep <= self._depth.keys():
@@ -134,29 +110,14 @@ class SigmaTree:
         nodes = tuple(sorted(keep))
         up = self.parent
         parent: dict[int, int | None] = {}
-        children: dict[int, list[int]] = {v: [] for v in nodes}
-        roots = []
-        for v in nodes:  # in node order, so each child list comes out sorted
+        for v in nodes:
             p = up[v]
             while p is not None and p not in keep:
                 p = up[p]
             parent[v] = p
-            if p is None:
-                roots.append(v)
-            else:
-                children[p].append(v)
-        if len(roots) != 1:
-            raise ValueError("a tree has exactly one root")
-        depth = {roots[0]: 0}
-        stack = [roots[0]]
-        while stack:
-            u = stack.pop()
-            for c in children[u]:
-                depth[c] = depth[u] + 1
-                stack.append(c)
         t = object.__new__(SigmaTree)
-        t._set(nodes, parent, {v: self.label[v] for v in nodes}, self.alphabet, roots[0],
-               {v: tuple(cs) for v, cs in children.items()}, depth)
+        t._set(nodes, parent, {v: self.label[v] for v in nodes}, self.alphabet,
+               *_rooted_tree(parent))
         return t
 
     def renumbered(self) -> tuple["SigmaTree", dict[int, int]]:

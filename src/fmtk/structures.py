@@ -522,6 +522,37 @@ def bowtie(A: Structure, B: Structure) -> Structure:
 ORDER_PRED = "le"
 
 
+def _rooted_tree(parent: dict[int, int | None]) -> tuple[int, dict, dict]:
+    """The root, the sorted child tuple of every node and every node's depth
+    in the tree a parent map describes, the root mapping to ``None``.
+
+    Refuses, in this order, a map without exactly one root, a parent that
+    is not a node, and a cycle: a node the root does not reach.
+    """
+    roots = [v for v, p in parent.items() if p is None]
+    if len(roots) != 1:
+        raise ValueError("a tree has exactly one root")
+    children: dict[int, list[int]] = {v: [] for v in parent}
+    for v in sorted(parent):  # so each child list comes out sorted
+        p = parent[v]
+        if p is not None:
+            if p not in children:
+                raise ValueError(f"parent of {v} is not a node")
+            children[p].append(v)
+    root = roots[0]
+    depth = {root: 0}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        d = depth[u] + 1
+        for c in children[u]:
+            depth[c] = d
+            stack.append(c)
+    if len(depth) != len(parent):
+        raise ValueError("parent map contains a cycle")
+    return root, {v: tuple(cs) for v, cs in children.items()}, depth
+
+
 def word_of_structures(parts: list[Structure]) -> Structure:
     """Concatenate the parts into one structure ordered by a block pre-order.
 
@@ -553,19 +584,11 @@ def tree_of_structures(shape: dict[int, int | None], parts: list[Structure]) -> 
     if vocab.has_predicate(ORDER_PRED):
         raise ValueError(f"vocabulary already uses the order predicate {ORDER_PRED!r}")
 
-    roots = [i for i, p in shape.items() if p is None]
-    if len(roots) != 1:
-        raise ValueError("shape must have exactly one root block")
+    _, _, depth = _rooted_tree(shape)
     ancestors: dict[int, set[int]] = {}
-    for i in shape:
-        chain = set()
-        j: int | None = i
-        while j is not None:
-            if j in chain:
-                raise ValueError("shape contains a cycle")
-            chain.add(j)
-            j = shape[j]
-        ancestors[i] = chain
+    for j in sorted(shape, key=depth.__getitem__):  # each parent before its children
+        p = shape[j]
+        ancestors[j] = {j} if p is None else ancestors[p] | {j}
 
     offsets = block_offsets(parts)
     relations = {

@@ -67,6 +67,8 @@ class TestSigmaTree:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             SigmaTree({0: 1, 1: 0}, {0: "a", 1: "a"})
+        with pytest.raises(ValueError, match="parent map contains a cycle"):
+            SigmaTree({0: None, 1: 2, 2: 1}, {0: "a", 1: "a", 2: "a"})
 
     def test_induced_reattaches_to_nearest_kept_ancestor(self):
         t = chain(4)
@@ -84,8 +86,11 @@ class TestSigmaTree:
             sub = t.induced(keep)
             want = reference_induced_tree(t, keep)
             assert sub == want and sub.nodes == want.nodes and sub.root == want.root
+            # children and depths by definition: the rebuild reads them
+            # through the same parent-map reader as induced
             for v in sub.nodes:
-                assert sub.children(v) == want.children(v) and sub.depth(v) == want.depth(v)
+                assert sub.children(v) == tuple(c for c in want.nodes if want.parent[c] == v)
+                assert sub.depth(v) == len(list(want.ancestors(v)))
             # without a common ancestor: the same error on both routes
             forks = [v for v in t.nodes if len(t.children(v)) >= 2]
             if forks:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmtk.algebra import shrink_verdicts
+from fmtk.algebra import shrink_tree_of_structures, shrink_verdicts
 from fmtk.errors import StructureFormatError
 from fmtk.shrink import (
     SigmaTree,
@@ -673,11 +673,17 @@ class TestBlockCompositions:
         assert evaluate(out, axiom)
 
     def test_tree_shape_validation(self):
-        parts = [digraph(1, []), digraph(1, [])]
-        with pytest.raises(ValueError):
-            tree_of_structures({0: 1, 1: 0}, parts)
-        with pytest.raises(ValueError):
-            tree_of_structures({0: None, 1: None}, parts)
+        # each fault refused as SigmaTree refuses it, never with a KeyError
+        for shape, message in (({0: 1, 1: 0}, "a tree has exactly one root"),
+                               ({0: None, 1: None}, "a tree has exactly one root"),
+                               ({0: None, 1: 5}, "parent of 1 is not a node"),
+                               ({0: None, 1: 2, 2: 1}, "parent map contains a cycle")):
+            parts = [digraph(1, [])] * len(shape)
+            for build in (lambda: SigmaTree(shape, dict.fromkeys(shape, "a")),
+                          lambda: tree_of_structures(shape, parts),
+                          lambda: shrink_tree_of_structures(shape, parts, (), 1, 1)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    build()
 
 
 class TestTextFormat:
