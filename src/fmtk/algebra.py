@@ -461,10 +461,10 @@ def wqo_scan_marked_words(
             raise ValueError(f"a word carries {len(marks)} marks; k = {k}")
         word = word_of_structures(parts)
         encoded.append(MarkedStructure(word, tuple(sorted(marks)), ordered=False).expand())
+    if any(w.vocab != encoded[0].vocab for w in encoded):
+        raise ValueError("all words must share one vocabulary")
     for j in range(1, len(encoded)):
         for i in range(j):
-            if encoded[i].vocab != encoded[j].vocab:
-                raise ValueError("all words must share one vocabulary")
             if find_embedding(encoded[i], encoded[j]) is not None:
                 return (i + 1, j + 1)
     return None

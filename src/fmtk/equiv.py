@@ -56,72 +56,66 @@ def _hex_text(key) -> str:
 
 # The rank-0 key of ``W`` points is ``(W, eq, masks)``: bit ``(i, j)`` of
 # ``eq`` (pairs ``i < j`` in lexicographic order) says that points i and j are
-# equal, and bit ``sum(c[k] * W**(arity-1-k))`` of a predicate's mask that the
-# points at index combo ``c`` are in it. Packed, it is one int: ``eq``, then
-# each predicate's mask in vocabulary order. A type whose leaves have ``W``
-# points is laid out at width ``W`` from its root down, so the facts among a
-# node's points already sit where its leaves need them: a child's facts are
-# its parent's plus those that involve its new point.
+# equal, and bit ``c`` of a predicate's mask (index combos ``c`` in
+# lexicographic order) that the points at ``c`` are in it. Packed, it is one
+# int: ``eq``, then each predicate's mask in vocabulary order, each fact at
+# the bit that :func:`_layout`'s table gives it. A type whose leaves have
+# ``W`` points is laid out at width ``W`` from its root down, so the facts
+# among a node's points already sit where its leaves need them: a child's
+# facts are its parent's plus those that involve its new point.
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(arities: tuple[int, ...], W: int) -> tuple:
-    """Bit positions at width ``W``. ``steps[n]``: those of the facts that
+    """Bit positions at width ``W``. ``table``: the bit of each fact, each
+    equality ``(-1, (i, j))`` and then, per predicate index ``p``, each
+    ``(p, c)``, in the order above. ``steps[n]``: those of the facts that
     point ``n`` has with points ``0 .. n-1``, with the predicates grouped by
     arity as in :func:`_fact_tables`: its equality with each; per unary
     predicate, its membership; per binary one, its out- and in-edge with
-    each and its loop; per wider one, the predicate's offset. ``blocks``:
-    each predicate's offset and mask, in vocabulary order."""
+    each and its loop; per wider one, the ``(combo, bit)`` pairs over
+    ``0 .. n`` that contain ``n``. ``blocks``: each predicate's offset and
+    mask, in vocabulary order."""
+    facts = [(-1, c) for c in itertools.combinations(range(W), 2)]
     blocks = []
-    off = W * (W - 1) // 2
-    for arity in arities:
-        blocks.append((off, (1 << W**arity) - 1))
-        off += W**arity
+    for p, arity in enumerate(arities):
+        blocks.append((len(facts), (1 << W**arity) - 1))
+        facts += [(p, c) for c in itertools.product(range(W), repeat=arity)]
+    table = {fact: bit for bit, fact in enumerate(facts)}
     steps = []
     for n in range(W):
         unary, binary, wide = [], [], []
-        for arity, (off, _) in zip(arities, blocks):
+        for p, arity in enumerate(arities):
             if arity == 1:
-                unary.append(off + n)
+                unary.append(table[p, (n,)])
             elif arity == 2:
-                binary.append(([off + i * W + n for i in range(n)], [off + n * W + i for i in range(n)],
-                               off + n * W + n))
+                binary.append(([table[p, (i, n)] for i in range(n)], [table[p, (n, i)] for i in range(n)],
+                               table[p, (n, n)]))
             else:
-                wide.append(off)
-        steps.append(([i * W - i * (i + 1) // 2 + n - i - 1 for i in range(n)], unary, binary, wide))
-    return steps, blocks
+                wide.append([(c, table[p, c]) for c in itertools.product(range(n + 1), repeat=arity) if n in c])
+        steps.append(([table[-1, (i, n)] for i in range(n)], unary, binary, wide))
+    return table, steps, blocks
 
 
 @functools.lru_cache(maxsize=64)
 def _bit_map(arities: tuple[int, ...], perm: tuple[int, ...]) -> tuple:
     """How renaming points moves packed facts of width ``W = len(perm)``:
-    point ``p`` after is point ``perm[p]`` before, so the bit of a pair or
-    index combo ``c`` after is the bit of ``perm(c)`` before. Returns the
-    mask of the bits that move and, indexed by a bit's old position, its
-    new one: plain positions, four bytes a bit of the width."""
+    point ``p`` after is point ``perm[p]`` before, so the bit of a fact over
+    points ``c`` after is the bit of the same fact over ``perm(c)`` before,
+    both read in :func:`_layout`'s table. Returns the mask of the bits that
+    move and, indexed by a bit's old position, its new one: plain positions,
+    four bytes a bit of the width."""
     from array import array  # here, so that importing fmtk does not load it
 
-    W = len(perm)
-    width = W * (W - 1) // 2 + sum(W**arity for arity in arities)
-    dest = array("I", [0]) * width
-    mask = bytearray(width // 8 + 1)
-
-    def move(old: int, new: int) -> None:
-        dest[old] = new
-        mask[old >> 3] |= 1 << (old & 7)
-
-    for i, j in itertools.combinations(range(W), 2):
-        if perm[i] != i or perm[j] != j:
-            a, b = sorted((perm[i], perm[j]))
-            move(a * W - a * (a + 1) // 2 + b - a - 1, i * W - i * (i + 1) // 2 + j - i - 1)
-    off = W * (W - 1) // 2
-    for arity in arities:
-        # product() lists the index combos c in order: ``new`` is c's index, the sum perm(c)'s
-        digits = [[p * W**e for p in perm] for e in reversed(range(arity))]
-        for new, old in enumerate(map(sum, itertools.product(*digits))):
-            if old != new:
-                move(off + old, off + new)
-        off += W**arity
+    table = _layout(arities, len(perm))[0]
+    dest = array("I", [0]) * len(table)
+    mask = bytearray(len(table) // 8 + 1)
+    for (p, c), new in table.items():
+        moved = tuple([perm[i] for i in c])
+        old = table[p, tuple(sorted(moved)) if p < 0 else moved]
+        if old != new:
+            dest[old] = new
+            mask[old >> 3] |= 1 << (old & 7)
     return int.from_bytes(mask, "little"), dest
 
 
@@ -166,7 +160,7 @@ def _fact_tables(A: Structure) -> tuple:
     """The arities, and the predicates grouped by arity, in the order of
     :func:`_layout`'s steps, as :func:`_column` reads them: per unary one,
     its members; per binary one, its relation, its loops and a slot for its
-    successor and predecessor lists; per wider one, its arity and relation."""
+    successor and predecessor lists; per wider one, its relation."""
     unary, binary, wide = [], [], []
     for name, arity in A.vocab.predicates:
         rel = A.relations[name]
@@ -175,7 +169,7 @@ def _fact_tables(A: Structure) -> tuple:
         elif arity == 2:
             binary.append([rel, [a for a, b in rel if a == b], None])
         else:
-            wide.append((arity, rel))
+            wide.append(rel)
     return tuple(arity for _, arity in A.vocab.predicates), unary, binary, wide
 
 
@@ -229,14 +223,12 @@ def _column(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...], n: i
             for b in pred[pts[i]]:
                 col[b] |= bit
     if n == k:
-        W = len(steps)
-        for (arity, rel), off in zip(wide, wide_at):
-            for c in itertools.product(range(n + 1), repeat=arity):
-                if n in c:
-                    bit = 1 << off + sum(i * W**j for j, i in enumerate(reversed(c)))
-                    for b in range(A.size):
-                        if tuple(pts[i] if i < n else b for i in c) in rel:
-                            col[b] |= bit
+        for rel, combos in zip(wide, wide_at):
+            for c, pos in combos:
+                bit = 1 << pos
+                for b in range(A.size):
+                    if tuple(pts[i] if i < n else b for i in c) in rel:
+                        col[b] |= bit
     return col
 
 
@@ -278,13 +270,6 @@ class TypeScope:
         elif self.vocab is not A.vocab and self.vocab != A.vocab:
             raise ValueError("a type scope holds structures over one vocabulary")
 
-    def intern(self, node) -> int:
-        i = self.ids.get(node)
-        if i is None:
-            i = self.ids[node] = len(self.nodes)
-            self.nodes.append(node)
-        return i
-
     def key(self, i: int) -> tuple:
         """The canonical nested key of node ``i``, memoized per id."""
         key = self.keys.get(i)
@@ -292,7 +277,7 @@ class TypeScope:
             node = self.nodes[i]
             if type(node) is tuple:
                 W, prefix = node[:2]
-                blocks = _layout(self.arities, W)[1]
+                blocks = _layout(self.arities, W)[2]
                 if len(node) == 2:
                     key = _unpack(W, blocks, [prefix])[0]
                 else:
@@ -310,22 +295,33 @@ class TypeScope:
         return renaming
 
 
+def _intern(ids: dict, nodes: list, node) -> int:
+    """The id of ``node`` in a scope's ``ids`` and ``nodes``, new ones last."""
+    i = ids.get(node)
+    if i is None:
+        i = ids[node] = len(nodes)
+        nodes.append(node)
+    return i
+
+
 class _Renaming(dict):
     """Ids of ``scope`` -> the ids of the same nodes with their points
     renamed by ``perm``: point ``p`` after is point ``perm[p]`` before.
     ``perm`` has the nodes' width ``W`` and fixes the points a node's moves
     have not reached, so it renames a node's children the same way. Filled
-    on demand, and shared by every structure typed in the scope."""
+    on demand, and shared by every structure typed in the scope. It keeps
+    the scope's ``ids`` and ``nodes``, not the scope that keeps it, so the
+    two make no cycle."""
 
-    __slots__ = ("scope", "facts")
+    __slots__ = ("ids", "nodes", "facts")
 
     def __init__(self, scope: TypeScope, perm: tuple[int, ...]):
         super().__init__()
-        self.scope = scope
+        self.ids, self.nodes = scope.ids, scope.nodes
         self.facts = _Moved(scope.arities, perm)
 
     def __missing__(self, i: int) -> int:
-        node = self.scope.nodes[i]
+        node = self.nodes[i]
         if type(node) is tuple:
             facts = self.facts
             if len(node) == 2:
@@ -334,7 +330,7 @@ class _Renaming(dict):
                 node = (node[0], facts[node[1]], frozenset(map(facts.__getitem__, node[2])))
         else:
             node = frozenset(map(self.__getitem__, node))
-        j = self[i] = self.scope.intern(node)
+        j = self[i] = _intern(self.ids, self.nodes, node)
         return j
 
 
@@ -363,8 +359,8 @@ def _refuse(A: Structure, tup: tuple[int, ...], m: int) -> None:
         if not 0 <= e < A.size:
             raise ValueError(f"tuple component {e} outside the universe")
     if 2 * m > sys.getrecursionlimit():
-        # each rank is two frames of the recursion below; refuse a depth it
-        # cannot reach before carrying facts down towards it
+        # each rank is one frame of the recursion below, with as many left to
+        # its callers; refuse a depth it cannot reach before laying out facts
         raise RecursionError(f"a rank-{m} type nests deeper than the recursion limit")
 
 
@@ -383,15 +379,15 @@ def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> i
     return prefix
 
 
-def _recursion(column, domain, W: int, scope: TypeScope):
-    """The one recursion of the engine. ``walk(pts, moves, r, prefix,
-    base)`` is the id in ``scope`` of the rank-``r`` type of ``pts``, the
-    constants and the typed tuple followed by ``moves`` (``prefix``: the
-    facts among ``pts``; ``base``: the sibling base its parent shares with
-    it, or None), with every quantifier over ``domain``, which must ascend.
-    The root is the walk of no moves. ``column(pts, n, base)`` is
-    :func:`_column` at ``domain``, in order; a node of rank 2 and up lays
-    out its children's sibling base once.
+def _recursion(column, domain, W: int, scope: TypeScope, pts: tuple[int, ...], m: int, prefix: int) -> int:
+    """The one recursion of the engine: the id in ``scope`` of the
+    rank-``m`` type of ``pts``, the constants and the typed tuple, whose
+    facts are ``prefix``, with every quantifier over ``domain``, which must
+    ascend. ``walk(pts, moves, r, prefix, base)`` is the id of the rank-``r``
+    type of ``pts`` followed by ``moves`` (``base``: the sibling base its
+    parent shares with it, or None); the root is the walk of no moves.
+    ``column(pts, n, base)`` is :func:`_column` at ``domain``, in order; a
+    node of rank 2 and up lays out its children's sibling base once.
 
     Renaming points maps types to types (Ebbinghaus & Flum, *Finite Model
     Theory*, on types): the type of a tuple of moves is the type of its
@@ -401,7 +397,7 @@ def _recursion(column, domain, W: int, scope: TypeScope):
     :meth:`TypeScope.renaming`. The walk goes depth first over the ascending
     domain, so that sorted form, lexicographically smaller, is already in
     the walk's memo."""
-    intern, renaming = scope.intern, scope.renaming
+    intern, renaming = functools.partial(_intern, scope.ids, scope.nodes), scope.renaming
     done: dict = {}  # sorted moves -> id, for this walk
 
     def walk(pts: tuple[int, ...], moves: tuple[int, ...], r: int, prefix: int, base) -> int:
@@ -430,7 +426,9 @@ def _recursion(column, domain, W: int, scope: TypeScope):
             kids.add(kid)
         return intern(frozenset(kids))
 
-    return walk
+    root = walk(pts, (), m, prefix, None)
+    del walk  # it refers to itself: unbound, it frees its memo, scope and structure now, not in a gc pass
+    return root
 
 
 def _kept_column(A: Structure, tables: tuple, steps: list, memo: dict, kept: tuple[int, ...],
@@ -454,7 +452,7 @@ def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tu
     _check_width(A, W)
     scope.enter(A)
     tables = _fact_tables(A)
-    steps = _layout(tables[0], W)[0]
+    steps = _layout(tables[0], W)[1]
     consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
     return W, tables, steps, consts, _prefix(A, tables, steps, consts + tup)
 
@@ -463,7 +461,7 @@ def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> in
     """The id in ``scope`` of the rank-``m`` type of ``tup`` in ``A``."""
     W, tables, steps, consts, prefix = _lay_out(A, tup, m, scope)
     column = functools.partial(_column, A, tables, steps)
-    return _recursion(column, range(A.size), W, scope)(consts + tup, (), m, prefix, None)
+    return _recursion(column, range(A.size), W, scope, consts + tup, m, prefix)
 
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
@@ -500,7 +498,7 @@ def subset_typer(A: Structure, m: int, scope: TypeScope):
         if not set(consts) <= set(kept):
             raise ValueError("a kept set must hold the constants")
         column = functools.partial(_kept_column, A, tables, steps, columns, kept)
-        return _recursion(column, kept, W, scope)(consts, (), m, prefix, None)
+        return _recursion(column, kept, W, scope, consts, m, prefix)
 
     return type_of
 

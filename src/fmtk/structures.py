@@ -422,7 +422,9 @@ def _embedding(A: Structure, B: Structure, prof_a, prof_b) -> dict[int, int] | N
             used.remove(b)
         return False
 
-    return dict(mapping) if extend(0) else None
+    found = extend(0)
+    del extend  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
+    return dict(mapping) if found else None
 
 
 def is_isomorphic(A: Structure, B: Structure) -> bool:

@@ -596,6 +596,15 @@ class TestWqoScanWords:
         assert wqo_scan_marked_words(items, 1) == (1, 3)
         assert wqo_scan_marked_words([loop_word, plain_word], 1) is None
 
+    def test_vocabularies_checked_before_the_scan(self):
+        # the E-words embed, so a scan that checked only the pairs it reached
+        # would return (1, 2) in the first order
+        f_vertex = Structure(Vocabulary.make({"F": 2}), 1)
+        e1, e2, f1 = ([VERTEX], set()), ([VERTEX, VERTEX], set()), ([f_vertex], set())
+        for items in ([e1, e2, f1], [e1, f1, e2]):
+            with pytest.raises(ValueError, match="all words must share one vocabulary"):
+                wqo_scan_marked_words(items, 0)
+
     def test_end_marked_chains_do_embed(self):
         # unlike graph paths, order gaps absorb unmarked middles
         items = [([VERTEX] * 2, {0, 1}), ([VERTEX] * 3, {0, 2})]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -28,12 +29,14 @@ from fmtk.structures import (
     cartesian_product,
     complement,
     disjoint_union,
+    find_embedding,
     induced_substructure,
     kept_id_sets,
     parse_structures,
     serialize_structure,
     tensor_product,
 )
+from fmtk.translate import minimal_models
 from fmtk.wqo import make_cycle, make_linear_order, make_path
 
 from oracles import (
@@ -171,6 +174,23 @@ class TestRankType:
         for n in (7, 8, 9):
             for A in (make_linear_order(n), make_cycle(n)):
                 assert rank_type(A, (), 3).key == reference_rank_type_key(A, (), 3)
+
+    def test_renaming_moves_packed_facts_with_their_points(self):
+        # point p after is point perm[p] before: renaming the packed facts of
+        # pts gives the packed facts of pts reordered, for every fact arity
+        rng = random.Random(46)
+        vocabs = [Vocabulary.make({"U": 1}), V, Vocabulary.make({"T": 3}),
+                  Vocabulary.make({"U": 1, "E": 2, "T": 3}, ("c", "d"))]
+        for _ in range(40):
+            for vocab in vocabs:
+                A = random_structure(rng, vocab, rng.randint(1, 4), density=rng.choice([0.3, 0.6]))
+                W = rng.randint(1, 5)
+                pts = tuple(rng.randrange(A.size) for _ in range(W))
+                perm = tuple(rng.sample(range(W), W))
+                tables = equiv._fact_tables(A)
+                steps = equiv._layout(tables[0], W)[1]
+                moved = equiv._Moved(tables[0], perm)[equiv._prefix(A, tables, steps, pts)]
+                assert moved == equiv._prefix(A, tables, steps, tuple(pts[perm[p]] for p in range(W)))
 
     def test_keys_match_reference_with_loops_and_no_predicates(self):
         looped = Structure(V, 4, {"E": {(0, 0), (0, 1), (2, 2), (3, 1)}})
@@ -646,6 +666,27 @@ class TestVerdictsCompareIds:
         t = algebra.node(algebra.UNION, algebra.leaf(vertex),
                          algebra.node(algebra.COMPLEMENT, algebra.leaf(loop)))
         assert algebra.shrink_algebraic(t, [], 1, 0)[1].ok()
+
+
+class TestNoCycles:
+    def test_no_typing_leaves_garbage(self):
+        # the recursion, the renaming memos and the embedding search free
+        # what they built when they return, with no cyclic-collector pass
+        calls = [
+            lambda: m_equivalent(make_linear_order(6), make_linear_order(7), 3),
+            lambda: subset_typer(make_cycle(6), 3, TypeScope())(range(5)),
+            lambda: find_embedding(make_path(3), make_path(5)),
+            lambda: minimal_models([make_path(3), make_path(1), make_path(2), make_cycle(4)]),
+            lambda: shrink.shrink_tree(make_word("ab" * 8), {3}, 2, 1),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMarkedEquivalence:
