@@ -158,7 +158,9 @@ def push_complement_to_leaves(s: ExprNode) -> ExprNode:
             BOWTIE if neg else UNION, tuple(walk(c, neg) for c in t.children)
         )
 
-    return walk(s, False)
+    pushed = walk(s, False)
+    del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
+    return pushed
 
 
 def reexpand_bowties(t: ExprNode) -> ExprNode:
@@ -211,6 +213,7 @@ class ExpressionClasses(ClassTable):
             return cid
 
         walk(t)
+        del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
         return ids
 
     def _representative(self, sig: tuple) -> Structure:
@@ -237,6 +240,7 @@ def _index(t: ExprNode, w_leaf_ids: set[int]) -> tuple[dict[int, ExprNode], dict
         return c
 
     walk(t)
+    del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
     return nodes, counts
 
 
@@ -277,7 +281,9 @@ def reduce_expression_height(
             return n
         return ExprNode(n.op, children, node_id=nid)
 
-    return build(root)
+    out = build(root)
+    del build  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
+    return out
 
 
 def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
@@ -343,7 +349,9 @@ def shrink_leaves(
         kept_maps[n.node_id] = kept
         return ExprNode(LEAF, base=sub, complemented=n.complemented, node_id=n.node_id)
 
-    return walk(t), kept_maps
+    out = walk(t)
+    del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
+    return out, kept_maps
 
 
 def _marks_by_part(W: set[int], offsets: list[int]) -> list[set[int]]:
@@ -367,7 +375,8 @@ def shrink_algebraic(s: ExprNode, W, m: int, k: int) -> tuple[Structure, ShrinkR
     """
     size = evaluated_size(s)
     W = checked_marks(W, k, range(size))
-    check_rank_type_cost(size, m)
+    vocab = s.leaves()[0].base.vocab
+    check_rank_type_cost(vocab.arities, size, m, len(vocab.constants))
     pushed = push_complement_to_leaves(s)
     original = eval_expression_tree(pushed)
     # the evaluation stacks the leaves' universes in leaf order
@@ -421,7 +430,8 @@ def shrink_tree_of_structures(
 def _shrink_blocks(shape, parts, W, m, k):
     size = sum(p.size for p in parts)
     W = checked_marks(W, k, range(size))
-    check_rank_type_cost(size, m)
+    # the parts' predicates and the order predicate of tree_of_structures
+    check_rank_type_cost((*parts[0].vocab.arities, 2) if parts else (), size, m)
     original = tree_of_structures(shape, parts)
     offsets = block_offsets(parts)
     marks = _marks_by_part(W, offsets)
@@ -488,7 +498,9 @@ def serialize_expression(t: ExprNode, names: dict[int, str] | None = None) -> st
         inner = " ".join(walk(c) for c in n.children)
         return f"({n.op} {inner})"
 
-    return walk(t)
+    text = walk(t)
+    del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
+    return text
 
 
 def parse_expression(text: str, structures: dict[str, Structure]) -> ExprNode:
@@ -523,6 +535,7 @@ def parse_expression(text: str, structures: dict[str, Structure]) -> ExprNode:
         return ExprNode(op, tuple(children))
 
     out = parse_one()
+    del parse_one  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
     if pos != len(tokens):
         raise StructureFormatError("trailing input after expression")
     return out

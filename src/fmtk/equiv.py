@@ -16,8 +16,7 @@ from .errors import check_guard
 from .records import Record
 from .structures import Structure
 
-RANK_TYPE_GUARD = 2 * 10**6  # |A|^m, the positions a rank-m type of A visits
-FACT_WIDTH_GUARD = 2**16  # bits of packed facts per point set of a rank type
+RANK_TYPE_GUARD = 2**26  # packed fact bits a rank type can hold; see check_rank_type_cost
 
 
 class RankType(Record):
@@ -170,7 +169,7 @@ def _fact_tables(A: Structure) -> tuple:
             binary.append([rel, [a for a, b in rel if a == b], None])
         else:
             wide.append(rel)
-    return tuple(arity for _, arity in A.vocab.predicates), unary, binary, wide
+    return A.vocab.arities, unary, binary, wide
 
 
 def _adjacency(size: int, rel: frozenset) -> tuple:
@@ -266,7 +265,7 @@ class TypeScope:
         """Admit ``A``, whose vocabulary must be the scope's."""
         if self.vocab is None:
             self.vocab = A.vocab
-            self.arities = tuple(a for _, a in A.vocab.predicates)
+            self.arities = A.vocab.arities
         elif self.vocab is not A.vocab and self.vocab != A.vocab:
             raise ValueError("a type scope holds structures over one vocabulary")
 
@@ -334,41 +333,34 @@ class _Renaming(dict):
         return j
 
 
-def check_rank_type_cost(size: int, m: int) -> None:
-    """Refuse a rank-``m`` type over ``size`` elements, before any of it is
-    computed, when its cost ``size ** m`` is past ``RANK_TYPE_GUARD``. The
-    power is multiplied out only until it passes the guard, so a huge ``m``
-    costs nothing."""
-    cost = 1
-    for _ in range(m if size > 1 else 0):
-        cost *= size
-        if cost > RANK_TYPE_GUARD:
-            break
-    check_guard("rank type of cost |A|^m =", cost, RANK_TYPE_GUARD, "the rank-type guard",
-                shown=f"{size}^{m}")
+def check_rank_type_cost(arities: tuple[int, ...], size: int, m: int, points: int = 0) -> None:
+    """Refuse a rank-``m`` type over ``size`` elements, predicates of
+    ``arities`` and ``points`` constants and tuple components, before any of
+    it is computed, in this order: a negative ``m``, a depth past the
+    recursion limit, and a cost past ``RANK_TYPE_GUARD``.
 
-
-def _refuse(A: Structure, tup: tuple[int, ...], m: int) -> None:
-    """The refusals that cost nothing, in this order: a negative ``m``,
-    ``RANK_TYPE_GUARD``, a tuple component outside the universe and a depth
-    past the recursion limit. ``FACT_WIDTH_GUARD`` follows, in :func:`_check_width`."""
+    The cost is the packed fact bits the engine can hold: ``size ** m``
+    ordered leaves, plus ``RANK_TYPE_GUARD >> 16`` for the layout, times the
+    width of a leaf, ``W(W-1)/2 + sum(W ** arity)`` bits at ``W = points +
+    m`` (at least one). So a one-element structure is held to a width of
+    about 2^16 bits. The power is multiplied out only until it passes the
+    guard, so a huge ``size`` costs nothing."""
     if m < 0:
         raise ValueError(f"quantifier rank must be nonnegative, got {m}")
-    check_rank_type_cost(A.size, m)
-    for e in tup:
-        if not 0 <= e < A.size:
-            raise ValueError(f"tuple component {e} outside the universe")
     if 2 * m > sys.getrecursionlimit():
-        # each rank is one frame of the recursion below, with as many left to
-        # its callers; refuse a depth it cannot reach before laying out facts
+        # each rank is one frame of the recursion, with as many left to its
+        # callers; refuse a depth it cannot reach before laying out facts
         raise RecursionError(f"a rank-{m} type nests deeper than the recursion limit")
-
-
-def _check_width(A: Structure, W: int) -> None:
-    # every position carries W(W-1)/2 equality bits and W**arity bits per
-    # predicate, which |A|^m does not bound (a high rank on one element)
-    width = W * (W - 1) // 2 + sum(W**arity for _, arity in A.vocab.predicates)
-    check_guard("packed fact width", width, FACT_WIDTH_GUARD, "the fact-width guard")
+    W = points + m
+    width = max(W * (W - 1) // 2 + sum(W**arity for arity in arities), 1)
+    leaves = 1
+    for _ in range(m if size > 1 else 0):
+        leaves *= size
+        if leaves > RANK_TYPE_GUARD:
+            break
+    layout = RANK_TYPE_GUARD >> 16
+    check_guard("rank type of", (leaves + layout) * width, RANK_TYPE_GUARD, "the rank-type guard",
+                shown=f"({size}^{m} + {layout}) x {width} fact bits")
 
 
 def _prefix(A: Structure, tables: tuple, steps: list, pts: tuple[int, ...]) -> int:
@@ -443,17 +435,19 @@ def _kept_column(A: Structure, tables: tuple, steps: list, memo: dict, kept: tup
 
 
 def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tuple:
-    """Refuse what :func:`rank_type` refuses, in the same order, then admit
-    ``A`` to ``scope`` and lay out the rank-``m`` type of ``tup``: ``W``, its
-    fact tables, the bit steps, the constants and the facts among them and
-    ``tup``."""
-    _refuse(A, tup, m)
-    W = len(A.constant_interp) + len(tup) + m
-    _check_width(A, W)
+    """Refuse a tuple component outside the universe and then what
+    :func:`check_rank_type_cost` refuses, then admit ``A`` to ``scope`` and
+    lay out the rank-``m`` type of ``tup``: ``W``, its fact tables, the bit
+    steps, the constants and the facts among them and ``tup``."""
+    for e in tup:
+        if not 0 <= e < A.size:
+            raise ValueError(f"tuple component {e} outside the universe")
+    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    W = len(consts) + len(tup) + m
+    check_rank_type_cost(A.vocab.arities, A.size, m, W - m)
     scope.enter(A)
     tables = _fact_tables(A)
     steps = _layout(tables[0], W)[1]
-    consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
     return W, tables, steps, consts, _prefix(A, tables, steps, consts + tup)
 
 
@@ -466,8 +460,8 @@ def _type_of(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> in
 
 def rank_type(A: Structure, tup: tuple[int, ...] = (), m: int = 0) -> RankType:
     """Rank-``m`` type of ``tup`` in ``A``, typed in a scope of its own and
-    expanded into its key. Held to ``RANK_TYPE_GUARD`` first, and to
-    ``FACT_WIDTH_GUARD`` before any of its facts are laid out."""
+    expanded into its key. Held to ``RANK_TYPE_GUARD`` by
+    :func:`check_rank_type_cost` before any of its facts are laid out."""
     scope = TypeScope()
     return RankType(m, scope.key(_type_of(A, tuple(tup), m, scope)))
 
@@ -547,17 +541,12 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
     # a unary relation as its members, since a one-index getter returns no tuple
     rels_a, rels_b = ([(arity, {a for (a,) in S.relations[name]} if arity == 1 else S.relations[name])
                        for name, arity in A.vocab.predicates] for S in (A, B))
-    getters: dict[tuple[int, int], list] = {}
 
+    @functools.cache
     def getters_with(n: int, arity: int) -> list:
         # the index combos over 0..n that contain n, the facts involving the
         # new point, as getters from ``pool + (a,)``
-        got = getters.get((n, arity))
-        if got is None:
-            got = getters[(n, arity)] = [
-                operator.itemgetter(*c) for c in itertools.product(range(n + 1), repeat=arity) if n in c
-            ]
-        return got
+        return [operator.itemgetter(*c) for c in itertools.product(range(n + 1), repeat=arity) if n in c]
 
     def profile(pool: tuple[int, ...], rels: list, a: int) -> int:
         # the facts of ``pool + (a,)`` that involve ``a``, as one int
@@ -608,10 +597,10 @@ def ef_game_equivalent(A: Structure, B: Structure, m: int) -> bool:
             any(matcher_wins(xs + (a,), ys + (b,), rounds - 1) for a in answers_a[p]) for b, p in enumerate(pb)
         )
 
-    for n, (a, b) in enumerate(zip(consts_a, consts_b)):
-        if profile(consts_a[:n], rels_a, a) != profile(consts_b[:n], rels_b, b):
-            return False
-    return matcher_wins(consts_a, consts_b, m)
+    won = all(profile(consts_a[:n], rels_a, a) == profile(consts_b[:n], rels_b, b)
+              for n, (a, b) in enumerate(zip(consts_a, consts_b))) and matcher_wins(consts_a, consts_b, m)
+    del matcher_wins, position_won  # they refer to each other: unbound, they are freed now
+    return won
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ helpers used by the translation pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from operator import itemgetter
@@ -331,6 +332,7 @@ def _compile(f: Formula, vocab: Vocabulary):
         return compiler(g, scope)
 
     root = node(eliminate_implications(f), {v: i for i, v in enumerate(free)})
+    del node  # it and the compilers refer to one another: unbound, they are freed now
     return free, n_slots, root
 
 
@@ -354,40 +356,22 @@ def _not(f: Formula) -> Formula:
     return Not(f)
 
 
-def _or_all(parts: list[Formula], truth: Formula) -> Formula:
+def _fold(cls, parts: list[Formula], truth: Formula) -> Formula:
+    """``parts`` joined left to right by ``cls``, ``And`` or ``Or``, with
+    repeats and parts that cannot change the result dropped; a part that
+    decides it makes the result ``truth`` or its negation."""
+    decides, neutral = (_is_false, _is_true) if cls is And else (_is_true, _is_false)
     kept: list[Formula] = []
     seen = set()
     for p in parts:
-        if _is_true(p):
-            return truth
-        if _is_false(p) or p in seen:
-            continue
-        seen.add(p)
-        kept.append(p)
+        if decides(p):
+            return _not(truth) if cls is And else truth
+        if not (neutral(p) or p in seen):
+            seen.add(p)
+            kept.append(p)
     if not kept:
-        return _not(truth)
-    out = kept[0]
-    for p in kept[1:]:
-        out = Or(out, p)
-    return out
-
-
-def _and_all(parts: list[Formula], truth: Formula) -> Formula:
-    kept: list[Formula] = []
-    seen = set()
-    for p in parts:
-        if _is_false(p):
-            return _not(truth)
-        if _is_true(p) or p in seen:
-            continue
-        seen.add(p)
-        kept.append(p)
-    if not kept:
-        return truth
-    out = kept[0]
-    for p in kept[1:]:
-        out = And(out, p)
-    return out
+        return truth if cls is And else _not(truth)
+    return functools.reduce(cls, kept)
 
 
 def _implies(a: Formula, b: Formula, truth: Formula) -> Formula:
@@ -441,19 +425,21 @@ def relativize(f: Formula, xs: tuple[str, ...], constants: tuple[str, ...] = ())
         if isinstance(g, Not):
             return _not(rel(g.sub, env))
         if isinstance(g, And):
-            return _and_all([rel(g.lhs, env), rel(g.rhs, env)], truth)
+            return _fold(And, [rel(g.lhs, env), rel(g.rhs, env)], truth)
         if isinstance(g, Or):
-            return _or_all([rel(g.lhs, env), rel(g.rhs, env)], truth)
+            return _fold(Or, [rel(g.lhs, env), rel(g.rhs, env)], truth)
         if isinstance(g, Implies):
             return _implies(rel(g.lhs, env), rel(g.rhs, env), truth)
         if isinstance(g, Exists):
-            return _or_all([rel(g.body, {**env, g.var: w}) for w in witnesses], truth)
+            return _fold(Or, [rel(g.body, {**env, g.var: w}) for w in witnesses], truth)
         if isinstance(g, Forall):
             # de-Morgan-folded form of the negated-existential rewrite
-            return _and_all([rel(g.body, {**env, g.var: w}) for w in witnesses], truth)
+            return _fold(And, [rel(g.body, {**env, g.var: w}) for w in witnesses], truth)
         raise TypeError(f"not a formula: {g!r}")
 
-    return rel(f, {})
+    out = rel(f, {})
+    del rel  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
+    return out
 
 
 def _constants_of(f: Formula) -> set[str]:

@@ -573,7 +573,7 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     containment / subtree / equivalence fails. The output contains ``W``.
     """
     W = checked_marks(W, k, s.parent)
-    check_rank_type_cost(s.size, m)
+    check_rank_type_cost(_tree_vocabulary(s.alphabet).arities, s.size, m)
     classes = TreeClasses(s, m)
     phases: list[tuple[str, int, int]] = []
 

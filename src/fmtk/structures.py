@@ -67,6 +67,10 @@ class Vocabulary(Record):
     def predicate_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.predicates)
 
+    @property
+    def arities(self) -> tuple[int, ...]:
+        return tuple(a for _, a in self.predicates)
+
     def has_predicate(self, name: str) -> bool:
         return any(n == name for n, _ in self.predicates)
 
@@ -219,7 +223,8 @@ class MarkedStructure(Record):
         """Encode the marks into the vocabulary.
 
         Ordered marks become fresh constants ``c1 .. ck``; unordered marks
-        become a fresh unary predicate.
+        become a fresh unary predicate. The base and the marks are checked
+        already, so nothing is checked again.
         """
         A = self.base
         if self.ordered:
@@ -231,12 +236,12 @@ class MarkedStructure(Record):
                 names.append(name)
             interp = dict(A.constant_interp)
             interp.update(zip(names, self.marks))
-            return Structure(vocab, A.size, A.relations, interp)
+            return Structure._derived(vocab, A.size, dict(A.relations), interp)
         pred = A.vocab.fresh_name("R")
         vocab = A.vocab.with_predicate(pred, 1)
         rels = dict(A.relations)
         rels[pred] = frozenset((e,) for e in self.marks)
-        return Structure(vocab, A.size, rels, A.constant_interp)
+        return Structure._derived(vocab, A.size, rels, dict(A.constant_interp))
 
 
 def checked_marks(W, k: int | None, universe) -> set:

@@ -680,12 +680,13 @@ class TestRankTypeGuard:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
-            "guard exceeded: rank type of cost |A|^m = 12^7 exceeds the rank-type guard 2000000\n"
+            "guard exceeded: rank type of (12^7 + 1024) x 70 fact bits exceeds the rank-type guard"
+            " 67108864\n"
         )
 
 
     def test_one_element_ternary_at_rank_120_refused(self, tmp_path):
-        # |A|^m is 1, so only the fact-width guard stops the O(m^3)-bit facts
+        # |A|^m is 1, so the width of the O(m^3)-bit facts alone is past the guard
         f = tmp_path / "t.txt"
         f.write_text("structure A\nvocab: T/3\nuniverse: 1\nT: (0,0,0)\n")
         proc = subprocess.run(
@@ -696,7 +697,8 @@ class TestRankTypeGuard:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
-            "guard exceeded: packed fact width 1735140 exceeds the fact-width guard 65536\n"
+            "guard exceeded: rank type of (1^120 + 1024) x 1735140 fact bits exceeds the rank-type"
+            " guard 67108864\n"
         )
 
 
@@ -705,7 +707,7 @@ class TestDeepNesting:
         ["translate", "--formula", "!" * 3000 + "forall x. x = x", "--sample", "cycles:3:4",
          "--k", "0", "--p", "1"],
         ["algebra-eval", "--structs", "{one}", "--expr", "(! " * 2000 + "A" + ")" * 2000],
-        # 1^1500 passes the rank-type guard
+        # past the recursion limit, which is refused before the rank-type guard
         ["equiv", "--file-a", "{one}", "--file-b", "{one}", "--m", "1500"],
     ], ids=["formula", "expression", "rank"])
     def test_exits_1(self, tmp_path, capsys, argv):

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from fmtk import algebra, equiv, shrink
+from fmtk import algebra, equiv, folog, shrink
 from fmtk.equiv import (
-    FACT_WIDTH_GUARD,
     RANK_TYPE_GUARD,
     TypeScope,
     check_rank_type_cost,
@@ -207,12 +206,24 @@ def _not_allowed(*_):
 
 class TestRankTypeGuard:
     def test_value_admits_L33_at_rank_4_and_refuses_C12_at_rank_6(self):
-        assert 33**4 <= RANK_TYPE_GUARD < 12**6
-        check_rank_type_cost(33, 4)
+        # both over one binary predicate; W = 4 gives leaves of 22 bits,
+        # W = 6 of 51
+        check_rank_type_cost((2,), 33, 4)
+        assert (33**4 + 1024) * 22 <= RANK_TYPE_GUARD < (12**6 + 1024) * 51
         with pytest.raises(GuardExceeded):
-            check_rank_type_cost(12, 6)
+            check_rank_type_cost((2,), 12, 6)
+
+    def test_admits_L40_against_L41_at_rank_4(self):
+        # linear orders of sizes a, b are rank-m equivalent iff a == b or
+        # both are at least 2^m - 1; L42 is past the guard
+        a, b, m = 40, 41, 4
+        assert m_equivalent(make_linear_order(a), make_linear_order(b), m) == (
+            a == b or min(a, b) >= 2**m - 1)
+        with pytest.raises(GuardExceeded):
+            check_rank_type_cost((2,), 42, m)
 
     def test_refused_before_any_type(self, monkeypatch):
+        two_ternary = Structure(Vocabulary.make({"T": 3}), 2, {"T": {(0, 0, 1), (0, 1, 1), (1, 0, 0)}})
         monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
         monkeypatch.setattr(equiv, "_layout", _not_allowed)
         monkeypatch.setattr(equiv, "_column", _not_allowed)
@@ -220,51 +231,80 @@ class TestRankTypeGuard:
         with pytest.raises(GuardExceeded) as info:
             rank_type(make_cycle(12), (), 7)
         assert str(info.value) == (
-            "rank type of cost |A|^m = 12^7 exceeds the rank-type guard 2000000"
+            "rank type of (12^7 + 1024) x 70 fact bits exceeds the rank-type guard 67108864"
         )
+        # a leaf with no facts still costs a bit
+        no_facts = Structure(Vocabulary.make({}), 10**8, {})
+        for A, m in ((two_ternary, 20), (ONE_TERNARY, 41), (ONE_TERNARY, 120), (no_facts, 1)):
+            with pytest.raises(GuardExceeded):
+                rank_type(A, (), m)
 
     def test_huge_rank_costs_nothing_to_refuse(self):
-        # the power is never multiplied out past the guard
-        with pytest.raises(GuardExceeded, match=r"2\^1000000000 exceeds"):
-            check_rank_type_cost(2, 10**9)
-        check_rank_type_cost(1, 10**9)
+        # a rank past the recursion limit is refused before any width is
+        # computed, and a power is never multiplied out past the guard
+        with pytest.raises(RecursionError):
+            check_rank_type_cost((2,), 2, 10**9)
+        with pytest.raises(GuardExceeded, match=r"\(18446744073709551616\^400 \+ 1024\) x "):
+            check_rank_type_cost((), 2**64, 400)
 
     def test_shrinks_refuse_before_work(self, monkeypatch):
         monkeypatch.setattr(shrink, "TreeClasses", _not_allowed)
         monkeypatch.setattr(algebra, "push_complement_to_leaves", _not_allowed)
         monkeypatch.setattr(algebra, "tree_of_structures", _not_allowed)
         big = make_cycle(50)
-        with pytest.raises(GuardExceeded, match=r"60\^4 exceeds"):
+        with pytest.raises(GuardExceeded, match=r"\(60\^4 \+ 1024\) x 26 fact bits exceeds"):
             shrink.shrink_tree(make_word("a" * 60), set(), 4, 0)
-        with pytest.raises(GuardExceeded, match=r"100\^4 exceeds"):
+        with pytest.raises(GuardExceeded, match=r"\(100\^4 \+ 1024\) x 22 fact bits exceeds"):
             algebra.shrink_algebraic(
                 algebra.node(algebra.UNION, algebra.leaf(big), algebra.leaf(big)), [], 4, 0)
-        with pytest.raises(GuardExceeded, match=r"100\^4 exceeds"):
+        with pytest.raises(GuardExceeded, match=r"\(100\^4 \+ 1024\) x 38 fact bits exceeds"):
             algebra.shrink_word_of_structures([big, big], [], 4, 0)
+        # a negative rank
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            shrink.shrink_tree(make_word("ab"), set(), -1, 0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            algebra.shrink_algebraic(algebra.leaf(big), [], -1, 0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            algebra.shrink_word_of_structures([big], [], -1, 0)
+        # the width alone, on one element, in each pipeline's own vocabulary:
+        # the letters and the order predicate count
+        with pytest.raises(GuardExceeded, match=r"\(1\^250 \+ 1024\) x "):
+            shrink.shrink_tree(make_word("a"), set(), 250, 0)
+        with pytest.raises(GuardExceeded, match=r"\(1\^41 \+ 1024\) x 69741 fact bits exceeds"):
+            algebra.shrink_algebraic(algebra.leaf(ONE_TERNARY), [], 41, 0)
+        with pytest.raises(GuardExceeded, match=r"\(1\^40 \+ 1024\) x 66380 fact bits exceeds"):
+            algebra.shrink_word_of_structures([ONE_TERNARY], [], 40, 0)
 
 
 ONE_TERNARY = Structure(Vocabulary.make({"T": 3}), 1, {"T": {(0, 0, 0)}})
 
 
-class TestFactWidthGuard:
+class TestWidthEdge:
+    """On one element ``|A|^m`` is 1, so the rank-type guard bounds the
+    width of the facts alone, at about 2^16 bits."""
+
     def test_value_admits_rank_200_on_a_binary_vocabulary(self):
         # the widest type of the test suite and the benchmark mixes (``fmtk
-        # equiv --m 200``, W = 200 with one binary predicate) and the width
-        # of T/3 at rank 40 are admitted; T/3 at rank 41 is not
-        assert 200 * 199 // 2 + 200**2 <= FACT_WIDTH_GUARD
+        # equiv --m 200``, W = 200 with one binary predicate) and T/3 at
+        # rank 40 are admitted; T/3 at rank 41 is not
+        rank_type(Structure(V, 1, {"E": {(0, 0)}}), (), 200)
         rank_type(ONE_TERNARY, (), 40)
-        assert 41 * 40 // 2 + 41**3 > FACT_WIDTH_GUARD
+        with pytest.raises(GuardExceeded):
+            check_rank_type_cost((3,), 1, 41)
 
     def test_refused_before_any_facts(self, monkeypatch):
+        monkeypatch.setattr(equiv, "_fact_tables", _not_allowed)
         monkeypatch.setattr(equiv, "_layout", _not_allowed)
         monkeypatch.setattr(equiv, "_column", _not_allowed)
         monkeypatch.setattr(equiv, "_kept_column", _not_allowed)
         with pytest.raises(GuardExceeded) as info:
             rank_type(ONE_TERNARY, (), 41)
-        assert str(info.value) == "packed fact width 69741 exceeds the fact-width guard 65536"
+        assert str(info.value) == (
+            "rank type of (1^41 + 1024) x 69741 fact bits exceeds the rank-type guard 67108864"
+        )
         # constants and the tuple count towards the width
         A = Structure(Vocabulary.make({"T": 3}, ("c",)), 1, {}, {"c": 0})
-        with pytest.raises(GuardExceeded, match="^packed fact width 69741 exceeds"):
+        with pytest.raises(GuardExceeded, match=r"^rank type of \(1\^39 \+ 1024\) x 69741 fact bits"):
             rank_type(A, (0,), 39)
 
 
@@ -362,10 +402,10 @@ class TestTypeIds:
         monkeypatch.setattr(equiv, "_kept_column", _not_allowed)
         cases = [
             (make_cycle(3), -1),  # a negative rank
-            (make_cycle(12), 7),  # the rank-type guard
-            (make_cycle(12), 41),  # both guards: the rank-type guard first
-            (ONE_TERNARY, 41),  # the fact-width guard
-            (ONE_TERNARY, 10**6),  # past the recursion limit, before the width
+            (make_cycle(12), 7),  # the rank-type guard, on the leaves
+            (make_cycle(12), 41),  # on the leaves and the width
+            (ONE_TERNARY, 41),  # on the width alone
+            (ONE_TERNARY, 10**6),  # past the recursion limit, before the guard
         ]
         for A, m in cases:
             want = _refusal(lambda: rank_type(A, (), m))
@@ -670,14 +710,21 @@ class TestVerdictsCompareIds:
 
 class TestNoCycles:
     def test_no_typing_leaves_garbage(self):
-        # the recursion, the renaming memos and the embedding search free
-        # what they built when they return, with no cyclic-collector pass
+        # the recursion, the renaming memos, the embedding search, the game
+        # search, the formula compiler and the expression walkers free what
+        # they built when they return, with no cyclic-collector pass
+        p2 = make_path(2)
         calls = [
             lambda: m_equivalent(make_linear_order(6), make_linear_order(7), 3),
             lambda: subset_typer(make_cycle(6), 3, TypeScope())(range(5)),
             lambda: find_embedding(make_path(3), make_path(5)),
             lambda: minimal_models([make_path(3), make_path(1), make_path(2), make_cycle(4)]),
             lambda: shrink.shrink_tree(make_word("ab" * 8), {3}, 2, 1),
+            lambda: folog.evaluate(make_cycle(4), folog.parse(V, "forall x. exists y. (E(x, y) & !(x = y))")),
+            lambda: ef_game_equivalent(make_cycle(6), make_cycle(7), 2),
+            lambda: algebra.shrink_algebraic(
+                algebra.parse_expression("(u A (! A))", {"A": p2}), [], 1, 0),
+            lambda: folog.relativize(folog.parse(V, "forall x. exists y. E(x, y)"), ("a", "b")),
         ]
         gc.collect()
         gc.disable()

@@ -58,3 +58,13 @@ def test_every_public_method_has_a_reader_outside_tests():
         if not any(attr.search(line) for where, i, line in lines if (where, i) != (path, lineno)):
             orphans.append(f"{path.name}:{lineno} {qual}")
     assert not orphans, "named nowhere outside their definition and the tests: " + ", ".join(orphans)
+
+
+def test_readme_guard_table_names_exactly_the_guards():
+    # a deleted guard cannot linger in the docs, nor a new one go undocumented
+    defined = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in re.findall(r"^([A-Z_]+_GUARD) = ", path.read_text(), re.M)}
+    section = (ROOT / "README.md").read_text().split("\n## Guards\n")[1].split("\n## ")[0]
+    rows = [line.split(" | ")[1] for line in section.splitlines() if line.startswith("| ")][2:]
+    named = [g for cell in rows for g in re.findall(r"`(\w+\.\w+_GUARD)`", cell)]
+    assert sorted(named) == sorted(defined)

@@ -111,6 +111,11 @@ class TestMarkEncodings:
         ms = MarkedStructure(A, (2, 0))
         unordered = MarkedStructure(ms.base, ms.marks, ordered=False)
         assert unordered.expand() == MarkedStructure(A, (0, 2), ordered=False).expand()
+        # built from checked parts, each equals what the checked constructor builds
+        assert ms.expand() == Structure(A.vocab.with_constants(["c1", "c2"]), 4, A.relations,
+                                        {"c1": 2, "c2": 0})
+        assert unordered.expand() == Structure(A.vocab.with_predicate("R", 1), 4,
+                                               {**A.relations, "R": {(0,), (2,)}})
 
     def test_predicate_embedding_lifts_to_some_ordering(self):
         # an unordered-mark embedding induces an ordered one after permuting
