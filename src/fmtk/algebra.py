@@ -338,14 +338,18 @@ def shrink_leaves(
 ) -> tuple[ExprNode, dict[int, tuple[int, ...]]]:
     """Replace every leaf with its shrunken version, which keeps the leaf's
     marks among ``w_pairs`` (``(leaf id, element)`` pairs); returns the new
-    tree and the per-leaf kept-id witnesses."""
+    tree and the per-leaf kept-id witnesses. Equal leaves with equal marks
+    are shrunk, and held to :func:`shrink_verdicts`, once."""
     kept_maps: dict[int, tuple[int, ...]] = {}
+    shrunk: dict[tuple[Structure, frozenset[int]], tuple] = {}
 
     def walk(n: ExprNode) -> ExprNode:
         if n.op != LEAF:
             return ExprNode(n.op, tuple(walk(c) for c in n.children), node_id=n.node_id)
-        marks = {e for lid, e in w_pairs if lid == n.node_id}
-        sub, kept = _shrink_leaf(n.base, marks, m)
+        key = (n.base, frozenset(e for lid, e in w_pairs if lid == n.node_id))
+        if key not in shrunk:
+            shrunk[key] = _shrink_leaf(*key, m)
+        sub, kept = shrunk[key]
         kept_maps[n.node_id] = kept
         return ExprNode(LEAF, base=sub, complemented=n.complemented, node_id=n.node_id)
 

@@ -156,10 +156,21 @@ def eliminate_implications(f: Formula) -> Formula:
 # called as ``node(A, env)``. ``env`` is a list of variable slots: the free
 # variables first, in sorted order, then one slot per binder occurrence, so an
 # inner binder never overwrites an outer binding of the same name. Atoms are
-# resolved against the vocabulary when compiled; a symbol the vocabulary lacks
-# compiles to a node that raises only when evaluation reaches it, so
-# short-circuiting decides whether the error shows, as it would for a walk of
-# the syntax tree.
+# resolved against the vocabulary when compiled, and a negated atom or
+# variable equality is one closure; a symbol the vocabulary lacks compiles to
+# a node that raises only when evaluation reaches it, so short-circuiting
+# decides whether the error shows, as it would for a walk of the syntax tree.
+#
+# A block of one quantifier whose body is a chain of the block's connective
+# (``∧`` under ``∃``, ``∨`` under ``∀``) is staged by the miniscope rule
+# ``∃x(φ ∧ ψ) ≡ φ ∧ ∃x ψ`` for x not free in φ: nested loops over the block
+# variables, each part tested in the shallowest loop that binds every block
+# variable it reads, and a part that reads none tested once before the loops
+# (structures are nonempty, so this is sound). Parts keep their order within a
+# loop, and the block variables after the deepest one a part reads get no
+# loop. A block whose body holds a raising node anywhere runs as one product
+# with every part tested innermost, since staging would change which error
+# shows.
 
 _COMPILED_LIMIT = 256
 # (id(formula), vocabulary) -> (formula, free variables, slot count, root node).
@@ -172,7 +183,10 @@ def evaluate(A: Structure, f: Formula, assignment: dict[str, int] | None = None)
 
     The compiled form of ``f`` is cached per formula object and vocabulary,
     so evaluating one formula on many structures or assignments compiles it
-    once.
+    once. A quantifier block over a conjunction (``∃``) or a disjunction
+    (``∀``) tests each part as soon as the block variables it reads are
+    bound, so ``∃x ∃y (x ≠ y ∧ ...)`` rejects ``x = y`` before it picks a
+    third element.
     """
     key = (id(f), A.vocab)
     entry = _compiled.get(key)
@@ -198,18 +212,92 @@ def _raiser(message: str):
     return node
 
 
+def _chain(g: Formula, cls) -> list[Formula]:
+    """The operands of the chain of ``cls`` at the top of ``g``, in order."""
+    parts, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        if type(h) is cls:
+            stack += (h.rhs, h.lhs)
+        else:
+            parts.append(h)
+    return parts
+
+
+def _join(cls, parts: list):
+    """One node running the nodes ``parts`` in order, joined by ``cls``
+    (``And`` or ``Or``)."""
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        a, b = parts
+        if cls is And:
+            return lambda A, env: a(A, env) and b(A, env)
+        return lambda A, env: a(A, env) or b(A, env)
+    if cls is And:
+        def run(A, env):
+            for p in parts:
+                if not p(A, env):
+                    return False
+            return True
+    else:
+        def run(A, env):
+            for p in parts:
+                if p(A, env):
+                    return True
+            return False
+
+    return run
+
+
+def _loop(cls, start: int, stop: int, body):
+    """One node running ``body`` with slots ``start .. stop-1`` over every
+    tuple of elements, as ``cls`` (``Exists`` or ``Forall``) asks."""
+    if stop - start == 1 and cls is Exists:
+        def run(A, env):
+            for env[start] in range(A.size):
+                if body(A, env):
+                    return True
+            return False
+    elif stop - start == 1:
+        def run(A, env):
+            for env[start] in range(A.size):
+                if not body(A, env):
+                    return False
+            return True
+    elif cls is Exists:
+        def run(A, env):
+            for env[start:stop] in itertools.product(range(A.size), repeat=stop - start):
+                if body(A, env):
+                    return True
+            return False
+    else:
+        def run(A, env):
+            for env[start:stop] in itertools.product(range(A.size), repeat=stop - start):
+                if not body(A, env):
+                    return False
+            return True
+
+    return run
+
+
 def _compile(f: Formula, vocab: Vocabulary):
-    """Free variables (sorted), slot count and root node of ``f`` over ``vocab``."""
+    """Free variables (sorted), slot count and root node of ``f`` over ``vocab``.
+
+    Each compiler returns a node and the bit mask of the slots it reads that
+    an enclosing binder or the assignment fills, so free variables are
+    collected bottom-up in the one pass.
+    """
     free = tuple(sorted(free_vars(f)))
     arities = dict(vocab.predicates)
     constants = frozenset(vocab.constants)
     n_slots = len(free)
+    n_raisers = 0
 
-    def unknown_constant(terms):
-        for t in terms:
-            if isinstance(t, Cst) and t.name not in constants:
-                return _raiser(f"unknown constant {t.name}")
-        return None
+    def fail(message: str):
+        nonlocal n_raisers
+        n_raisers += 1
+        return _raiser(message), 0
 
     def term(t: Term, scope):
         if isinstance(t, Var):
@@ -218,68 +306,64 @@ def _compile(f: Formula, vocab: Vocabulary):
         name = t.name
         return lambda A, env: A.constant_interp[name]
 
-    def atom(g: Atom, scope):
+    def atom(g: Atom, scope, holds=True):
         pred = g.pred
         if pred not in arities:
-            return _raiser(f"unknown predicate {pred}")
+            return fail(f"unknown predicate {pred}")
         if len(g.args) != arities[pred]:
-            return _raiser(f"arity mismatch for {pred}")
-        bad = unknown_constant(g.args)
-        if bad:
-            return bad
-        if not all(isinstance(t, Var) for t in g.args):
+            return fail(f"arity mismatch for {pred}")
+        slots, mask = [], 0
+        for t in g.args:
+            if isinstance(t, Var):
+                slots.append(scope[t.name])
+                mask |= 1 << slots[-1]
+            elif t.name not in constants:
+                return fail(f"unknown constant {t.name}")
+        if len(slots) < len(g.args):
             terms = [term(t, scope) for t in g.args]
-            return lambda A, env: tuple([t(A, env) for t in terms]) in A.relations[pred]
-        slots = [scope[t.name] for t in g.args]
+            test = lambda A, env: tuple([t(A, env) for t in terms]) in A.relations[pred]
+            return (test if holds else lambda A, env: not test(A, env)), mask
         if len(slots) == 1:
             (i,) = slots
-            return lambda A, env: (env[i],) in A.relations[pred]
+            if holds:
+                return (lambda A, env: (env[i],) in A.relations[pred]), mask
+            return (lambda A, env: (env[i],) not in A.relations[pred]), mask
         get = itemgetter(*slots)
-        return lambda A, env: get(env) in A.relations[pred]
+        if holds:
+            return (lambda A, env: get(env) in A.relations[pred]), mask
+        return (lambda A, env: get(env) not in A.relations[pred]), mask
 
-    def eq(g: Eq, scope):
-        bad = unknown_constant((g.lhs, g.rhs))
-        if bad:
-            return bad
-        if isinstance(g.lhs, Var) and isinstance(g.rhs, Var):
-            i, j = scope[g.lhs.name], scope[g.rhs.name]
-            return lambda A, env: env[i] == env[j]
+    def eq(g: Eq, scope, holds=True):
+        slots, mask = [], 0
+        for t in (g.lhs, g.rhs):
+            if isinstance(t, Var):
+                slots.append(scope[t.name])
+                mask |= 1 << slots[-1]
+            elif t.name not in constants:
+                return fail(f"unknown constant {t.name}")
+        if len(slots) == 2:
+            i, j = slots
+            if holds:
+                return (lambda A, env: env[i] == env[j]), mask
+            return (lambda A, env: env[i] != env[j]), mask
         lhs, rhs = term(g.lhs, scope), term(g.rhs, scope)
-        return lambda A, env: lhs(A, env) == rhs(A, env)
+        test = lambda A, env: lhs(A, env) == rhs(A, env)
+        return (test if holds else lambda A, env: not test(A, env)), mask
 
     def negation(g: Not, scope):
-        sub = node(g.sub, scope)
-        return lambda A, env: not sub(A, env)
+        if type(g.sub) in (Atom, Eq):
+            return compilers[type(g.sub)](g.sub, scope, holds=False)
+        sub, mask = node(g.sub, scope)
+        return (lambda A, env: not sub(A, env)), mask
 
     def junction(g: And | Or, scope):
         # a chain of one connective becomes one node; operands keep their order
-        cls = type(g)
-        parts, stack = [], [g]
-        while stack:
-            h = stack.pop()
-            if type(h) is cls:
-                stack += (h.rhs, h.lhs)
-            else:
-                parts.append(node(h, scope))
-        if len(parts) == 2:
-            a, b = parts
-            if cls is And:
-                return lambda A, env: a(A, env) and b(A, env)
-            return lambda A, env: a(A, env) or b(A, env)
-        if cls is And:
-            def run(A, env):
-                for p in parts:
-                    if not p(A, env):
-                        return False
-                return True
-        else:
-            def run(A, env):
-                for p in parts:
-                    if p(A, env):
-                        return True
-                return False
-
-        return run
+        parts, mask = [], 0
+        for h in _chain(g, type(g)):
+            p, m = node(h, scope)
+            parts.append(p)
+            mask |= m
+        return _join(type(g), parts), mask
 
     def quantifier(g: Exists | Forall, scope):
         # a block of one quantifier takes consecutive slots
@@ -290,35 +374,30 @@ def _compile(f: Formula, vocab: Vocabulary):
             scope = {**scope, g.var: n_slots}
             n_slots += 1
             g = g.body
-        stop = n_slots
-        width = stop - start
-        body = node(g, scope)
-        if width == 1 and cls is Exists:
-            def run(A, env):
-                for env[start] in range(A.size):
-                    if body(A, env):
-                        return True
-                return False
-        elif width == 1:
-            def run(A, env):
-                for env[start] in range(A.size):
-                    if not body(A, env):
-                        return False
-                return True
-        elif cls is Exists:
-            def run(A, env):
-                for env[start:stop] in itertools.product(range(A.size), repeat=width):
-                    if body(A, env):
-                        return True
-                return False
-        else:
-            def run(A, env):
-                for env[start:stop] in itertools.product(range(A.size), repeat=width):
-                    if not body(A, env):
-                        return False
-                return True
-
-        return run
+        width = n_slots - start
+        block = ((1 << width) - 1) << start
+        connective = And if cls is Exists else Or
+        raised = n_raisers
+        # levels[j]: the parts whose deepest block variable is the j-th (0: none)
+        parts, levels, mask = [], [[] for _ in range(width + 1)], 0
+        for h in _chain(g, connective):
+            p, m = node(h, scope)
+            parts.append(p)
+            levels[((m & block) >> start).bit_length()].append(p)
+            mask |= m
+        if n_raisers > raised:
+            return _loop(cls, start, start + width, _join(connective, parts)), mask & ~block
+        # the loops, innermost first: each binds the block variables after the
+        # next shallower level that has parts, up to its own level, then runs
+        # its own parts and the loop inside it
+        inner, hi = [], None
+        for j in range(width, -1, -1):
+            if levels[j] or j == 0:
+                if hi is not None:
+                    body = _join(connective, levels[hi] + inner)
+                    inner = [_loop(cls, start + j, start + hi, body)]
+                hi = j
+        return _join(connective, levels[0] + inner), mask & ~block
 
     compilers = {
         Atom: atom, Eq: eq, Not: negation, And: junction, Or: junction,
@@ -331,8 +410,8 @@ def _compile(f: Formula, vocab: Vocabulary):
             raise TypeError(f"not a formula: {g!r}")
         return compiler(g, scope)
 
-    root = node(eliminate_implications(f), {v: i for i, v in enumerate(free)})
-    del node  # it and the compilers refer to one another: unbound, they are freed now
+    root, _ = node(eliminate_implications(f), {v: i for i, v in enumerate(free)})
+    del compilers  # the compilers refer to one another through it: unbound, they are freed now
     return free, n_slots, root
 
 

@@ -355,6 +355,28 @@ class TestLeafShrinkers:
         sub, kept = exhaustive_leaf_shrinker(B, {0}, 2)
         assert built == [kept]
 
+    def test_each_distinct_leaf_is_shrunk_once(self, monkeypatch):
+        # three copies of one leaf, the middle one marked: two distinct
+        # (leaf, marks) pairs, so two shrinks, each held to its verdicts
+        calls = []
+        real = algebra._shrink_leaf
+        monkeypatch.setattr(algebra, "_shrink_leaf", lambda B, marks, m: (
+            calls.append((B, frozenset(marks))) or real(B, marks, m)))
+        B = disjoint_union(disjoint_union(VERTEX, VERTEX), VERTEX)
+        a, b, c = leaf(B), leaf(B), leaf(B)
+        out, kept = shrink_leaves(node(UNION, a, node(UNION, b, c)), {(b.node_id, 2)}, 1)
+        assert len(calls) == len(set(calls)) == 2
+        assert kept == {a.node_id: (0,), b.node_id: (2,), c.node_id: (0,)}
+        assert eval_expression_tree(out).size == 3
+        # the whole pipeline: at m = 4 no copy is spliced out
+        calls.clear()
+        B = disjoint_union(EDGE, VERTEX)
+        t = node(UNION, leaf(B), node(UNION, leaf(B), leaf(B)))
+        _, report = shrink_algebraic(t, [B.size + 2], 4, 1)
+        assert report.phases[0] == ("expression-height", 9, 9)
+        assert len(calls) == len(set(calls)) == 2
+        assert report.ok() and report.verdicts["contains_marks"]
+
     def test_bad_shrinker_caught(self, monkeypatch):
         def lying_shrinker(B, marks, m):
             return VERTEX, (0,)  # claims a non-equivalent substructure

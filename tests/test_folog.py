@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -31,6 +32,7 @@ from fmtk.folog import (
 )
 from fmtk.equiv import m_equivalent
 from fmtk.structures import Structure, Vocabulary, induced_substructure
+from fmtk.translate import atomic_diagram_sentence
 from fmtk.wqo import make_cycle
 
 from oracles import (
@@ -99,6 +101,22 @@ def _shadowing(f, rng, pool=("a", "b")):
         return type(g)(names[g.var], walk(g.body))
 
     return walk(f)
+
+
+def _staged_block(rng, vocab, cls):
+    """A block of one to three ``cls`` quantifiers over a chain of the
+    block's connective (``And`` under ``Exists``, ``Or`` under ``Forall``)
+    whose parts read random subsets of the block variables and of the free
+    ``a`` and ``b``."""
+    names = tuple(f"x{i + 1}" for i in range(rng.randint(1, 3)))
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        scope = tuple(v for v in names + ("a", "b") if rng.random() < 0.5) or ("a",)
+        parts.append(random_formula(rng, vocab, rng.randint(0, 1), scope=scope))
+    out = functools.reduce(And if cls is Exists else Or, parts)
+    for x in reversed(names):
+        out = cls(x, out)
+    return out
 
 
 def _outcome(evaluator, A, f, assignment=None):
@@ -242,7 +260,7 @@ class TestCompiledEvaluate:
                 assert _outcome(evaluate, A, f, env) == _outcome(reference_evaluate, A, f, env)
 
     def test_errors_are_raised_only_when_reached(self):
-        x = Var("x")
+        x, y = Var("x"), Var("y")
         known, unknown = Eq(x, x), Atom("Q", (x,))
         A = Structure(V, 2, {"E": {(0, 1)}})
         assert evaluate(A, Or(known, unknown), {"x": 0})
@@ -254,6 +272,61 @@ class TestCompiledEvaluate:
         assert evaluate(A, Or(known, Eq(Cst("z"), x)), {"x": 0})
         with pytest.raises(ValueError, match="unknown constant z"):
             evaluate(A, Or(Eq(x, Cst("z")), known), {"x": 0})
+        # A has no loop, so the walk never reaches Q(x) here; a block that
+        # holds an unknown symbol, however deep, is not staged
+        loop_y = Atom("E", (y, y))
+        assert not evaluate(A, Exists("x", Exists("y", And(loop_y, unknown))))
+        assert not evaluate(A, Exists("x", Exists("y", And(loop_y, Not(unknown)))))
+        assert not evaluate(A, Exists("x", Exists("y", And(loop_y, Or(unknown, known)))))
+        with pytest.raises(ValueError, match="unknown predicate Q"):
+            evaluate(A, Exists("x", Exists("y", And(Atom("Q", (y,)), Atom("E", (x, x))))))
+
+    def test_atomic_diagram_tests_each_fact_once_its_variables_are_bound(self):
+        # the diagram of {(0,1),(0,2)} on the directed 6-cycle: x1 = x2 is
+        # rejected before x3 is picked (300 lookups with every fact tested
+        # innermost)
+        lookups = []
+
+        class Counting(dict):
+            def __getitem__(self, name):
+                lookups.append(name)
+                return super().__getitem__(name)
+
+        c6 = make_cycle(6)
+        A = Structure._derived(c6.vocab, c6.size, Counting(c6.relations))
+        f = atomic_diagram_sentence(Structure(V, 3, {"E": {(0, 1), (0, 2)}}))
+        assert evaluate(A, f) is False
+        assert len(lookups) <= 100
+        assert reference_evaluate(c6, f) is False
+
+    def test_staged_blocks_agree_with_reference(self):
+        # atomic diagrams, true (of a substructure) and mostly false (of a
+        # random structure), their Or/Not combinations, and blocks of one
+        # quantifier over a chain of its own connective whose parts read
+        # random subsets of the block variables and the free a, b
+        rng = random.Random(31)
+        seen = set()
+        for vocab in self.VOCABS:
+            for i in range(30):
+                A = random_structure(rng, vocab, rng.randint(1, 4))
+                marks = rng.sample(range(A.size), rng.randint(1, min(2, A.size)))
+                keep = {*A.constant_interp.values(), *marks}
+                diagrams = [
+                    atomic_diagram_sentence(induced_substructure(A, keep)[0]),
+                    atomic_diagram_sentence(random_structure(rng, vocab, rng.randint(1, 3))),
+                ]
+                formulas = diagrams + [
+                    Or(*diagrams), Not(Or(*diagrams)), And(Not(diagrams[1]), diagrams[0]),
+                    _staged_block(rng, vocab, Exists), _staged_block(rng, vocab, Forall),
+                ]
+                if i % 2:
+                    formulas = [_shadowing(f, rng) for f in formulas]
+                env = {"a": rng.randrange(A.size), "b": rng.randrange(A.size)}
+                for f in formulas:
+                    got = evaluate(A, f, env)
+                    assert got == reference_evaluate(A, f, env), (vocab, A, f, env)
+                    seen.add((type(f), got))
+        assert {(Exists, True), (Exists, False), (Forall, True), (Forall, False)} <= seen
 
     def test_unassigned_error_matches_reference(self):
         f = parse(V, "E(x,y) & E(z,x)")
