@@ -154,12 +154,13 @@ def eliminate_implications(f: Formula) -> Formula:
 #
 # A formula is compiled once per vocabulary into a tree of closures, each
 # called as ``node(A, env)``. ``env`` is a list of variable slots: the free
-# variables first, in sorted order, then one slot per binder occurrence, so an
-# inner binder never overwrites an outer binding of the same name. Atoms are
-# resolved against the vocabulary when compiled, and a negated atom or
-# variable equality is one closure; a symbol the vocabulary lacks compiles to
-# a node that raises only when evaluation reaches it, so short-circuiting
-# decides whether the error shows, as it would for a walk of the syntax tree.
+# variables first, in sorted order, then one slot per binder occurrence whose
+# variable is read, so an inner binder never overwrites an outer binding of
+# the same name. Atoms are resolved against the vocabulary when compiled,
+# and a negated atom or variable equality is one closure; a symbol the
+# vocabulary lacks compiles to a node that raises only when evaluation
+# reaches it, so short-circuiting decides whether the error shows, as it
+# would for a walk of the syntax tree.
 #
 # A block of one quantifier whose body is a chain of the block's connective
 # (``∧`` under ``∃``, ``∨`` under ``∀``) is staged by the miniscope rule
@@ -167,10 +168,11 @@ def eliminate_implications(f: Formula) -> Formula:
 # variables, each part tested in the shallowest loop that binds every block
 # variable it reads, and a part that reads none tested once before the loops
 # (structures are nonempty, so this is sound). Parts keep their order within a
-# loop, and the block variables after the deepest one a part reads get no
-# loop. A block whose body holds a raising node anywhere runs as one product
-# with every part tested innermost, since staging would change which error
-# shows.
+# loop. Only the block variables the body reads get a slot, each at the
+# innermost binder of its name, and a loop; an unread one needs none, for the
+# same reason. A block whose body holds a raising node anywhere runs as one
+# product of its loops with every part tested innermost, since staging would
+# change which error shows.
 
 _COMPILED_LIMIT = 256
 # (id(formula), vocabulary) -> (formula, free variables, slot count, root node).
@@ -366,14 +368,20 @@ def _compile(f: Formula, vocab: Vocabulary):
         return _join(type(g), parts), mask
 
     def quantifier(g: Exists | Forall, scope):
-        # a block of one quantifier takes consecutive slots
+        # a block of one quantifier gives consecutive slots to the variables
+        # its body reads, each at the innermost binder of its name
         nonlocal n_slots
         cls = type(g)
-        start = n_slots
+        names = []
         while type(g) is cls:
-            scope = {**scope, g.var: n_slots}
-            n_slots += 1
+            names.append(g.var)
             g = g.body
+        read = free_vars(g)
+        start = n_slots
+        for i, v in enumerate(names):
+            if v in read and v not in names[i + 1:]:
+                scope = {**scope, v: n_slots}
+                n_slots += 1
         width = n_slots - start
         block = ((1 << width) - 1) << start
         connective = And if cls is Exists else Or
@@ -385,8 +393,8 @@ def _compile(f: Formula, vocab: Vocabulary):
             parts.append(p)
             levels[((m & block) >> start).bit_length()].append(p)
             mask |= m
-        if n_raisers > raised:
-            return _loop(cls, start, start + width, _join(connective, parts)), mask & ~block
+        if n_raisers > raised:  # every part innermost
+            levels = [[] for _ in range(width)] + [parts]
         # the loops, innermost first: each binds the block variables after the
         # next shallower level that has parts, up to its own level, then runs
         # its own parts and the loop inside it

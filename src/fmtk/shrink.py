@@ -9,7 +9,7 @@ marks stay valid across phases and containment is directly checkable; use
 
 from __future__ import annotations
 
-from .equiv import TypeScope, check_rank_type_cost, marked_equivalent, rank_type, type_id
+from .equiv import TypeScope, check_rank_type_cost, marked_equivalent, type_id
 from .errors import StructureFormatError, VerificationFailed
 from .structures import (
     ORDER_PRED, Structure, Vocabulary, _once, _rooted_tree, _shifted, checked_marks, format_errors,
@@ -282,7 +282,7 @@ class ClassTable:
     table types every representative in one :class:`~fmtk.equiv.TypeScope`
     of its own, where equal type ids mean equal rank-``m`` keys at every
     ``m``, including ``m = 0``, and a class id is the type id of its
-    representatives there. No key is expanded.
+    representatives there; :meth:`TreeClasses.of` expands a key from it.
     """
 
     def __init__(self, m: int):
@@ -337,13 +337,15 @@ class TreeClasses(ClassTable):
     def of(self, nodes: frozenset[int]) -> tuple:
         """Rank-``m`` key of the sub-poset of ``base`` on ``nodes``."""
         t = self.base.induced(nodes)
-        return rank_type(self._reps[self.classify(t)[t.root]], (), self.m).key
+        return self._scope.key(self.classify(t)[t.root])
 
-    def classify(self, t: SigmaTree) -> dict[int, int]:
-        """The class id of every node's subtree in ``t``, in one bottom-up pass."""
+    def classify(self, t: SigmaTree, skip=frozenset()) -> dict[int, int]:
+        """The class id of every node's subtree in ``t`` but those in ``skip``,
+        a set closed upward, in one bottom-up pass."""
         ids: dict[int, int] = {}
         for v in sorted(t.nodes, key=t.depth, reverse=True):
-            ids[v] = self.compose(t.label[v], [ids[c] for c in t.children(v)])
+            if v not in skip:
+                ids[v] = self.compose(t.label[v], [ids[c] for c in t.children(v)])
         return ids
 
     def compose(self, letter: str, child_ids) -> int:
@@ -458,9 +460,17 @@ def reduce_degree(s: SigmaTree, W, classes: TreeClasses, k: int) -> SigmaTree:
 def reduce_height_no_W(s: SigmaTree, classes: TreeClasses) -> SigmaTree:
     """Splice out ancestor/descendant pairs whose subtrees realize the same
     class, until no root-to-leaf path repeats a class."""
+    return _reduce_hanging_heights(s, set(), classes)
+
+
+def _reduce_hanging_heights(s: SigmaTree, W: set[int], classes: TreeClasses) -> SigmaTree:
+    """:func:`reduce_height_no_W` in each maximal subtree holding no mark; they
+    are disjoint, so one classification and one children map serve all."""
+    holding = _holding(s, W)
+    ids = classes.classify(s, holding)
     children = {v: list(s.children(v)) for v in s.nodes}
-    _, kept = splice_repeats(s.root, children, classes.classify(s))
-    return s.induced(kept)
+    hanging = (h for h in s.nodes if h not in holding and (h == s.root or s.parent[h] in holding))
+    return s.induced(holding.union(*(splice_repeats(h, children, ids)[1] for h in hanging)))
 
 
 def shrink_word(w: SigmaTree, m: int) -> SigmaTree:
@@ -480,61 +490,64 @@ def reduce_root_distance(s: SigmaTree, b: int, classes: TreeClasses) -> SigmaTre
     if b == s.root:
         return s
     path = s.path_down(s.root, b)
-    ids = classes.classify(s)
+    ids = classes.classify(s, set(path))
+    return s.induced(set(s.nodes) - _dropped_segments(s, path, None, ids, classes))
+
+
+def _dropped_segments(s: SigmaTree, path: list[int], below, ids, classes: TreeClasses) -> set[int]:
+    """The segments :func:`reduce_root_distance` drops from the chain ``path``
+    (its first node stays), ``below``'s subtree cut off the last; ``ids``
+    classifies the subtrees of ``s`` off the path and below its last node."""
     # word position i is path[i]: its segment, path[i] with every child
-    # subtree but the one on the path; b's subtree is the flagged last letter
+    # subtree but the next on the path; the last letter is flagged
     letters = [
-        (classes.compose(s.label[u], [ids[c] for c in s.children(u) if c != below]), 0)
-        for u, below in zip(path[1:], path[2:])
+        (classes.compose(s.label[u], [ids[c] for c in s.children(u) if c != nxt]), u == path[-1])
+        for u, nxt in zip(path[1:], [*path[2:], below])
     ]
-    letters.append((ids[b], 1))
     names = {x: f"p{i}" for i, x in enumerate(sorted(set(letters)))}
     word = make_word([names[x] for x in letters], tuple(names.values()))
     # a splice drops letters, and the remaining positions keep their suffix classes
     children = {i: list(word.children(i)) for i in word.nodes}
     _, kept = splice_repeats(1, children, TreeClasses(word, classes.m).classify(word))
-    removed: set[int] = set()
-    for i in set(word.nodes) - kept:  # never the last letter, b's subtree
-        removed |= s.descendants(path[i]) - s.descendants(path[i + 1])
-    return s.induced(set(s.nodes) - removed)
+    # the last letter is never dropped
+    return set().union(*(s.descendants(path[i]) - s.descendants(path[i + 1])
+                         for i in set(word.nodes) - kept))
 
 
-def _consecutive_mark_pairs(t: SigmaTree, W: set[int]) -> list[tuple[int, int]]:
-    """``(a, b)`` for every mark ``b`` whose nearest marked ancestor is ``a``."""
-    nearest = ((next((u for u in t.ancestors(b) if u in W), None), b) for b in W)
-    return sorted(pair for pair in nearest if pair[0] is not None)
+def _holding(t: SigmaTree, W: set[int]) -> set[int]:
+    """The nodes of ``t`` whose subtree holds a node of ``W``."""
+    return {u for w in W for u in (w, *t.ancestors(w))}
 
 
-def _stretches(t: SigmaTree, W: set[int]):
-    """The mark-free stretches between order-consecutive marks that could be
-    shortened: ``(nodes, target)``, where ``target`` is the stretch's deepest
-    path node, in mark-pair order."""
-    # the nodes whose subtree holds a mark
-    marked = {u for w in W for u in (w, *t.ancestors(w))}
-    for a, b in _consecutive_mark_pairs(t, W):
-        path = t.path_down(a, b)
-        on_path = set(path)
-        # segment i is path[i] with its subtrees off the path
-        carrying = [
-            i for i, u in enumerate(path)
-            if u in W or any(c in marked and c not in on_path for c in t.children(u))
-        ]
-        for i_prev, i_next in zip(carrying, carrying[1:]):
-            if i_next - i_prev >= 2:
-                zset = t.descendants(path[i_prev + 1]) - t.descendants(path[i_next])
-                yield zset, path[i_next - 1]
+def _stretches(t: SigmaTree, W: set[int], holding: set[int]):
+    """The mark-free stretches that could be shortened, in one depth-first
+    pass over the nodes ``holding`` a mark: each maximal chain of at least
+    three unmarked nodes that lie below a mark and have exactly one child
+    holding a mark, with that child of its last node."""
+    stack = [(t.root, False, [])]  # (node, below a mark, the chain above it)
+    while stack:
+        v, under, chain = stack.pop()
+        kids = [c for c in t.children(v) if c in holding]
+        if under and v not in W and len(kids) == 1:
+            chain.append(v)
+            stack.append((kids[0], True, chain))
+            continue
+        if len(chain) > 2:  # a shorter one has at most one letter
+            yield chain, v
+        stack += ((c, under or v in W, []) for c in kids)
 
 
 def reduce_W_distances(s: SigmaTree, W, classes: TreeClasses) -> SigmaTree:
-    """Shorten each mark-free stretch between order-consecutive marks with
-    :func:`reduce_root_distance`. Two stretches are disjoint or equal, and
-    each is reduced as a tree of its own, so one pass over them suffices;
-    mark pairs below one branch share a stretch, named by its target, and
-    it is reduced once."""
+    """Shorten each mark-free stretch between order-consecutive marks as
+    :func:`reduce_root_distance` shortens the path below a root. The
+    stretches are disjoint, and a segment's class depends on its own nodes
+    alone, so one classification of ``s`` gives every stretch its word."""
     W = checked_marks(W, None, s.parent)
-    removed: set[int] = set()
-    for target, zset in {target: zset for zset, target in _stretches(s, W)}.items():
-        removed |= zset - set(reduce_root_distance(s.induced(zset), target, classes).nodes)
+    holding = _holding(s, W)
+    stretches = list(_stretches(s, W, holding))
+    # a letter reads only the classes of subtrees that hold no mark
+    ids = classes.classify(s, holding) if stretches else {}
+    removed = set().union(*(_dropped_segments(s, *st, ids, classes) for st in stretches))
     return s.induced(set(s.nodes) - removed)
 
 
@@ -577,25 +590,11 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     classes = TreeClasses(s, m)
     phases: list[tuple[str, int, int]] = []
 
-    w1 = W | {s.root}
-    t1 = reduce_W_distances(s, w1, classes)
+    t1 = reduce_W_distances(s, W | {s.root}, classes)
     phases.append(("mark-distances", s.size, t1.size))
 
-    if not W:
-        t2 = reduce_height_no_W(t1, classes)
-    else:
-        kept = set(t1.nodes)
-        # w1 holds the root, so the mark-carrying nodes form a rooted subtree
-        carrying = {u for v in w1 for u in (v, *t1.ancestors(v))}
-        hanging = [v for v in t1.nodes if v not in carrying and t1.parent[v] in carrying]
-        # a subtree's class depends on the subtree alone, and the hanging
-        # subtrees are disjoint: one classification and one children map
-        # serve every splice
-        ids = classes.classify(t1)
-        children = {v: list(t1.children(v)) for v in t1.nodes}
-        for h in hanging:
-            kept -= t1.descendants(h) - splice_repeats(h, children, ids)[1]
-        t2 = t1.induced(kept)
+    # reduce_height_no_W is the no-mark case, called by name so it is traced
+    t2 = _reduce_hanging_heights(t1, W, classes) if W else reduce_height_no_W(t1, classes)
     phases.append(("hanging-heights", t1.size, t2.size))
 
     t3 = reduce_degree(t2, W, classes, k)

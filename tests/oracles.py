@@ -583,16 +583,40 @@ def reference_reduce_height_no_W(s: SigmaTree, m: int, classes=None) -> SigmaTre
         cur = cur.induced((set(cur.nodes) - cur.descendants(a)) | cur.descendants(b))
 
 
+def _reference_stretches(t: SigmaTree, W: set[int]):
+    """The mark-free stretches as first found, mark pair by mark pair:
+    ``(nodes, target)`` for each run of at least one path node between two
+    consecutive carrying nodes on the path from a mark's nearest marked
+    ancestor down to it, ``target`` being the run's deepest node. A path
+    node carries if it is a mark or has a child off the path that holds a
+    mark. Mark pairs below one branch repeat their shared stretches."""
+    # the nodes whose subtree holds a mark
+    marked = {u for w in W for u in (w, *t.ancestors(w))}
+    nearest = ((next((u for u in t.ancestors(b) if u in W), None), b) for b in W)
+    for a, b in sorted(pair for pair in nearest if pair[0] is not None):
+        path = t.path_down(a, b)
+        on_path = set(path)
+        # segment i is path[i] with its subtrees off the path
+        carrying = [
+            i for i, u in enumerate(path)
+            if u in W or any(c in marked and c not in on_path for c in t.children(u))
+        ]
+        for i_prev, i_next in zip(carrying, carrying[1:]):
+            if i_next - i_prev >= 2:
+                zset = t.descendants(path[i_prev + 1]) - t.descendants(path[i_next])
+                yield zset, path[i_next - 1]
+
+
 def reference_reduce_W_distances(s: SigmaTree, W, m: int, classes=None) -> SigmaTree:
     """Mark-distance reduction as first written: each stretch is reduced by
     :func:`reference_reduce_root_distance`, and after every stretch that
     shrinks, the stretches are listed again from the top of the new tree."""
-    from fmtk.shrink import TreeClasses, _stretches
+    from fmtk.shrink import TreeClasses
 
     classes = classes or TreeClasses(s, m)
     cur = s
     while True:
-        for zset, target in _stretches(cur, set(W)):
+        for zset, target in _reference_stretches(cur, set(W)):
             reduced = reference_reduce_root_distance(cur.induced(zset), target, m, classes)
             if reduced.size < len(zset):
                 cur = cur.induced(set(cur.nodes) - (zset - set(reduced.nodes)))

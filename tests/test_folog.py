@@ -299,6 +299,28 @@ class TestCompiledEvaluate:
         assert len(lookups) <= 100
         assert reference_evaluate(c6, f) is False
 
+    def test_an_unread_block_variable_gets_no_loop(self):
+        # U holds everywhere on six elements: y is read by no part, so the
+        # block makes the lookups of the block without it, 6 * (1 + 6)
+        # (222 when y is looped over)
+        lookups = []
+
+        class Counting(dict):
+            def __getitem__(self, name):
+                lookups.append(name)
+                return super().__getitem__(name)
+
+        vocab = Vocabulary.make({"U": 1})
+        A = Structure._derived(vocab, 6, Counting({"U": frozenset((i,) for i in range(6))}))
+        body = And(Atom("U", (Var("x"),)), Not(Atom("U", (Var("z"),))))
+        counts = []
+        for f in (Exists("x", Exists("y", Exists("z", body))), Exists("x", Exists("z", body))):
+            del lookups[:]
+            assert evaluate(A, f) is False
+            counts.append(len(lookups))
+            assert reference_evaluate(A, f) is False
+        assert counts == [42, 42]
+
     def test_staged_blocks_agree_with_reference(self):
         # atomic diagrams, true (of a substructure) and mostly false (of a
         # random structure), their Or/Not combinations, and blocks of one

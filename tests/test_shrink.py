@@ -396,9 +396,9 @@ class TestReduceHeight:
         calls = []
         real = TreeClasses.classify
 
-        def counting(self, t):
+        def counting(self, t, *skip):
             calls.append(t)
-            return real(self, t)
+            return real(self, t, *skip)
 
         monkeypatch.setattr(TreeClasses, "classify", counting)
         s = chain(30)
@@ -511,6 +511,13 @@ class TestReduceWDistances:
         s = chain(10)
         assert reduce_W_distances(s, {4, 5}, TreeClasses(s, 1)) == s
 
+    def test_nodes_above_every_mark_are_kept(self):
+        # 1 .. 19 lie below no mark; only the stretch 21 .. 24 is shortened
+        s = chain(25)
+        out = reduce_W_distances(s, {20, 25}, TreeClasses(s, 1))
+        assert set(range(1, 21)) < set(out.nodes) and out.size < 25
+        assert out == reference_reduce_W_distances(s, {20, 25}, 1)
+
     def test_far_marks_pulled_together(self):
         s = chain(25)
         out = reduce_W_distances(s, {1, 25}, TreeClasses(s, 1))
@@ -549,21 +556,64 @@ class TestReduceWDistances:
 
     def test_a_shared_stretch_is_reduced_once(self, monkeypatch):
         # marks 0, 9 and 10: the pairs (0, 9) and (0, 10) share the stretch
-        # 1 .. 7 above the branch at 8
+        # 1 .. 7 above the branch at 8, spliced from one word of the
+        # segments 2 .. 7
         parent = {0: None, **{v: v - 1 for v in range(1, 10)}, 10: 8}
         s = SigmaTree(parent, {v: "a" for v in parent})
-        calls = []
-        real = shrink.reduce_root_distance
+        words = []
+        real = shrink.make_word
 
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
+        def recording(*args):
+            words.append(real(*args))
+            return words[-1]
 
-        monkeypatch.setattr(shrink, "reduce_root_distance", counting)
+        monkeypatch.setattr(shrink, "make_word", recording)
         out = reduce_W_distances(s, {0, 9, 10}, TreeClasses(s, 1))
-        assert calls == [7]
+        assert [w.size for w in words] == [6]
         assert out.size < s.size and {0, 9, 10} <= set(out.nodes)
         assert out == reference_reduce_W_distances(s, {0, 9, 10}, 1, TreeClasses(s, 1))
+
+    def test_one_classification_and_one_subtree_for_every_stretch(self, monkeypatch):
+        # four chains of ten nodes under a marked root, each ending in a
+        # mark, and the last forking at its ninth node into a second marked
+        # leaf: four stretches, each spliced from one word of its own
+        parent, label, marks = {0: None}, {0: "a"}, {0}
+        for branch in range(4):
+            above = 0
+            for i in range(10):
+                v = 1 + 10 * branch + i
+                parent[v], label[v], above = above, "ab"[i % 3 == 2], v
+            marks.add(above)
+        parent[41], label[41] = 39, "a"
+        marks.add(41)
+        s = SigmaTree(parent, label, ("a", "b"))
+        classes = TreeClasses(s, 1)
+        want = reference_reduce_W_distances(s, marks, 1, TreeClasses(s, 1))
+        classified, induced, words = [], [], []
+        real_classify, real_induced = TreeClasses.classify, SigmaTree.induced
+        real_word = shrink.make_word
+
+        def classify(self, t, *skip):
+            classified.append((self, t))
+            return real_classify(self, t, *skip)
+
+        def subtree(self, keep):
+            induced.append(self)
+            return real_induced(self, keep)
+
+        def word(*args):
+            words.append(real_word(*args))
+            return words[-1]
+
+        monkeypatch.setattr(TreeClasses, "classify", classify)
+        monkeypatch.setattr(SigmaTree, "induced", subtree)
+        monkeypatch.setattr(shrink, "make_word", word)
+        out = reduce_W_distances(s, marks, classes)
+        assert out == want and out.size < s.size
+        assert [t for table, t in classified if table is classes] == [s]
+        assert induced == [s]
+        assert sorted(w.size for w in words) == [7, 8, 8, 8]
+        assert len(classified) == 1 + len(words)
 
 
 class TestShrinkTree:
@@ -607,9 +657,9 @@ class TestShrinkTree:
         calls = []
         real = TreeClasses.classify
 
-        def counting(self, tree):
+        def counting(self, tree, *skip):
             calls.append(tree)
-            return real(self, tree)
+            return real(self, tree, *skip)
 
         monkeypatch.setattr(TreeClasses, "classify", counting)
         out, report = shrink_tree(t, {1}, 1, 1)
