@@ -15,7 +15,7 @@ from bisect import bisect_right
 from .equiv import TypeScope, check_rank_type_cost, m_equivalent, subset_typer, type_id
 from .errors import StructureFormatError, VerificationFailed, check_guard
 from .records import Record
-from .shrink import ClassTable, ShrinkReport, SigmaTree, shrink_tree, splice_repeats
+from .shrink import ShrinkReport, SigmaTree, shrink_tree, splice_repeats
 from .structures import (
     MarkedStructure,
     Structure,
@@ -65,8 +65,8 @@ class ExprNode(Record):
                 raise ValueError(f"unknown operation {op!r}")
             if len(children) != _ARITY[op]:
                 raise ValueError(f"operation {op!r} expects {_ARITY[op]} children")
-            if base is not None:
-                raise ValueError("internal nodes carry no structure")
+            if base is not None or complemented:
+                raise ValueError("internal nodes carry no structure and no complement flag")
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "base", base)
@@ -182,86 +182,52 @@ def reexpand_bowties(t: ExprNode) -> ExprNode:
 # height reduction and leaf shrinking
 
 
-class ExpressionClasses(ClassTable):
-    """Rank-``m`` classes of the subexpressions of union/bowtie trees,
-    composed bottom-up; one table serves one height reduction.
-
-    A leaf's signature is its structure and complement flag, and its class is
-    the rank-``m`` type of that structure, complement applied. An inner
-    node's signature is its operation and its children's class ids, sorted:
-    disjoint union ``u`` and bowtie are commutative up to isomorphism. The
-    signature fixes the class. For ``u`` this is Feferman-Vaught composition:
-    the rank-``m`` type of a disjoint union follows from the rank-``m`` types
-    of its parts. Bowtie is ``!(!A u !B)``, and complement maps rank-``m``
-    classes to rank-``m`` classes, since a sentence about ``!A`` is one of
-    the same rank about ``A`` with every atom negated. So a new signature
-    evaluates its operation over its children's small representatives, and
-    only that structure is typed, in the table's scope; no real
-    subexpression is evaluated.
-    """
-
-    def classify(self, t: ExprNode) -> dict[int, int]:
-        """The class id of every node's subexpression in ``t``, by node id."""
-        ids: dict[int, int] = {}
-
-        def walk(n: ExprNode) -> int:
-            if n.op == LEAF:
-                sig = (LEAF, n.base, n.complemented)
-            else:
-                sig = (n.op, *sorted(walk(c) for c in n.children))
-            cid = ids[n.node_id] = self._class_of(sig)
-            return cid
-
-        walk(t)
-        del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
-        return ids
-
-    def _representative(self, sig: tuple) -> Structure:
-        op = sig[0]
-        if op == LEAF:
-            return complement(sig[1]) if sig[2] else sig[1]
-        if op in (UNION, BOWTIE):
-            return _EVAL[op](*(self._reps[c] for c in sig[1:]))
-        raise ValueError(f"classes compose over union and bowtie, not {op!r}")
-
-
-def _index(t: ExprNode, w_leaf_ids: set[int]) -> tuple[dict[int, ExprNode], dict[int, int]]:
-    """Every node of ``t`` by node id, and how many marked leaves it covers."""
+def _index(
+    t: ExprNode, w_leaf_ids: set[int]
+) -> tuple[dict[int, ExprNode], dict[int, tuple[range, int]]]:
+    """Every node of ``t`` by node id, and its block of ``t``'s evaluation
+    with how many marked leaves it covers. The leaves' universes stack in
+    leaf order, so each node's block is one range."""
     nodes: dict[int, ExprNode] = {}
-    counts: dict[int, int] = {}
+    blocks: dict[int, tuple[range, int]] = {}
 
-    def walk(n: ExprNode) -> int:
+    def walk(n: ExprNode, lo: int) -> tuple[int, int]:
         if n.op == LEAF:
-            c = 1 if n.node_id in w_leaf_ids else 0
+            hi, c = lo + n.base.size, 1 if n.node_id in w_leaf_ids else 0
         else:
-            c = sum(walk(ch) for ch in n.children)
+            hi, c = lo, 0
+            for ch in n.children:
+                hi, below = walk(ch, hi)
+                c += below
         nodes[n.node_id] = n
-        counts[n.node_id] = c
-        return c
+        blocks[n.node_id] = (range(lo, hi), c)
+        return hi, c
 
-    walk(t)
+    walk(t, 0)
     del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
-    return nodes, counts
+    return nodes, blocks
 
 
 def reduce_expression_height(
-    s: ExprNode, w_pairs: set[tuple[int, int]], m: int, k: int
+    s: ExprNode, w_pairs: set[tuple[int, int]], type_of, k: int
 ) -> ExprNode:
     """Splice out nested subexpressions that evaluate into the same rank class
     and cover the same number of marked leaves; marked leaves survive.
 
     :func:`~fmtk.shrink.splice_repeats` splices, deepest first: a node ``b``
     whose (class, marked-leaf count) repeats at an ancestor ``a`` puts its
-    subexpression in the place of ``a``'s. The input is classified once, by
-    one :class:`ExpressionClasses` table, which computes a rank type once per
-    new signature, on a small representative, and the result is built once,
-    reusing every unchanged node. The table's ids are equal exactly when the
-    rank-``m`` keys of the evaluated subexpressions are (see
-    :class:`ExpressionClasses` for why composing classes is sound), and ``a``
-    and ``b`` cover equal numbers of marked leaves, so no splice changes the
-    pair of a node that remains. :func:`shrink_algebraic`'s ``equivalent``
-    verdict does not read the table: it compares full rank types of the
-    evaluated input and output.
+    subexpression in the place of ``a``'s. ``type_of`` is
+    :func:`~fmtk.equiv.subset_typer` over the evaluation of ``s``, opened by
+    the caller, which evaluates ``s`` anyway. Every node of a union/bowtie
+    tree evaluates to the induced substructure of the whole on its block,
+    since ``u`` and ``bw`` restrict to each operand on its block; so by the
+    relativization lemma a node's class is the type id of its block, in the
+    typer's one scope, and ids are equal exactly when the rank-``m`` keys of
+    the evaluated subexpressions are. ``a`` and ``b`` also cover equal
+    numbers of marked leaves, so no splice changes the pair of a node that
+    remains, and the result is built once, reusing every unchanged node.
+    :func:`shrink_algebraic`'s ``equivalent`` verdict does not read the
+    ids: it compares full rank types of the evaluated input and output.
     """
     w_pairs = checked_marks(
         w_pairs, k, {(lf.node_id, e) for lf in s.leaves() for e in range(lf.base.size)}
@@ -269,8 +235,8 @@ def reduce_expression_height(
     bad = s.ops_used() - {UNION, BOWTIE}
     if bad:
         raise ValueError(f"height reduction expects a union/bowtie tree, found {sorted(bad)}")
-    nodes, counts = _index(s, {lid for lid, _ in w_pairs})
-    g = {nid: (cid, counts[nid]) for nid, cid in ExpressionClasses(m).classify(s).items()}
+    nodes, blocks = _index(s, {lid for lid, _ in w_pairs})
+    g = {nid: (type_of(block), count) for nid, (block, count) in blocks.items()}
     kids = {nid: [c.node_id for c in n.children] for nid, n in nodes.items()}
     root, _ = splice_repeats(s.node_id, kids, g)
 
@@ -392,7 +358,7 @@ def shrink_algebraic(s: ExprNode, W, m: int, k: int) -> tuple[Structure, ShrinkR
         for lf, marks in zip(leaves, _marks_by_part(W, offsets))
         for e in marks
     }
-    t1 = reduce_expression_height(pushed, w_pairs, m, k)
+    t1 = reduce_expression_height(pushed, w_pairs, subset_typer(original, m, TypeScope()), k)
     mid_size = evaluated_size(t1)
     t2, kept_maps = shrink_leaves(t1, w_pairs, m)
     out = eval_expression_tree(t2)

@@ -270,57 +270,29 @@ def is_subtree(t: SigmaTree, s: SigmaTree) -> bool:
 # realized-class bookkeeping
 
 
-class ClassTable:
-    """Rank-``m`` classes of objects composed from parts, bottom-up.
-
-    A *signature* says how an object is put together from parts whose class
-    ids are known. By Feferman-Vaught composition (Feferman & Vaught 1959;
-    Makowsky, APAL 2004) the signature fixes the object's rank-``m`` class,
-    so each new signature needs the type of one small *representative*
-    structure only, which a subclass builds in ``_representative``, and that
-    type only has to be told equal or not to the ones before it. So the
-    table types every representative in one :class:`~fmtk.equiv.TypeScope`
-    of its own, where equal type ids mean equal rank-``m`` keys at every
-    ``m``, including ``m = 0``, and a class id is the type id of its
-    representatives there; :meth:`TreeClasses.of` expands a key from it.
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-        self._ids: dict[tuple, int] = {}  # signature -> class id
-        self._scope = TypeScope()
-        self._reps: dict[int, Structure] = {}  # class id -> its first representative
-
-    def _representative(self, sig: tuple) -> Structure:
-        """The representative structure of a signature not seen before."""
-        raise NotImplementedError
-
-    def _class_of(self, sig: tuple) -> int:
-        """The class id of a signature; a new one's representative is built and typed."""
-        cid = self._ids.get(sig)
-        if cid is None:
-            rep = self._representative(sig)
-            cid = self._ids[sig] = type_id(rep, self.m, self._scope)
-            self._reps.setdefault(cid, rep)
-        return cid
-
-
-class TreeClasses(ClassTable):
+class TreeClasses:
     """Rank-``m`` classes of subtrees, composed bottom-up from a table.
 
     A node's *signature* is its label together with the multiset of its
     children's class ids, each multiplicity capped at ``m``. By
-    Feferman-Vaught composition the signature fixes the rank-``m`` class of
-    the node's subtree, and ``m`` disjoint copies of a tree are rank-``m``
-    equivalent to any larger number of copies, so the cap loses nothing
-    (Makowsky, APAL 2004; Libkin, *Elements of Finite Model Theory*, ch. 3).
+    Feferman-Vaught composition (Feferman & Vaught 1959; Makowsky, APAL
+    2004) the signature fixes the rank-``m`` class of the node's subtree,
+    and ``m`` disjoint copies of a tree are rank-``m`` equivalent to any
+    larger number of copies, so the cap loses nothing (Libkin, *Elements of
+    Finite Model Theory*, ch. 3). So each new signature needs the type of
+    one small *representative* structure only, and that type only has to
+    be told equal or not to the ones before it.
 
     The representatives are encoded trees, structures over the vocabulary of
     :func:`to_structure`. A new signature's representative is built directly
     from its children's: a new root that is ``<=`` every element and carries
     its letter's predicate, over shifted copies of ``min(count, m)`` of each
     child class's representative. No tree is built or encoded for it, and no
-    real subtree is ever encoded. Class ids are type ids, as in :class:`ClassTable`.
+    real subtree is ever encoded. The table types every representative in
+    one :class:`~fmtk.equiv.TypeScope` of its own, where equal type ids mean
+    equal rank-``m`` keys at every ``m``, including ``m = 0``, and a class
+    id is the type id of its representatives there; :meth:`of` expands a
+    key from it.
 
     The table lives as long as the instance: one per shrink pipeline, over
     the alphabet of ``base``; any tree over that alphabet may be classified.
@@ -330,9 +302,12 @@ class TreeClasses(ClassTable):
     """
 
     def __init__(self, base: SigmaTree, m: int):
-        super().__init__(m)
+        self.m = m
         self.base = base
         self._vocab = _tree_vocabulary(base.alphabet)
+        self._ids: dict[tuple, int] = {}  # signature -> class id
+        self._scope = TypeScope()
+        self._reps: dict[int, Structure] = {}  # class id -> its first representative
 
     def of(self, nodes: frozenset[int]) -> tuple:
         """Rank-``m`` key of the sub-poset of ``base`` on ``nodes``."""
@@ -355,6 +330,15 @@ class TreeClasses(ClassTable):
             for c in child_ids:
                 counts[c] = min(counts.get(c, 0) + 1, self.m)
         return self._class_of((letter, tuple(sorted(counts.items()))))
+
+    def _class_of(self, sig: tuple) -> int:
+        """The class id of a signature; a new one's representative is built and typed."""
+        cid = self._ids.get(sig)
+        if cid is None:
+            rep = self._representative(sig)
+            cid = self._ids[sig] = type_id(rep, self.m, self._scope)
+            self._reps.setdefault(cid, rep)
+        return cid
 
     def _representative(self, sig: tuple) -> Structure:
         letter, counts = sig
@@ -382,10 +366,10 @@ def splice_repeats(root, children: dict, cls) -> tuple:
     node to a list of its children and is spliced in place. Returns the
     final root and the set of nodes reachable from it.
 
-    ``cls`` is read once. When it is a congruence, as every class table is,
-    no splice changes a surviving node's class: ``b`` has ``a``'s class, so
-    each ancestor of ``a`` keeps its parts' classes, and ``b``'s subtree is
-    unchanged.
+    ``cls`` is read once. When it is a congruence, as the classes of both
+    height reducers are, no splice changes a surviving node's class: ``b``
+    has ``a``'s class, so each ancestor of ``a`` keeps its parts' classes,
+    and ``b``'s subtree is unchanged.
     """
     while True:
         best: tuple | None = None  # (-depth_b, b, depth_a, a, parent_a)

@@ -12,7 +12,6 @@ from fmtk.algebra import (
     LEAF,
     TENSOR,
     UNION,
-    ExpressionClasses,
     ExprNode,
     eval_expression_tree,
     eval_with_provenance,
@@ -30,9 +29,10 @@ from fmtk.algebra import (
     shrink_word_of_structures,
     wqo_scan_marked_words,
 )
-from fmtk.equiv import m_equivalent
+from fmtk.equiv import TypeScope, m_equivalent, subset_typer
+from fmtk.shrink import splice_repeats
 from fmtk.errors import VerificationFailed
-from fmtk import algebra, shrink
+from fmtk import algebra
 from fmtk.structures import (
     MarkedStructure,
     Structure,
@@ -68,6 +68,12 @@ def _graphs(draw, max_size=5):
     n = draw(st.integers(1, max_size))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     return Structure(V, n, {"E": edges})
+
+
+def reduce_height(t, w_pairs, m, k):
+    """Height reduction of ``t`` with the typer a pipeline opens over its evaluation."""
+    type_of = subset_typer(eval_expression_tree(t), m, TypeScope())
+    return reduce_expression_height(t, w_pairs, type_of, k)
 
 
 def balanced_union(n, base=VERTEX):
@@ -181,19 +187,19 @@ class TestPushComplement:
 class TestReduceExpressionHeight:
     def test_tall_union_collapses(self):
         t = balanced_union(16)
-        out = reduce_expression_height(t, set(), 1, 0)
+        out = reduce_height(t, set(), 1, 0)
         assert eval_expression_tree(out).size < 16
         assert m_equivalent(eval_expression_tree(out), eval_expression_tree(t), 1)
 
     def test_flat_tree_unchanged(self):
         # at rank 2 the union is distinguishable from both leaves: no splice
         t = node(UNION, leaf(VERTEX), leaf(EDGE))
-        assert reduce_expression_height(t, set(), 2, 0) is t
+        assert reduce_height(t, set(), 2, 0) is t
 
     def test_flat_tree_may_collapse_at_low_rank(self):
         # rank 1 cannot tell one isolated vertex from vertex-plus-edge
         t = node(UNION, leaf(VERTEX), leaf(EDGE))
-        out = reduce_expression_height(t, set(), 1, 0)
+        out = reduce_height(t, set(), 1, 0)
         assert out.op == "leaf"
         assert m_equivalent(eval_expression_tree(out), eval_expression_tree(t), 1)
 
@@ -201,23 +207,9 @@ class TestReduceExpressionHeight:
         t = balanced_union(16)
         _, prov = eval_with_provenance(t)
         marked = {prov[7]}
-        out = reduce_expression_height(t, marked, 1, 1)
+        out = reduce_height(t, marked, 1, 1)
         surviving = {l.node_id for l in out.leaves()}
         assert prov[7][0] in surviving
-
-    def test_classifies_once(self, monkeypatch):
-        calls = []
-        real = ExpressionClasses.classify
-
-        def counting(self, t):
-            calls.append(t)
-            return real(self, t)
-
-        monkeypatch.setattr(ExpressionClasses, "classify", counting)
-        t = balanced_union(16)
-        out = reduce_expression_height(t, set(), 1, 0)
-        assert algebra.evaluated_size(out) < 16
-        assert len(calls) == 1
 
 
 def _random_uc_tree(rng, depth, leaves):
@@ -236,21 +228,25 @@ def _subexpressions(t):
 
 def _check_against_reference(t, n_marks, m, pick):
     """Height reduction of the pushed ``t`` against the reference, and the
-    class table's ids against reference rank keys, pair by pair."""
+    reducer's class ids against reference rank keys, pair by pair."""
     pushed = push_complement_to_leaves(t)
     pairs = sorted({(lf.node_id, e) for lf in pushed.leaves() for e in range(lf.base.size)})
     w_pairs = set(pick(pairs, n_marks))
     k = len(w_pairs)
-    out = reduce_expression_height(pushed, w_pairs, m, k)
+    classes = []  # the (class id, marked-leaf count) of every node, as the splice loop reads them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "splice_repeats",
+                   lambda root, kids, cls: classes.append(cls) or splice_repeats(root, kids, cls))
+        out = reduce_height(pushed, w_pairs, m, k)
     ref = reference_reduce_expression_height(pushed, w_pairs, m, k)
     assert serialize_expression(out) == serialize_expression(ref)
     assert [n.node_id for n in _subexpressions(out)] == [n.node_id for n in _subexpressions(ref)]
 
-    ids = ExpressionClasses(m).classify(pushed)
+    [ids] = classes
     subs = _subexpressions(pushed)
     keys = {n.node_id: reference_rank_type_key(reference_eval_expression(n), (), m) for n in subs}
     for a, b in itertools.combinations(subs, 2):
-        assert (ids[a.node_id] == ids[b.node_id]) == (keys[a.node_id] == keys[b.node_id])
+        assert (ids[a.node_id][0] == ids[b.node_id][0]) == (keys[a.node_id] == keys[b.node_id])
 
 
 @st.composite
@@ -264,8 +260,9 @@ def _uc_trees(draw, depth, leaves):
 
 
 class TestExpressionClasses:
-    """The class table against the reference height reduction (a fresh
-    rank type of every evaluated subexpression in every round)."""
+    """The classes the height reducer reads off the evaluation of its input,
+    against the reference height reduction (a fresh rank type of every
+    evaluated subexpression in every round)."""
 
     def test_seeded_against_reference(self):
         rng = random.Random(1010)
@@ -283,35 +280,73 @@ class TestExpressionClasses:
         _check_against_reference(t, n_marks, m, lambda pairs, n: data.draw(
             st.lists(st.sampled_from(pairs), max_size=n, unique=True)))
 
-    def test_one_rank_type_per_new_signature(self, monkeypatch):
-        rng = random.Random(32)
-        leaves = [random_structure(rng, V, 3) for _ in range(3)]
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(_graphs(max_size=3), min_size=1, max_size=3), st.integers(0, 5), st.data())
+    def test_each_node_evaluates_to_its_block(self, leaves, depth, data):
+        # the lemma the reducer's classes rest on
+        pushed = push_complement_to_leaves(data.draw(_uc_trees(depth, leaves)))
+        whole = eval_expression_tree(pushed)
+        nodes, blocks = algebra._index(pushed, set())
+        assert blocks[pushed.node_id][0] == range(whole.size)
+        for nid, (block, _) in blocks.items():
+            assert reference_eval_expression(nodes[nid]) == induced_substructure(whole, block)[0]
 
-        def tree(d):
-            if d == 0:
-                return leaf(rng.choice(leaves))
-            right = tree(d - 1)
-            return node(UNION, tree(d - 1), node(COMPLEMENT, right) if d % 2 else right)
+    def test_verdict_does_not_read_the_reducer_ids(self, monkeypatch):
+        t = node(UNION, leaf(VERTEX), leaf(VERTEX))
+        out, report = shrink_algebraic(t, [], 2, 0)
+        assert out.size == 2 and report.ok()
+        real = algebra.reduce_expression_height
 
-        t = push_complement_to_leaves(tree(5))
-        assert len(t.leaves()) == 32
-        tables, calls = [], []
+        def merged(s, w_pairs, type_of, k):
+            seen = []  # class ids in the order the typer first returns them
 
-        class Recording(ExpressionClasses):
-            def __init__(self, m):
-                super().__init__(m)
-                tables.append(self)
+            def merged_type_of(kept):
+                cid = type_of(kept)
+                if cid not in seen:
+                    seen.append(cid)
+                return seen[0] if seen.index(cid) == 1 else cid  # the first two classes become one
 
-        # the table types each representative through ``type_id``, which
-        # ``ClassTable._class_of`` reads from ``fmtk.shrink``
-        real = shrink.type_id
-        monkeypatch.setattr(algebra, "ExpressionClasses", Recording)
-        monkeypatch.setattr(shrink, "type_id", lambda *a: calls.append(a) or real(*a))
-        out = reduce_expression_height(t, set(), 2, 0)
-        assert out is not t  # some round spliced
-        assert len(tables) == 1
-        assert len(calls) <= len(tables[0]._ids)
-        assert len(calls) < len(_subexpressions(t))
+            return real(s, w_pairs, merged_type_of, k)
+
+        monkeypatch.setattr(algebra, "reduce_expression_height", merged)
+        # the union now looks like a repeat of its own leaf and is cut to it
+        with pytest.raises(VerificationFailed) as info:
+            shrink_algebraic(t, [], 2, 0)
+        assert info.value.report.verdicts == {
+            "contains_marks": True, "substructure": True, "equivalent": False,
+            "certificate_evaluates_back": True,
+        }
+        assert info.value.report.output_size == 1
+
+    def test_one_typer_over_one_evaluation(self, monkeypatch):
+        # the reducer reads its classes off the evaluation the verdicts need
+        # anyway: the input is evaluated once, and one typer is opened over it
+        t = node(COMPLEMENT, balanced_union(16))
+        pushed, evaluations, typed = [], [], []
+        real_push, real_eval, real_typer = (
+            algebra.push_complement_to_leaves, algebra.eval_expression_tree, algebra.subset_typer)
+
+        def push(s):
+            pushed.append(real_push(s))
+            return pushed[-1]
+
+        def evaluate(s):
+            out = real_eval(s)
+            if s is t or any(s is p for p in pushed):
+                evaluations.append(out)
+            return out
+
+        def typer(A, m, scope):
+            typed.append(A)
+            return real_typer(A, m, scope)
+
+        monkeypatch.setattr(algebra, "push_complement_to_leaves", push)
+        monkeypatch.setattr(algebra, "eval_expression_tree", evaluate)
+        monkeypatch.setattr(algebra, "subset_typer", typer)
+        out, report = shrink_algebraic(t, [5], 1, 1)
+        assert out.size < 16 and report.ok()
+        assert len(pushed) == 1 and len(evaluations) == 1
+        assert sum(A is evaluations[0] for A in typed) == 1
 
 
 class TestLeafShrinkers:
@@ -599,7 +634,7 @@ class TestMarkCheck:
     def test_pairs_checked_in_height_reduction(self):
         t = balanced_union(2)
         with pytest.raises(ValueError, match="outside the universe"):
-            reduce_expression_height(t, {(t.children[0].node_id, 1)}, 1, 1)
+            reduce_height(t, {(t.children[0].node_id, 1)}, 1, 1)
 
 
 class TestWqoScanWords:

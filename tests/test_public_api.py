@@ -9,6 +9,7 @@ uses it, a demo or the README shows it, or it goes.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -68,3 +69,22 @@ def test_readme_guard_table_names_exactly_the_guards():
     rows = [line.split(" | ")[1] for line in section.splitlines() if line.startswith("| ")][2:]
     named = [g for cell in rows for g in re.findall(r"`(\w+\.\w+_GUARD)`", cell)]
     assert sorted(named) == sorted(defined)
+
+
+def test_readme_dotted_names_resolve():
+    # a deleted class or function cannot linger in the docs
+    modules = {path.stem: importlib.import_module(f"fmtk.{path.stem}")
+               for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    classes = {name: obj for module in modules.values()
+               for name, obj in vars(module).items() if isinstance(obj, type)}
+    unresolved = []
+    for dotted in sorted(set(re.findall(r"`(\w+(?:\.\w+)+)`", (ROOT / "README.md").read_text()))):
+        if (ROOT / dotted).exists():
+            continue  # a file of the repository, such as pyproject.toml
+        head, *rest = dotted.removeprefix("fmtk.").split(".")
+        obj = modules.get(head, classes.get(head))
+        for attr in rest:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            unresolved.append(dotted)
+    assert not unresolved, "README names what fmtk does not define: " + ", ".join(unresolved)
