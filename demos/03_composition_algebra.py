@@ -43,8 +43,8 @@ graph = eval_expression_tree(expr)
 print("built a cograph with", graph.size, "vertices and",
       len(graph.relations["E"]) // 2, "edges")
 
-# Complements pushed to the leaves leave only unions and join-like nodes;
-# the evaluation does not change at all.
+# Complements pushed to the leaves leave unions, join-like nodes and
+# complemented leaves; the evaluation does not change at all.
 pushed = push_complement_to_leaves(expr)
 print("after push-down, evaluation unchanged:",
       eval_expression_tree(pushed) == graph)

@@ -45,16 +45,13 @@ _ids = itertools.count()
 class ExprNode(Record):
     """One node of an expression tree; leaves carry structures.
 
-    A leaf keeps its pre-complement ``base`` and a ``complemented`` flag so
-    that push-down and leaf shrinking can work through the complement.
     ``node_id`` is fresh per node unless given.
     """
 
-    __slots__ = ("op", "children", "base", "complemented", "node_id")
+    __slots__ = ("op", "children", "base", "node_id")
 
     def __init__(self, op: str, children: tuple["ExprNode", ...] = (),
-                 base: Structure | None = None, complemented: bool = False,
-                 node_id: int | None = None):
+                 base: Structure | None = None, node_id: int | None = None):
         if node_id is None:
             node_id = next(_ids)
         if op == LEAF:
@@ -65,19 +62,12 @@ class ExprNode(Record):
                 raise ValueError(f"unknown operation {op!r}")
             if len(children) != _ARITY[op]:
                 raise ValueError(f"operation {op!r} expects {_ARITY[op]} children")
-            if base is not None or complemented:
-                raise ValueError("internal nodes carry no structure and no complement flag")
+            if base is not None:
+                raise ValueError("internal nodes carry no structure")
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "complemented", complemented)
         object.__setattr__(self, "node_id", node_id)
-
-    @property
-    def structure(self) -> Structure:
-        if self.op != LEAF:
-            raise ValueError("only leaves carry structures")
-        return complement(self.base) if self.complemented else self.base
 
     def leaves(self) -> list["ExprNode"]:
         if self.op == LEAF:
@@ -100,6 +90,7 @@ def node(op: str, *children: ExprNode) -> ExprNode:
 
 _EVAL = {
     UNION: disjoint_union,
+    COMPLEMENT: complement,
     CARTESIAN: cartesian_product,
     TENSOR: tensor_product,
     BOWTIE: bowtie,
@@ -109,9 +100,7 @@ _EVAL = {
 def eval_expression_tree(s: ExprNode) -> Structure:
     """Bottom-up evaluation through the structure operations."""
     if s.op == LEAF:
-        return s.structure
-    if s.op == COMPLEMENT:
-        return complement(eval_expression_tree(s.children[0]))
+        return s.base
     return _EVAL[s.op](*(eval_expression_tree(c) for c in s.children))
 
 
@@ -138,20 +127,19 @@ def eval_with_provenance(s: ExprNode) -> tuple[Structure, tuple[tuple[int, int],
 
 
 def push_complement_to_leaves(s: ExprNode) -> ExprNode:
-    """Rewrite a union/complement tree into a union/bowtie tree whose leaves
-    absorb the complements; evaluation is unchanged element-for-element."""
+    """Negation normal form of a union/complement tree: union/bowtie nodes,
+    complements over leaves only, and the same evaluation element-for-element.
+    Each leaf position gets a fresh leaf, numbered left to right before any
+    inner node, and a complement over a leaf takes that leaf's id."""
     bad = s.ops_used() - {UNION, COMPLEMENT}
     if bad:
         raise ValueError(f"push-down is defined for union/complement trees, found {sorted(bad)}")
+    fresh = iter([leaf(lf.base) for lf in s.leaves()])
 
     def walk(t: ExprNode, neg: bool) -> ExprNode:
         if t.op == LEAF:
-            return ExprNode(
-                LEAF,
-                base=t.base,
-                complemented=t.complemented ^ neg,
-                node_id=t.node_id,
-            )
+            lf = next(fresh)
+            return ExprNode(COMPLEMENT, (lf,), node_id=lf.node_id) if neg else lf
         if t.op == COMPLEMENT:
             return walk(t.children[0], not neg)
         return ExprNode(
@@ -164,11 +152,9 @@ def push_complement_to_leaves(s: ExprNode) -> ExprNode:
 
 
 def reexpand_bowties(t: ExprNode) -> ExprNode:
-    """Certificate form: write every bowtie and complemented leaf back through
-    union and complement."""
+    """Certificate form: write every bowtie back through union and complement."""
     if t.op == LEAF:
-        plain = ExprNode(LEAF, base=t.base, node_id=t.node_id)
-        return node(COMPLEMENT, plain) if t.complemented else plain
+        return t
     children = tuple(reexpand_bowties(c) for c in t.children)
     if t.op == BOWTIE:
         return node(
@@ -182,23 +168,35 @@ def reexpand_bowties(t: ExprNode) -> ExprNode:
 # height reduction and leaf shrinking
 
 
+def _distinct_leaves(t: ExprNode) -> list[ExprNode]:
+    """``t``'s leaves, which must not share ids: marks are keyed by leaf id."""
+    leaves = t.leaves()
+    if len({lf.node_id for lf in leaves}) < len(leaves):
+        raise ValueError("two leaves share a node id")
+    return leaves
+
+
 def _index(
     t: ExprNode, w_leaf_ids: set[int]
 ) -> tuple[dict[int, ExprNode], dict[int, tuple[range, int]]]:
     """Every node of ``t`` by node id, and its block of ``t``'s evaluation
     with how many marked leaves it covers. The leaves' universes stack in
-    leaf order, so each node's block is one range."""
+    leaf order, so each node's block is one range. A complemented leaf is
+    one node, since its leaf alone is not the whole's substructure there."""
     nodes: dict[int, ExprNode] = {}
     blocks: dict[int, tuple[range, int]] = {}
 
     def walk(n: ExprNode, lo: int) -> tuple[int, int]:
-        if n.op == LEAF:
-            hi, c = lo + n.base.size, 1 if n.node_id in w_leaf_ids else 0
-        else:
+        if n.op in (UNION, BOWTIE):
             hi, c = lo, 0
             for ch in n.children:
                 hi, below = walk(ch, hi)
                 c += below
+        elif n.op == LEAF or n.op == COMPLEMENT and n.children[0].op == LEAF:
+            lf = n.children[0] if n.children else n
+            hi, c = lo + lf.base.size, int(lf.node_id in w_leaf_ids)
+        else:
+            raise ValueError(f"height reduction expects negation normal form, found {n.op!r}")
         nodes[n.node_id] = n
         blocks[n.node_id] = (range(lo, hi), c)
         return hi, c
@@ -219,25 +217,24 @@ def reduce_expression_height(
     subexpression in the place of ``a``'s. ``type_of`` is
     :func:`~fmtk.equiv.subset_typer` over the evaluation of ``s``, opened by
     the caller, which evaluates ``s`` anyway. Every node of a union/bowtie
-    tree evaluates to the induced substructure of the whole on its block,
-    since ``u`` and ``bw`` restrict to each operand on its block; so by the
-    relativization lemma a node's class is the type id of its block, in the
-    typer's one scope, and ids are equal exactly when the rank-``m`` keys of
-    the evaluated subexpressions are. ``a`` and ``b`` also cover equal
-    numbers of marked leaves, so no splice changes the pair of a node that
-    remains, and the result is built once, reusing every unchanged node.
-    :func:`shrink_algebraic`'s ``equivalent`` verdict does not read the
-    ids: it compares full rank types of the evaluated input and output.
+    tree (a complemented leaf is one node) evaluates to the induced
+    substructure of the whole on its block, since ``u`` and ``bw`` restrict
+    to each operand on its block; so by the relativization lemma a node's
+    class is the type id of its block, in the typer's one scope, and ids are
+    equal exactly when the rank-``m`` keys of the evaluated subexpressions
+    are. ``a`` and ``b`` also cover equal numbers of marked leaves, so no
+    splice changes the pair of a node that remains, and the result is built
+    once, reusing every unchanged node. :func:`shrink_algebraic`'s
+    ``equivalent`` verdict does not read the ids: it compares full rank
+    types of the evaluated input and output.
     """
     w_pairs = checked_marks(
-        w_pairs, k, {(lf.node_id, e) for lf in s.leaves() for e in range(lf.base.size)}
+        w_pairs, k, {(lf.node_id, e) for lf in _distinct_leaves(s) for e in range(lf.base.size)}
     )
-    bad = s.ops_used() - {UNION, BOWTIE}
-    if bad:
-        raise ValueError(f"height reduction expects a union/bowtie tree, found {sorted(bad)}")
     nodes, blocks = _index(s, {lid for lid, _ in w_pairs})
     g = {nid: (type_of(block), count) for nid, (block, count) in blocks.items()}
-    kids = {nid: [c.node_id for c in n.children] for nid, n in nodes.items()}
+    kids = {nid: [c.node_id for c in n.children] if n.op in (UNION, BOWTIE) else []
+            for nid, n in nodes.items()}
     root, _ = splice_repeats(s.node_id, kids, g)
 
     def build(nid: int) -> ExprNode:
@@ -286,17 +283,21 @@ def shrink_verdicts(original: Structure, out: Structure, witness, W, m: int) -> 
     }
 
 
-def _shrink_leaf(B: Structure, marks, m: int):
-    """:func:`exhaustive_leaf_shrinker` on ``B``, its output held to
-    :func:`shrink_verdicts`."""
-    sub, kept = exhaustive_leaf_shrinker(B, set(marks), m)
-    kept = tuple(kept)
-    if list(kept) != sorted(set(kept)):
-        raise VerificationFailed("leaf shrinker must return kept ids sorted and distinct")
-    failed = [name for name, ok in shrink_verdicts(B, sub, kept, marks, m).items() if not ok]
-    if failed:
-        raise VerificationFailed(f"leaf shrinker output fails {', '.join(failed)}")
-    return sub, kept
+def _shrink_each(parts, m: int) -> list[tuple[Structure, tuple[int, ...]]]:
+    """:func:`exhaustive_leaf_shrinker` on each ``(structure, marks)`` pair,
+    its output held to :func:`shrink_verdicts`; equal pairs are shrunk once."""
+    keys = [(B, frozenset(marks)) for B, marks in parts]
+    shrunk = {}
+    for B, marks in dict.fromkeys(keys):
+        sub, kept = exhaustive_leaf_shrinker(B, set(marks), m)
+        kept = tuple(kept)
+        if list(kept) != sorted(set(kept)):
+            raise VerificationFailed("leaf shrinker must return kept ids sorted and distinct")
+        failed = [name for name, ok in shrink_verdicts(B, sub, kept, marks, m).items() if not ok]
+        if failed:
+            raise VerificationFailed(f"leaf shrinker output fails {', '.join(failed)}")
+        shrunk[B, marks] = sub, kept
+    return [shrunk[key] for key in keys]
 
 
 def shrink_leaves(
@@ -305,23 +306,19 @@ def shrink_leaves(
     """Replace every leaf with its shrunken version, which keeps the leaf's
     marks among ``w_pairs`` (``(leaf id, element)`` pairs); returns the new
     tree and the per-leaf kept-id witnesses. Equal leaves with equal marks
-    are shrunk, and held to :func:`shrink_verdicts`, once."""
-    kept_maps: dict[int, tuple[int, ...]] = {}
-    shrunk: dict[tuple[Structure, frozenset[int]], tuple] = {}
+    are shrunk once."""
+    leaves = _distinct_leaves(t)
+    parts = [(lf.base, {e for lid, e in w_pairs if lid == lf.node_id}) for lf in leaves]
+    shrunk = {lf.node_id: done for lf, done in zip(leaves, _shrink_each(parts, m))}
 
     def walk(n: ExprNode) -> ExprNode:
-        if n.op != LEAF:
-            return ExprNode(n.op, tuple(walk(c) for c in n.children), node_id=n.node_id)
-        key = (n.base, frozenset(e for lid, e in w_pairs if lid == n.node_id))
-        if key not in shrunk:
-            shrunk[key] = _shrink_leaf(*key, m)
-        sub, kept = shrunk[key]
-        kept_maps[n.node_id] = kept
-        return ExprNode(LEAF, base=sub, complemented=n.complemented, node_id=n.node_id)
+        if n.op == LEAF:
+            return ExprNode(LEAF, base=shrunk[n.node_id][0], node_id=n.node_id)
+        return ExprNode(n.op, tuple(walk(c) for c in n.children), node_id=n.node_id)
 
     out = walk(t)
     del walk  # it refers to itself: unbound here, it is freed now, not by the cyclic collector
-    return out, kept_maps
+    return out, {lid: kept for lid, (_, kept) in shrunk.items()}
 
 
 def _marks_by_part(W: set[int], offsets: list[int]) -> list[set[int]]:
@@ -348,25 +345,18 @@ def shrink_algebraic(s: ExprNode, W, m: int, k: int) -> tuple[Structure, ShrinkR
     vocab = s.leaves()[0].base.vocab
     check_rank_type_cost(vocab.arities, size, m, len(vocab.constants))
     pushed = push_complement_to_leaves(s)
-    original = eval_expression_tree(pushed)
-    # the evaluation stacks the leaves' universes in leaf order
-    leaves = pushed.leaves()
-    offsets = block_offsets([lf.base for lf in leaves])
-    offset_of = {lf.node_id: off for lf, off in zip(leaves, offsets)}
-    w_pairs = {
-        (lf.node_id, e)
-        for lf, marks in zip(leaves, _marks_by_part(W, offsets))
-        for e in marks
-    }
+    original, prov = eval_with_provenance(pushed)
+    w_pairs = {prov[e] for e in W}
     t1 = reduce_expression_height(pushed, w_pairs, subset_typer(original, m, TypeScope()), k)
     mid_size = evaluated_size(t1)
     t2, kept_maps = shrink_leaves(t1, w_pairs, m)
     out = eval_expression_tree(t2)
     phases = [("expression-height", original.size, mid_size), ("leaf-shrink", mid_size, out.size)]
 
-    # spliced and shrunk leaves keep their leaf order, so ``out`` is a stack
-    # of the surviving leaves' kept elements
-    witness = [offset_of[lf.node_id] + old for lf in t2.leaves() for old in kept_maps[lf.node_id]]
+    # the element of ``original`` behind each (leaf id, element) pair of a
+    # surviving leaf; ``out`` stacks the surviving leaves' kept elements
+    element_of = {pair: e for e, pair in enumerate(prov)}
+    witness = [element_of[lf.node_id, old] for lf in t2.leaves() for old in kept_maps[lf.node_id]]
     certificate_tree = reexpand_bowties(t2)
     verdicts = shrink_verdicts(original, out, witness, W, m)
     verdicts["certificate_evaluates_back"] = eval_expression_tree(certificate_tree) == out
@@ -405,7 +395,7 @@ def _shrink_blocks(shape, parts, W, m, k):
     original = tree_of_structures(shape, parts)
     offsets = block_offsets(parts)
     marks = _marks_by_part(W, offsets)
-    shrunk, kept = zip(*(_shrink_leaf(part, marks[i], m) for i, part in enumerate(parts)))
+    shrunk, kept = zip(*_shrink_each(zip(parts, marks), m))
     stage1_size = sum(b.size for b in shrunk)
 
     # the block tree over the block indices, lettered by type ids in one scope
@@ -460,11 +450,7 @@ def serialize_expression(t: ExprNode, names: dict[int, str] | None = None) -> st
 
     def walk(n: ExprNode) -> str:
         if n.op == LEAF:
-            if names and n.node_id in names:
-                base = names[n.node_id]
-            else:
-                base = f"s{next(counter)}"
-            return f"(! {base})" if n.complemented else base
+            return names[n.node_id] if names and n.node_id in names else f"s{next(counter)}"
         inner = " ".join(walk(c) for c in n.children)
         return f"({n.op} {inner})"
 

@@ -493,9 +493,10 @@ def _dropped_segments(s: SigmaTree, path: list[int], below, ids, classes: TreeCl
     # a splice drops letters, and the remaining positions keep their suffix classes
     children = {i: list(word.children(i)) for i in word.nodes}
     _, kept = splice_repeats(1, children, TreeClasses(word, classes.m).classify(word))
-    # the last letter is never dropped
-    return set().union(*(s.descendants(path[i]) - s.descendants(path[i + 1])
-                         for i in set(word.nodes) - kept))
+    dropped = [path[i] for i in set(word.nodes) - kept]  # never the last letter
+    on_path = set(path)
+    return set(dropped).union(*(s.descendants(c) for u in dropped
+                                for c in s.children(u) if c not in on_path))
 
 
 def _holding(t: SigmaTree, W: set[int]) -> set[int]:

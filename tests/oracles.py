@@ -458,7 +458,7 @@ def reference_eval_expression(t) -> Structure:
     """Evaluate a union/complement/bowtie expression tree through the
     reference operations, node by node."""
     if t.op == "leaf":
-        return reference_complement(t.base) if t.complemented else t.base
+        return t.base
     parts = [reference_eval_expression(c) for c in t.children]
     if t.op == "!":
         return reference_complement(parts[0])
@@ -475,17 +475,21 @@ def reference_reduce_expression_height(s, w_pairs, m: int, k: int):
     """Height reduction of a union/bowtie tree as first written: every round
     evaluates every subexpression afresh, gives each a full rank type, and
     compares every node with every ancestor; the deepest repeat (smallest
-    node id on ties) is spliced onto its shallowest equal ancestor. Marks
-    are ``(leaf id, element)`` pairs, assumed valid."""
+    node id on ties) is spliced onto its shallowest equal ancestor. A
+    complemented leaf is one node. Marks are ``(leaf id, element)`` pairs,
+    assumed valid."""
     from fmtk.algebra import ExprNode
     from fmtk.equiv import rank_type
 
     w_leaf_ids = {lid for lid, _ in w_pairs}
 
+    def one_node(n):
+        return n.op == "leaf" or n.op == "!" and n.children[0].op == "leaf"
+
     def replace(t, target_id, replacement):
         if t.node_id == target_id:
             return replacement
-        if t.op == "leaf":
+        if one_node(t):
             return t
         return ExprNode(t.op, tuple(replace(c, target_id, replacement) for c in t.children),
                         node_id=t.node_id)
@@ -495,8 +499,8 @@ def reference_reduce_expression_height(s, w_pairs, m: int, k: int):
         g = {}
 
         def fill(n):
-            if n.op == "leaf":
-                count = 1 if n.node_id in w_leaf_ids else 0
+            if one_node(n):
+                count = 1 if n.leaves()[0].node_id in w_leaf_ids else 0
             else:
                 count = sum(fill(c) for c in n.children)
             g[n.node_id] = (rank_type(reference_eval_expression(n), (), m).key, count)
@@ -512,7 +516,7 @@ def reference_reduce_expression_height(s, w_pairs, m: int, k: int):
                     cand = (-depth, n.node_id, a_depth, a_id, n)
                     if best is None or cand[:4] < best[:4]:
                         best = cand
-            for c in n.children:
+            for c in () if one_node(n) else n.children:
                 scan(c, depth + 1, chain + [(n.node_id, depth)])
 
         scan(cur, 0, [])

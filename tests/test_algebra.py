@@ -43,7 +43,7 @@ from fmtk.structures import (
     is_isomorphic,
     word_of_structures,
 )
-from fmtk.wqo import make_path
+from fmtk.wqo import make_cycle, make_path
 
 from oracles import (
     brute_force_embedding,
@@ -136,15 +136,17 @@ class TestPushComplement:
         a, b = leaf(VERTEX), leaf(EDGE)
         out = push_complement_to_leaves(node(COMPLEMENT, node(UNION, a, b)))
         assert out.op == BOWTIE
-        assert out.children[0].complemented and out.children[1].complemented
+        for c, original in zip(out.children, (a, b)):
+            assert c.op == COMPLEMENT and c.children[0].op == LEAF
+            assert c.children[0].base is original.base
 
     def test_double_complement_cancels(self):
         out = push_complement_to_leaves(node(COMPLEMENT, node(COMPLEMENT, leaf(EDGE))))
-        assert out.op == "leaf" and not out.complemented
+        assert out.op == LEAF
 
     def test_leaf_only_unchanged(self):
         out = push_complement_to_leaves(leaf(EDGE))
-        assert out.op == "leaf" and out.structure == EDGE
+        assert out.op == LEAF and out.base == EDGE
 
     def test_products_rejected(self):
         with pytest.raises(ValueError):
@@ -159,7 +161,8 @@ class TestPushComplement:
             t = _instantiate(shape, leaves, rng)
             pushed = push_complement_to_leaves(t)
             assert eval_expression_tree(pushed) == eval_expression_tree(t)
-            assert COMPLEMENT not in pushed.ops_used()
+            assert all(n.children[0].op == LEAF
+                       for n in _subexpressions(pushed) if n.op == COMPLEMENT)
             assert is_isomorphic(
                 eval_expression_tree(pushed), eval_expression_tree(t)
             )
@@ -223,6 +226,10 @@ def _random_uc_tree(rng, depth, leaves):
 
 
 def _subexpressions(t):
+    """The nodes of a pushed tree as the height reducer sees them: a
+    complemented leaf is one node."""
+    if t.op == COMPLEMENT and t.children[0].op == LEAF:
+        return [t]
     return [t] + [n for c in t.children for n in _subexpressions(c)]
 
 
@@ -394,8 +401,8 @@ class TestLeafShrinkers:
         # three copies of one leaf, the middle one marked: two distinct
         # (leaf, marks) pairs, so two shrinks, each held to its verdicts
         calls = []
-        real = algebra._shrink_leaf
-        monkeypatch.setattr(algebra, "_shrink_leaf", lambda B, marks, m: (
+        real = algebra.exhaustive_leaf_shrinker
+        monkeypatch.setattr(algebra, "exhaustive_leaf_shrinker", lambda B, marks, m: (
             calls.append((B, frozenset(marks))) or real(B, marks, m)))
         B = disjoint_union(disjoint_union(VERTEX, VERTEX), VERTEX)
         a, b, c = leaf(B), leaf(B), leaf(B)
@@ -411,6 +418,15 @@ class TestLeafShrinkers:
         assert report.phases[0] == ("expression-height", 9, 9)
         assert len(calls) == len(set(calls)) == 2
         assert report.ok() and report.verdicts["contains_marks"]
+
+    def test_leaves_sharing_an_id_refused(self):
+        # marks, blocks and kept ids are keyed by leaf id
+        a = leaf(EDGE)
+        for tree in (node(UNION, a, a), node(UNION, a, node(COMPLEMENT, a))):
+            with pytest.raises(ValueError, match="two leaves share a node id"):
+                shrink_leaves(tree, set(), 1)
+            with pytest.raises(ValueError, match="two leaves share a node id"):
+                reduce_height(tree, set(), 1, 0)
 
     def test_bad_shrinker_caught(self, monkeypatch):
         def lying_shrinker(B, marks, m):
@@ -469,6 +485,46 @@ class TestShrinkAlgebraic:
         with pytest.raises(ValueError):
             shrink_algebraic(balanced_union(4), [0, 1], 1, 1)
 
+    def test_a_leaf_used_twice_is_two_leaves(self):
+        # push-down gives each leaf position its own leaf, so one leaf object
+        # at two positions routes marks and witnesses to the right copy
+        a = leaf(make_path(2))
+        out, report = shrink_algebraic(node(UNION, a, node(COMPLEMENT, a)), {0}, 1, 1)
+        assert report.ok() and report.certificate == "(u s0 (! s1))"
+        b = leaf(make_cycle(4))
+        out, report = shrink_algebraic(node(UNION, b, b), {0}, 2, 1)
+        assert report.ok() and report.certificate == "s0"
+
+    def test_construction_order_does_not_change_the_shrink(self):
+        # (u (u A (! B)) (! (u C A))) with its four leaves built in two orders
+        rng = random.Random(3535)
+        for _ in range(300):
+            A, B, C = (random_structure(rng, V, 3, density=0.3) for _ in range(3))
+            results = []
+            for order in ((0, 1, 2, 3), (3, 2, 1, 0)):
+                made = {}
+                for pos in order:
+                    made[pos] = leaf((A, B, C, A)[pos])
+                t = node(UNION, node(UNION, made[0], node(COMPLEMENT, made[1])),
+                         node(COMPLEMENT, node(UNION, made[2], made[3])))
+                out, report = shrink_algebraic(t, {0}, 2, 1)
+                results.append((out, report.certificate))
+            assert results[0] == results[1], (A, B, C)
+
+    @pytest.mark.parametrize("text, W, m, certificate", [
+        ("(! (u A (! B)))", [], 2, "(! (u (! (! s0)) (! s1)))"),
+        ("(u A (! B))", [0], 1, "(u s0 (! s1))"),
+        ("(! (u C C))", [], 1, "(! s0)"),
+        ("(u (! (u A B)) (! C))", [1], 2, "(u (! (u (! (! s0)) (! (! s1)))) (! s2))"),
+        ("(u (u C C) (u C C))", [0], 1, "s0"),
+    ])
+    def test_certificates(self, text, W, m, certificate):
+        # certificate text is a recorded benchmark answer; the double
+        # complements under a bowtie are part of it
+        named = {"A": VERTEX, "B": EDGE, "C": make_cycle(4)}
+        out, report = shrink_algebraic(parse_expression(text, named), W, m, len(W))
+        assert report.ok() and report.certificate == certificate
+
 
 class TestBlockWords:
     def test_single_block_is_leaf_shrink(self):
@@ -504,6 +560,21 @@ class TestBlockWords:
         parts = [EDGE, VERTEX, VERTEX, EDGE]  # six elements, indices 0..5
         out, report = shrink_tree_of_structures(shape, parts, [0, 5], 1, 2)
         assert report.ok()
+
+    def test_each_distinct_block_is_shrunk_once(self, monkeypatch):
+        # five copies of one block, the second marked: two distinct
+        # (block, marks) pairs, so two shrinks, in a word and in a tree
+        calls = []
+        real = algebra.exhaustive_leaf_shrinker
+        monkeypatch.setattr(algebra, "exhaustive_leaf_shrinker", lambda B, marks, m: (
+            calls.append((B, frozenset(marks))) or real(B, marks, m)))
+        B = disjoint_union(EDGE, VERTEX)
+        _, report = shrink_word_of_structures([B] * 5, [B.size + 2], 1, 1)
+        assert report.ok() and calls == [(B, frozenset()), (B, frozenset({2}))]
+        calls.clear()
+        shape = {0: None, 1: 0, 2: 0, 3: 1, 4: 1}
+        _, report = shrink_tree_of_structures(shape, [B] * 5, [B.size + 2], 1, 1)
+        assert report.ok() and calls == [(B, frozenset()), (B, frozenset({2}))]
 
 
 def _reference_eval(t):
@@ -686,9 +757,9 @@ def _named_trees(draw):
         kind = draw(st.sampled_from(["leaf", UNION, COMPLEMENT, CARTESIAN, TENSOR, BOWTIE]))
         if depth == 0 or kind == "leaf":
             name = draw(st.sampled_from(sorted(pool)))
-            t = ExprNode(LEAF, base=pool[name], complemented=draw(st.booleans()))
+            t = leaf(pool[name])
             names[t.node_id] = name
-            return t
+            return node(COMPLEMENT, t) if draw(st.booleans()) else t
         if kind == COMPLEMENT:
             return node(COMPLEMENT, tree(depth - 1))
         return node(kind, tree(depth - 1), tree(depth - 1))

@@ -130,8 +130,6 @@ class TestValidation:
             ExprNode(UNION, (leaf(A),))
         with pytest.raises(ValueError, match="internal nodes carry no structure"):
             ExprNode(UNION, (leaf(A), leaf(A)), base=A)
-        with pytest.raises(ValueError, match="no complement flag"):
-            ExprNode(UNION, (leaf(A), leaf(A)), complemented=True)
 
     def test_expression_node_ids_are_fresh_per_node(self):
         A = make_path(1)

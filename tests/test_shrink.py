@@ -501,6 +501,16 @@ class TestReduceRootDistance:
         assert out.size < s.size
         assert len(built) <= 2  # the tree's table and one segment table
 
+    def test_dropped_letters_walk_only_their_side_subtrees(self, monkeypatch):
+        # a word's letters have no side subtrees, so no subtree is walked
+        walked = []
+        real = SigmaTree.descendants
+        monkeypatch.setattr(SigmaTree, "descendants",
+                            lambda self, v: walked.append(v) or real(self, v))
+        s = make_word("ab" * 15 + "a")
+        out = reduce_root_distance(s, 31, TreeClasses(s, 1))
+        assert out.size < s.size and walked == []
+
 
 class TestReduceWDistances:
     def test_no_pair_unchanged(self):
