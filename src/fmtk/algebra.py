@@ -70,9 +70,15 @@ class ExprNode(Record):
         object.__setattr__(self, "node_id", node_id)
 
     def leaves(self) -> list["ExprNode"]:
-        if self.op == LEAF:
-            return [self]
-        return [leaf for c in self.children for leaf in c.leaves()]
+        """The leaves, left to right, in one walk."""
+        out, stack = [], [self]
+        while stack:
+            n = stack.pop()
+            if n.op == LEAF:
+                out.append(n)
+            else:
+                stack += reversed(n.children)
+        return out
 
     def ops_used(self) -> set[str]:
         if self.op == LEAF:
@@ -258,16 +264,20 @@ def exhaustive_leaf_shrinker(B: Structure, marks, m: int):
     type of ``B[kept]`` is read on ``B``'s own facts with the quantifiers
     restricted to ``kept`` (:func:`~fmtk.equiv.subset_typer`), so each
     set's type id is compared with ``B``'s in one shared scope, and only the
-    chosen set is built.
+    chosen set is built; when that is every element, ``B`` itself is
+    returned.
     """
     check_guard("structure of size", B.size, EXHAUSTIVE_SHRINK_GUARD,
                 "the exhaustive-shrink guard")
     type_of = subset_typer(B, m, TypeScope())
-    target = type_of(range(B.size))
+    everything = tuple(range(B.size))
+    target = type_of(everything)
     for keep in kept_id_sets(B, marks):
+        if keep == everything:
+            break
         if type_of(keep) == target:
             return induced_substructure(B, keep)[0], keep
-    return B, tuple(range(B.size))
+    return B, everything
 
 
 def shrink_verdicts(original: Structure, out: Structure, witness, W, m: int) -> dict[str, bool]:
@@ -305,8 +315,8 @@ def shrink_leaves(
 ) -> tuple[ExprNode, dict[int, tuple[int, ...]]]:
     """Replace every leaf with its shrunken version, which keeps the leaf's
     marks among ``w_pairs`` (``(leaf id, element)`` pairs); returns the new
-    tree and the per-leaf kept-id witnesses. Equal leaves with equal marks
-    are shrunk once."""
+    tree and the per-leaf kept-id witnesses, by leaf id in leaf order. Equal
+    leaves with equal marks are shrunk once."""
     leaves = _distinct_leaves(t)
     parts = [(lf.base, {e for lid, e in w_pairs if lid == lf.node_id}) for lf in leaves]
     shrunk = {lf.node_id: done for lf, done in zip(leaves, _shrink_each(parts, m))}
@@ -356,7 +366,7 @@ def shrink_algebraic(s: ExprNode, W, m: int, k: int) -> tuple[Structure, ShrinkR
     # the element of ``original`` behind each (leaf id, element) pair of a
     # surviving leaf; ``out`` stacks the surviving leaves' kept elements
     element_of = {pair: e for e, pair in enumerate(prov)}
-    witness = [element_of[lf.node_id, old] for lf in t2.leaves() for old in kept_maps[lf.node_id]]
+    witness = [element_of[lid, old] for lid, kept in kept_maps.items() for old in kept]
     certificate_tree = reexpand_bowties(t2)
     verdicts = shrink_verdicts(original, out, witness, W, m)
     verdicts["certificate_evaluates_back"] = eval_expression_tree(certificate_tree) == out

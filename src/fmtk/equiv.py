@@ -159,14 +159,16 @@ def _fact_tables(A: Structure) -> tuple:
     """The arities, and the predicates grouped by arity, in the order of
     :func:`_layout`'s steps, as :func:`_column` reads them: per unary one,
     its members; per binary one, its relation, its loops and a slot for its
-    successor and predecessor lists; per wider one, its relation."""
+    successor and predecessor lists; per wider one, its relation. A binary
+    relation's loops are found by probing each element once, not by walking
+    its tuples: an encoded word of n letters has n(n+1)/2 order pairs."""
     unary, binary, wide = [], [], []
     for name, arity in A.vocab.predicates:
         rel = A.relations[name]
         if arity == 1:
             unary.append([a for (a,) in rel])
         elif arity == 2:
-            binary.append([rel, [a for a, b in rel if a == b], None])
+            binary.append([rel, [a for a in range(A.size) if (a, a) in rel], None])
         else:
             wide.append(rel)
     return A.vocab.arities, unary, binary, wide
@@ -434,17 +436,25 @@ def _kept_column(A: Structure, tables: tuple, steps: list, memo: dict, kept: tup
     return col if n > len(pts) else [col[b] for b in kept]
 
 
-def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tuple:
+def _checked_points(A: Structure, tup: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Refuse a tuple component outside the universe and then what
-    :func:`check_rank_type_cost` refuses, then admit ``A`` to ``scope`` and
-    lay out the rank-``m`` type of ``tup``: ``W``, its fact tables, the bit
-    steps, the constants and the facts among them and ``tup``."""
+    :func:`check_rank_type_cost` refuses for the rank-``m`` type of ``tup``
+    in ``A``; return ``A``'s constants, in name order."""
     for e in tup:
         if not 0 <= e < A.size:
             raise ValueError(f"tuple component {e} outside the universe")
     consts = tuple(A.constant_interp[c] for c in sorted(A.constant_interp))
+    check_rank_type_cost(A.vocab.arities, A.size, m, len(consts) + len(tup))
+    return consts
+
+
+def _lay_out(A: Structure, tup: tuple[int, ...], m: int, scope: TypeScope) -> tuple:
+    """Refuse what :func:`_checked_points` refuses, then admit ``A`` to
+    ``scope`` and lay out the rank-``m`` type of ``tup``: ``W``, its fact
+    tables, the bit steps, the constants and the facts among them and
+    ``tup``."""
+    consts = _checked_points(A, tup, m)
     W = len(consts) + len(tup) + m
-    check_rank_type_cost(A.vocab.arities, A.size, m, W - m)
     scope.enter(A)
     tables = _fact_tables(A)
     steps = _layout(tables[0], W)[1]
@@ -503,13 +513,20 @@ def m_equivalent(A: Structure, B: Structure, m: int) -> bool:
 
 
 def marked_equivalent(A: Structure, ta: tuple[int, ...], B: Structure, tb: tuple[int, ...], m: int) -> bool:
-    """Rank-``m`` agreement of ``(A, ta)`` and ``(B, tb)``, by type ids in one fresh scope."""
+    """Rank-``m`` agreement of ``(A, ta)`` and ``(B, tb)``, by type ids in one fresh scope.
+
+    Equivalence is reflexive, so equal inputs are decided by equality: once
+    what typing refuses is refused, in the same order, nothing is typed."""
     if A.vocab != B.vocab:
         raise ValueError("equivalence requires identical vocabularies")
     if len(ta) != len(tb):
         raise ValueError("distinguished tuples must have equal length")
+    ta, tb = tuple(ta), tuple(tb)
+    if ta == tb and A == B:
+        _checked_points(A, ta, m)
+        return True
     scope = TypeScope()
-    return _type_of(A, tuple(ta), m, scope) == _type_of(B, tuple(tb), m, scope)
+    return _type_of(A, ta, m, scope) == _type_of(B, tb, m, scope)
 
 
 # ---------------------------------------------------------------------------

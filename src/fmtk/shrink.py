@@ -171,6 +171,24 @@ def _tree_vocabulary(alphabet) -> Vocabulary:
     return Vocabulary.make({ORDER_PRED: 2, **{label_predicate(a): 1 for a in alphabet}})
 
 
+def _refuse_encoded_typing(marked_trees, alphabet, m: int) -> None:
+    """Refuse, without encoding, what typing the encodings of
+    ``marked_trees`` (``(tree, marks)`` pairs) over ``alphabet`` with
+    :func:`~fmtk.equiv.marked_equivalent` refuses, in its order: a mark that
+    is not a node (``KeyError``, as the encoding's node map raises), marks
+    of unequal length, then for each tree what
+    :func:`~fmtk.equiv.check_rank_type_cost` refuses."""
+    for t, marks in marked_trees:
+        for v in marks:
+            if v not in t.parent:
+                raise KeyError(v)
+    if len({len(marks) for _, marks in marked_trees}) > 1:
+        raise ValueError("distinguished tuples must have equal length")
+    arities = _tree_vocabulary(alphabet).arities
+    for t, marks in marked_trees:
+        check_rank_type_cost(arities, t.size, m, len(marks))
+
+
 def to_structure(t: SigmaTree) -> tuple[Structure, dict[int, int]]:
     """Relational encoding: reflexive ancestor order plus one unary predicate
     per letter. Returns the structure and the node->element map."""
@@ -297,8 +315,9 @@ class TreeClasses:
     The table lives as long as the instance: one per shrink pipeline, over
     the alphabet of ``base``; any tree over that alphabet may be classified.
     :func:`shrink_tree` does not read the table for its final ``equivalent``
-    verdict, which types the encoded input and output in a scope of its own,
-    so the route that checks the reducers shares nothing with them.
+    verdict, which decides an unchanged tree by equality and otherwise types
+    the encoded input and output in a scope of its own, so the route that
+    checks the reducers shares nothing with them.
     """
 
     def __init__(self, base: SigmaTree, m: int):
@@ -402,9 +421,19 @@ def splice_repeats(root, children: dict, cls) -> tuple:
 
 def trees_equivalent(t1: SigmaTree, t2: SigmaTree, m: int,
                      marks1: tuple[int, ...] = (), marks2: tuple[int, ...] = ()) -> bool:
-    """Rank-``m`` equivalence of two labeled trees, optionally with marks."""
+    """Rank-``m`` equivalence of two labeled trees, optionally with marks,
+    by :func:`~fmtk.equiv.marked_equivalent` on their encodings over the
+    union of their alphabets; a tree is rebuilt over it only when its own
+    alphabet is not that union. Both are refused first as their encodings
+    would be (:func:`_refuse_encoded_typing`); then equal trees with equal
+    marks are equivalent, and are not encoded."""
     alphabet = tuple(sorted(set(t1.alphabet) | set(t2.alphabet)))
-    (Sa, ra), (Sb, rb) = (to_structure(SigmaTree(t.parent, t.label, alphabet)) for t in (t1, t2))
+    marks1, marks2 = tuple(marks1), tuple(marks2)
+    _refuse_encoded_typing(((t1, marks1), (t2, marks2)), alphabet, m)
+    if marks1 == marks2 and t1 == t2:
+        return True
+    (Sa, ra), (Sb, rb) = (to_structure(t if t.alphabet == alphabet else SigmaTree(t.parent, t.label, alphabet))
+                          for t in (t1, t2))
     return marked_equivalent(Sa, tuple(ra[v] for v in marks1), Sb, tuple(rb[v] for v in marks2), m)
 
 
@@ -588,7 +617,7 @@ def shrink_tree(s: SigmaTree, W, m: int, k: int) -> tuple[SigmaTree, ShrinkRepor
     verdicts = {
         "contains_marks": W <= set(t3.nodes),
         "is_subtree": is_subtree(t3, s),
-        # both encodings typed in a scope of their own, never the reducers' class table
+        # equal trees by equality, others typed in a scope of their own, never the class table
         "equivalent": trees_equivalent(t3, s, m),
     }
     report = ShrinkReport(s.size, t3.size, phases, verdicts)

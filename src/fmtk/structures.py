@@ -31,7 +31,7 @@ class Vocabulary(Record):
     they were built.
     """
 
-    __slots__ = ("predicates", "constants", "_hash")
+    __slots__ = ("predicates", "constants", "arities", "_hash")
     _fields = ("predicates", "constants")
 
     def __init__(self, predicates: tuple[tuple[str, int], ...], constants: tuple[str, ...] = ()):
@@ -47,6 +47,8 @@ class Vocabulary(Record):
         predicates, constants = tuple(sorted(predicates)), tuple(sorted(constants))
         object.__setattr__(self, "predicates", predicates)
         object.__setattr__(self, "constants", constants)
+        # the predicates' arities, in order: every typing reads them
+        object.__setattr__(self, "arities", tuple(a for _, a in predicates))
         # hashed once: every ``folog.evaluate`` call hashes the vocabulary
         object.__setattr__(self, "_hash", hash((predicates, constants)))
 
@@ -66,10 +68,6 @@ class Vocabulary(Record):
     @property
     def predicate_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.predicates)
-
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.predicates)
 
     def has_predicate(self, name: str) -> bool:
         return any(n == name for n, _ in self.predicates)

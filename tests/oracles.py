@@ -454,6 +454,12 @@ def reference_complement(A: Structure) -> Structure:
     return Structure(A.vocab, A.size, relations)
 
 
+def reference_bowtie(A: Structure, B: Structure) -> Structure:
+    """The union-complement dual ``!((!A) | (!B))``, through the reference
+    complement and disjoint union."""
+    return reference_complement(reference_disjoint_union(reference_complement(A), reference_complement(B)))
+
+
 def reference_eval_expression(t) -> Structure:
     """Evaluate a union/complement/bowtie expression tree through the
     reference operations, node by node."""
@@ -465,9 +471,7 @@ def reference_eval_expression(t) -> Structure:
     if t.op == "u":
         return reference_disjoint_union(*parts)
     if t.op == "bw":
-        return reference_complement(
-            reference_disjoint_union(*(reference_complement(p) for p in parts))
-        )
+        return reference_bowtie(*parts)
     raise ValueError(f"no reference evaluation for {t.op!r}")
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +33,7 @@ from fmtk.algebra import (
 from fmtk.equiv import TypeScope, m_equivalent, subset_typer
 from fmtk.shrink import splice_repeats
 from fmtk.errors import VerificationFailed
-from fmtk import algebra
+from fmtk import algebra, equiv
 from fmtk.structures import (
     MarkedStructure,
     Structure,
@@ -575,6 +576,83 @@ class TestBlockWords:
         shape = {0: None, 1: 0, 2: 0, 3: 1, 4: 1}
         _, report = shrink_tree_of_structures(shape, [B] * 5, [B.size + 2], 1, 1)
         assert report.ok() and calls == [(B, frozenset()), (B, frozenset({2}))]
+
+
+class TestReflexiveVerdicts:
+    """A verdict decides an output equal to its input by equality; an
+    unequal output is still typed on both sides."""
+
+    def test_an_unshrinkable_leaf_is_returned_itself(self, monkeypatch):
+        built = []
+        real = algebra.induced_substructure
+        monkeypatch.setattr(algebra, "induced_substructure",
+                            lambda A, keep: built.append(tuple(keep)) or real(A, keep))
+        B = disjoint_union(EDGE, LOOP)
+        sub, kept = exhaustive_leaf_shrinker(B, set(), 2)
+        assert sub is B and kept == (0, 1, 2) and built == []
+
+    def test_only_unequal_outputs_are_typed(self, monkeypatch):
+        typed, seen = [], []  # seen: (output equals input, what its verdict typed, input, output)
+        real_type_of, real_verdicts = equiv._type_of, algebra.shrink_verdicts
+
+        def type_of(A, tup, m, scope):
+            typed.append(A)
+            return real_type_of(A, tup, m, scope)
+
+        def verdicts(original, out, witness, W, m):
+            typed.clear()
+            got = real_verdicts(original, out, witness, W, m)
+            seen.append((out == original, list(typed), original, out))
+            return got
+
+        monkeypatch.setattr(equiv, "_type_of", type_of)
+        monkeypatch.setattr(algebra, "shrink_verdicts", verdicts)
+        rng = random.Random(3607)
+        graphs = [VERTEX, LOOP, EDGE, disjoint_union(EDGE, LOOP)]
+        for trial in range(40):
+            m = rng.randint(0, 2)
+            if trial % 2:
+                _, report = shrink_algebraic(_random_uc_tree(rng, 3, graphs), [], m, 0)
+            else:
+                parts = [rng.choice(graphs) for _ in range(rng.randint(1, 4))]
+                _, report = shrink_word_of_structures(parts, [], m, 0)
+            assert report.ok()
+        equal = [case for case in seen if case[0]]
+        assert 20 < len(equal) < len(seen) - 20
+        for same, typings, original, out in seen:
+            assert typings == ([] if same else [out, original])
+
+
+class TestLeafWalks:
+    def test_leaves_in_one_walk(self, monkeypatch):
+        rng = random.Random(3608)
+        walks = []
+        real = ExprNode.leaves
+        monkeypatch.setattr(ExprNode, "leaves", lambda self: walks.append(self) or real(self))
+
+        def reference(t):
+            return [t] if t.op == LEAF else [lf for c in t.children for lf in reference(c)]
+
+        for _ in range(50):
+            t = _random_uc_tree(rng, 5, [VERTEX, EDGE])
+            walks.clear()
+            assert t.leaves() == reference(t) and walks == [t]
+        deep = leaf(VERTEX)
+        for _ in range(3 * sys.getrecursionlimit()):
+            deep = node(UNION, leaf(EDGE), deep)
+        assert len(deep.leaves()) == 3 * sys.getrecursionlimit() + 1
+
+    def test_an_algebraic_shrink_lists_each_tree_s_leaves_where_a_step_needs_them(self, monkeypatch):
+        # the vocabulary and push-down (the input), provenance and height
+        # reduction (the pushed tree) and leaf shrinking (the reduced tree);
+        # the witness reads the kept ids in leaf order
+        walks = []
+        real = ExprNode.leaves
+        monkeypatch.setattr(ExprNode, "leaves", lambda self: walks.append(self) or real(self))
+        t = node(COMPLEMENT, balanced_union(8, disjoint_union(EDGE, VERTEX)))
+        out, report = shrink_algebraic(t, [4], 1, 1)
+        assert report.ok() and out.size < 24
+        assert len(walks) == 5 and walks[0] is walks[1] is t
 
 
 def _reference_eval(t):

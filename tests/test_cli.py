@@ -92,6 +92,12 @@ class TestEquivCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_one_file_twice_at_a_refused_rank(self, cycle_files, capsys):
+        # equal structures are still refused at a rank the guard refuses
+        a, _ = cycle_files
+        assert main(["equiv", "--file-a", a, "--file-b", a, "--m", "40"]) == 2
+        assert "exceeds the rank-type guard" in capsys.readouterr().err
+
 
 class TestShrinkCommand:
     def test_shrinks_and_reverifies(self, tmp_path, capsys):

@@ -764,3 +764,88 @@ class TestMarkedEquivalence:
         # with the constants c, d of their own, typed before the marks
         verdicts = [check(A, B) for A, B in _pinned_pairs(rng, 8)]
         assert True in verdicts and False in verdicts
+
+
+def _count_typings(monkeypatch) -> list:
+    """Record the ``(structure, tuple)`` of every typing ``equiv`` makes."""
+    calls = []
+    real = equiv._type_of
+
+    def counting(A, tup, m, scope):
+        calls.append((A, tup))
+        return real(A, tup, m, scope)
+
+    monkeypatch.setattr(equiv, "_type_of", counting)
+    return calls
+
+
+class TestReflexiveVerdicts:
+    """Equivalence is reflexive, so equal inputs are decided by equality,
+    after what typing them would refuse, in the same order."""
+
+    def test_equal_inputs_are_not_typed(self, monkeypatch):
+        calls = _count_typings(monkeypatch)
+        rng = random.Random(3601)
+        for _ in range(30):
+            A = random_structure(rng, EP_C, rng.randint(1, 5))
+            copy = Structure(A.vocab, A.size, A.relations, A.constant_interp)  # equal, not A
+            ta = tuple(rng.randrange(A.size) for _ in range(rng.randint(0, 2)))
+            assert m_equivalent(A, A, 3) and m_equivalent(A, copy, 2)
+            assert marked_equivalent(A, ta, copy, list(ta), 2)
+        assert calls == []
+
+    def test_unequal_equivalent_inputs_are_typed_on_both_sides(self, monkeypatch):
+        calls = _count_typings(monkeypatch)
+        p, c4, c5 = make_path(4), make_cycle(4), make_cycle(5)
+        assert m_equivalent(c4, c5, 2)
+        assert marked_equivalent(p, (0,), p, (4,), 2)  # one structure, unequal tuples
+        rng = random.Random(3602)
+        A = random_structure(rng, EP, 5)
+        B = permuted_copy(rng, A)
+        assert B != A and m_equivalent(A, B, 2)
+        assert calls == [(c4, ()), (c5, ()), (p, (0,)), (p, (4,)), (A, ()), (B, ())]
+
+    def test_equal_inputs_refused_as_typing_refuses(self):
+        A = Structure(EP_C, 3, {"E": {(0, 1)}}, {"c": 2})
+        cases = [
+            (make_cycle(3), (), -1),  # a negative rank
+            (make_cycle(12), (), 7),  # the rank-type guard
+            (ONE_TERNARY, (), 41),  # the guard on the width alone
+            (ONE_TERNARY, (), 10**6),  # past the recursion limit, before the guard
+            (A, (0, 3), 1),  # a tuple component outside the universe
+            (A, (5,), -1),  # the tuple before the rank
+            (A, (0,), 20),  # the guard, with a constant and a tuple
+        ]
+        for B, tup, m in cases:
+            want = _refusal(lambda: rank_type(B, tup, m))
+            assert want is not None
+            copy = Structure(B.vocab, B.size, B.relations, B.constant_interp)
+            assert _refusal(lambda: marked_equivalent(B, tup, copy, tup, m)) == want
+            assert _refusal(lambda: marked_equivalent(B, tup, B, tup, m)) == want
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            marked_equivalent(A, (), A, (), -1)
+        with pytest.raises(ValueError, match="equal length"):
+            marked_equivalent(A, (0,), A, (0, 0), 1)
+
+
+class TestFactTables:
+    def test_loops_match_a_scan_of_every_tuple(self):
+        # loops are found by probing each element, sparse relations and
+        # encoded trees' orders alike; a scan of every tuple must agree
+        rng = random.Random(3603)
+        vocab = Vocabulary.make({"E": 2, "F": 2, "P": 1})
+        sparse = dense = 0
+        for trial in range(200):
+            if trial % 4 == 0:
+                A, _ = to_structure(random_tree(rng, rng.randint(1, 9), ("a", "b")))
+            else:
+                A = random_structure(rng, vocab, rng.randint(1, 7), density=rng.choice((0.05, 0.3, 0.9)))
+            binary = [name for name, arity in A.vocab.predicates if arity == 2]
+            for name, (rel, loops, _) in zip(binary, equiv._fact_tables(A)[2]):
+                assert rel is A.relations[name]
+                assert sorted(loops) == sorted(a for a, b in rel if a == b)
+                if len(rel) > A.size:
+                    dense += 1
+                else:
+                    sparse += 1
+        assert dense > 50 and sparse > 50

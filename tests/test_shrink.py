@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmtk import shrink
+from fmtk import equiv, shrink
 from fmtk.equiv import ef_game_equivalent, rank_type
-from fmtk.errors import StructureFormatError, VerificationFailed
+from fmtk.errors import GuardExceeded, StructureFormatError, VerificationFailed
 from fmtk.shrink import (
     SigmaTree,
     TreeClasses,
@@ -703,6 +703,115 @@ class TestShrinkTree:
 
         assert check_embedding_witness(S_out, S_in, witness)
         assert find_embedding(S_out, S_in) is not None
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _tree_refusal(call):
+    try:
+        call()
+    except (KeyError, ValueError, RecursionError, GuardExceeded) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestTreesEquivalent:
+    """Equal trees with equal marks are equivalent, and are not encoded."""
+
+    def test_equal_trees_are_not_encoded(self, monkeypatch):
+        encoded = _counting(monkeypatch, shrink, "to_structure")
+        typed = _counting(monkeypatch, equiv, "_type_of")
+        built = _counting(monkeypatch, SigmaTree, "__init__")
+        rng = random.Random(3604)
+        trees = [random_tree(rng, rng.randint(1, 12), ("a", "b")) for _ in range(20)]
+        copies = [SigmaTree(t.parent, t.label, t.alphabet) for t in trees]
+        built.clear()
+        for t, copy in zip(trees, copies):
+            v = rng.choice(t.nodes)
+            assert trees_equivalent(t, t, 2) and trees_equivalent(t, copy, 1, [v], (v,))
+        assert encoded == typed == built == []
+        # a shrink that changes nothing encodes nothing for its verdict
+        word = make_word("ab")
+        out, report = shrink_tree(word, set(), 1, 0)
+        assert out == word and report.ok() and encoded == []
+
+    def test_unequal_equivalent_trees_are_typed_on_both_sides(self, monkeypatch):
+        typed = _counting(monkeypatch, equiv, "_type_of")
+        word = make_word("aaaa")
+        assert trees_equivalent(make_word("a" * 8), make_word("a" * 9), 2)
+        assert trees_equivalent(word, word, 1, (2,), (3,))
+        assert [(A.size, tup) for A, tup, *_ in typed] == [(8, ()), (9, ()), (4, (1,)), (4, (2,))]
+
+    def test_rebuilt_only_when_the_alphabet_widens(self, monkeypatch):
+        aab, ab, a, b = make_word("aab"), make_word("ab"), make_word("a"), make_word("b", ("b", "a"))
+        built = _counting(monkeypatch, SigmaTree, "__init__")
+        assert trees_equivalent(aab, ab, 1)
+        assert built == []
+        assert not trees_equivalent(a, ab, 1)  # a's alphabet widens
+        assert not trees_equivalent(b, a, 1)  # b's is not sorted, a's widens
+        assert [args[3] for args in built] == [("a", "b")] * 3
+        # the verdicts of encoding both trees over the union, rebuilt or not
+        monkeypatch.undo()
+        rng = random.Random(3605)
+        for _ in range(60):
+            t1 = random_tree(rng, rng.randint(1, 6), ("a", "b", "c")[:rng.randint(1, 3)])
+            t2 = random_tree(rng, rng.randint(1, 6), ("b", "a")[:rng.randint(1, 2)])
+            m = rng.randint(0, 2)
+            union = tuple(sorted(set(t1.alphabet) | set(t2.alphabet)))
+            (S1, _), (S2, _) = (to_structure(SigmaTree(t.parent, t.label, union)) for t in (t1, t2))
+            assert trees_equivalent(t1, t2, m) == (rank_type(S1, (), m) == rank_type(S2, (), m))
+
+    def test_equal_trees_refused_as_their_encodings_are(self):
+        t = make_word("abab")
+        copy = SigmaTree(t.parent, t.label, t.alphabet)
+        S, renum = to_structure(t)
+        cases = [
+            ((), -1),  # a negative rank
+            ((), 250),  # the rank-type guard, on the width
+            ((), 10**6),  # past the recursion limit
+            ((9,), 1),  # a mark that is not a node
+            ((1, 9), -1),  # the marks before the rank
+            ((2,), 12),  # the guard, with a mark
+        ]
+        for marks, m in cases:
+            want = _tree_refusal(lambda: rank_type(S, tuple(renum[v] for v in marks), m))
+            assert want is not None
+            assert _tree_refusal(lambda: trees_equivalent(t, copy, m, marks, marks)) == want
+            assert _tree_refusal(lambda: trees_equivalent(t, t, m, marks, marks)) == want
+        with pytest.raises(KeyError):
+            trees_equivalent(t, t, 1, (0,), (0,))
+
+    def test_unequal_trees_refused_as_their_encodings_are(self):
+        # the refusals run before either tree is encoded, in the order that
+        # encoding both over the union and typing them would meet them
+        big, small = make_word("abab"), make_word("b", ("b",))
+        union = ("a", "b")
+        (S1, r1), (S2, r2) = (to_structure(SigmaTree(t.parent, t.label, union)) for t in (big, small))
+        cases = [
+            ((), (), -1),
+            ((), (), 10**6),
+            ((1,), (9,), 250),  # the second tree's unknown mark before the first's guard
+            ((1,), (), -1),  # unequal marks before the rank
+            ((1,), (), 10**6),
+            ((9,), (9,), -1),
+            ((2,), (1,), 12),  # the first tree's guard, with a mark
+        ]
+        for marks1, marks2, m in cases:
+            want = _tree_refusal(lambda: equiv.marked_equivalent(
+                S1, tuple(r1[v] for v in marks1), S2, tuple(r2[v] for v in marks2), m))
+            assert want is not None
+            assert _tree_refusal(lambda: trees_equivalent(big, small, m, marks1, marks2)) == want
 
 
 def _game_equivalent(t: SigmaTree, s: SigmaTree, marks, m: int) -> bool:

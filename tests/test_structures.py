@@ -45,6 +45,7 @@ from oracles import (
     random_tree,
     reference_cartesian_product,
     reference_check_embedding_witness,
+    reference_bowtie,
     reference_check_structure,
     reference_complement,
     reference_disjoint_union,
@@ -234,6 +235,14 @@ class TestOperationsAgainstOracles:
             assert disjoint_union(A, B) == reference_disjoint_union(A, B)
             assert complement(A) == reference_complement(A)
 
+    def test_bowtie(self):
+        rng = random.Random(3606)
+        for trial in range(240):
+            vocab = V123 if trial % 4 == 0 else Vocabulary.make({"R": trial % 4})
+            A = random_structure(rng, vocab, rng.randint(1, 5), density=rng.random())
+            B = random_structure(rng, vocab, rng.randint(1, 5), density=rng.random())
+            assert bowtie(A, B) == reference_bowtie(A, B)
+
     def test_to_structure(self):
         rng = random.Random(74)
         for _ in range(150):
@@ -249,8 +258,7 @@ class TestOperationsAgainstOracles:
             A = random_structure(rng, V123, rng.randint(1, 4), density=rng.random())
             B = random_structure(rng, V123, rng.randint(1, 4), density=rng.random())
             for got, want in [
-                (bowtie(A, B), reference_complement(reference_disjoint_union(
-                    reference_complement(A), reference_complement(B)))),
+                (bowtie(A, B), reference_bowtie(A, B)),
                 (cartesian_product(A, B), reference_cartesian_product(A, B)),
                 (tensor_product(A, B), reference_tensor_product(A, B)),
             ]:
@@ -593,6 +601,16 @@ class TestBowtie:
         A = random_structure(random.Random(11), V, 3)
         B = random_structure(random.Random(12), V, 2)
         assert bowtie(A, B).size == 5
+
+    def test_constants_refused_before_vocabularies(self):
+        # as when each operand was complemented before the union
+        with_c = Structure(V.with_constants(["c"]), 1, {}, {"c": 0})
+        other = Structure(V123, 1)
+        for A, B in ((with_c, other), (other, with_c), (digraph(1, []), with_c)):
+            with pytest.raises(ValueError, match="constant-free"):
+                bowtie(A, B)
+        with pytest.raises(ValueError, match="share a vocabulary"):
+            bowtie(digraph(1, []), other)
 
     def test_both_operands_embed(self):
         rng = random.Random(13)
