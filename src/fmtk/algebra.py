@@ -347,8 +347,10 @@ def shrink_algebraic(s: ExprNode, W, m: int, k: int) -> tuple[Structure, ShrinkR
 
     Pipeline: push complements to the leaves, splice repeated classes out of
     the expression, shrink each leaf. The result is re-verified by
-    :func:`shrink_verdicts` and its re-expanded union/complement certificate
-    must evaluate back to it; the certificate is attached to the report.
+    :func:`shrink_verdicts`, and the certificate, the text of its re-expanded
+    union/complement expression, is attached to the report; that text, read
+    back with ``s0``, ``s1``, ... naming the shrunk leaves in order, must
+    evaluate to it.
     """
     size = evaluated_size(s)
     W = checked_marks(W, k, range(size))
@@ -367,11 +369,12 @@ def shrink_algebraic(s: ExprNode, W, m: int, k: int) -> tuple[Structure, ShrinkR
     # surviving leaf; ``out`` stacks the surviving leaves' kept elements
     element_of = {pair: e for e, pair in enumerate(prov)}
     witness = [element_of[lid, old] for lid, kept in kept_maps.items() for old in kept]
-    certificate_tree = reexpand_bowties(t2)
+    certificate = serialize_expression(reexpand_bowties(t2))
+    named = {f"s{i}": lf.base for i, lf in enumerate(t2.leaves())}
     verdicts = shrink_verdicts(original, out, witness, W, m)
-    verdicts["certificate_evaluates_back"] = eval_expression_tree(certificate_tree) == out
-    report = ShrinkReport(original.size, out.size, phases, verdicts,
-                          serialize_expression(certificate_tree))
+    verdicts["certificate_evaluates_back"] = (
+        eval_expression_tree(parse_expression(certificate, named)) == out)
+    report = ShrinkReport(original.size, out.size, phases, verdicts, certificate)
     report.raise_if_failed()
     return out, report
 
@@ -411,7 +414,8 @@ def _shrink_blocks(shape, parts, W, m, k):
     # the block tree over the block indices, lettered by type ids in one scope
     scope = TypeScope()
     seq_tree = SigmaTree(shape, {i: str(type_id(b, m, scope)) for i, b in enumerate(shrunk)})
-    seq_out, seq_report = shrink_tree(seq_tree, {i for i, ms in enumerate(marks) if ms}, m, k)
+    # shrink_tree raises on a failed verdict of its own, so its report is not read
+    seq_out, _ = shrink_tree(seq_tree, {i for i, ms in enumerate(marks) if ms}, m, k)
     kept_shape, renum = seq_out.renumbered()
     kept_blocks = list(renum)  # old block index of each new block, in order
     out = tree_of_structures(kept_shape.parent, [shrunk[i] for i in kept_blocks])
@@ -420,7 +424,6 @@ def _shrink_blocks(shape, parts, W, m, k):
 
     witness = [offsets[i] + old for i in kept_blocks for old in kept[i]]
     verdicts = shrink_verdicts(original, out, witness, W, m)
-    verdicts["sequence_verified"] = seq_report.ok()
     report = ShrinkReport(original.size, out.size, phases, verdicts)
     report.raise_if_failed()
     return out, report

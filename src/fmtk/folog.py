@@ -157,10 +157,10 @@ def eliminate_implications(f: Formula) -> Formula:
 # variables first, in sorted order, then one slot per binder occurrence whose
 # variable is read, so an inner binder never overwrites an outer binding of
 # the same name. Atoms are resolved against the vocabulary when compiled,
-# and a negated atom or variable equality is one closure; a symbol the
-# vocabulary lacks compiles to a node that raises only when evaluation
-# reaches it, so short-circuiting decides whether the error shows, as it
-# would for a walk of the syntax tree.
+# and a negated atom or variable equality is one closure. A formula has a
+# truth value only over a vocabulary that holds its symbols, so an unknown
+# predicate or constant, or a wrong arity, is refused when the formula is
+# compiled, wherever it sits.
 #
 # A block of one quantifier whose body is a chain of the block's connective
 # (``∧`` under ``∃``, ``∨`` under ``∀``) is staged by the miniscope rule
@@ -170,9 +170,7 @@ def eliminate_implications(f: Formula) -> Formula:
 # (structures are nonempty, so this is sound). Parts keep their order within a
 # loop. Only the block variables the body reads get a slot, each at the
 # innermost binder of its name, and a loop; an unread one needs none, for the
-# same reason. A block whose body holds a raising node anywhere runs as one
-# product of its loops with every part tested innermost, since staging would
-# change which error shows.
+# same reason.
 
 _COMPILED_LIMIT = 256
 # (id(formula), vocabulary) -> (formula, free variables, slot count, root node).
@@ -188,7 +186,9 @@ def evaluate(A: Structure, f: Formula, assignment: dict[str, int] | None = None)
     once. A quantifier block over a conjunction (``∃``) or a disjunction
     (``∀``) tests each part as soon as the block variables it reads are
     bound, so ``∃x ∃y (x ≠ y ∧ ...)`` rejects ``x = y`` before it picks a
-    third element.
+    third element. A predicate or constant that ``A``'s vocabulary lacks,
+    or a predicate of the wrong arity, raises ``ValueError`` before any
+    element is visited, even where evaluation would not reach it.
     """
     key = (id(f), A.vocab)
     entry = _compiled.get(key)
@@ -205,13 +205,6 @@ def evaluate(A: Structure, f: Formula, assignment: dict[str, int] | None = None)
             raise ValueError(f"unassigned free variables: {missing}")
         env[: len(free)] = [assignment[v] for v in free]
     return node(A, env)
-
-
-def _raiser(message: str):
-    def node(A, env):
-        raise ValueError(message)
-
-    return node
 
 
 def _chain(g: Formula, cls) -> list[Formula]:
@@ -294,12 +287,6 @@ def _compile(f: Formula, vocab: Vocabulary):
     arities = dict(vocab.predicates)
     constants = frozenset(vocab.constants)
     n_slots = len(free)
-    n_raisers = 0
-
-    def fail(message: str):
-        nonlocal n_raisers
-        n_raisers += 1
-        return _raiser(message), 0
 
     def term(t: Term, scope):
         if isinstance(t, Var):
@@ -311,16 +298,16 @@ def _compile(f: Formula, vocab: Vocabulary):
     def atom(g: Atom, scope, holds=True):
         pred = g.pred
         if pred not in arities:
-            return fail(f"unknown predicate {pred}")
+            raise ValueError(f"unknown predicate {pred}")
         if len(g.args) != arities[pred]:
-            return fail(f"arity mismatch for {pred}")
+            raise ValueError(f"arity mismatch for {pred}")
         slots, mask = [], 0
         for t in g.args:
             if isinstance(t, Var):
                 slots.append(scope[t.name])
                 mask |= 1 << slots[-1]
             elif t.name not in constants:
-                return fail(f"unknown constant {t.name}")
+                raise ValueError(f"unknown constant {t.name}")
         if len(slots) < len(g.args):
             terms = [term(t, scope) for t in g.args]
             test = lambda A, env: tuple([t(A, env) for t in terms]) in A.relations[pred]
@@ -342,7 +329,7 @@ def _compile(f: Formula, vocab: Vocabulary):
                 slots.append(scope[t.name])
                 mask |= 1 << slots[-1]
             elif t.name not in constants:
-                return fail(f"unknown constant {t.name}")
+                raise ValueError(f"unknown constant {t.name}")
         if len(slots) == 2:
             i, j = slots
             if holds:
@@ -385,16 +372,12 @@ def _compile(f: Formula, vocab: Vocabulary):
         width = n_slots - start
         block = ((1 << width) - 1) << start
         connective = And if cls is Exists else Or
-        raised = n_raisers
         # levels[j]: the parts whose deepest block variable is the j-th (0: none)
-        parts, levels, mask = [], [[] for _ in range(width + 1)], 0
+        levels, mask = [[] for _ in range(width + 1)], 0
         for h in _chain(g, connective):
             p, m = node(h, scope)
-            parts.append(p)
             levels[((m & block) >> start).bit_length()].append(p)
             mask |= m
-        if n_raisers > raised:  # every part innermost
-            levels = [[] for _ in range(width)] + [parts]
         # the loops, innermost first: each binds the block variables after the
         # next shallower level that has parts, up to its own level, then runs
         # its own parts and the loop inside it

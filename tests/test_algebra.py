@@ -526,6 +526,20 @@ class TestShrinkAlgebraic:
         out, report = shrink_algebraic(parse_expression(text, named), W, m, len(W))
         assert report.ok() and report.certificate == certificate
 
+    def test_the_certificate_text_is_read_back(self, monkeypatch):
+        # a certificate that lost one complement no longer evaluates to the output
+        real = algebra.serialize_expression
+        monkeypatch.setattr(algebra, "serialize_expression",
+                            lambda t, names=None: real(t, names).replace("(! s1)", "s1", 1))
+        t = parse_expression("(u A (! B))", {"A": VERTEX, "B": EDGE})
+        with pytest.raises(VerificationFailed) as info:
+            shrink_algebraic(t, [0], 1, 1)
+        assert info.value.report.certificate == "(u s0 s1)"
+        assert info.value.report.verdicts == {
+            "contains_marks": True, "substructure": True, "equivalent": True,
+            "certificate_evaluates_back": False,
+        }
+
 
 class TestBlockWords:
     def test_single_block_is_leaf_shrink(self):
@@ -644,15 +658,16 @@ class TestLeafWalks:
 
     def test_an_algebraic_shrink_lists_each_tree_s_leaves_where_a_step_needs_them(self, monkeypatch):
         # the vocabulary and push-down (the input), provenance and height
-        # reduction (the pushed tree) and leaf shrinking (the reduced tree);
-        # the witness reads the kept ids in leaf order
+        # reduction (the pushed tree), leaf shrinking (the reduced tree) and
+        # the certificate's leaf names (the shrunk tree); the witness reads
+        # the kept ids in leaf order
         walks = []
         real = ExprNode.leaves
         monkeypatch.setattr(ExprNode, "leaves", lambda self: walks.append(self) or real(self))
         t = node(COMPLEMENT, balanced_union(8, disjoint_union(EDGE, VERTEX)))
         out, report = shrink_algebraic(t, [4], 1, 1)
         assert report.ok() and out.size < 24
-        assert len(walks) == 5 and walks[0] is walks[1] is t
+        assert len(walks) == 6 and walks[0] is walks[1] is t
 
 
 def _reference_eval(t):

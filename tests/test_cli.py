@@ -233,6 +233,19 @@ class TestTranslateCommand:
         assert code == 0
         assert "sample-agreement: True" in out
 
+    def test_a_symbol_missing_from_a_sample_structure_is_refused(self, tmp_path):
+        # b has no P; its loop makes the sentence true before P(x) is read
+        f = tmp_path / "mixed.txt"
+        f.write_text("structure a\nvocab: E/2, P/1\nuniverse: 2\nE: (0,1)\nP: (1)\n\n"
+                     "structure b\nvocab: E/2\nuniverse: 2\nE: (0,0)\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmtk.cli", "translate", "--sample", f"file:{f}",
+             "--formula", "exists x. (E(x,x) | P(x))", "--k", "1", "--p", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: unknown predicate P\n"
+
     @pytest.mark.parametrize("p", ["2", "auto"])
     def test_prefix_variables_range_over_the_sample_constants(self, tmp_path, capsys, p):
         # the sample's constant joins the prefix variables in the translation,

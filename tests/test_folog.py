@@ -119,11 +119,29 @@ def _staged_block(rng, vocab, cls):
     return out
 
 
-def _outcome(evaluator, A, f, assignment=None):
-    try:
-        return evaluator(A, f, assignment)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+def _misfits(f, vocab) -> set[str]:
+    """The refusals ``f`` earns over ``vocab``, in the evaluator's words: one
+    per predicate that ``vocab`` lacks or has at another arity, and one per
+    constant it lacks."""
+    arities = dict(vocab.predicates)
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Not):
+            stack.append(g.sub)
+        elif isinstance(g, (Exists, Forall)):
+            stack.append(g.body)
+        elif isinstance(g, (And, Or, Implies)):
+            stack += (g.lhs, g.rhs)
+        else:
+            terms = g.args if isinstance(g, Atom) else (g.lhs, g.rhs)
+            out |= {f"unknown constant {t.name}" for t in terms
+                    if isinstance(t, Cst) and t.name not in vocab.constants}
+            if isinstance(g, Atom) and g.pred not in arities:
+                out.add(f"unknown predicate {g.pred}")
+            elif isinstance(g, Atom) and arities[g.pred] != len(g.args):
+                out.add(f"arity mismatch for {g.pred}")
+    return out
 
 
 class TestParsePrint:
@@ -241,8 +259,9 @@ class TestCompiledEvaluate:
         assert not evaluate(A, f, {"x": 1})
 
     def test_one_formula_on_several_vocabularies(self):
-        # each vocabulary compiles its own plan; a missing symbol or a wrong
-        # arity surfaces as the reference's error, and only where reached
+        # each vocabulary compiles its own plan; a formula whose symbols fit
+        # agrees with the reference, and any other is refused for one of its
+        # missing symbols or wrong arities
         rng = random.Random(24)
         others = [
             Vocabulary.make({"E": 2, "P": 1}, ["c"]),
@@ -250,6 +269,7 @@ class TestCompiledEvaluate:
             Vocabulary.make({"P": 1}),
             Vocabulary.make({"E": 2}, ["d"]),
         ]
+        outcomes = []
         for _ in range(40):
             f = random_formula(rng, VC, rng.randint(1, 2), scope=("a",))
             for vocab in [VC] + others + [VC]:
@@ -257,29 +277,46 @@ class TestCompiledEvaluate:
                     vocab = vocab.with_constants(["c"]) if rng.random() < 0.5 else vocab
                 A = random_structure(rng, vocab, rng.randint(1, 3))
                 env = {"a": rng.randrange(A.size)}
-                assert _outcome(evaluate, A, f, env) == _outcome(reference_evaluate, A, f, env)
+                misfits = _misfits(f, vocab)
+                if misfits:
+                    with pytest.raises(ValueError) as info:
+                        evaluate(A, f, env)
+                    assert str(info.value) in misfits
+                else:
+                    assert evaluate(A, f, env) == reference_evaluate(A, f, env)
+                outcomes.append(bool(misfits))
+        assert set(outcomes) == {False, True}
 
-    def test_errors_are_raised_only_when_reached(self):
+    def test_errors_are_raised_when_compiled(self):
+        # a symbol the vocabulary lacks, or a wrong arity, is refused wherever
+        # it sits: behind a short-circuit, under Not, inside a staged block;
+        # A has no loop, so a walk of the syntax tree would never reach Q in
+        # the blocks after loop_y. No fact is looked up before the refusal.
+        lookups = []
+
+        class Counting(dict):
+            def __getitem__(self, name):
+                lookups.append(name)
+                return super().__getitem__(name)
+
         x, y = Var("x"), Var("y")
-        known, unknown = Eq(x, x), Atom("Q", (x,))
-        A = Structure(V, 2, {"E": {(0, 1)}})
-        assert evaluate(A, Or(known, unknown), {"x": 0})
-        with pytest.raises(ValueError, match="unknown predicate Q"):
-            evaluate(A, Or(unknown, known), {"x": 0})
-        assert not evaluate(A, And(Not(known), Atom("E", (x,))), {"x": 0})
-        with pytest.raises(ValueError, match="arity mismatch for E"):
-            evaluate(A, And(Atom("E", (x,)), Not(known)), {"x": 0})
-        assert evaluate(A, Or(known, Eq(Cst("z"), x)), {"x": 0})
-        with pytest.raises(ValueError, match="unknown constant z"):
-            evaluate(A, Or(Eq(x, Cst("z")), known), {"x": 0})
-        # A has no loop, so the walk never reaches Q(x) here; a block that
-        # holds an unknown symbol, however deep, is not staged
-        loop_y = Atom("E", (y, y))
-        assert not evaluate(A, Exists("x", Exists("y", And(loop_y, unknown))))
-        assert not evaluate(A, Exists("x", Exists("y", And(loop_y, Not(unknown)))))
-        assert not evaluate(A, Exists("x", Exists("y", And(loop_y, Or(unknown, known)))))
-        with pytest.raises(ValueError, match="unknown predicate Q"):
-            evaluate(A, Exists("x", Exists("y", And(Atom("Q", (y,)), Atom("E", (x, x))))))
+        known, unknown, loop_y = Eq(x, x), Atom("Q", (x,)), Atom("E", (y, y))
+        A = Structure._derived(V, 2, Counting({"E": frozenset({(0, 1)})}))
+        for message, f in [
+            ("unknown predicate Q", Or(known, unknown)),
+            ("unknown predicate Q", Or(unknown, known)),
+            ("arity mismatch for E", And(Not(known), Atom("E", (x,)))),
+            ("arity mismatch for E", And(Atom("E", (x,)), Not(known))),
+            ("unknown constant z", Or(known, Eq(Cst("z"), x))),
+            ("unknown constant z", Or(Eq(x, Cst("z")), known)),
+            ("unknown predicate Q", Exists("x", Exists("y", And(loop_y, unknown)))),
+            ("unknown predicate Q", Exists("x", Exists("y", And(loop_y, Not(unknown))))),
+            ("unknown predicate Q", Exists("x", Exists("y", And(loop_y, Or(unknown, known))))),
+            ("unknown predicate Q", Exists("x", Exists("y", And(Atom("Q", (y,)), Atom("E", (x, x)))))),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                evaluate(A, f, {"x": 0})
+        assert lookups == []
 
     def test_atomic_diagram_tests_each_fact_once_its_variables_are_bound(self):
         # the diagram of {(0,1),(0,2)} on the directed 6-cycle: x1 = x2 is
